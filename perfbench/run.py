@@ -40,6 +40,70 @@ SRC = ROOT / "src"
 WORK = ROOT / ".perfbench-work"
 
 
+#: ``prctl`` option that makes a process the reaper of orphaned descendants.
+_PR_SET_CHILD_SUBREAPER = 36
+
+
+def _adopt_orphans() -> None:
+    """Become the parent of every descendant whose own parent exits first.
+
+    A pool worker that attaches shared memory starts a multiprocessing
+    resource tracker of its own, which outlives the worker by a moment.
+    Adopted here, :func:`_reap_children` waits for it; otherwise it would
+    fall to an init process that may never reap it.
+    """
+    import ctypes
+
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):  # not Linux: orphans go to init
+        return
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    if prctl(_PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
+        print(f"perfbench: prctl: {os.strerror(ctypes.get_errno())}", file=sys.stderr)
+
+
+def _children() -> list[int]:
+    """PIDs of this process's live and exited-but-unreaped children."""
+    me, kids = os.getpid(), []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+            except (OSError, ValueError, IndexError):
+                continue
+            if ppid == me:
+                kids.append(int(entry))
+    return kids
+
+
+def _reap_children(grace_s: float = 20.0) -> None:
+    """Stop this process's resource tracker, then wait for every child to end.
+
+    Children still running after *grace_s* are killed, then waited for.
+    """
+    if "multiprocessing.resource_tracker" in sys.modules:
+        # Closing its pipe ends the tracker; _stop() also waits for it.
+        sys.modules["multiprocessing.resource_tracker"]._resource_tracker._stop()
+    deadline = time.monotonic() + grace_s
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        if pid == 0 and time.monotonic() > deadline:
+            for kid in _children():
+                try:
+                    os.kill(kid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            deadline = math.inf
+        elif pid == 0:
+            time.sleep(0.01)
+
+
 def _prepare_environment(trace_dir: Path | None) -> None:
     """Import paths for this process and every process it launches."""
     sys.path[:0] = [str(SRC), str(ROOT)]
@@ -91,14 +155,20 @@ def layer_metrics(out: dict, spans_by_pid: dict, main_pid: int,
         children = sum(end - start for _, parent, _, start, end, _, _ in
                        spans_by_pid[main_pid] if parent in timed_ids)
         metrics["bench.unattributed_pct"] = 100.0 * (timed_s - children) / timed_s
-    n_spans = sum(len(spans) for spans in spans_by_pid.values())
     if timed_s > 0:
+        # Counts the program's spans that begin inside the timed phase, in
+        # any process (on Linux perf_counter is one clock machine-wide), and
+        # leaves the benchmark's own spans out.
+        windows = [(start, end) for _, _, _, start, end, _, _ in timed]
+        n_spans = sum(1 for spans in spans_by_pid.values()
+                      for _, _, name, start, _, _, _ in spans
+                      if not name.startswith("bench.")
+                      and any(low <= start <= high for low, high in windows))
         metrics["bench.trace_overhead_pct"] = 100.0 * span_cost_s * n_spans / timed_s
     return metrics
 
 
-def run(workload: str, seed: int, seconds: float, trace: bool,
-        smoke: bool = False) -> dict:
+def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     """Run one workload; return the result object and what the report prints."""
     workdir = WORK / f"{workload}-{os.getpid()}"
     trace_dir = workdir / "trace" if trace else None
@@ -112,13 +182,13 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
         uninstall = tracing.install(recorder)
     try:
         job = workloads.Run(workload, seed, seconds, str(workdir), recorder=recorder,
-                            uninstall=uninstall, smoke=smoke, started=_STARTED)
+                            uninstall=uninstall, started=_STARTED)
         out = workloads.run_workload(job)
         out["workload"] = workload
         attempted, failed = int(out["attempted"]), int(out["failed"])
         out["success_pct"] = 100.0 * (attempted - failed) / attempted if attempted else 0.0
         if trace:
-            cost = tracing.wrapper_cost_s(recorder)
+            cost = tracing.wrapper_cost_s()
             spans = tracing.load_spans(trace_dir)
             metrics = layer_metrics(out, spans, os.getpid(), cost)
             units = dict(workloads.PER_LAYER)
@@ -136,10 +206,12 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
     import numpy
 
     host = {"nproc": workloads.NPROC, "python": platform.python_version(),
-            "numpy": numpy.__version__, "steal_pct": round(out["host.steal_pct"], 3)}
+            "numpy": numpy.__version__, "steal_pct": round(out["host.steal_pct"], 3),
+            "reference_ms": round(out["host.reference_ms"], 3)}
     return {
         "host": host,
         "digest": out.get("digest"),
+        "raw": {name[4:]: value for name, value in out.items() if name.startswith("raw.")},
         "result": {
             "correct": failed == 0 and attempted > 0 and finite,
             "attempted": attempted,
@@ -159,8 +231,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, required=True,
                         help="length of the timed phase (sweeps: at least one whole sweep)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small experiment settings, for the self-test")
     args = parser.parse_args(argv)
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
@@ -171,11 +241,14 @@ def main(argv: list[str] | None = None) -> int:
     if not (SRC / "repro" / "__init__.py").is_file():
         print(f"perfbench: no program source under {SRC}", file=sys.stderr)
         return 2
+    _adopt_orphans()
     try:
-        report = run(args.workload, args.seed, args.seconds, bool(args.trace), args.smoke)
+        report = run(args.workload, args.seed, args.seconds, bool(args.trace))
     except Exception:  # noqa: BLE001 - a run that cannot finish prints no result
         traceback.print_exc()
         return 1
+    finally:
+        _reap_children()
     result = report["result"]
     print(f"perfbench {args.workload} seed={args.seed} seconds={args.seconds:g} "
           f"trace={args.trace}")
@@ -184,7 +257,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"digest {report['digest']}")
     print(f"operations {result['attempted']} failed {result['failed']}")
     for name, metric in result["metrics"].items():
-        print(f"  {name:34s} {metric['value']:>14.6g} {metric['unit']}")
+        raw = report["raw"].get(name) if not args.trace else None
+        wall_clock = "" if raw is None else f"   (wall clock {raw:.6g})"
+        print(f"  {name:34s} {metric['value']:>14.6g} {metric['unit']}{wall_clock}")
     print(json.dumps(result))
     return 0
 

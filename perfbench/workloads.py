@@ -17,6 +17,12 @@ reports all of them.  A sweep's operations (``success_pct``,
 ``ops_per_s``) are its cells, a plan-less experiment counting as one, and
 its latency sample is the whole sweep a user waits for; a serving run's
 operations and latency samples are its requests.
+
+Times of CPU-bound phases (set-up, sweeps) are reported in reference
+seconds (see ``perfbench/hostclock.py``), with their wall-clock values
+beside them under ``raw.<metric>``.  ``serve-mixed``'s load window,
+request latency and request rate stay unscaled: a network timer, not the
+CPU, sets them.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import traceback
 
 import numpy as np
 
+from perfbench.hostclock import HostClock, Tally
 from perfbench.tracing import ML_FAMILIES
 
 NPROC = os.cpu_count() or 1
@@ -52,14 +59,14 @@ MAPE_FIGURES = ("figure5", "figure6", "figure7", "figure8")
 #: Plans whose published models ``serve-mixed`` serves.
 SERVED_FIGURES = ("figure5", "figure6", "figure8")
 SERVED_SERIES = ("hybrid", "extra_trees")
-#: ``serve-mixed`` request classes: (name, share, path, rows per request).
+#: ``serve-mixed`` request classes: (name, requests per 10, path, rows per request).
 REQUEST_MIX = (
-    ("predict1", 0.7, "/predict", 1),
-    ("predict64", 0.2, "/predict", 64),
-    ("recommend", 0.1, "/recommend", 256),
+    ("predict1", 7, "/predict", 1),
+    ("predict64", 2, "/predict", 64),
+    ("recommend", 1, "/recommend", 256),
 )
-#: Distinct pre-encoded requests; the closed loop cycles through them.
-REQUEST_SEQUENCE = 2048
+#: Blocks of distinct pre-encoded requests; the closed loop cycles through them.
+REQUEST_BLOCKS = 32
 SERVE_MAIN = "import sys; from repro.serving.server import main; sys.exit(main())"
 
 WORKLOADS = ("sweep-serial", "sweep-pool", "sweep-fleet", "serve-mixed")
@@ -67,7 +74,6 @@ WORKLOADS = ("sweep-serial", "sweep-pool", "sweep-fleet", "serve-mixed")
 END_TO_END = (
     ("setup_s", "s"),
     ("wall_s", "s"),
-    ("cpu_s", "s"),
     ("peak_rss_mb", "MiB"),
     ("success_pct", "%"),
     ("hybrid_mape_pct", "%"),
@@ -124,10 +130,12 @@ PER_LAYER = (
         ("serving.latency_samples", "count"),
         ("obs.http_overhead_ms", "ms"),
         ("bench.teardown_s", "s"),
+        ("bench.cpu_s", "s"),
         ("bench.worker_peak_rss_mb", "MiB"),
         ("bench.unattributed_pct", "%"),
         ("bench.trace_overhead_pct", "%"),
         ("host.steal_pct", "%"),
+        ("host.reference_ms", "ms"),
     ]
 )
 
@@ -136,18 +144,17 @@ class Run:
     """One benchmark run: its inputs, scratch space and optional tracer."""
 
     def __init__(self, workload: str, seed: int, seconds: float, workdir,
-                 recorder=None, uninstall=None, smoke: bool = False,
-                 started: float | None = None) -> None:
+                 recorder=None, uninstall=None, started: float | None = None) -> None:
         self.workload = workload
         self.seed = seed
         self.seconds = seconds
         self.workdir = workdir
         self.recorder = recorder
         self._uninstall = uninstall
-        self.smoke = smoke
         #: When the benchmark process started: ``setup_s`` counts imports from here.
         self.started = time.perf_counter() if started is None else started
         self.setup_reps = 1 if recorder is not None else SETUP_REPS
+        self.clock = HostClock(self.span)
         self.key = hashlib.sha256(f"perfbench-{seed}".encode()).hexdigest().encode()
         self.key_file = os.path.join(workdir, "fleet.key")
         with open(self.key_file, "wb") as fh:
@@ -166,11 +173,9 @@ class Run:
             self._uninstall()
 
     def settings(self):
+        """The default experiment settings, seeded by the run's seed."""
         from repro.experiments.runner import ExperimentSettings
 
-        if self.smoke:
-            return ExperimentSettings(n_estimators=8, n_repeats=2, max_configs=400,
-                                      random_state=self.seed)
         return ExperimentSettings(random_state=self.seed)
 
 
@@ -194,17 +199,14 @@ def steal_pct(before: tuple[int, int], after: tuple[int, int]) -> float:
     return 100.0 * (after[0] - before[0]) / total if total > 0 else 0.0
 
 
-def cpu_seconds() -> float:
-    """User+sys seconds of this process and every child it has reaped.
-
-    ``cpu_s`` is the growth from the end of set-up to the end of teardown:
-    this process's timed phase and teardown, plus the whole life of each
-    child reaped in that window (the pool, fleet or server the timed phase
-    used).
-    """
-    own = resource.getrusage(resource.RUSAGE_SELF)
-    kids = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return own.ru_utime + own.ru_stime + kids.ru_utime + kids.ru_stime
+def process_cpu_s(pid: int) -> float:
+    """User+sys seconds a process has used so far (``/proc/<pid>/stat``; 0 if gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return 0.0
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
 def _maxrss_mb(who) -> float:
@@ -212,13 +214,16 @@ def _maxrss_mb(who) -> float:
 
 
 def repeated_setup(run: Run, setup, teardown, background: bool = False):
-    """Set up ``run.setup_reps`` times; return the last state and the median time.
+    """Set up ``run.setup_reps`` times.
 
-    Each earlier repetition is torn down before the next starts, or with
-    *background* in a thread joined before returning, so nothing of it
-    overlaps the timed phase.
+    ``setup(rep, phase)`` does its work through ``phase(fn, ...)``, a
+    :class:`Tally` of the run's clock.  Returns the last state and the
+    median wall and reference seconds of a set-up.  Each earlier
+    repetition is torn down before the next starts, or with *background*
+    in a thread joined before returning, so nothing of it overlaps the
+    timed phase.
     """
-    preps, closers, state = [], [], None
+    walls, refs, closers, state = [], [], [], None
     try:
         for rep in range(run.setup_reps):
             if state is not None:
@@ -227,14 +232,58 @@ def repeated_setup(run: Run, setup, teardown, background: bool = False):
                     closers[-1].start()
                 else:
                     teardown(state)
-            start = time.perf_counter()
+            run.clock.checkpoint()
+            phase = Tally(run.clock)
             with run.span("bench.setup"):
-                state = setup(rep)
-            preps.append(time.perf_counter() - start)
+                state = setup(rep, phase)
+            walls.append(phase.wall_s)
+            refs.append(phase.reference_s)
     finally:
         for closer in closers:
             closer.join()
-    return state, statistics.median(preps)
+    return state, statistics.median(walls), statistics.median(refs)
+
+
+def setup_metrics(run: Run, out: dict, setup, teardown, background: bool = False):
+    """Imports plus the median set-up, as ``setup_s`` and ``raw.setup_s``.
+
+    Imports count from the start of the benchmark process; they are scaled
+    by the first checkpoint, which directly follows them.
+    """
+    import_s = time.perf_counter() - run.started
+    import_ref = run.clock.scale(import_s, run.clock.checkpoint())
+    state, prep_s, prep_ref = repeated_setup(run, setup, teardown, background)
+    out["setup_s"] = import_ref + prep_ref
+    out["raw.setup_s"] = import_s + prep_s
+    return state
+
+
+class CpuWindow:
+    """User+sys seconds the program's processes use from now until :meth:`record`.
+
+    The processes are the given children *pids* (pool or fleet workers, the
+    server) and, with *include_self*, this process less the clock's
+    checkpoints.  Set-up and teardown fall outside the window.  CPU seconds
+    follow the host's speed only in part, so scaled or not they move too
+    much with the host to be held to a bound: they are a per-layer metric.
+    """
+
+    def __init__(self, run: Run, pids=(), include_self: bool = True) -> None:
+        self.clock = run.clock
+        self.pids = list(pids)
+        self.include_self = include_self
+        self.cpu = self._used()
+
+    def _used(self) -> float:
+        used = sum(process_cpu_s(pid) for pid in self.pids)
+        if self.include_self:
+            own = resource.getrusage(resource.RUSAGE_SELF)
+            used += own.ru_utime + own.ru_stime - self.clock.cpu_s
+        return used
+
+    def record(self, out: dict) -> None:
+        """Set ``bench.cpu_s``."""
+        out["bench.cpu_s"] = self._used() - self.cpu
 
 
 def _wait_until(predicate, timeout: float, what: str) -> None:
@@ -388,43 +437,51 @@ def rerun_sample(results: dict, settings, seed: int, store, k: int = RERUN_CELLS
 # --------------------------------------------------------------------------- #
 # Sweeps
 # --------------------------------------------------------------------------- #
-def warm_store(store, settings) -> None:
-    """Simulate every plan's dataset and warm its analytical caches into *store*.
+def warm_plan(store, settings, name: str) -> None:
+    """Simulate a plan's dataset and warm its analytical caches into *store*.
 
-    The artifacts a first ``--store-dir`` run leaves behind, without the fits.
+    Over every plan, the artifacts a first ``--store-dir`` run leaves
+    behind, without the fits.
     """
     from repro.analytical.cache import AnalyticalPredictionCache
-    from repro.experiments.plan import PLANNED_EXPERIMENTS, build_analytical, experiment_plan
+    from repro.experiments.plan import build_analytical, experiment_plan
 
-    for name in PLANNED_EXPERIMENTS:
-        plan = experiment_plan(name, settings)
-        dataset = store.get(plan.dataset)
-        for key in plan.cache_keys():
-            if not store.has_cache(key, plan.dataset):
-                cache = AnalyticalPredictionCache(build_analytical(key),
-                                                  dataset.feature_names)
-                store.save_analytical_cache(key, plan.dataset, cache.warm(dataset.X))
+    plan = experiment_plan(name, settings)
+    dataset = store.get(plan.dataset)
+    for key in plan.cache_keys():
+        if not store.has_cache(key, plan.dataset):
+            cache = AnalyticalPredictionCache(build_analytical(key), dataset.feature_names)
+            store.save_analytical_cache(key, plan.dataset, cache.warm(dataset.X))
 
 
-def _sweep_setup(run: Run, kind: str, rep: int) -> dict:
+def _spawn_fleet(run: Run, fleet) -> list[int]:
+    with run.span("distributed.spawn"):
+        procs = fleet.spawn_local_workers(NPROC, auth_key_file=run.key_file)
+        _wait_until(lambda: fleet.load()["workers"] == NPROC, 120.0,
+                    "fleet workers to register")
+    return [proc.pid for proc in procs]
+
+
+def _sweep_setup(run: Run, kind: str, rep: int, phase: Tally) -> dict:
     from repro.datasets.store import DatasetStore
+    from repro.experiments.plan import PLANNED_EXPERIMENTS
 
-    state: dict = {"store": None, "pool": None, "fleet": None}
+    state: dict = {"store": None, "pool": None, "fleet": None, "pids": []}
     if kind == "sweep-pool":
         from repro.experiments.pool import WorkerPool
 
-        state["store"] = DatasetStore(os.path.join(run.workdir, f"store-{rep}"))
-        warm_store(state["store"], run.settings())
-        state["pool"] = WorkerPool(NPROC)
+        settings = run.settings()
+        store = state["store"] = DatasetStore(os.path.join(run.workdir, f"store-{rep}"))
+        for name in PLANNED_EXPERIMENTS:
+            phase(warm_plan, store, settings, name)
+        state["pool"] = phase(WorkerPool, NPROC)
+        state["pids"] = sorted(state["pool"].worker_pids)
     elif kind == "sweep-fleet":
         from repro.distributed.coordinator import Coordinator
 
-        fleet = state["fleet"] = Coordinator(auth_key=run.key)
+        fleet = state["fleet"] = phase(Coordinator, auth_key=run.key)
         try:
-            with run.span("distributed.spawn"):
-                fleet.spawn_local_workers(NPROC, auth_key_file=run.key_file)
-                _wait_until(lambda: fleet.load()["workers"] == NPROC, 120.0,
-                            "fleet workers to register")
+            state["pids"] = phase(_spawn_fleet, run, fleet)
         except BaseException:
             fleet.close()
             raise
@@ -438,19 +495,28 @@ def _sweep_teardown(state: dict) -> None:
         state["fleet"].close()
 
 
-def _one_sweep(state: dict, settings, executor: str) -> dict:
+def _one_sweep(run: Run, state: dict, settings, executor: str) -> tuple[float, float, dict]:
+    """``(wall seconds, reference seconds, results)`` of one sweep.
+
+    Each experiment is a phase of ``run.clock``: a reference checkpoint
+    follows it, and neither the checkpoints nor the output checks count.
+    """
     from repro.experiments.runner import EXPERIMENTS, run_experiment
 
+    def experiment(name):
+        return run_experiment(name, settings=settings, executor=executor,
+                              jobs=1 if executor == "serial" else NPROC,
+                              store=state["store"], fleet=state["fleet"], pool=state["pool"])
+
+    phase = Tally(run.clock)
     results = {}
     for name in EXPERIMENTS:
         try:
-            results[name] = run_experiment(
-                name, settings=settings, executor=executor,
-                jobs=1 if executor == "serial" else NPROC, store=state["store"],
-                fleet=state["fleet"], pool=state["pool"])
+            results[name] = phase(experiment, name)
         except Exception:  # noqa: BLE001 - counted as failed operations, run goes on
             traceback.print_exc()
-    return results
+            run.clock.checkpoint()
+    return phase.wall_s, phase.reference_s, results
 
 
 def run_sweep(run: Run, out: dict) -> None:
@@ -464,27 +530,25 @@ def run_sweep(run: Run, out: dict) -> None:
         import repro.experiments.pool  # noqa: F401
     elif kind == "sweep-fleet":
         import repro.distributed.coordinator  # noqa: F401
-    import_s = time.perf_counter() - run.started
     settings = run.settings()
 
     # A fleet's close waits ~2 s on its accept thread: earlier fleets close
     # in the background while the next one starts.
-    state, prep_s = repeated_setup(run, lambda rep: _sweep_setup(run, kind, rep),
-                                   _sweep_teardown, background=kind == "sweep-fleet")
-    out["setup_s"] = import_s + prep_s
-    cpu_before = cpu_seconds()
+    state = setup_metrics(run, out, lambda rep, phase: _sweep_setup(run, kind, rep, phase),
+                          _sweep_teardown, background=kind == "sweep-fleet")
+    cpu = CpuWindow(run, state["pids"])
 
     sweeps = []
     try:
         pool_before = state["pool"].stats if state["pool"] is not None else None
+        run.clock.checkpoint()
         ticks = cpu_ticks()
         start = time.perf_counter()
         with run.span("bench.timed"):
             while not sweeps or time.perf_counter() - start < run.seconds:
-                t0 = time.perf_counter()
-                results = _one_sweep(state, settings, executor)
-                sweeps.append((time.perf_counter() - t0, results))
+                sweeps.append(_one_sweep(run, state, settings, executor))
         out["host.steal_pct"] = steal_pct(ticks, cpu_ticks())
+        cpu.record(out)
         if state["pool"] is not None:
             after = state["pool"].stats
             for key in ("dispatch_seconds", "compute_seconds", "batches"):
@@ -502,7 +566,7 @@ def run_sweep(run: Run, out: dict) -> None:
         with run.span("bench.teardown"):
             _sweep_teardown(state)
         out["bench.teardown_s"] = time.perf_counter() - start
-    out["cpu_s"] = cpu_seconds() - cpu_before
+    out["host.reference_ms"] = 1000.0 * run.clock.median_s()
     out["peak_rss_mb"] = _maxrss_mb(resource.RUSAGE_SELF)
     out["bench.worker_peak_rss_mb"] = (_maxrss_mb(resource.RUSAGE_CHILDREN)
                                        if kind != "sweep-serial" else 0.0)
@@ -510,7 +574,7 @@ def run_sweep(run: Run, out: dict) -> None:
 
     attempted = failed = 0
     digests = set()
-    for _, results in sweeps:
+    for _, _, results in sweeps:
         n, bad, digest = check_sweep(results, settings)
         if kind != "sweep-serial":
             bad += rerun_sample(results, settings, run.seed, state["store"])
@@ -520,13 +584,15 @@ def run_sweep(run: Run, out: dict) -> None:
     if len(digests) > 1:
         print(f"sweeps of one run disagree: digests {sorted(digests)}", file=sys.stderr)
         failed = attempted
-    walls = [w for w, _ in sweeps]
+    walls = [wall for wall, _, _ in sweeps]
+    refs = [ref for _, ref, _ in sweeps]
     out["digest"] = sorted(digests)[0]
     out["attempted"], out["failed"] = attempted, failed
-    out["wall_s"] = statistics.median(walls)
-    out["p50_ms"] = 1000.0 * statistics.median(walls)
-    out["ops_per_s"] = (attempted - failed) / sum(walls)
-    out["hybrid_mape_pct"], out["ml_mape_pct"] = mape_means(sweeps[0][1])
+    out["wall_s"], out["raw.wall_s"] = statistics.median(refs), statistics.median(walls)
+    out["p50_ms"], out["raw.p50_ms"] = 1000.0 * out["wall_s"], 1000.0 * out["raw.wall_s"]
+    out["ops_per_s"] = (attempted - failed) / sum(refs)
+    out["raw.ops_per_s"] = (attempted - failed) / sum(walls)
+    out["hybrid_mape_pct"], out["ml_mape_pct"] = mape_means(sweeps[0][2])
 
 
 # --------------------------------------------------------------------------- #
@@ -592,27 +658,35 @@ def _served_models(settings, store) -> list[tuple[str, str, np.ndarray]]:
     return models
 
 
-def _serve_setup(run: Run, rep: int) -> dict:
+def _first_use_loads(server: _Server, models) -> None:
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=60)
+    try:
+        for fingerprint, series, X in models:
+            body = json.dumps({"plan": fingerprint, "series": series,
+                               "rows": X[:1].tolist()}).encode()
+            status, reply = server.request(conn, "POST", "/predict", body)
+            if status != 200:
+                raise RuntimeError(f"warm-up /predict answered {status}: {reply[:200]!r}")
+    finally:
+        conn.close()
+
+
+def _serve_setup(run: Run, rep: int, phase: Tally) -> dict:
+    """Publish figures 5-8 as ``run_all(..., publish_models=True)`` does, one
+    experiment per phase, then start the server and load every served model."""
     from repro.datasets.store import DatasetStore
-    from repro.experiments.runner import run_all
+    from repro.experiments.runner import run_experiment
 
     settings = run.settings()
     store_dir = os.path.join(run.workdir, f"store-{rep}")
     store = DatasetStore(store_dir)
-    results = run_all(settings, names=MAPE_FIGURES, store=store, publish_models=True)
-    server = _Server(run, store_dir)
+    results = {name: phase(run_experiment, name, settings=settings, store=store,
+                           publish_models=True)
+               for name in MAPE_FIGURES}
+    server = phase(_Server, run, store_dir)
     try:
         models = _served_models(settings, store)
-        conn = http.client.HTTPConnection(server.host, server.port, timeout=60)
-        try:
-            for fingerprint, series, X in models:  # first-use model loads
-                body = json.dumps({"plan": fingerprint, "series": series,
-                                   "rows": X[:1].tolist()}).encode()
-                status, reply = server.request(conn, "POST", "/predict", body)
-                if status != 200:
-                    raise RuntimeError(f"warm-up /predict answered {status}: {reply[:200]!r}")
-        finally:
-            conn.close()
+        phase(_first_use_loads, server, models)
     except BaseException:
         server.stop()
         raise
@@ -622,24 +696,29 @@ def _serve_setup(run: Run, rep: int) -> dict:
 def make_requests(models, seed: int, key: bytes) -> list[tuple]:
     """The seed's request sequence, encoded and signed ahead of the loop.
 
-    Entries are ``(class, path, body, headers, model index, rows)``.
+    The sequence is made of blocks that each hold, for every served model,
+    the mix's 7, 2 and 1 requests of each class, so that the few hundred
+    requests a run gets through carry the mix's shares whatever the seed;
+    the seed orders each block and draws every request's rows.  Entries
+    are ``(class, path, body, headers, model index, rows)``.
     """
     from repro.obs.http import sign_request
 
     rng = np.random.default_rng(seed)
-    shares = [share for _, share, _, _ in REQUEST_MIX]
-    classes = rng.choice(len(REQUEST_MIX), size=REQUEST_SEQUENCE, p=shares)
-    picks = rng.integers(len(models), size=REQUEST_SEQUENCE)
+    block = [(cls, pick) for pick in range(len(models))
+             for cls, (_, per_10, _, _) in enumerate(REQUEST_MIX) for _ in range(per_10)]
     sequence = []
-    for cls, pick in zip(classes, picks, strict=True):
-        name, _, path, n_rows = REQUEST_MIX[cls]
-        fingerprint, series, X = models[pick]
-        rows = X[rng.integers(len(X), size=n_rows)]
-        body = json.dumps({"plan": fingerprint, "series": series,
-                           "rows": rows.tolist()}).encode()
-        headers = {"Content-Type": "application/json",
-                   "Authorization": sign_request(key, "POST", path, body)}
-        sequence.append((name, path, body, headers, int(pick), rows))
+    for _ in range(REQUEST_BLOCKS):
+        for index in rng.permutation(len(block)):
+            cls, pick = block[index]
+            name, _, path, n_rows = REQUEST_MIX[cls]
+            fingerprint, series, X = models[pick]
+            rows = X[rng.integers(len(X), size=n_rows)]
+            body = json.dumps({"plan": fingerprint, "series": series,
+                               "rows": rows.tolist()}).encode()
+            headers = {"Content-Type": "application/json",
+                       "Authorization": sign_request(key, "POST", path, body)}
+            sequence.append((name, path, body, headers, int(pick), rows))
     return sequence
 
 
@@ -710,15 +789,14 @@ def run_serve(run: Run, out: dict) -> None:
     import repro.experiments.runner  # noqa: F401  (the imports setup_s includes)
     import repro.serving.model_io  # noqa: F401
 
-    import_s = time.perf_counter() - run.started
-    state, prep_s = repeated_setup(run, lambda rep: _serve_setup(run, rep),
-                                   lambda state: state["server"].stop())
-    out["setup_s"] = import_s + prep_s
-    cpu_before = cpu_seconds()
+    state = setup_metrics(run, out, lambda rep, phase: _serve_setup(run, rep, phase),
+                          lambda state: state["server"].stop())
     server, store, models = state["server"], state["store"], state["models"]
     try:
         sequence = make_requests(models, run.seed, run.key)
         stats_before = server.stats()
+        cpu = CpuWindow(run, [server.proc.pid], include_self=False)
+        run.clock.checkpoint()
         counter = itertools.count()
         records: list = []
         loop_time: list = []
@@ -735,13 +813,15 @@ def run_serve(run: Run, out: dict) -> None:
                 thread.join()
         wall = time.perf_counter() - start
         out["host.steal_pct"] = steal_pct(ticks, cpu_ticks())
+        run.clock.checkpoint()
+        cpu.record(out)
         stats_after = server.stats()
     finally:
         start = time.perf_counter()
         with run.span("bench.teardown"):
             server.stop()
         out["bench.teardown_s"] = time.perf_counter() - start
-    out["cpu_s"] = cpu_seconds() - cpu_before
+    out["host.reference_ms"] = 1000.0 * run.clock.median_s()
     out["peak_rss_mb"] = _maxrss_mb(resource.RUSAGE_CHILDREN)
     out["bench.worker_peak_rss_mb"] = 0.0  # no pool or fleet workers
     run.stop_tracing()
