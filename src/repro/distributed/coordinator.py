@@ -105,6 +105,18 @@ _AUTO_LEASE_TARGET_CELLS = 4
 _AUTO_LEASE_MAX_CELLS = 16
 
 
+def _sever_socket(sock: socket.socket) -> None:
+    """Shut *sock* down, waking any thread blocked on it, and close it."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 class _WorkerInfo:
     """Coordinator-side record of one connected worker."""
 
@@ -304,6 +316,9 @@ class Coordinator:
         self._closing = False
         self._procs: list[subprocess.Popen] = []
         self._threads: list[threading.Thread] = []
+        #: Every accepted connection, registered worker or not, so that
+        #: close() can sever the ones that never sent HELLO.
+        self._conns: set[socket.socket] = set()
 
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -549,15 +564,15 @@ class Coordinator:
                 except subprocess.TimeoutExpired:
                     proc.kill()
                     proc.wait()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._lock:
-            workers = list(self._workers.values())
-        for info in workers:
-            self._sever(info)
+        # close() alone does not wake a thread blocked in accept();
+        # shutdown() does.  Once the accept thread is gone no connection
+        # can be added behind the sever below.
+        _sever_socket(self._listener)
         self._accept_thread.join(timeout=2.0)
+        with self._lock:
+            conns = list(self._conns)
+        for conn in conns:
+            _sever_socket(conn)
         for thread in list(self._threads):
             thread.join(timeout=2.0)
 
@@ -649,14 +664,7 @@ class Coordinator:
 
     @staticmethod
     def _sever(info: _WorkerInfo) -> None:
-        try:
-            info.conn.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            info.conn.close()
-        except OSError:
-            pass
+        _sever_socket(info.conn)
 
     def _requeue_lease(self, info: _WorkerInfo, *, reason: str) -> None:
         """Return a dead worker's unfinished leased cells to the queue (lock held)."""
@@ -693,6 +701,7 @@ class Coordinator:
                 target=self._serve_connection, args=(conn, addr),
                 name=f"fleet-conn-{addr[0]}:{addr[1]}", daemon=True)
             with self._lock:
+                self._conns.add(conn)
                 self._threads.append(thread)
             thread.start()
 
@@ -746,6 +755,7 @@ class Coordinator:
             except OSError:
                 pass
             with self._lock:
+                self._conns.discard(conn)
                 self._threads = [t for t in self._threads
                                  if t is not threading.current_thread()]
 

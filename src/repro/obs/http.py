@@ -7,7 +7,9 @@ Three pieces mount the HTTP tier onto one spine:
   explicit snapshot) rendered in the Prometheus text format.
 * :class:`ReproHTTPServer` — the base every bundled HTTP server
   (the object store, the model server, the status sidecar) subclasses.
-  It implements, exactly once: request-body reading, shared-secret HMAC
+  It implements, exactly once: request-body reading (a malformed
+  ``Content-Length`` answers 400 and closes the connection), replies
+  written in one send on ``TCP_NODELAY`` sockets, shared-secret HMAC
   authorization (``Authorization: Repro-HMAC <hex>``), the labeled
   ``repro_auth_failures_total`` counter, ``GET /metrics`` and ``GET
   /healthz``, request tracing spans, :class:`RequestError` → status
@@ -130,6 +132,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "ReproHTTP/1.0"
+    # Replies leave as soon as they are written.  Nagle's algorithm holds
+    # a small write until everything sent before it is acknowledged, and
+    # a client on a keep-alive connection delays its ACKs by up to 40 ms.
+    disable_nagle_algorithm = True
 
     server: ReproHTTPServer
 
@@ -141,7 +147,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- response helpers (used by server ``handle`` implementations) -- #
     def send_body(self, status: int, body: bytes = b"",
                   content_type: str = "application/octet-stream") -> None:
-        """One complete response with correct framing headers.
+        """One complete response with correct framing headers, in one send.
 
         ``HEAD`` responses advertise the body's length but never write
         it — writing would desynchronize the keep-alive connection.
@@ -151,9 +157,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if status == 401:
             self.send_header("WWW-Authenticate", AUTH_SCHEME)
-        self.end_headers()
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # What end_headers() would do, with the body joined to the
+        # buffered status line and headers so that all of it goes out in
+        # one write and one segment.
+        self._headers_buffer.append(b"\r\n")
         if body and self.command != "HEAD":
-            self.wfile.write(body)
+            self._headers_buffer.append(body)
+        self.flush_headers()
 
     def send_json(self, status: int, payload: dict | list) -> None:
         """One complete JSON response."""
@@ -162,7 +174,16 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- the single request path -------------------------------------- #
     def _dispatch(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            # Where the body ends is unknown, so nothing after this
+            # header can be parsed: answer and drop the connection.
+            self.close_connection = True
+            self.server.count_error(400)
+            self.send_json(400, {"error": "malformed Content-Length "
+                                          f"{declared[:32]!r}"})
+            return
+        length = int(declared)
         body = self.rfile.read(length) if length > 0 else b""
         parsed = urllib.parse.urlsplit(self.path)
         path = parsed.path.rstrip("/") or "/"

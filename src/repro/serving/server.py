@@ -29,7 +29,8 @@ Concurrent ``/predict`` requests for the same model are **micro-batched**:
 while one vectorized :meth:`~repro.serving.model_io.ServedModel.predict_rows`
 pass is in flight, arriving requests queue up and the next pass serves
 all of them in a single concatenated descent.  Batching never waits — a
-lone request is served immediately — and never changes values: every
+lone request is served immediately, a queued one as soon as the pass
+ahead of it ends — and never changes values: every
 prediction is computed row-wise, so a row's result is independent of
 whatever rows share its batch.
 
@@ -77,14 +78,23 @@ __all__ = ["ModelServer", "MicroBatcher", "main"]
 _RequestError = RequestError
 
 
+#: How long a queued caller sleeps before it looks for itself whether its
+#: rows were served.  Every leader hands off when it releases, so the
+#: interval only bounds the wait behind a leader that died mid-pass.
+LEADER_POLL_S = 0.05
+
+
 class _Pending:
     """One caller's rows queued for a micro-batch pass."""
 
-    __slots__ = ("rows", "event", "result", "error")
+    __slots__ = ("rows", "wake", "done", "result", "error")
 
     def __init__(self, rows: np.ndarray) -> None:
         self.rows = rows
-        self.event = threading.Event()
+        #: Set when the rows are served, or when the caller is handed the
+        #: next pass.
+        self.wake = threading.Event()
+        self.done = False
         self.result: np.ndarray | None = None
         self.error: BaseException | None = None
 
@@ -97,9 +107,11 @@ class MicroBatcher:
     while that pass is in flight queue up, and whoever acquires the
     per-model leadership next drains the **whole** queue into one
     concatenated :meth:`~repro.serving.model_io.ServedModel.predict_rows`
-    call, then scatters the per-caller slices.  Under load the batch
-    size approaches the concurrency level; a lone request costs exactly
-    one ungrouped pass.
+    call, then scatters the per-caller slices.  A leader that releases
+    with callers still queued wakes the oldest of them to lead the next
+    pass, so no caller waits longer than the pass ahead of it.  Under
+    load the batch size approaches the concurrency level; a lone
+    request costs exactly one ungrouped pass.
 
     Value-preserving by construction: predictions are computed row-wise
     (elementwise scaler/analytical math plus an independent tree descent
@@ -147,20 +159,35 @@ class MicroBatcher:
         with self._lock:
             self._queues.setdefault(key, []).append(entry)
         leader = self._leader_lock(key)
-        while not entry.event.is_set():
+        while not entry.done:
             if leader.acquire(blocking=False):
                 try:
                     self._run_pass(key, model)
                 finally:
                     leader.release()
+                    self._hand_off(key)
             else:
-                # A pass is in flight; it (or the next leader) will take
-                # our entry.  The timeout only guards against a leader
-                # dying between drain and scatter — we then retry.
-                entry.event.wait(0.05)
+                # A pass is in flight.  It serves our entry, or its leader
+                # wakes the oldest queued caller once it releases.  A wake
+                # lost to the clear is harmless: it came after a release,
+                # and we try the leadership again before waiting.
+                entry.wake.wait(LEADER_POLL_S)
+                entry.wake.clear()
         if entry.error is not None:
             raise entry.error
         return entry.result
+
+    def _hand_off(self, key) -> None:
+        """Wake the oldest caller that queued during the pass just run.
+
+        It found the leadership taken and would otherwise sleep out
+        :data:`LEADER_POLL_S`.  If another caller took the leadership
+        first, that leader hands off in turn when it releases.
+        """
+        with self._lock:
+            queue = self._queues.get(key)
+            if queue:
+                queue[0].wake.set()
 
     def _run_pass(self, key, model: ServedModel) -> None:
         with self._lock:
@@ -173,7 +200,8 @@ class MicroBatcher:
         except BaseException as exc:  # noqa: BLE001 - scattered to each caller
             for entry in batch:
                 entry.error = exc
-                entry.event.set()
+                entry.done = True
+                entry.wake.set()
             return
         with self._lock:  # the max updates are read-modify-write
             self._batches.inc()
@@ -186,7 +214,8 @@ class MicroBatcher:
         for entry, count in zip(batch, counts, strict=True):
             entry.result = predictions[offset:offset + count]
             offset += count
-            entry.event.set()
+            entry.done = True
+            entry.wake.set()
 
 
 class ModelServer(ReproHTTPServer):

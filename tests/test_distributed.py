@@ -172,6 +172,26 @@ class TestHandshake:
         assert worker.run() == 2
 
 
+class TestClose:
+    def test_close_is_prompt_with_an_idle_pre_hello_connection(self):
+        """close() wakes the accept loop and severs connections that never
+        sent HELLO, instead of waiting out a join timeout for each."""
+        coordinator = Coordinator()
+        sock = socket.create_connection(coordinator.address, timeout=10.0)
+        try:
+            deadline = time.monotonic() + 10.0
+            while not coordinator._threads:  # until the connection is accepted
+                assert time.monotonic() < deadline, "connection never accepted"
+                time.sleep(0.005)
+            start = time.perf_counter()
+            coordinator.close()
+            elapsed = time.perf_counter() - start
+            assert sock.recv(1) == b""  # the coordinator severed it
+        finally:
+            sock.close()
+        assert elapsed < 0.1, f"close() took {elapsed:.3f} s"
+
+
 class TestRemoteExecutor:
     def test_remote_is_a_registered_executor(self):
         assert "remote" in EXECUTORS

@@ -25,6 +25,7 @@ import io
 import json
 import logging
 import pickle
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -439,6 +440,21 @@ class TestStatusServer:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(server.url + "/nope", timeout=10.0)
             assert err.value.code == 404
+
+    @pytest.mark.parametrize("declared", ["abc", "-5"])
+    def test_malformed_content_length_is_400_and_closes(self, declared):
+        with StatusServer() as server:
+            with socket.create_connection(server.server_address[:2],
+                                          timeout=10.0) as sock:
+                sock.sendall(b"POST /metrics HTTP/1.1\r\nHost: test\r\n"
+                             b"Content-Length: " + declared.encode()
+                             + b"\r\n\r\n")
+                reply = b""
+                while chunk := sock.recv(4096):  # until the server closes
+                    reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert b"\r\nConnection: close\r\n" in reply
+        assert b"malformed Content-Length" in reply
 
 
 class TestStructuredLogging:

@@ -5,14 +5,19 @@ format (encode/decode bit-identity for both factory kinds), plan
 publishing (including non-servable series being skipped, not fatal),
 the ``models/`` key family of the store, and the HTTP model server:
 bit-identical ``/predict``, ``/recommend`` argmin, failure statuses
-(400/404/503), integrity accounting for corrupt blobs, and
-value-preserving micro-batching under concurrency.
+(400/404/503), integrity accounting for corrupt blobs, keep-alive
+replies without a delayed-ACK stall, and value-preserving micro-batching
+under concurrency, with leadership handed off between passes.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -27,6 +32,7 @@ from repro.ml._packed import PackedForest
 from repro.ml.forest import ExtraTreesRegressor
 from repro.ml.pipeline import Pipeline
 from repro.ml.preprocessing import StandardScaler
+from repro.obs.http import ReproHTTPServer, sign_request
 from repro.serving import (
     MicroBatcher,
     ModelNotServableError,
@@ -354,6 +360,47 @@ class TestModelServer:
         assert stats["batches"] >= 1
 
 
+class TestKeepAlive:
+    """One client connection carrying many requests, as load balancers and
+    SDK clients use it.  ``urllib`` opens a connection per request, which
+    is still in TCP quick-ACK mode and so never shows a delayed-ACK stall.
+    """
+
+    def test_sequential_predicts_on_one_connection_do_not_stall(self, published):
+        plan, store, dataset, *_ = published
+        key = b"keep-alive-test-key"
+        body = json.dumps({"plan": plan.fingerprint, "series": "hybrid",
+                           "rows": dataset.X[:1].tolist()}).encode()
+        headers = {"Content-Type": "application/json",
+                   "Authorization": sign_request(key, "POST", "/predict", body)}
+        with ModelServer(store, auth=key) as server:
+            server.load_model(plan.fingerprint, "hybrid")
+            conn = http.client.HTTPConnection(*server.server_address[:2],
+                                              timeout=10)
+            try:
+                start = time.perf_counter()
+                for _ in range(40):
+                    conn.request("POST", "/predict", body=body, headers=headers)
+                    response = conn.getresponse()
+                    reply = json.loads(response.read())
+                    assert response.status == 200, reply
+                elapsed = time.perf_counter() - start
+            finally:
+                conn.close()
+        # A delayed-ACK stall costs about 40 ms per request after the first.
+        assert elapsed < 0.8, f"40 keep-alive requests took {elapsed:.2f} s"
+
+    def test_accepted_connections_disable_nagle(self):
+        class NodelayProbe(ReproHTTPServer):
+            def handle(self, request, method, path, query, body):
+                option = request.connection.getsockopt(socket.IPPROTO_TCP,
+                                                       socket.TCP_NODELAY)
+                request.send_json(200, {"nodelay": bool(option)})
+
+        with NodelayProbe() as server:
+            assert _get(server.url + "probe") == {"nodelay": True}
+
+
 class TestMicroBatcher:
     class _CountingModel:
         """Stand-in model recording the batch shapes it was asked for."""
@@ -405,3 +452,72 @@ class TestMicroBatcher:
         batcher = MicroBatcher()
         with pytest.raises(ValueError, match="boom"):
             batcher.predict("k", Exploding(), np.zeros((2, 2)))
+
+    def test_caller_queued_behind_a_pass_is_handed_the_next_one(self, monkeypatch):
+        """A caller that queues after the leader drained is served as soon as
+        the leader releases, not after the dead-leader poll interval."""
+        monkeypatch.setattr("repro.serving.server.LEADER_POLL_S", 60.0)
+        entered, gate = threading.Event(), threading.Event()
+
+        class Gated:
+            def predict_rows(self, rows):
+                if not entered.is_set():
+                    entered.set()
+                    gate.wait(30)
+                return np.asarray(rows)[:, 0] * 2.0
+
+        batcher, model = MicroBatcher(), Gated()
+        results: dict[str, np.ndarray] = {}
+
+        def call(name, value):
+            results[name] = batcher.predict("k", model, np.full((2, 2), value))
+
+        leader = threading.Thread(target=call, args=("leader", 1.0), daemon=True)
+        follower = threading.Thread(target=call, args=("follower", 2.0),
+                                    daemon=True)
+        leader.start()
+        assert entered.wait(10)  # the leader drained the queue and is mid-pass
+        follower.start()
+        deadline = time.monotonic() + 10
+        while not batcher._queues.get("k"):
+            assert time.monotonic() < deadline, "the follower never queued"
+            time.sleep(0.001)
+        time.sleep(0.1)  # let it find the leadership taken and wait
+        gate.set()
+        released = time.monotonic()
+        leader.join(timeout=10)
+        follower.join(timeout=5)
+        assert not leader.is_alive()
+        assert not follower.is_alive(), "the follower waited out the poll"
+        assert time.monotonic() - released < 5
+        assert np.array_equal(results["follower"], np.full(2, 4.0))
+
+    def test_no_caller_is_stranded_under_contention(self, monkeypatch):
+        """With the poll interval out of reach, a lost hand-off hangs a caller."""
+        monkeypatch.setattr("repro.serving.server.LEADER_POLL_S", 60.0)
+        batcher, model = MicroBatcher(), self._CountingModel()
+        n_threads, n_calls = 16, 40
+        wrong: list[int] = []
+
+        def worker(i):
+            for j in range(n_calls):
+                value = float(i * n_calls + j)
+                out = batcher.predict("k", model, np.full((1, 2), value))
+                if out.tolist() != [2.0 * value]:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,), daemon=True)
+                       for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 30
+            for t in threads:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "a caller was stranded"
+        assert wrong == []
+        assert batcher.stats["batched_rows"] == n_threads * n_calls
