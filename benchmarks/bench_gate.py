@@ -46,7 +46,7 @@ TOLERANCE = 0.25
 #: request ratio divides out raw host speed the same way).
 #: ``scheduler_speedup`` tracks core count and gets an absolute
 #: cpus-conditional floor instead (see below).
-GATED_BENCHMARKS = ("engine_redesign", "hist_engine", "serving_latency")
+GATED_BENCHMARKS = ("hist_engine", "serving_latency")
 
 #: Absolute floors for the newest warm-pool ``scheduler_speedup`` entry:
 #: on a multi-core host the parallel sweep must beat serial outright; on
@@ -76,10 +76,10 @@ def _tracked(entry: dict) -> dict[str, dict]:
 def _baseline_for(entries: list[dict], name: str, scale) -> float | None:
     """Most recent prior speedup of workload *name* at the same scale.
 
-    Workload sizes are tunable per environment (``REPRO_BENCH_PERF_TREES``
-    scales CI down); comparing a 30-tree ratio against a 100-tree ratio
-    would gate noise, so a baseline must record the same ``n_trees`` as
-    the current entry (both absent counts as a match).
+    Workload sizes are tunable per environment (``REPRO_BENCH_HIST_TREES``);
+    comparing a 30-tree ratio against a 100-tree ratio would gate noise,
+    so a baseline must record the same ``n_trees`` as the current entry
+    (both absent counts as a match).
     """
     for prev in reversed(entries):
         fields = _tracked(prev).get(name)

@@ -7,10 +7,6 @@ across PRs instead of each run overwriting the last.
 
 Two benchmarks are tracked:
 
-* ``engine_redesign`` — the vectorized tree-ensemble engine against the
-  seed ("legacy") implementation *in the same process*: forest fit at the
-  acceptance workload (``ExtraTreesRegressor(n_estimators=100)`` at
-  ``n = 2000``) and one quick-preset Figure 3 (FMM) run.
 * ``scheduler_speedup`` — the plan-based experiment scheduler running a
   quick multi-experiment sweep serially vs. through a *warm*
   :class:`~repro.experiments.pool.WorkerPool` with ``--jobs 4`` (both
@@ -23,20 +19,20 @@ Two benchmarks are tracked:
   recorded here and enforced by ``bench_gate.py`` (it tracks the host's
   core count, so the floor is conditional on ``cpus``); the rows are
   asserted bit-identical in-test, which *is* hardware-independent.
-* ``hist_engine`` — the histogram-binned ``"hist"`` splitter against the
-  exact ``"batched"`` engine on a full registry dataset
+* ``hist_engine`` — histogram-binned split search (``tree_method="hist"``)
+  against exact split search on a full registry dataset
   (``stencil-blocked``, n=3364): RandomForest fit speedup (asserted
   >= 2x), ExtraTrees fit speedup (recorded), and the quick Figure-5
   quality check (held-out R^2 of the binned extra-trees model within
-  0.02 of the exact engine's, plus both engines' learning-curve MAPEs).
+  0.02 of the exact model's, plus both methods' learning-curve MAPEs).
 
-Scale the legacy workload down with ``REPRO_BENCH_PERF_TREES`` (and the
-hist workload with ``REPRO_BENCH_HIST_TREES``) if a constrained machine
-cannot afford the ~1.5 minute legacy fit.
+Scale the hist workload down with ``REPRO_BENCH_HIST_TREES`` if a
+constrained machine cannot afford the 100-tree fits.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import platform
@@ -48,18 +44,14 @@ import pytest
 
 from repro.datasets import DatasetStore
 from repro.datasets.registry import load_dataset
-from repro.experiments import figure3_fmm, figure5, run_all
+from repro.experiments import experiment_plan, figure5, run_all, run_plan
 from repro.experiments.runner import ExperimentSettings
-from repro.ml import ExtraTreesRegressor, RandomForestRegressor, use_engines
+from repro.ml import ExtraTreesRegressor, RandomForestRegressor
 from repro.ml.metrics import r2_score
 from repro.ml.model_selection import train_test_split
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULT_PATH = REPO_ROOT / "BENCH_engine.json"
-
-#: Acceptance thresholds of the engine-redesign PR.
-MIN_FOREST_FIT_SPEEDUP = 5.0
-MIN_FIGURE3_SPEEDUP = 3.0
 
 #: Acceptance thresholds of the histogram-engine PR.
 MIN_HIST_FIT_SPEEDUP = 2.0
@@ -107,65 +99,13 @@ def _platform_fields() -> dict:
     }
 
 
-@pytest.mark.benchmark(group="engines")
-def test_engine_redesign_speedups():
-    n_trees = int(os.environ.get("REPRO_BENCH_PERF_TREES", "100"))
-    rng = np.random.default_rng(0)
-    n = 2000
-    X = rng.uniform(0.0, 10.0, size=(n, 6))
-    y = np.sin(X[:, 0]) + 0.1 * X[:, 1] * X[:, 2] + 0.1 * rng.normal(size=n)
-
-    def fit_forest():
-        ExtraTreesRegressor(n_estimators=n_trees, random_state=0).fit(X, y)
-
-    settings = ExperimentSettings.quick()
-
-    def run_figure3():
-        figure3_fmm(settings=settings)
-
-    # Vectorized engines (current defaults: batched fit + packed predict,
-    # analytical caching in the experiment pipeline).
-    t_fit_new, _ = _time(fit_forest)
-    t_fig3_new, _ = _time(run_figure3)
-
-    # Seed implementation, same process, via the legacy engine flag.
-    with use_engines(tree="legacy", forest="legacy"):
-        t_fit_legacy, _ = _time(fit_forest)
-        t_fig3_legacy, _ = _time(run_figure3)
-
-    fit_speedup = t_fit_legacy / t_fit_new
-    fig3_speedup = t_fig3_legacy / t_fig3_new
-
-    entry = {
-        "benchmark": "engine_redesign",
-        **_platform_fields(),
-        "workloads": {
-            "extra_trees_fit": {
-                "description": f"ExtraTreesRegressor(n_estimators={n_trees}).fit, "
-                               f"n={n}, d=6",
-                "n_trees": n_trees,
-                "legacy_seconds": round(t_fit_legacy, 4),
-                "vectorized_seconds": round(t_fit_new, 4),
-                "speedup": round(fit_speedup, 2),
-                "threshold": MIN_FOREST_FIT_SPEEDUP,
-            },
-            "figure3_fmm_quick": {
-                "description": "figure3_fmm(ExperimentSettings.quick())",
-                "legacy_seconds": round(t_fig3_legacy, 4),
-                "vectorized_seconds": round(t_fig3_new, 4),
-                "speedup": round(fig3_speedup, 2),
-                "threshold": MIN_FIGURE3_SPEEDUP,
-            },
-        },
-    }
-    _append_history(entry)
-    print()
-    print(json.dumps(entry["workloads"], indent=2))
-
-    assert fit_speedup >= MIN_FOREST_FIT_SPEEDUP, (
-        f"forest fit speedup {fit_speedup:.1f}x below {MIN_FOREST_FIT_SPEEDUP}x")
-    assert fig3_speedup >= MIN_FIGURE3_SPEEDUP, (
-        f"figure3 speedup {fig3_speedup:.1f}x below {MIN_FIGURE3_SPEEDUP}x")
+def _with_tree_method(plan, tree_method: str):
+    """*plan* with every series' estimator set to *tree_method*."""
+    return dataclasses.replace(plan, series=tuple(
+        dataclasses.replace(series, factory=dataclasses.replace(
+            series.factory, estimator=dataclasses.replace(
+                series.factory.estimator, tree_method=tree_method)))
+        for series in plan.series))
 
 
 @pytest.mark.benchmark(group="engines")
@@ -204,8 +144,7 @@ def test_hist_engine_speedup():
     # ML training fraction; both engines' MAPE curves are recorded.
     settings = ExperimentSettings.quick()
     fig5_exact = figure5(settings=settings)
-    with use_engines(tree="hist", forest="hist"):
-        fig5_hist = figure5(settings=settings)
+    fig5_hist = run_plan(_with_tree_method(experiment_plan("figure5", settings), "hist"))
     curves = {
         label: {
             "exact": [round(p.mean, 3) for p in fig5_exact.curves[label].points],

@@ -92,10 +92,10 @@ def ablation_tree_method(settings: ExperimentSettings | None = None,
                          **scheduler_options) -> ExperimentResult:
     """Exact vs histogram-binned split search for the ML and hybrid models.
 
-    The ``"hist"`` tree engine quantizes features to quantile bins at fit
+    ``tree_method="hist"`` quantizes features to quantile bins at fit
     time (see :mod:`repro.ml._hist`); this ablation verifies that the
     learning curves it produces are statistically indistinguishable from
-    the exact engines' on the blocked-stencil dataset.
+    exact split search's on the blocked-stencil dataset.
     """
     return run_named_plan("ablation_tree_method", settings, dataset,
                           **scheduler_options)

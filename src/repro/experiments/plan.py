@@ -148,9 +148,9 @@ class EstimatorSpec:
 
     ``n_estimators`` is ignored by estimators that have no ensemble size
     (decision tree, k-NN).  ``tree_method`` selects the split-search
-    backend of tree-based estimators (``None`` defers to the process
-    engine defaults, ``"exact"`` / ``"hist"`` force one — see
-    :mod:`repro.ml.engine`); non-tree estimators ignore it.
+    backend of tree-based estimators (``None`` and ``"exact"`` search
+    exact thresholds, ``"hist"`` bins features — see
+    :mod:`repro.ml._hist`); non-tree estimators ignore it.
     """
 
     name: str

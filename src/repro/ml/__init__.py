@@ -28,7 +28,6 @@ from repro.ml._packed import PackedForest
 from repro.ml.bagging import BaggingRegressor
 from repro.ml.base import BaseEstimator, RegressorMixin, TransformerMixin, clone
 from repro.ml.boosting import GradientBoostingRegressor
-from repro.ml.engine import get_default_engines, set_default_engines, use_engines
 from repro.ml.forest import ExtraTreesRegressor, RandomForestRegressor
 from repro.ml.linear import LinearRegression, Ridge
 from repro.ml.metrics import (
@@ -56,9 +55,6 @@ __all__ = [
     "RegressorMixin",
     "TransformerMixin",
     "clone",
-    "get_default_engines",
-    "set_default_engines",
-    "use_engines",
     "DecisionTreeRegressor",
     "RandomForestRegressor",
     "ExtraTreesRegressor",

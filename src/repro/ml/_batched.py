@@ -1,31 +1,28 @@
 """Level-synchronous batched construction of CART tree ensembles.
 
-The recursive builders in :mod:`repro.ml.tree` pay Python-interpreter
-overhead per *node*; for a forest that is ``n_estimators x n_nodes`` small
-NumPy calls.  This module grows **all trees of a forest together, one
-depth level at a time**: every frontier node of every tree is scored and
-partitioned in a handful of vectorized passes over contiguous
-segment-grouped arrays (``numpy.add.reduceat`` over CSR-style node
-segments), so the interpreter cost is per *level*, not per node.
+Growing a tree node by node pays Python-interpreter overhead per *node*;
+for a forest that is ``n_estimators x n_nodes`` small NumPy calls.  This
+module grows **all trees of a forest together, one depth level at a
+time**: every frontier node of every tree is scored and partitioned in a
+handful of vectorized passes over contiguous segment-grouped arrays
+(``numpy.add.reduceat`` over CSR-style node segments), so the
+interpreter cost is per *level*, not per node.  It is the exact
+split-search builder of every tree estimator: forests, single decision
+trees (grown as one-tree forests) and gradient-boosting stages.
 
-RNG protocol (documented, deterministic, but intentionally different from
-the recursive builders' stream): each tree owns one generator; per level
-it draws (a) one uniform matrix of feature-subset ranks when
+RNG protocol (documented, deterministic): each tree owns one generator;
+per level it draws (a) one uniform matrix of feature-subset ranks when
 ``max_features < n_features`` and (b) for the ``"random"`` splitter one
 uniform threshold matrix over its frontier nodes x features.  A tree's
 draw sequence depends only on its own frontier evolution, so a tree is
 identical whether grown alone or co-batched with any number of other
 trees.  Ties between equal split scores resolve to the lowest feature
-index (the recursive builders resolve them by permutation order), so
-trees are statistically equivalent — not bit-identical — to ``"legacy"``
-trees.
+index, and within a feature to the lowest threshold.
 
 Memory: the builder materializes one slot row per (tree, sample) pair —
 ``O(n_estimators * n * d)`` float64, plus an equally sized int64 presort
 for the ``"best"`` splitter.  That is the price of level-wide batching
-and is trivially small for this repo's datasets (a few thousand rows);
-for very large training sets pass ``engine="stack"`` to the forest to
-fall back to O(n)-overhead per-tree fitting.
+and is small for this repo's datasets (a few thousand rows).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Histogram-binned split search (the ``"hist"`` tree engine).
+"""Histogram-binned split search (``tree_method="hist"``).
 
-The exact engines (:mod:`repro.ml.tree`, :mod:`repro.ml._batched`) scan
-every distinct threshold of every candidate feature at every node, which
-dominates fit time on the larger learning-curve datasets.  This module
+The exact builder (:mod:`repro.ml._batched`) scans every distinct
+threshold of every candidate feature at every node, which dominates fit
+time on the larger learning-curve datasets.  This module
 implements the LightGBM-style alternative: each feature is quantized
 **once at fit time** to at most ``max_bins`` quantile bins, and split
 search afterwards operates on small integer *bin codes* instead of the
@@ -60,8 +60,8 @@ matrix of feature-subset ranks when ``max_features < n_features``, then
 for the ``"random"`` splitter one uniform ``(nodes, features)`` matrix
 that selects a bin boundary uniformly from each node's occupied local
 bin range (the binned analogue of the extra-trees uniform threshold).
-As in the batched engine, a tree's RNG stream depends only on its own
-frontier evolution — but unlike the batched engine, the *split
+As in the exact builder, a tree's RNG stream depends only on its own
+frontier evolution — but unlike the exact builder, the *split
 resolution* does not: the cell budget divides by the aggregate frontier
 size of all co-batched trees, so once it binds (deep levels of large
 forests) a tree may coarsen earlier than it would grown alone.  Trees

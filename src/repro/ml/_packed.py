@@ -72,9 +72,15 @@ class PackedForest:
         """Rebuild a forest from the arenas :meth:`state` produced.
 
         *state* is any mapping holding the six arrays (an ``np.load``
-        result works directly).  Shapes and child indices are validated
-        so a truncated or mismatched blob fails loudly here rather than
-        predicting garbage.
+        result works directly).  The arrays must describe trees, so a
+        truncated, mismatched or hostile blob fails loudly here rather
+        than predicting garbage or descending forever:
+
+        * ``roots`` start at 0 and strictly increase inside the arena;
+        * a leaf (``feature == -1``) has both children equal to -1;
+        * an internal node's children follow it inside its own tree, so
+          every descent ends at a leaf within the tree's node count;
+        * an internal node's feature index is not negative.
         """
         packed = cls.__new__(cls)
         try:
@@ -82,7 +88,7 @@ class PackedForest:
         except KeyError as exc:
             raise ValueError(f"packed-forest state is missing array {exc}") from None
         roots = arrays["roots"].astype(np.int64, copy=False)
-        n_nodes = arrays["feature"].shape[0]
+        n_nodes = arrays["feature"].size
         if roots.ndim != 1 or roots.size < 1:
             raise ValueError("packed-forest state has no trees")
         for name in ("feature", "threshold", "value", "left", "right"):
@@ -90,18 +96,32 @@ class PackedForest:
                 raise ValueError(
                     f"packed-forest arena {name!r} has shape "
                     f"{arrays[name].shape}, expected ({n_nodes},)")
-        children = np.concatenate([arrays["left"], arrays["right"]])
-        children = children[children != _NO_CHILD]
-        if n_nodes == 0 or np.any((roots < 0) | (roots >= n_nodes)) or (
-                children.size and (children.min() < 0 or children.max() >= n_nodes)):
-            raise ValueError("packed-forest state has out-of-range node indices")
+        feature = arrays["feature"].astype(np.int64, copy=False)
+        left = arrays["left"].astype(np.int64, copy=False)
+        right = arrays["right"].astype(np.int64, copy=False)
+        if roots[0] != 0 or roots[-1] >= n_nodes or np.any(roots[1:] <= roots[:-1]):
+            raise ValueError("packed-forest roots must start at 0 and strictly "
+                             "increase inside the arena")
+        leaf = feature == _NO_CHILD
+        if np.any(left[leaf] != _NO_CHILD) or np.any(right[leaf] != _NO_CHILD):
+            raise ValueError("packed-forest state has a leaf with children")
+        internal = np.nonzero(~leaf)[0]
+        tree_end = np.append(roots[1:], n_nodes)[
+            np.searchsorted(roots, internal, side="right") - 1]
+        for child in (left[internal], right[internal]):
+            if np.any((child <= internal) | (child >= tree_end)):
+                raise ValueError(
+                    "packed-forest state has out-of-range node indices: an "
+                    "internal node's children must follow it inside its tree")
+        if np.any(feature[internal] < 0):
+            raise ValueError("packed-forest state splits on a negative feature index")
         packed.n_trees = int(roots.size)
         packed.roots = roots
-        packed.feature = arrays["feature"].astype(np.int64, copy=False)
+        packed.feature = feature
         packed.threshold = arrays["threshold"].astype(np.float64, copy=False)
         packed.value = arrays["value"].astype(np.float64, copy=False)
-        packed.left = arrays["left"].astype(np.int64, copy=False)
-        packed.right = arrays["right"].astype(np.int64, copy=False)
+        packed.left = left
+        packed.right = right
         return packed
 
     @property

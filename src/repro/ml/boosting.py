@@ -5,6 +5,11 @@ a natural additional baseline for the ablation benchmarks: boosting builds
 an additive model of shallow trees, which behaves very differently from
 variance-reducing ensembles at tiny training sizes.
 
+Every stage is a one-tree forest grown by the same level-synchronous
+builders the forest estimators use: :mod:`repro.ml._batched` for exact
+split search, or :mod:`repro.ml._hist` with ``tree_method="hist"``, in
+which case the feature matrix is binned once for all stages.
+
 Prediction packs the fitted stages into a single
 :class:`~repro.ml._packed.PackedForest` arena at the end of ``fit``, so
 ``predict``/``staged_predict`` descend every stage for every query row in
@@ -44,8 +49,8 @@ class GradientBoostingRegressor(BaseEstimator, RegressorMixin):
     random_state:
         Seed for the per-stage subsampling and tree randomness.
     tree_method:
-        ``None`` (defer to the engine defaults), ``"exact"`` or
-        ``"hist"`` — forwarded to every stage's base tree (see
+        ``None`` or ``"exact"`` (exact split search) or ``"hist"`` —
+        forwarded to every stage's base tree (see
         :class:`~repro.ml.tree.DecisionTreeRegressor`).
     max_bins:
         Quantile bins per feature for ``tree_method="hist"``.
@@ -91,10 +96,8 @@ class GradientBoostingRegressor(BaseEstimator, RegressorMixin):
 
         # With histogram stage trees, quantize the feature matrix once up
         # front instead of once per stage (residuals change, X does not).
-        from repro.ml.engine import resolve_build_engine
-
         binned = None
-        if resolve_build_engine(self.tree_method, None, kind="tree") == "hist":
+        if self.tree_method == "hist":
             from repro.ml._hist import bin_dataset
 
             binned = bin_dataset(X, self.max_bins)

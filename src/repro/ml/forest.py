@@ -13,17 +13,13 @@ instances; they differ in how individual trees are randomized:
 Extra trees is the model the paper selects for its hybrid approach after
 the comparison in Figure 3.
 
-Fitting defaults to the level-synchronous ``"batched"`` engine
-(:mod:`repro.ml._batched`), which grows all trees together one depth
-level at a time; ``tree_method="hist"`` selects its histogram-binned
-sibling (:mod:`repro.ml._hist`) that scans quantile-bin boundaries
-instead of distinct thresholds.  Prediction always goes through a
+All trees of a forest grow together, one depth level at a time, on the
+same two builders a single tree uses (:func:`repro.ml.tree._grow_trees`):
+the exact builder (:mod:`repro.ml._batched`) by default, or its
+histogram-binned sibling (:mod:`repro.ml._hist`) with
+``tree_method="hist"``.  Prediction always goes through a
 :class:`PackedForest` (:mod:`repro.ml._packed`), descending every tree
-for every query row in a single vectorized traversal.  The per-tree
-engines (``"stack"``, ``"legacy"``) remain available through the
-``engine`` parameter; the ``"legacy"`` engine also restores the original
-Python prediction loop so benchmarks can time the seed implementation
-end to end.
+for every query row in a single vectorized traversal.
 """
 
 from __future__ import annotations
@@ -32,9 +28,7 @@ import numpy as np
 
 from repro.ml._packed import PackedForest
 from repro.ml.base import BaseEstimator, RegressorMixin
-from repro.ml.engine import get_batched_builder, resolve_build_engine
-from repro.ml.tree import DecisionTreeRegressor
-from repro.parallel.threadpool import parallel_map
+from repro.ml.tree import DecisionTreeRegressor, _grow_trees
 from repro.utils.rng import check_random_state, spawn_seeds
 from repro.utils.validation import check_array, check_is_fitted, check_X_y
 
@@ -58,9 +52,7 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
         max_features="sqrt",
         bootstrap: bool | None = None,
         oob_score: bool = False,
-        n_jobs: int = 1,
         random_state=None,
-        engine: str | None = None,
         tree_method: str | None = None,
         max_bins: int = 256,
     ) -> None:
@@ -71,9 +63,7 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.oob_score = oob_score
-        self.n_jobs = n_jobs
         self.random_state = random_state
-        self.engine = engine
         self.tree_method = tree_method
         self.max_bins = max_bins
         self.estimators_: list[DecisionTreeRegressor] | None = None
@@ -88,7 +78,6 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
         X, y = check_X_y(X, y)
         if self.n_estimators < 1:
             raise ValueError(f"n_estimators must be >= 1, got {self.n_estimators}")
-        engine = resolve_build_engine(self.tree_method, self.engine, kind="forest")
         self.n_features_in_ = X.shape[1]
         bootstrap = self._default_bootstrap if self.bootstrap is None else self.bootstrap
         if self.oob_score and not bootstrap:
@@ -106,45 +95,33 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
             else:
                 sample_sets.append(np.arange(n))
 
-        if engine in ("batched", "hist"):
-            build, extra = get_batched_builder(engine, self.max_bins)
-            template = DecisionTreeRegressor(max_features=self.max_features,
-                                             max_bins=self.max_bins)
-            trees = build(
-                X, y,
-                sample_sets=sample_sets,
-                seeds=tree_seeds,
-                splitter=self._splitter,
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=template._resolve_max_features(X.shape[1]),
-                min_impurity_decrease=0.0,
-                **extra,
-            )
-            self.estimators_ = []
-            for i, tree in enumerate(trees):
-                shell = self._make_tree(tree_seeds[i])
-                shell.tree_ = tree
-                shell.n_features_in_ = X.shape[1]
-                self.estimators_.append(shell)
-        else:
-            def _fit_one(i: int) -> DecisionTreeRegressor:
-                tree = self._make_tree(tree_seeds[i], engine=engine)
-                idx = sample_sets[i]
-                return tree.fit(X[idx], y[idx])
-
-            self.estimators_ = parallel_map(_fit_one, range(self.n_estimators),
-                                            n_jobs=self.n_jobs, chunked=True)
-
-        self.packed_ = None if engine == "legacy" else PackedForest(
-            [est.tree_ for est in self.estimators_])
+        template = DecisionTreeRegressor(max_features=self.max_features)
+        trees = _grow_trees(
+            X, y,
+            tree_method=self.tree_method,
+            max_bins=self.max_bins,
+            sample_sets=sample_sets,
+            seeds=tree_seeds,
+            splitter=self._splitter,
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            max_features=template._resolve_max_features(X.shape[1]),
+            min_impurity_decrease=0.0,
+        )
+        self.estimators_ = []
+        for seed, tree in zip(tree_seeds, trees, strict=True):
+            shell = self._make_tree(seed)
+            shell.tree_ = tree
+            shell.n_features_in_ = X.shape[1]
+            self.estimators_.append(shell)
+        self.packed_ = PackedForest(trees)
 
         if self.oob_score:
             self._compute_oob(X, y, sample_sets)
         return self
 
-    def _make_tree(self, seed, engine: str | None = None) -> DecisionTreeRegressor:
+    def _make_tree(self, seed) -> DecisionTreeRegressor:
         return DecisionTreeRegressor(
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
@@ -152,7 +129,6 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
             max_features=self.max_features,
             splitter=self._splitter,
             random_state=seed,
-            engine=engine,
             max_bins=self.max_bins,
         )
 
@@ -165,21 +141,13 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
                 f"X has {X.shape[1]} features, but the forest was fitted with "
                 f"{self.n_features_in_}"
             )
-        if self.packed_ is not None:
-            return self.packed_.predict(X)
-        preds = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.estimators_:
-            preds += tree.tree_.predict(X)
-        return preds / len(self.estimators_)
+        return self.packed_.predict(X)
 
     def predict_std(self, X) -> np.ndarray:
         """Per-sample standard deviation across trees (ensemble uncertainty)."""
         check_is_fitted(self, "estimators_")
         X = check_array(X)
-        if self.packed_ is not None:
-            return self.packed_.predict_std(X)
-        all_preds = np.stack([tree.tree_.predict(X) for tree in self.estimators_])
-        return all_preds.std(axis=0)
+        return self.packed_.predict_std(X)
 
     @property
     def feature_importances_(self) -> np.ndarray:
@@ -201,19 +169,8 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
         oob_mask = np.ones((n, len(self.estimators_)), dtype=bool)
         for i, idx in enumerate(sample_sets):
             oob_mask[idx, i] = False
-        if self.packed_ is not None:
-            all_preds = self.packed_.predict_all(X)
-            sums = np.where(oob_mask, all_preds, 0.0).sum(axis=1)
-            counts = oob_mask.sum(axis=1).astype(np.float64)
-        else:
-            sums = np.zeros(n)
-            counts = np.zeros(n)
-            for i, tree in enumerate(self.estimators_):
-                mask = oob_mask[:, i]
-                if not np.any(mask):
-                    continue
-                sums[mask] += tree.tree_.predict(X[mask])
-                counts[mask] += 1
+        sums = np.where(oob_mask, self.packed_.predict_all(X), 0.0).sum(axis=1)
+        counts = oob_mask.sum(axis=1).astype(np.float64)
         covered = counts > 0
         oob = np.full(n, np.nan)
         oob[covered] = sums[covered] / counts[covered]
@@ -253,9 +210,7 @@ class ExtraTreesRegressor(BaseForestRegressor):
         max_features=1.0,
         bootstrap: bool | None = None,
         oob_score: bool = False,
-        n_jobs: int = 1,
         random_state=None,
-        engine: str | None = None,
         tree_method: str | None = None,
         max_bins: int = 256,
     ) -> None:
@@ -267,9 +222,7 @@ class ExtraTreesRegressor(BaseForestRegressor):
             max_features=max_features,
             bootstrap=bootstrap,
             oob_score=oob_score,
-            n_jobs=n_jobs,
             random_state=random_state,
-            engine=engine,
             tree_method=tree_method,
             max_bins=max_bins,
         )

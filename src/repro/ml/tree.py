@@ -12,15 +12,14 @@ provided:
   :class:`repro.ml.forest.ExtraTreesRegressor`, the best performing model
   in the paper's Figure 3).
 
-Four construction engines are available (see :mod:`repro.ml.engine`):
-the original recursive builder (``"legacy"``), a bit-identical presorted
-work-stack builder (``"stack"``, the default — no per-node ``argsort``, no
-Python recursion), the level-synchronous ``"batched"`` builder shared
-with the forest estimators, and its histogram-binned sibling (``"hist"``,
-also selectable via ``tree_method="hist"``).  Candidate-split scoring is
-vectorized with
-cumulative sums over the sorted targets, and prediction descends all query
-rows through the flat node arrays simultaneously.
+Trees are grown by one of two level-synchronous builders, chosen by
+``tree_method``: the exact builder (:mod:`repro.ml._batched`, the
+default), which scores every distinct threshold with cumulative sums over
+presorted targets, and its histogram-binned sibling
+(:mod:`repro.ml._hist`, ``tree_method="hist"``).  A single tree is grown
+as a one-tree forest by the same builders the forest estimators use (see
+:func:`_grow_trees`), and prediction descends all query rows through the
+flat node arrays simultaneously.
 """
 
 from __future__ import annotations
@@ -30,13 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ml.base import BaseEstimator, RegressorMixin
-from repro.ml.engine import get_batched_builder, resolve_build_engine
-from repro.utils.rng import check_random_state
 from repro.utils.validation import check_array, check_is_fitted, check_X_y
 
 __all__ = ["DecisionTreeRegressor", "Tree"]
 
 _NO_CHILD = -1
+
+#: Valid values of the estimators' ``tree_method`` parameter (``None``
+#: means exact).
+_TREE_METHODS = (None, "exact", "hist")
 
 
 @dataclass
@@ -133,330 +134,27 @@ class Tree:
         return depths
 
 
-class _TreeBuilder:
-    """Depth-first recursive builder (the ``"legacy"`` reference engine)."""
+def _grow_trees(X: np.ndarray, y: np.ndarray, *, tree_method: str | None,
+                max_bins: int, prebinned=None, **params) -> list[Tree]:
+    """Grow one :class:`Tree` per ``params["sample_sets"]`` entry.
 
-    def __init__(
-        self,
-        *,
-        splitter: str,
-        max_depth: int | None,
-        min_samples_split: int,
-        min_samples_leaf: int,
-        max_features: int,
-        min_impurity_decrease: float,
-        rng: np.random.Generator,
-    ) -> None:
-        self.splitter = splitter
-        self.max_depth = np.inf if max_depth is None else max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.min_impurity_decrease = min_impurity_decrease
-        self.rng = rng
-        # Growing lists; converted to arrays at the end.
-        self._feature: list[int] = []
-        self._threshold: list[float] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._value: list[float] = []
-        self._n_samples: list[int] = []
-        self._impurity: list[float] = []
-
-    # ------------------------------------------------------------------ #
-    def build(self, X: np.ndarray, y: np.ndarray) -> Tree:
-        self._grow(X, y, np.arange(X.shape[0]), depth=0)
-        return Tree(
-            feature=np.asarray(self._feature, dtype=np.int64),
-            threshold=np.asarray(self._threshold, dtype=np.float64),
-            left=np.asarray(self._left, dtype=np.int64),
-            right=np.asarray(self._right, dtype=np.int64),
-            value=np.asarray(self._value, dtype=np.float64),
-            n_samples=np.asarray(self._n_samples, dtype=np.int64),
-            impurity=np.asarray(self._impurity, dtype=np.float64),
-        )
-
-    def _new_node(self, value: float, n: int, impurity: float) -> int:
-        node_id = len(self._feature)
-        self._feature.append(_NO_CHILD)
-        self._threshold.append(np.nan)
-        self._left.append(_NO_CHILD)
-        self._right.append(_NO_CHILD)
-        self._value.append(value)
-        self._n_samples.append(n)
-        self._impurity.append(impurity)
-        return node_id
-
-    def _grow(self, X: np.ndarray, y: np.ndarray, indices: np.ndarray, depth: int) -> int:
-        y_node = y[indices]
-        n = len(indices)
-        mean = float(y_node.mean())
-        impurity = float(y_node.var())
-        node_id = self._new_node(mean, n, impurity)
-
-        if (
-            depth >= self.max_depth
-            or n < self.min_samples_split
-            or n < 2 * self.min_samples_leaf
-            or impurity <= 1e-15
-        ):
-            return node_id
-
-        split = self._find_split(X, y, indices, impurity)
-        if split is None:
-            return node_id
-
-        feature, threshold, left_idx, right_idx = split
-        left_id = self._grow(X, y, left_idx, depth + 1)
-        right_id = self._grow(X, y, right_idx, depth + 1)
-        self._feature[node_id] = feature
-        self._threshold[node_id] = threshold
-        self._left[node_id] = left_id
-        self._right[node_id] = right_id
-        return node_id
-
-    # ------------------------------------------------------------------ #
-    def _find_split(self, X, y, indices, parent_impurity):
-        n = len(indices)
-        n_features = X.shape[1]
-        features = self.rng.permutation(n_features)
-
-        best = None  # (score, feature, threshold)
-        n_visited_with_candidates = 0
-        y_node = y[indices]
-        parent_sse = parent_impurity * n
-
-        for feature in features:
-            if n_visited_with_candidates >= self.max_features and best is not None:
-                break
-            x = X[indices, feature]
-            lo, hi = x.min(), x.max()
-            if lo == hi:
-                continue  # constant feature at this node
-            n_visited_with_candidates += 1
-
-            if self.splitter == "random":
-                candidate = self._score_random_threshold(x, y_node, lo, hi)
-            else:
-                candidate = self._score_best_threshold(x, y_node)
-            if candidate is None:
-                continue
-            score, threshold = candidate
-            if best is None or score < best[0]:
-                best = (score, int(feature), float(threshold))
-
-        if best is None:
-            return None
-        score, feature, threshold = best
-        decrease = (parent_sse - score) / n
-        if decrease < self.min_impurity_decrease - 1e-15:
-            return None
-
-        mask = X[indices, feature] <= threshold
-        left_idx = indices[mask]
-        right_idx = indices[~mask]
-        if len(left_idx) < self.min_samples_leaf or len(right_idx) < self.min_samples_leaf:
-            return None
-        return feature, threshold, left_idx, right_idx
-
-    def _score_best_threshold(self, x: np.ndarray, y: np.ndarray):
-        """Best (min total SSE) threshold for one feature, or None."""
-        order = np.argsort(x, kind="mergesort")
-        xs = x[order]
-        ys = y[order]
-        n = len(xs)
-        # Candidate split positions i mean: left = [0..i), right = [i..n).
-        csum = np.cumsum(ys)
-        csum2 = np.cumsum(ys * ys)
-        total = csum[-1]
-        total2 = csum2[-1]
-        pos = np.arange(1, n)
-        # Only split between distinct consecutive values and obey min_samples_leaf.
-        distinct = xs[1:] != xs[:-1]
-        leaf_ok = (pos >= self.min_samples_leaf) & (n - pos >= self.min_samples_leaf)
-        valid = distinct & leaf_ok
-        if not np.any(valid):
-            return None
-        left_sum = csum[:-1]
-        left_sum2 = csum2[:-1]
-        right_sum = total - left_sum
-        right_sum2 = total2 - left_sum2
-        n_left = pos
-        n_right = n - pos
-        sse = (left_sum2 - left_sum**2 / n_left) + (right_sum2 - right_sum**2 / n_right)
-        sse = np.where(valid, sse, np.inf)
-        best_i = int(np.argmin(sse))
-        threshold = 0.5 * (xs[best_i] + xs[best_i + 1])
-        # Guard against midpoints that round onto the right value.
-        if threshold >= xs[best_i + 1]:
-            threshold = xs[best_i]
-        return float(sse[best_i]), float(threshold)
-
-    def _score_random_threshold(self, x: np.ndarray, y: np.ndarray, lo: float, hi: float):
-        """Extra-trees style: draw one uniform threshold and score it."""
-        threshold = float(self.rng.uniform(lo, hi))
-        if threshold >= hi:  # numerical edge; ensure both sides non-empty
-            threshold = np.nextafter(hi, lo)
-        mask = x <= threshold
-        n_left = int(mask.sum())
-        n_right = len(x) - n_left
-        if n_left < self.min_samples_leaf or n_right < self.min_samples_leaf:
-            return None
-        y_left = y[mask]
-        y_right = y[~mask]
-        sse = float(y_left.var() * n_left + y_right.var() * n_right)
-        return sse, threshold
-
-
-class _StackTreeBuilder(_TreeBuilder):
-    """Work-stack builder with a fit-time feature presort (``"stack"`` engine).
-
-    Bit-identical to :class:`_TreeBuilder`: nodes are created in the same
-    depth-first pre-order, the RNG is consumed in the same sequence, and
-    every floating-point quantity (thresholds, impurities, split scores)
-    is computed from the same arrays in the same order.  The differences
-    are purely mechanical:
-
-    * the per-node ``argsort`` of the ``"best"`` splitter is replaced by
-      one stable ``argsort`` per feature at fit time, maintained through
-      splits with stable index partitioning (a stable partition of a
-      stably sorted sequence stays stably sorted);
-    * the Python recursion of ``_grow`` is replaced by an explicit
-      LIFO work stack (right child pushed first so the left subtree is
-      processed next, exactly like the recursive pre-order).
+    The single dispatch point of the tree, forest and boosting ``fit``
+    paths: ``tree_method="hist"`` selects
+    :func:`~repro.ml._hist.build_forest_hist` (with *max_bins* and the
+    optional *prebinned* codes), ``None`` and ``"exact"`` select
+    :func:`~repro.ml._batched.build_forest_batched`.  *params* are the
+    builders' shared keyword arguments.  The builders import
+    :class:`Tree` from this module, hence the local imports.
     """
+    if tree_method not in _TREE_METHODS:
+        raise ValueError(f"tree_method must be one of {_TREE_METHODS}, got {tree_method!r}")
+    if tree_method == "hist":
+        from repro.ml._hist import build_forest_hist
 
-    def build(self, X: np.ndarray, y: np.ndarray) -> Tree:
-        presort = self.splitter == "best"
-        # Column f of ``sorted_cols`` holds the node's sample indices
-        # ordered by feature f (stable, so ties keep ascending index order
-        # — the same order the per-node mergesort argsort produced).
-        root_sorted = np.argsort(X, axis=0, kind="stable") if presort else None
-        root = np.arange(X.shape[0])
-        stack = [(root, root_sorted, 0, -1, False)]
-        while stack:
-            indices, sorted_cols, depth, parent, is_left = stack.pop()
-            y_node = y[indices]
-            n = len(indices)
-            mean = float(y_node.mean())
-            impurity = float(y_node.var())
-            node_id = self._new_node(mean, n, impurity)
-            if parent >= 0:
-                if is_left:
-                    self._left[parent] = node_id
-                else:
-                    self._right[parent] = node_id
+        return build_forest_hist(X, y, max_bins=max_bins, prebinned=prebinned, **params)
+    from repro.ml._batched import build_forest_batched
 
-            if (
-                depth >= self.max_depth
-                or n < self.min_samples_split
-                or n < 2 * self.min_samples_leaf
-                or impurity <= 1e-15
-            ):
-                continue
-
-            split = self._find_split_presorted(X, y, indices, sorted_cols, impurity)
-            if split is None:
-                continue
-            feature, threshold, left, right = split
-            self._feature[node_id] = feature
-            self._threshold[node_id] = threshold
-            stack.append((*right, depth + 1, node_id, False))
-            stack.append((*left, depth + 1, node_id, True))
-
-        return Tree(
-            feature=np.asarray(self._feature, dtype=np.int64),
-            threshold=np.asarray(self._threshold, dtype=np.float64),
-            left=np.asarray(self._left, dtype=np.int64),
-            right=np.asarray(self._right, dtype=np.int64),
-            value=np.asarray(self._value, dtype=np.float64),
-            n_samples=np.asarray(self._n_samples, dtype=np.int64),
-            impurity=np.asarray(self._impurity, dtype=np.float64),
-        )
-
-    def _find_split_presorted(self, X, y, indices, sorted_cols, parent_impurity):
-        n = len(indices)
-        n_features = X.shape[1]
-        features = self.rng.permutation(n_features)
-
-        best = None  # (score, feature, threshold)
-        n_visited_with_candidates = 0
-        y_node = y[indices]
-        parent_sse = parent_impurity * n
-
-        for feature in features:
-            if n_visited_with_candidates >= self.max_features and best is not None:
-                break
-            if self.splitter == "random":
-                x = X[indices, feature]
-                lo, hi = x.min(), x.max()
-                if lo == hi:
-                    continue
-                n_visited_with_candidates += 1
-                candidate = self._score_random_threshold(x, y_node, lo, hi)
-            else:
-                order = sorted_cols[:, feature]
-                xs = X[order, feature]
-                if xs[0] == xs[-1]:
-                    continue
-                n_visited_with_candidates += 1
-                candidate = self._score_presorted(xs, y[order])
-            if candidate is None:
-                continue
-            score, threshold = candidate
-            if best is None or score < best[0]:
-                best = (score, int(feature), float(threshold))
-
-        if best is None:
-            return None
-        score, feature, threshold = best
-        decrease = (parent_sse - score) / n
-        if decrease < self.min_impurity_decrease - 1e-15:
-            return None
-
-        mask = X[indices, feature] <= threshold
-        left_idx = indices[mask]
-        right_idx = indices[~mask]
-        if len(left_idx) < self.min_samples_leaf or len(right_idx) < self.min_samples_leaf:
-            return None
-        if sorted_cols is None:
-            return feature, threshold, (left_idx, None), (right_idx, None)
-        # Stable partition of every per-feature order by the split predicate.
-        cols_t = sorted_cols.T  # (n_features, n)
-        go_left_t = (X[sorted_cols, feature] <= threshold).T
-        left_sorted = cols_t[go_left_t].reshape(n_features, len(left_idx)).T
-        right_sorted = cols_t[~go_left_t].reshape(n_features, len(right_idx)).T
-        return feature, threshold, (left_idx, left_sorted), (right_idx, right_sorted)
-
-    def _score_presorted(self, xs: np.ndarray, ys: np.ndarray):
-        """Same scoring as ``_score_best_threshold`` on pre-sorted inputs."""
-        n = len(xs)
-        csum = np.cumsum(ys)
-        csum2 = np.cumsum(ys * ys)
-        total = csum[-1]
-        total2 = csum2[-1]
-        pos = np.arange(1, n)
-        distinct = xs[1:] != xs[:-1]
-        leaf_ok = (pos >= self.min_samples_leaf) & (n - pos >= self.min_samples_leaf)
-        valid = distinct & leaf_ok
-        if not np.any(valid):
-            return None
-        left_sum = csum[:-1]
-        left_sum2 = csum2[:-1]
-        right_sum = total - left_sum
-        right_sum2 = total2 - left_sum2
-        n_left = pos
-        n_right = n - pos
-        sse = (left_sum2 - left_sum**2 / n_left) + (right_sum2 - right_sum**2 / n_right)
-        sse = np.where(valid, sse, np.inf)
-        best_i = int(np.argmin(sse))
-        threshold = 0.5 * (xs[best_i] + xs[best_i + 1])
-        if threshold >= xs[best_i + 1]:
-            threshold = xs[best_i]
-        return float(sse[best_i]), float(threshold)
-
-
-_BUILDERS = {"legacy": _TreeBuilder, "stack": _StackTreeBuilder}
+    return build_forest_batched(X, y, **params)
 
 
 class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
@@ -479,18 +177,13 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
     min_impurity_decrease:
         Minimum weighted variance reduction required to keep a split.
     random_state:
-        Seed controlling feature shuffling and random thresholds.
-    engine:
-        Construction engine: ``"legacy"``, ``"stack"``, ``"batched"`` or
-        ``"hist"``; ``None`` uses the process default (see
-        :mod:`repro.ml.engine`).
+        Seed controlling feature subsets and random thresholds.
     tree_method:
-        ``None`` (defer to *engine*), ``"exact"`` (insist on exact
-        threshold search) or ``"hist"`` (histogram-binned split search,
-        see :mod:`repro.ml._hist`).
+        ``None`` or ``"exact"`` (exact threshold search) or ``"hist"``
+        (histogram-binned split search, see :mod:`repro.ml._hist`).
     max_bins:
         Quantile bins per feature for the ``"hist"`` method (ignored by
-        the exact engines).
+        exact search).
     """
 
     def __init__(
@@ -503,7 +196,6 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         splitter: str = "best",
         min_impurity_decrease: float = 0.0,
         random_state=None,
-        engine: str | None = None,
         tree_method: str | None = None,
         max_bins: int = 256,
     ) -> None:
@@ -514,7 +206,6 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         self.splitter = splitter
         self.min_impurity_decrease = min_impurity_decrease
         self.random_state = random_state
-        self.engine = engine
         self.tree_method = tree_method
         self.max_bins = max_bins
         self.tree_: Tree | None = None
@@ -532,35 +223,20 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         X, y = check_X_y(X, y)
         self._validate_hyperparameters()
         self.n_features_in_ = X.shape[1]
-        engine = resolve_build_engine(self.tree_method, self.engine, kind="tree")
-        if engine in ("batched", "hist"):
-            build, extra = get_batched_builder(engine, self.max_bins)
-            if engine == "hist" and _hist_prebinned is not None:
-                extra["prebinned"] = _hist_prebinned
-
-            self.tree_ = build(
-                X, y,
-                sample_sets=[np.arange(X.shape[0])],
-                seeds=[self.random_state],
-                splitter=self.splitter,
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self._resolve_max_features(X.shape[1]),
-                min_impurity_decrease=self.min_impurity_decrease,
-                **extra,
-            )[0]
-            return self
-        builder = _BUILDERS[engine](
+        self.tree_ = _grow_trees(
+            X, y,
+            tree_method=self.tree_method,
+            max_bins=self.max_bins,
+            prebinned=_hist_prebinned,
+            sample_sets=[np.arange(X.shape[0])],
+            seeds=[self.random_state],
             splitter=self.splitter,
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
             min_samples_leaf=self.min_samples_leaf,
             max_features=self._resolve_max_features(X.shape[1]),
             min_impurity_decrease=self.min_impurity_decrease,
-            rng=check_random_state(self.random_state),
-        )
-        self.tree_ = builder.build(X, y)
+        )[0]
         return self
 
     def predict(self, X) -> np.ndarray:

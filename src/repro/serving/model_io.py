@@ -108,11 +108,7 @@ def _pack_estimator(estimator) -> PackedForest:
         return estimator.forest
     if isinstance(estimator, BaseForestRegressor):
         check_is_fitted(estimator, "estimators_")
-        if estimator.packed_ is not None:
-            return estimator.packed_
-        # Legacy-engine forests skip arena packing at fit time; their trees
-        # pack losslessly here (prediction state is identical either way).
-        return PackedForest([est.tree_ for est in estimator.estimators_])
+        return estimator.packed_
     if isinstance(estimator, DecisionTreeRegressor):
         check_is_fitted(estimator, "tree_")
         return PackedForest([estimator.tree_])
@@ -299,6 +295,11 @@ def decode_model(blob: bytes) -> ServedModel:
         forest = PackedForest.from_state(
             {name: data[f"forest_{name}"] for name in
              ("roots", "feature", "threshold", "value", "left", "right")})
+        # A hybrid's forest also reads the stacked analytical column.
+        width = n_features_in + (kind == "hybrid")
+        if forest.feature.max() >= width:
+            raise ValueError(f"model blob splits on feature {forest.feature.max()} "
+                             f"of a {width}-column input")
         if kind == "ml_pipeline":
             scaler = _decode_scaler(data, n_features_in)
             regressor = PackedRegressor(forest=forest, n_features_in=n_features_in)

@@ -1,18 +1,21 @@
-"""Tests for the tree/forest construction engines and the packed predictor.
+"""Tests for the tree builders and the packed predictor.
 
-The ``"stack"`` engine must be *bit-identical* to the seed ``"legacy"``
-recursive builder (same node numbering, same RNG stream, same floats);
-the ``"batched"`` level-synchronous engine must be deterministic and
-statistically equivalent; and :class:`~repro.ml._packed.PackedForest`
+Every tree estimator grows its trees on one of two level-synchronous
+builders: exact split search (:mod:`repro.ml._batched`) or
+histogram-binned search (:mod:`repro.ml._hist`).  The ``"best"``
+splitter must pick a CART-optimal split at every node (checked against
+brute force on random tied data), the builders must be deterministic and
+honour their constraints, and :class:`~repro.ml._packed.PackedForest`
 must reproduce the per-tree Python prediction loop.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.ml import use_engines
 from repro.ml._packed import PackedForest
-from repro.ml.engine import get_default_engines, resolve_tree_engine
 from repro.ml.forest import ExtraTreesRegressor, RandomForestRegressor
 from repro.ml.metrics import r2_score
 from repro.ml.tree import DecisionTreeRegressor
@@ -38,114 +41,118 @@ def assert_trees_identical(a, b):
     np.testing.assert_array_equal(a.impurity, b.impurity)
 
 
-class TestSeedEquivalence:
-    """The stack engine reproduces the seed builder node for node."""
+@st.composite
+def tied_regression_data(draw):
+    """Small datasets with many tied feature values, plus a leaf size."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=4))
+    X = draw(hnp.arrays(np.float64, (n, d),
+                        elements=st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0])))
+    # Integer targets keep every split SSE exact up to one rounding.
+    y = draw(hnp.arrays(np.float64, n, elements=st.integers(-20, 20).map(float)))
+    return X, y, draw(st.integers(min_value=1, max_value=4))
 
-    @pytest.mark.parametrize("splitter", ["best", "random"])
-    @pytest.mark.parametrize("seed", [0, 1, 42])
-    def test_stack_matches_legacy(self, data, splitter, seed):
-        X, y = data
-        legacy = DecisionTreeRegressor(
-            splitter=splitter, random_state=seed, engine="legacy").fit(X, y)
-        stack = DecisionTreeRegressor(
-            splitter=splitter, random_state=seed, engine="stack").fit(X, y)
-        assert_trees_identical(legacy.tree_, stack.tree_)
 
-    @pytest.mark.parametrize("splitter", ["best", "random"])
-    @pytest.mark.parametrize("kwargs", [
-        dict(max_features="sqrt"),
-        dict(max_features=2, max_depth=5),
-        dict(min_samples_leaf=7),
-        dict(min_samples_split=25, min_impurity_decrease=0.05),
-    ])
-    def test_stack_matches_legacy_hyperparameters(self, data, splitter, kwargs):
-        X, y = data
-        legacy = DecisionTreeRegressor(
-            splitter=splitter, random_state=3, engine="legacy", **kwargs).fit(X, y)
-        stack = DecisionTreeRegressor(
-            splitter=splitter, random_state=3, engine="stack", **kwargs).fit(X, y)
-        assert_trees_identical(legacy.tree_, stack.tree_)
+def _sse(values):
+    return float(((values - values.mean()) ** 2).sum()) if values.size else 0.0
 
-    @pytest.mark.parametrize("cls", [RandomForestRegressor, ExtraTreesRegressor])
-    def test_stack_forest_matches_legacy_forest(self, data, cls):
-        X, y = data
-        legacy = cls(n_estimators=6, random_state=0, engine="legacy").fit(X, y)
-        stack = cls(n_estimators=6, random_state=0, engine="stack").fit(X, y)
-        for a, b in zip(legacy.estimators_, stack.estimators_, strict=True):
-            assert_trees_identical(a.tree_, b.tree_)
-        np.testing.assert_allclose(legacy.predict(X), stack.predict(X), rtol=1e-12)
+
+def _brute_force_min_sse(X, y, min_samples_leaf):
+    """Least split SSE over every (feature, midpoint) candidate of a node."""
+    best = np.inf
+    for f in range(X.shape[1]):
+        values = np.unique(X[:, f])
+        for lo, hi in zip(values[:-1], values[1:], strict=True):
+            left = X[:, f] <= 0.5 * (lo + hi)
+            n_left = int(left.sum())
+            if min(n_left, len(y) - n_left) >= min_samples_leaf:
+                best = min(best, _sse(y[left]) + _sse(y[~left]))
+    return best
+
+
+def assert_cart_optimal(tree, X, y, min_samples_leaf):
+    """Every internal node holds a least-SSE split of its own samples."""
+    samples = {0: np.arange(len(y))}
+    for node in range(tree.node_count):
+        idx = samples[node]
+        assert tree.n_samples[node] == idx.size
+        assert node == 0 or idx.size >= min_samples_leaf
+        f = tree.feature[node]
+        if f == -1:
+            continue
+        thr = tree.threshold[node]
+        go_left = X[idx, f] <= thr
+        assert go_left.any() and not go_left.all()
+        assert X[idx[go_left], f].max() <= thr < X[idx[~go_left], f].min()
+        left, right = tree.left[node], tree.right[node]
+        assert left > node and right > node
+        samples[left], samples[right] = idx[go_left], idx[~go_left]
+        chosen = _sse(y[idx[go_left]]) + _sse(y[idx[~go_left]])
+        best = _brute_force_min_sse(X[idx], y[idx], min_samples_leaf)
+        assert np.isclose(chosen, best, rtol=1e-9, atol=1e-12), (node, chosen, best)
+
+
+class TestCartOptimality:
+    """The ``"best"`` splitter over all features picks least-SSE splits."""
+
+    @pytest.mark.parametrize("tree_method", ["exact", "hist"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=tied_regression_data())
+    def test_best_split_tree_is_cart_optimal(self, tree_method, data):
+        X, y, min_samples_leaf = data
+        model = DecisionTreeRegressor(min_samples_leaf=min_samples_leaf, random_state=0,
+                                      tree_method=tree_method).fit(X, y)
+        assert_cart_optimal(model.tree_, X, y, min_samples_leaf)
 
 
 class TestBatchedEngine:
     @pytest.mark.parametrize("splitter", ["best", "random"])
     def test_deterministic_given_seed(self, data, splitter):
         X, y = data
-        t1 = DecisionTreeRegressor(splitter=splitter, random_state=5,
-                                   engine="batched").fit(X, y)
-        t2 = DecisionTreeRegressor(splitter=splitter, random_state=5,
-                                   engine="batched").fit(X, y)
+        t1 = DecisionTreeRegressor(splitter=splitter, random_state=5).fit(X, y)
+        t2 = DecisionTreeRegressor(splitter=splitter, random_state=5).fit(X, y)
         assert_trees_identical(t1.tree_, t2.tree_)
-
-    def test_best_splitter_matches_stack_structure(self, data):
-        """With all features and no RNG dependence in scoring, the batched
-        best-split tree partitions the data identically (same leaf count,
-        depth, and training predictions) even though node numbering is
-        level-order instead of depth-first."""
-        X, y = data
-        batched = DecisionTreeRegressor(random_state=0, engine="batched").fit(X, y)
-        stack = DecisionTreeRegressor(random_state=0, engine="stack").fit(X, y)
-        assert batched.tree_.node_count == stack.tree_.node_count
-        assert batched.tree_.max_depth == stack.tree_.max_depth
-        np.testing.assert_allclose(batched.predict(X), stack.predict(X))
 
     def test_constraints_respected(self, data):
         X, y = data
         model = DecisionTreeRegressor(splitter="random", max_depth=4,
-                                      min_samples_leaf=9, random_state=0,
-                                      engine="batched").fit(X, y)
+                                      min_samples_leaf=9, random_state=0).fit(X, y)
         assert model.get_depth() <= 4
         _, counts = np.unique(model.apply(X), return_counts=True)
         assert counts.min() >= 9
 
     def test_min_impurity_decrease_prunes(self, data):
         X, y = data
-        loose = DecisionTreeRegressor(random_state=0, engine="batched").fit(X, y)
-        strict = DecisionTreeRegressor(min_impurity_decrease=1.0, random_state=0,
-                                       engine="batched").fit(X, y)
+        loose = DecisionTreeRegressor(random_state=0).fit(X, y)
+        strict = DecisionTreeRegressor(min_impurity_decrease=1.0, random_state=0).fit(X, y)
         assert strict.get_n_leaves() < loose.get_n_leaves()
 
     @pytest.mark.parametrize("cls", [RandomForestRegressor, ExtraTreesRegressor])
-    def test_forest_quality_matches_per_tree_engines(self, data, cls):
+    def test_forest_quality_on_held_out_rows(self, data, cls):
         X, y = data
         Xtr, ytr, Xte, yte = X[:300], y[:300], X[300:], y[300:]
-        batched = cls(n_estimators=20, random_state=0, engine="batched").fit(Xtr, ytr)
-        stack = cls(n_estimators=20, random_state=0, engine="stack").fit(Xtr, ytr)
-        r2_batched = r2_score(yte, batched.predict(Xte))
-        r2_stack = r2_score(yte, stack.predict(Xte))
-        assert r2_batched > 0.9
-        assert abs(r2_batched - r2_stack) < 0.05
+        forest = cls(n_estimators=20, random_state=0).fit(Xtr, ytr)
+        assert r2_score(yte, forest.predict(Xte)) > 0.9
 
     def test_tree_independent_of_forest_size(self, data):
         """A tree's RNG stream depends only on its own frontier, so the
         first trees of differently-sized forests are identical."""
         X, y = data
-        small = ExtraTreesRegressor(n_estimators=2, random_state=0,
-                                    engine="batched").fit(X, y)
-        large = ExtraTreesRegressor(n_estimators=6, random_state=0,
-                                    engine="batched").fit(X, y)
+        small = ExtraTreesRegressor(n_estimators=2, random_state=0).fit(X, y)
+        large = ExtraTreesRegressor(n_estimators=6, random_state=0).fit(X, y)
         for a, b in zip(small.estimators_, large.estimators_[:2], strict=True):
             assert_trees_identical(a.tree_, b.tree_)
 
     def test_constant_target_single_leaf(self):
         X = np.random.default_rng(1).random((30, 3))
-        model = DecisionTreeRegressor(engine="batched").fit(X, np.full(30, 2.5))
+        model = DecisionTreeRegressor().fit(X, np.full(30, 2.5))
         assert model.get_n_leaves() == 1
         np.testing.assert_allclose(model.predict(X), 2.5)
 
     def test_bootstrap_oob_supported(self, data):
         X, y = data
         model = RandomForestRegressor(n_estimators=25, oob_score=True,
-                                      random_state=0, engine="batched").fit(X, y)
+                                      random_state=0).fit(X, y)
         assert model.oob_score_ is not None and model.oob_score_ > 0.5
 
 
@@ -186,35 +193,11 @@ class TestPackedForest:
             PackedForest([])
 
 
-class TestEngineSelection:
-    def test_default_engines(self):
-        defaults = get_default_engines()
-        assert defaults == {"tree": "stack", "forest": "batched"}
-
-    def test_use_engines_restores(self):
-        with use_engines(tree="legacy", forest="legacy"):
-            assert get_default_engines() == {"tree": "legacy", "forest": "legacy"}
-        assert get_default_engines() == {"tree": "stack", "forest": "batched"}
-
-    def test_invalid_engine_rejected(self, data):
-        X, y = data
-        with pytest.raises(ValueError, match="engine"):
-            DecisionTreeRegressor(engine="turbo").fit(X, y)
-        with pytest.raises(ValueError, match="engine"):
-            ExtraTreesRegressor(engine="turbo").fit(X, y)
-        with pytest.raises(ValueError):
-            resolve_tree_engine("warp")
-
-    def test_engine_roundtrips_through_params(self):
-        model = ExtraTreesRegressor(engine="stack")
-        assert model.get_params(deep=False)["engine"] == "stack"
-
-
 class TestVectorizedMaxDepth:
-    @pytest.mark.parametrize("engine", ["legacy", "stack", "batched"])
-    def test_matches_per_node_reference(self, data, engine):
+    @pytest.mark.parametrize("tree_method", ["exact", "hist"])
+    def test_matches_per_node_reference(self, data, tree_method):
         X, y = data
-        tree = DecisionTreeRegressor(random_state=0, engine=engine).fit(X, y).tree_
+        tree = DecisionTreeRegressor(random_state=0, tree_method=tree_method).fit(X, y).tree_
         depth = np.zeros(tree.node_count, dtype=np.int64)
         for node in range(tree.node_count):
             for child in (tree.left[node], tree.right[node]):

@@ -100,9 +100,3 @@ class TestEnsembleBehaviour:
         Xtr, ytr, _, _ = data
         with pytest.raises(ValueError, match="bootstrap"):
             ExtraTreesRegressor(n_estimators=3, oob_score=True, bootstrap=False).fit(Xtr, ytr)
-
-    def test_parallel_fit_matches_serial(self, data):
-        Xtr, ytr, Xte, _ = data
-        serial = ExtraTreesRegressor(n_estimators=8, random_state=0, n_jobs=1).fit(Xtr, ytr)
-        threaded = ExtraTreesRegressor(n_estimators=8, random_state=0, n_jobs=4).fit(Xtr, ytr)
-        np.testing.assert_allclose(serial.predict(Xte), threaded.predict(Xte))

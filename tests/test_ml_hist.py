@@ -1,4 +1,4 @@
-"""Tests for the histogram-binned ``"hist"`` tree engine.
+"""Tests for histogram-binned split search (``tree_method="hist"``).
 
 The guarantees under test:
 
@@ -6,9 +6,9 @@ The guarantees under test:
   edges[b]`` predicate, and the exactness guarantee (a feature with at
   most ``max_bins`` distinct values bins losslessly);
 * **exactness** — with ``max_bins`` >= the number of distinct values the
-  hist engine grows the *same* trees as the exact batched engine;
+  hist builder grows the *same* trees as exact split search;
 * **statistical equivalence** — on the registry datasets, hist forests
-  reach the same held-out R^2 as the exact engines within tolerance;
+  reach the same held-out R^2 as exact forests within tolerance;
 * **scheduling** — ``tree_method="hist"`` estimators flow through the
   ``EvalCell`` protocol: binned trees pickle, and the serial and process
   executors produce bit-identical experiment rows.
@@ -27,10 +27,8 @@ from repro.ml import (
     ExtraTreesRegressor,
     GradientBoostingRegressor,
     RandomForestRegressor,
-    use_engines,
 )
 from repro.ml._hist import bin_dataset, compute_bin_edges
-from repro.ml.engine import resolve_build_engine
 from repro.ml.metrics import r2_score
 from repro.ml.model_selection import train_test_split
 
@@ -95,8 +93,8 @@ def assert_trees_equivalent(a, b, X):
     """Same structure and same training-set partitions.
 
     Thresholds are *not* compared bit-for-bit: between two consecutive
-    node-local feature values the exact engines place the threshold at
-    the local midpoint while the hist engine uses the lowest global bin
+    node-local feature values exact search places the threshold at
+    the local midpoint while the hist builder uses the lowest global bin
     edge inside the gap — different floats, identical partitions.
     """
     np.testing.assert_array_equal(a.feature, b.feature)
@@ -109,8 +107,8 @@ def assert_trees_equivalent(a, b, X):
 
 
 class TestExactness:
-    """With max_bins >= distinct values, hist finds the same splits as the
-    exact batched engine, node for node."""
+    """With max_bins >= distinct values, hist finds the same splits as
+    exact search, node for node."""
 
     @pytest.fixture(scope="class")
     def exact_regime_data(self):
@@ -125,7 +123,7 @@ class TestExactness:
 
     # Constrained trees keep nodes large: unconstrained full-depth trees
     # reach tiny nodes where two features can induce *mirrored* partitions
-    # with mathematically equal SSE, and the engines' different float
+    # with mathematically equal SSE, and the builders' different float
     # paths (SSE scan vs gain scan) may break such ties differently.
     @pytest.mark.parametrize("kwargs", [
         dict(min_samples_leaf=5),
@@ -134,7 +132,7 @@ class TestExactness:
     ])
     def test_best_tree_matches_batched(self, exact_regime_data, kwargs):
         X, y = exact_regime_data
-        batched = DecisionTreeRegressor(random_state=3, engine="batched",
+        batched = DecisionTreeRegressor(random_state=3, tree_method="exact",
                                         **kwargs).fit(X, y)
         hist = DecisionTreeRegressor(random_state=3, tree_method="hist",
                                      **kwargs).fit(X, y)
@@ -143,11 +141,11 @@ class TestExactness:
     def test_forest_matches_batched(self, exact_regime_data):
         # bootstrap=False so every tree trains on the full X and the
         # partition check is valid for all rows (out-of-bag rows may fall
-        # inside a threshold gap where the engines' thresholds differ).
+        # inside a threshold gap where the builders' thresholds differ).
         X, y = exact_regime_data
         batched = RandomForestRegressor(n_estimators=6, random_state=0,
                                         min_samples_leaf=5, bootstrap=False,
-                                        engine="batched").fit(X, y)
+                                        tree_method="exact").fit(X, y)
         hist = RandomForestRegressor(n_estimators=6, random_state=0,
                                      min_samples_leaf=5, bootstrap=False,
                                      tree_method="hist").fit(X, y)
@@ -160,14 +158,14 @@ class TestExactness:
         X = rng.integers(0, 12, size=(300, 3)).astype(float)
         y = X[:, 0] * 2.0 - X[:, 1] + 0.1 * rng.normal(size=300)
         batched = DecisionTreeRegressor(random_state=0, min_samples_leaf=8,
-                                        engine="batched").fit(X, y)
+                                        tree_method="exact").fit(X, y)
         hist = DecisionTreeRegressor(random_state=0, min_samples_leaf=8,
                                      tree_method="hist", max_bins=12).fit(X, y)
         assert_trees_equivalent(batched.tree_, hist.tree_, X)
 
 
 class TestStatisticalEquivalence:
-    """Hist forests match the exact engines' held-out R^2 on registry data."""
+    """Hist forests match exact forests' held-out R^2 on registry data."""
 
     @pytest.mark.parametrize("cls", [ExtraTreesRegressor, RandomForestRegressor])
     def test_registry_dataset_r2(self, small_stencil_dataset, cls):
@@ -289,15 +287,6 @@ class TestHistEngineBehaviour:
         model = DecisionTreeRegressor(tree_method="hist").fit(X, y)
         assert model.get_n_leaves() == 1
 
-    def test_use_engines_hist_override(self, data):
-        X, y = data
-        with use_engines(tree="hist", forest="hist"):
-            overridden = ExtraTreesRegressor(n_estimators=3, random_state=0).fit(X, y)
-        explicit = ExtraTreesRegressor(n_estimators=3, random_state=0,
-                                       tree_method="hist").fit(X, y)
-        for a, b in zip(overridden.estimators_, explicit.estimators_, strict=True):
-            assert_trees_identical(a.tree_, b.tree_)
-
 
 class TestEngineResolution:
     def test_tree_method_validation(self, data):
@@ -305,37 +294,7 @@ class TestEngineResolution:
         with pytest.raises(ValueError, match="tree_method"):
             DecisionTreeRegressor(tree_method="fast").fit(X, y)
         with pytest.raises(ValueError, match="tree_method"):
-            resolve_build_engine("fast", None, kind="tree")
-        with pytest.raises(ValueError, match="kind"):
-            resolve_build_engine(None, None, kind="grove")
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(engine="stack", tree_method="hist"),
-        dict(engine="batched", tree_method="hist"),
-        dict(engine="hist", tree_method="exact"),
-    ])
-    def test_conflicting_combinations_rejected(self, data, kwargs):
-        X, y = data
-        with pytest.raises(ValueError, match="conflicts"):
-            DecisionTreeRegressor(**kwargs).fit(X, y)
-        with pytest.raises(ValueError, match="conflicts"):
-            ExtraTreesRegressor(n_estimators=2, **kwargs).fit(X, y)
-
-    def test_exact_resists_hist_default(self, data):
-        X, y = data
-        exact = DecisionTreeRegressor(random_state=0, tree_method="exact").fit(X, y)
-        reference = DecisionTreeRegressor(random_state=0).fit(X, y)
-        with use_engines(tree="hist", forest="hist"):
-            resisted = DecisionTreeRegressor(random_state=0,
-                                             tree_method="exact").fit(X, y)
-        assert_trees_identical(exact.tree_, reference.tree_)
-        assert_trees_identical(exact.tree_, resisted.tree_)
-
-    def test_engine_hist_equals_tree_method_hist(self, data):
-        X, y = data
-        a = DecisionTreeRegressor(random_state=0, engine="hist").fit(X, y)
-        b = DecisionTreeRegressor(random_state=0, tree_method="hist").fit(X, y)
-        assert_trees_identical(a.tree_, b.tree_)
+            ExtraTreesRegressor(n_estimators=2, tree_method="fast").fit(X, y)
 
     def test_params_roundtrip(self):
         model = ExtraTreesRegressor(tree_method="hist", max_bins=64)

@@ -13,6 +13,7 @@ under concurrency, with leadership handed off between passes.
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import socket
 import sys
@@ -23,6 +24,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import DatasetStore
 from repro.experiments.plan import build_factory, experiment_plan
@@ -82,9 +85,7 @@ class TestPackedForestState:
         rng = np.random.default_rng(0)
         X = rng.uniform(size=(80, 3))
         y = X[:, 0] * 3.0 + rng.normal(scale=0.1, size=80)
-        forest = ExtraTreesRegressor(n_estimators=5, random_state=0).fit(X, y)
-        packed = forest.packed_ or PackedForest(
-            [est.tree_ for est in forest.estimators_])
+        packed = ExtraTreesRegressor(n_estimators=5, random_state=0).fit(X, y).packed_
         rebuilt = PackedForest.from_state(packed.state())
         assert rebuilt.n_trees == packed.n_trees
         assert np.array_equal(rebuilt.predict(X), packed.predict(X))
@@ -107,6 +108,61 @@ class TestPackedForestState:
         }
         with pytest.raises(ValueError, match="out-of-range"):
             PackedForest.from_state(state)
+
+    # Each arena is a set of trees apart from the one defect its id names.
+    @pytest.mark.parametrize("roots, feature, left, right", [
+        pytest.param([0], [0, 0], [1, 0], [1, 0], id="two-node-cycle"),
+        pytest.param([0], [0, -1], [1, -1], [-1, -1], id="internal-node-missing-child"),
+        pytest.param([0], [-1, -1, -1], [1, -1, -1], [2, -1, -1], id="leaf-with-children"),
+        pytest.param([0, 2], [0, -1, -1], [1, -1, -1], [2, -1, -1],
+                     id="child-in-next-tree"),
+        pytest.param([0], [0, -1, 0, -1, -1], [2, -1, 1, -1, -1], [3, -1, 4, -1, -1],
+                     id="child-before-parent"),
+        pytest.param([1], [-1, -1], [-1, -1], [-1, -1], id="roots-not-starting-at-0"),
+        pytest.param([0, 2, 1], [-1, -1, -1], [-1, -1, -1], [-1, -1, -1],
+                     id="roots-not-increasing"),
+        pytest.param([0], [-2, -1, -1], [1, -1, -1], [2, -1, -1], id="negative-feature"),
+    ])
+    def test_malformed_arena_is_rejected(self, roots, feature, left, right):
+        n = len(feature)
+        state = {"roots": np.array(roots), "feature": np.array(feature),
+                 "threshold": np.zeros(n), "value": np.arange(n, dtype=float),
+                 "left": np.array(left), "right": np.array(right)}
+        with pytest.raises(ValueError, match="packed-forest"):
+            PackedForest.from_state(state)
+
+    @pytest.fixture(scope="class")
+    def forest_blob_arrays(self):
+        rng = np.random.default_rng(3)
+        X = rng.uniform(size=(40, 3))
+        y = X[:, 0] - 2.0 * X[:, 2] + rng.normal(scale=0.1, size=40)
+        model = ExtraTreesRegressor(n_estimators=3, random_state=0)
+        blob = encode_model(Pipeline(steps=[("model", model)]).fit(X, y))
+        with np.load(io.BytesIO(blob)) as data:
+            return X, dict(data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_model_blob_raises_or_predicts(self, forest_blob_arrays, data):
+        X, arrays = forest_blob_arrays
+        arrays = {name: array.copy() for name, array in arrays.items()}
+        n_nodes = arrays["forest_feature"].size
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            name = data.draw(st.sampled_from(
+                sorted(k for k in arrays if k.startswith("forest_"))), label="array")
+            array = arrays[name]
+            i = data.draw(st.integers(0, array.size - 1), label="index")
+            if array.dtype.kind == "f":
+                array[i] = data.draw(st.floats(), label="float")
+            else:
+                array[i] = data.draw(st.integers(-3, n_nodes + 3), label="int")
+        blob = io.BytesIO()
+        np.savez(blob, **arrays)
+        try:
+            served = decode_model(blob.getvalue())
+        except ValueError:
+            return
+        assert served.predict_rows(X).shape == (X.shape[0],)
 
     def test_shape_mismatch_is_rejected(self):
         state = {
@@ -158,6 +214,25 @@ class TestModelBlobFormat:
         original = _refit(plan, dataset, caches, "hybrid")
         with pytest.raises(ValueError, match="rebuilds"):
             encode_model(original, analytical_key="fmm")
+
+    @pytest.mark.parametrize("label, analytical_key", [
+        ("extra_trees", None), ("hybrid", "stencil")])
+    def test_split_feature_outside_model_width_is_rejected(self, published, label,
+                                                           analytical_key):
+        plan, store, dataset, caches, _ = published
+        blob = encode_model(_refit(plan, dataset, caches, label),
+                            analytical_key=analytical_key)
+        # A hybrid's forest also splits on the stacked analytical column.
+        width = dataset.X.shape[1] + (analytical_key is not None)
+        with np.load(io.BytesIO(blob)) as data:
+            arrays = dict(data)
+        feature = arrays["forest_feature"]
+        assert feature.max() < width
+        feature[np.argmax(feature != -1)] = width
+        corrupted = io.BytesIO()
+        np.savez(corrupted, **arrays)
+        with pytest.raises(ValueError, match="feature"):
+            decode_model(corrupted.getvalue())
 
     def test_knn_pipeline_is_not_servable(self):
         from repro.ml.neighbors import KNeighborsRegressor
