@@ -711,7 +711,11 @@ class Coordinator:
                 if self.auth_key is not None else None)
         try:
             while True:
-                message = protocol.recv_message(conn, auth)
+                # Until HELLO succeeds the peer is unauthenticated: cap
+                # what it can make this thread buffer.
+                message = protocol.recv_message(
+                    conn, auth, protocol.MAX_FRAME_BYTES if info is not None
+                    else protocol.MAX_HELLO_BYTES)
                 now = time.monotonic()
                 if isinstance(message, Hello):
                     info = self._handshake(conn, addr, message, now, auth)

@@ -91,6 +91,7 @@ from repro.distributed.codec import CodecError, decode_value, encode_value
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
+    "MAX_HELLO_BYTES",
     "ConnectionClosed",
     "ProtocolError",
     "AuthError",
@@ -137,6 +138,11 @@ PROTOCOL_VERSION = 5
 #: dataset blob; a corrupt or foreign length prefix fails fast instead of
 #: attempting a multi-gigabyte read).
 MAX_FRAME_BYTES = 1 << 31
+
+#: Upper bound on a frame read before the HELLO handshake succeeds.  A
+#: real ``Hello`` encodes to a few hundred bytes, so an unauthenticated
+#: peer cannot make the coordinator buffer more than this per frame.
+MAX_HELLO_BYTES = 64 << 10
 
 _HEADER = struct.Struct(">QIB")  # payload length, CRC32 of payload, flags
 
@@ -295,7 +301,8 @@ def send_message(sock: socket.socket, message,
         sock.sendall(frame)
 
 
-def recv_message(sock: socket.socket, auth: FrameAuth | None = None):
+def recv_message(sock: socket.socket, auth: FrameAuth | None = None,
+                 max_bytes: int = MAX_FRAME_BYTES):
     """Read exactly one frame, authenticate it, and decode it.
 
     Checks run strictest-first: the HMAC tag (when the connection is
@@ -303,12 +310,14 @@ def recv_message(sock: socket.socket, auth: FrameAuth | None = None):
     :class:`ConnectionClosed` on EOF, :class:`AuthError` on a missing or
     failed tag, and :class:`ProtocolError` on an implausible length
     prefix, an unknown flag, a CRC mismatch, or an undecodable payload —
-    i.e. any frame that was corrupted or forged in flight.
+    i.e. any frame that was corrupted or forged in flight.  A payload
+    longer than *max_bytes* is refused from its header, before any of
+    it is read.
     """
     header = _recv_exactly(sock, _HEADER.size)
     length, crc, flags = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES} cap")
+    if length > max_bytes:
+        raise ProtocolError(f"frame of {length} bytes exceeds the {max_bytes} cap")
     if flags & ~FLAG_SIGNED:
         raise ProtocolError(f"unknown frame flags {flags:#04x}")
     payload = _recv_exactly(sock, length)

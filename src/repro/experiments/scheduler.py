@@ -419,7 +419,13 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
         raise ValueError(
             "publish_models is incompatible with a dataset override: published "
             "models must be reproducible from the plan's registered dataset")
-    resolved, caches = _resolve_data(plan, store, dataset)
+    # Dataset resolution (simulate or store read) and analytical warm-up
+    # run before the plan span, as its sibling under the experiment.
+    with TRACER.span("dataset", attrs={"dataset": plan.dataset.name}) as data_span:
+        hits = store.hits if store is not None else None
+        resolved, caches = _resolve_data(plan, store, dataset)
+        if data_span is not None:
+            data_span.attrs["store_hit"] = hits is not None and store.hits > hits
     cells = expand_cells(plan)
     used_pool = False
 

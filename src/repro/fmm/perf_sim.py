@@ -30,12 +30,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from repro.fmm.config import FmmConfig
 from repro.machine import MachineSpec, blue_waters_xe6
 from repro.parallel.scaling import ThreadScalingModel
+from repro.utils.arrays import map_unique
+from repro.utils.rng import hashed_noise_factors
 
 __all__ = ["FmmPerformanceSimulator", "SimulatedFmmRun", "SIMULATOR_VERSION"]
 
@@ -44,6 +47,8 @@ __all__ = ["FmmPerformanceSimulator", "SimulatedFmmRun", "SIMULATOR_VERSION"]
 #: fingerprint, so stored datasets produced by an older simulator are
 #: invalidated automatically instead of silently served stale.
 SIMULATOR_VERSION = 1
+
+_CONFIG_FIELDS = attrgetter("threads", "n_particles", "particles_per_leaf", "order")
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,11 @@ class FmmPerformanceSimulator:
     # Public API
     # ------------------------------------------------------------------ #
     def run(self, config: FmmConfig) -> SimulatedFmmRun:
-        """Simulate one configuration and return the per-phase breakdown."""
+        """Simulate one configuration and return the per-phase breakdown.
+
+        This scalar path is the reference for :meth:`times`, which must
+        return ``run(c).seconds`` bit for bit.
+        """
         n = config.n_particles
         k = config.order
         q_req = config.particles_per_leaf
@@ -118,8 +127,7 @@ class FmmPerformanceSimulator:
         terms = k * (k + 1) * (k + 2) / 6.0       # Cartesian coefficients per cell
 
         # Boundary-corrected average list sizes (interior values 26 and 189).
-        cells_per_dim = max(1.0, n_leaves ** (1.0 / 3.0))
-        interior_frac = ((cells_per_dim - 2.0) / cells_per_dim) ** 3 if cells_per_dim > 2 else 0.0
+        interior_frac = self._interior_fraction(n_leaves)
         b_p2p = 26.0 * (0.55 + 0.45 * interior_frac)
         b_m2l = 189.0 * (0.45 + 0.55 * interior_frac)
 
@@ -165,7 +173,7 @@ class FmmPerformanceSimulator:
         phases["p2p"] = t_p2p
 
         # ---------------- thread scaling, per phase ---------------- #
-        scaled = {name: self._scale_phase(name, seconds, config.threads)
+        scaled = {name: self._phase_model(name).time(seconds, config.threads)
                   for name, seconds in phases.items()}
 
         total = sum(scaled.values())
@@ -181,8 +189,70 @@ class FmmPerformanceSimulator:
         return self.run(config).seconds
 
     def times(self, configs) -> np.ndarray:
-        """Simulated execution times for a sequence of configurations."""
-        return np.array([self.time(cfg) for cfg in configs], dtype=np.float64)
+        """Simulated execution times for an iterable of configurations.
+
+        The array kernel of :meth:`run` (the scalar reference): it gathers
+        the configuration fields into int64 columns and evaluates each
+        phase on whole columns, looping only over phases for the thread
+        scaling.  Each expression keeps the scalar path's operand order and
+        integer types, and the Python ``**`` terms are computed by scalar
+        code once per distinct value, so every row equals
+        ``run(config).seconds`` bit for bit.
+        """
+        configs = list(configs)
+        threads, n, q_req, k = np.array(
+            [_CONFIG_FIELDS(c) for c in configs], dtype=np.int64).reshape(-1, 4).T
+        tc = self.machine.tc
+        beta = self.machine.beta_mem
+        word = self.machine.word_bytes
+        L = self.machine.line_elements
+        Z = self.machine.hierarchy.last_level.size_elements(word)
+        clock = self.machine.clock_hz
+
+        depth = np.maximum(0, np.ceil(np.log(np.maximum(n / q_req, 1.0))
+                                      / np.log(8.0)).astype(np.int64))
+        n_leaves = 8 ** depth
+        q_eff = n / n_leaves
+        n_cells = (8 ** (depth + 1) - 1) // 7
+        terms = k * (k + 1) * (k + 2) / 6.0
+        terms_sq = map_unique(lambda t: t ** 2, terms)
+        interior_frac = map_unique(self._interior_fraction, n_leaves)
+        b_p2p = 26.0 * (0.55 + 0.45 * interior_frac)
+        b_m2l = 189.0 * (0.45 + 0.55 * interior_frac)
+
+        tree = 90.0 * n * np.maximum(1.0, np.log2(np.maximum(n_leaves, 2))) / clock
+        traversal = 400.0 * n_leaves * 1.2 / clock
+        p2m = n * terms * 6.0 * tc          # = l2p
+        m2m = np.maximum(0, n_cells - n_leaves) * 8 * terms_sq * 1.2 * tc  # = l2l
+
+        m2l_interactions = b_m2l * n_leaves * 1.15
+        flop_m2l = m2l_interactions * terms_sq * self.flops_per_m2l_coeff_pair
+        coeff_bytes = terms * word
+        working_set = n_leaves * coeff_bytes * 2.0
+        reuse = 1.0 / (1.0 + working_set / (Z * word))
+        mem_m2l = m2l_interactions * coeff_bytes * (1.0 - 0.7 * reuse) \
+            + n_leaves * coeff_bytes * 2.0
+        m2l = np.maximum(flop_m2l * tc, (mem_m2l / word) * beta) \
+            + 0.2 * np.minimum(flop_m2l * tc, (mem_m2l / word) * beta)
+
+        pair_count = (b_p2p + 1.0) * q_eff * n
+        simd_eff = np.minimum(1.0, (q_eff / (q_eff + self.simd_width)) + 0.25)
+        flop_p2p = pair_count * self.flops_per_p2p_interaction / simd_eff
+        leaf_root = map_unique(lambda q: max(q, 1.0) ** (2.0 / 3.0), q_eff)
+        mem_p2p = (4.0 * n + b_p2p * n / np.maximum(q_eff, 1.0)) * word \
+            + n * word * (L / (max(Z, 1.0) ** (1.0 / 3.0) * leaf_root))
+        p2p = np.maximum(flop_p2p * tc, (mem_p2p / word) * beta) \
+            + 0.2 * np.minimum(flop_p2p * tc, (mem_p2p / word) * beta)
+
+        total = 0
+        for name, seconds in (("tree", tree), ("traversal", traversal), ("p2m", p2m),
+                              ("m2m", m2m), ("m2l", m2l), ("l2l", m2m), ("l2p", p2m),
+                              ("p2p", p2p)):
+            model = self._phase_model(name)
+            total = total + model.time_rows(seconds, threads, model.compute_fraction)
+        if self.noise != 0.0:
+            total = total * hashed_noise_factors(map(self._noise_key, configs), self.noise)
+        return np.asarray(total, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -199,9 +269,9 @@ class FmmPerformanceSimulator:
         "p2p": (0.02, 8.0, 0.92),
     }
 
-    def _scale_phase(self, name: str, seconds: float, threads: int) -> float:
+    def _phase_model(self, name: str) -> ThreadScalingModel:
         serial_fraction, saturation, compute_fraction = self._PHASE_SCALING[name]
-        model = ThreadScalingModel(
+        return ThreadScalingModel(
             serial_fraction=serial_fraction,
             saturation_threads=saturation,
             compute_fraction=compute_fraction,
@@ -209,14 +279,21 @@ class FmmPerformanceSimulator:
             numa_penalty=1.12,
             overhead_s=4e-6,
         )
-        return model.time(seconds, threads)
+
+    @staticmethod
+    def _interior_fraction(n_leaves: int) -> float:
+        """Fraction of leaf cells away from the domain boundary."""
+        cells_per_dim = max(1.0, n_leaves ** (1.0 / 3.0))
+        return ((cells_per_dim - 2.0) / cells_per_dim) ** 3 if cells_per_dim > 2 else 0.0
+
+    def _noise_key(self, config: FmmConfig) -> str:
+        return (f"{config.threads},{config.n_particles},{config.particles_per_leaf},"
+                f"{config.order},{self.random_state}")
 
     def _noise_factor(self, config: FmmConfig) -> float:
         if self.noise == 0.0:
             return 1.0
-        key = (f"{config.threads},{config.n_particles},{config.particles_per_leaf},"
-               f"{config.order},{self.random_state}")
-        digest = hashlib.sha256(key.encode()).digest()
+        digest = hashlib.sha256(self._noise_key(config).encode()).digest()
         u1 = int.from_bytes(digest[:8], "little") / 2**64
         u2 = int.from_bytes(digest[8:16], "little") / 2**64
         z = np.sqrt(-2.0 * np.log(max(u1, 1e-12))) * np.cos(2.0 * np.pi * u2)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 
 __all__ = [
     "amdahl_speedup",
@@ -142,11 +143,19 @@ class ThreadScalingModel:
         return self._raw_speedup(threads) / self._raw_speedup(1)
 
     def _raw_speedup(self, threads: int) -> float:
-        s_comp = amdahl_speedup(threads, self.serial_fraction)
-        s_bw = bandwidth_saturation_speedup(threads, self.saturation_threads)
-        mixed_inverse = (self.compute_fraction / s_comp
-                         + (1.0 - self.compute_fraction) / s_bw)
-        penalty = self._numa_factor(threads)
+        return self._mix(self.compute_fraction, *self._terms(threads))
+
+    def _terms(self, threads: int) -> tuple[float, float, float]:
+        """Amdahl speedup, bandwidth speedup and NUMA factor at *threads*."""
+        return (amdahl_speedup(threads, self.serial_fraction),
+                bandwidth_saturation_speedup(threads, self.saturation_threads),
+                self._numa_factor(threads))
+
+    @staticmethod
+    def _mix(compute_fraction, s_comp, s_bw, penalty):
+        """Raw speedup from the per-thread terms (scalars or arrays)."""
+        mixed_inverse = (compute_fraction / s_comp
+                         + (1.0 - compute_fraction) / s_bw)
         return 1.0 / (mixed_inverse * penalty)
 
     def time(self, single_thread_time: float, threads: int) -> float:
@@ -154,6 +163,24 @@ class ThreadScalingModel:
         if single_thread_time < 0:
             raise ValueError("single_thread_time must be >= 0")
         return single_thread_time / self.speedup(threads) + threads * self.overhead_s
+
+    def time_rows(self, single_thread_times, threads, compute_fraction) -> np.ndarray:
+        """Row-wise :meth:`time` with a per-row compute fraction.
+
+        Row ``i`` equals ``replace(self, compute_fraction=compute_fraction[i])
+        .time(single_thread_times[i], threads[i])`` bit for bit; pass
+        ``self.compute_fraction`` to keep this model's own.  The inputs are
+        trusted, not validated.  The Amdahl, bandwidth and NUMA terms depend
+        on the thread count alone, so the scalar functions compute them once
+        per distinct count: the bandwidth term's smooth-min uses Python
+        ``**``, which ``np.power`` does not reproduce to the last bit.
+        """
+        threads = np.asarray(threads, dtype=np.int64)
+        uniq, inverse = np.unique(threads, return_inverse=True)
+        table = np.array([self._terms(t) for t in uniq.tolist()]).reshape(len(uniq), 3)
+        speedup = (self._mix(compute_fraction, *table[inverse].T)
+                   / self._mix(compute_fraction, *self._terms(1)))
+        return single_thread_times / speedup + threads * self.overhead_s
 
     def _numa_factor(self, threads: int) -> float:
         if threads <= self.cores_per_socket or self.numa_penalty == 1.0:

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -37,6 +39,8 @@ from repro.parallel.scaling import ThreadScalingModel
 from repro.stencil.blocking import block_counts
 from repro.stencil.config import StencilConfig
 from repro.stencil.kernels import flops_per_point
+from repro.utils.arrays import map_unique
+from repro.utils.rng import hashed_noise_factors
 
 __all__ = ["StencilPerformanceSimulator", "SimulatedStencilRun", "SIMULATOR_VERSION"]
 
@@ -45,6 +49,9 @@ __all__ = ["StencilPerformanceSimulator", "SimulatedStencilRun", "SIMULATOR_VERS
 #: fingerprint, so stored datasets produced by an older simulator are
 #: invalidated automatically instead of silently served stale.
 SIMULATOR_VERSION = 1
+
+_CONFIG_FIELDS = attrgetter("I", "J", "K", "bi", "bj", "bk", "unroll", "threads",
+                            "stencil_points", "order")
 
 
 @dataclass(frozen=True)
@@ -116,7 +123,11 @@ class StencilPerformanceSimulator:
     # Public API
     # ------------------------------------------------------------------ #
     def run(self, config: StencilConfig) -> SimulatedStencilRun:
-        """Simulate one configuration and return the full breakdown."""
+        """Simulate one configuration and return the full breakdown.
+
+        This scalar path is the reference for :meth:`times`, which must
+        return ``run(c).seconds`` bit for bit.
+        """
         word = self.machine.word_bytes
         W = self.machine.line_elements
         ti, tj, tk = config.blocks
@@ -219,8 +230,93 @@ class StencilPerformanceSimulator:
         return self.run(config).seconds
 
     def times(self, configs) -> np.ndarray:
-        """Simulated execution times for a sequence of configurations."""
-        return np.array([self.time(cfg) for cfg in configs], dtype=np.float64)
+        """Simulated execution times for an iterable of configurations.
+
+        The array kernel of :meth:`run` (the scalar reference): it gathers
+        the configuration fields into int64 columns and evaluates the model
+        on whole columns, looping only over cache levels.  Each expression
+        keeps the scalar path's operand order and integer types, so every
+        row equals ``run(config).seconds`` bit for bit.
+        """
+        configs = list(configs)
+        I, J, K, bi, bj, bk, u, threads, points, l = np.array(  # noqa: E741
+            [_CONFIG_FIELDS(c) for c in configs], dtype=np.int64).reshape(-1, 10).T
+        word = self.machine.word_bytes
+        W = self.machine.line_elements
+        steps = self.timesteps
+        clock = self.machine.clock_hz
+        # StencilConfig.blocks and block_counts.
+        ti = np.minimum(np.where(bi > 0, bi, I), I)
+        tj = np.minimum(np.where(bj > 0, bj, J), J)
+        tk = np.minimum(np.where(bk > 0, bk, K), K)
+        n_tiles = (np.ceil(I / ti).astype(np.int64) * np.ceil(J / tj).astype(np.int64)
+                   * np.ceil(K / tk).astype(np.int64))
+        grid_points = I * J * K
+        tii, tjj, tkk = ti + 2 * l, tj + 2 * l, tk + 2 * l
+
+        pread = 2 * l + 1
+        sread = tii * tjj
+        swrite = ti * tj
+        lines_per_plane = np.ceil(tii / W) * tjj
+        sweep_factor = tkk * n_tiles * steps
+        stotal = pread * sread + swrite
+        rcol = pread / (2.0 * pread - 1.0)
+        max_planes = 2.0 * pread - 1.0
+        time_mem = 0.0
+        nplanes_prev = max_planes
+        for level in self.machine.hierarchy.levels:
+            effective = level.size_elements(word) / W
+            if effective > 0:
+                v_full = _smooth_step(effective * rcol / stotal)
+                v_most = _smooth_step(effective / stotal)
+                v_rows = _smooth_step(effective * rcol / np.maximum(sread, 1))
+            else:  # smooth_step(x <= 0) is 1.0
+                v_full = v_most = v_rows = 1.0
+            # _nplanes; its "+ 0.0 * v_cols" term adds exactly zero.
+            nplanes = np.clip(1.0 + (pread - 2.0) * v_full + v_most
+                              + (pread - 1.0) * v_rows, 1.0, max_planes)
+            conflict = map_unique(partial(self._conflict_factor, level=level), tii)
+            nplanes = np.minimum(nplanes * conflict, max_planes)
+            served = np.maximum(nplanes_prev - nplanes, 0.0)
+            time_mem = time_mem + (lines_per_plane * W * served * sweep_factor
+                                   * level.beta(word))
+            nplanes_prev = nplanes
+
+        mem_elems = (lines_per_plane * W * nplanes_prev * sweep_factor
+                     + 1.0 * grid_points * steps)
+        time_mem = time_mem + mem_elems * self.machine.beta_mem
+        plane_pages = sread * word / self.page_bytes
+        walks = (grid_points * steps / W) * np.minimum(
+            1.0, plane_pages / (self.tlb_entries * 4.0))
+        time_mem = np.where(plane_pages > self.tlb_entries,
+                            time_mem + walks * (7.0 / clock), time_mem)
+
+        flops = grid_points * steps * map_unique(flops_per_point, points)
+        # _unroll_efficiency.
+        gain = 0.12 * (1.0 - np.exp(-u / 2.0))
+        spill = 0.05 * np.maximum(0, u - 4) / 4.0
+        short_loop = 0.08 * np.maximum(0.0, (u - np.maximum(ti, 1)) / np.maximum(u, 1))
+        efficiency = np.clip(np.where(u == 0, 0.88, 0.88 + gain - spill - short_loop),
+                             0.6, 1.0)
+        time_flop = flops * self.machine.tc / efficiency
+
+        overhead = n_tiles * steps * self.tile_overhead_cycles / clock
+        overhead = np.where(ti < W, overhead + (grid_points * steps / np.maximum(ti, 1))
+                            * 4.0 / clock, overhead)
+        serial = (np.maximum(time_mem, time_flop) + 0.15 * np.minimum(time_mem, time_flop)
+                  + overhead)
+
+        working_set_bytes = (tii * tjj * tkk + ti * tj * tk) * word
+        compute_fraction = np.clip(time_flop / np.maximum(serial, 1e-30), 0.05, 0.9)
+        in_llc = replace(self.scaling,
+                         saturation_threads=self.scaling.saturation_threads * 1.6)
+        total = np.where(
+            working_set_bytes < self.machine.hierarchy.last_level.size_bytes,
+            in_llc.time_rows(serial, threads, compute_fraction),
+            self.scaling.time_rows(serial, threads, compute_fraction))
+        if self.noise != 0.0:
+            total = total * hashed_noise_factors(map(self._noise_key, configs), self.noise)
+        return np.asarray(total, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     # Model components
@@ -299,16 +395,23 @@ class StencilPerformanceSimulator:
             eff = base + gain - spill - short_loop
         return float(np.clip(eff, 0.6, 1.0))
 
+    def _noise_key(self, config: StencilConfig) -> str:
+        return (f"{config.I},{config.J},{config.K},{config.bi},{config.bj},"
+                f"{config.bk},{config.unroll},{config.threads},{self.random_state}")
+
     def _noise_factor(self, config: StencilConfig) -> float:
         """Deterministic config-dependent jitter plus seeded run-to-run noise."""
         if self.noise == 0.0:
             return 1.0
-        key = (f"{config.I},{config.J},{config.K},{config.bi},{config.bj},"
-               f"{config.bk},{config.unroll},{config.threads},{self.random_state}")
-        digest = hashlib.sha256(key.encode()).digest()
+        digest = hashlib.sha256(self._noise_key(config).encode()).digest()
         u1 = int.from_bytes(digest[:8], "little") / 2**64
         u2 = int.from_bytes(digest[8:16], "little") / 2**64
         # Box-Muller: standard normal from the two uniforms.
         z = np.sqrt(-2.0 * np.log(max(u1, 1e-12))) * np.cos(2.0 * np.pi * u2)
         systematic = self.noise * float(np.clip(z, -3.0, 3.0))
         return float(np.exp(systematic))
+
+
+def _smooth_step(x: np.ndarray) -> np.ndarray:
+    """Array form of ``_nplanes``'s ``smooth_step`` for ``x > 0``."""
+    return 1.0 / (1.0 + np.exp(np.clip(np.log(x) / 0.12, -40.0, 40.0)))

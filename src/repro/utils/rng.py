@@ -8,11 +8,12 @@ reproducible when an integer seed is supplied.
 
 from __future__ import annotations
 
+import hashlib
 import numbers
 
 import numpy as np
 
-__all__ = ["check_random_state", "spawn_seeds"]
+__all__ = ["check_random_state", "spawn_seeds", "hashed_noise_factors"]
 
 
 def check_random_state(random_state) -> np.random.Generator:
@@ -55,3 +56,17 @@ def spawn_seeds(random_state, n: int) -> list[int]:
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     return [int(s) for s in rng.integers(0, 2**31 - 1, size=n)]
+
+
+def hashed_noise_factors(keys, noise: float) -> np.ndarray:
+    """Deterministic multiplicative jitter ``exp(noise * clip(z, -3, 3))`` per key.
+
+    ``z`` is a Box–Muller standard normal drawn from the first 16 bytes of
+    the key's SHA-256 digest, so a key always gets the same factor.  The
+    performance simulators' array kernels use this; it matches their
+    scalar ``_noise_factor`` bit for bit.
+    """
+    digests = b"".join(hashlib.sha256(key.encode()).digest()[:16] for key in keys)
+    u1, u2 = (np.frombuffer(digests, dtype="<u8").reshape(-1, 2) / 2**64).T
+    z = np.sqrt(-2.0 * np.log(np.maximum(u1, 1e-12))) * np.cos(2.0 * np.pi * u2)
+    return np.exp(noise * np.clip(z, -3.0, 3.0))

@@ -113,6 +113,16 @@ class TestProtocol:
         finally:
             right.close()
 
+    def test_size_bound_refuses_larger_frames(self):
+        left, right = socket.socketpair()
+        try:
+            protocol.send_message(left, protocol.Heartbeat("w" * 100))
+            with pytest.raises(protocol.ProtocolError, match="exceeds the 64 cap"):
+                protocol.recv_message(right, max_bytes=64)
+        finally:
+            left.close()
+            right.close()
+
     def test_parse_address(self):
         assert parse_address("10.0.0.1:9001") == ("10.0.0.1", 9001)
         with pytest.raises(ValueError):
@@ -164,6 +174,21 @@ class TestHandshake:
         sock.close()
         assert isinstance(reply, protocol.Reject)
         assert "handshake" in reply.reason
+
+    def test_oversized_frame_before_hello_is_severed(self, coordinator):
+        """Before HELLO a peer may declare at most MAX_HELLO_BYTES: a larger
+        header severs the connection at once, without waiting for (or
+        buffering) the body, and the coordinator keeps serving."""
+        sock = socket.create_connection(coordinator.address, timeout=10.0)
+        try:
+            sock.sendall(protocol._HEADER.pack(1 << 20, 0, 0))  # no body follows
+            sock.settimeout(1.0)
+            assert sock.recv(1) == b""
+        finally:
+            sock.close()
+        sock, reply = _raw_handshake(coordinator.address)
+        sock.close()
+        assert isinstance(reply, protocol.Welcome)
 
     def test_rejected_worker_exits_with_error(self, coordinator, monkeypatch):
         monkeypatch.setattr("repro.distributed.worker.PROTOCOL_VERSION",

@@ -2,10 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.fmm.config import FmmConfig
+from repro.fmm.config import FmmConfig, FmmConfigSpace
 from repro.fmm.perf_sim import FmmPerformanceSimulator
-from repro.machine import small_embedded_node
+from repro.machine import MACHINE_PRESETS, small_embedded_node
+
+#: The registry's FMM space plus the reduced space the examples use.
+SPACES = {"fmm": FmmConfigSpace.paper_space(), "fmm-small": FmmConfigSpace.small_space()}
+
+fmm_configs = st.builds(FmmConfig, threads=st.integers(1, 32),
+                        n_particles=st.integers(1, 2_000_000),
+                        particles_per_leaf=st.integers(1, 5_000_000),
+                        order=st.integers(1, 15))
+
+
+def assert_times_equal_run(sim, configs):
+    """``times`` must reproduce the scalar reference ``run`` bit for bit."""
+    expected = np.array([sim.run(c).seconds for c in configs], dtype=np.float64)
+    np.testing.assert_array_equal(sim.times(configs), expected, strict=True)
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +41,8 @@ class TestBasics:
 
     def test_phase_breakdown_sums_to_total(self, sim):
         run = sim.run(FmmConfig(threads=2, n_particles=8192, particles_per_leaf=64, order=6))
-        assert run.seconds == pytest.approx(sum(run.phase_seconds.values()) * run.noise_factor)
+        np.testing.assert_array_equal(
+            run.seconds, sum(run.phase_seconds.values()) * run.noise_factor)
         assert set(run.phase_seconds) == {"tree", "traversal", "p2m", "m2m",
                                           "m2l", "l2l", "l2p", "p2p"}
 
@@ -35,6 +52,37 @@ class TestBasics:
         times = sim.times(configs)
         assert times.shape == (2,)
         assert times[1] < times[0]
+
+
+class TestArrayKernel:
+    """``times`` (the array kernel) against ``run`` (the scalar reference)."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("preset", sorted(MACHINE_PRESETS))
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    def test_spaces_bit_identical(self, space, preset, noise):
+        sim = FmmPerformanceSimulator(machine=MACHINE_PRESETS[preset](), noise=noise)
+        assert_times_equal_run(sim, SPACES[space].configs())
+
+    def test_simulator_options_bit_identical(self):
+        sim = FmmPerformanceSimulator(flops_per_p2p_interaction=20.0,
+                                      flops_per_m2l_coeff_pair=12.0, simd_width=8,
+                                      random_state=3)
+        assert_times_equal_run(sim, SPACES["fmm"].configs())
+
+    @settings(max_examples=60, deadline=None)
+    @given(configs=st.lists(fmm_configs, max_size=40),
+           preset=st.sampled_from(sorted(MACHINE_PRESETS)),
+           noise=st.sampled_from([0.0, 0.05]))
+    def test_random_configs_bit_identical(self, configs, preset, noise):
+        sim = FmmPerformanceSimulator(machine=MACHINE_PRESETS[preset](), noise=noise)
+        assert_times_equal_run(sim, configs)
+
+    def test_empty_and_generator_inputs(self, sim):
+        empty = sim.times([])
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+        configs = SPACES["fmm-small"].configs()
+        np.testing.assert_array_equal(sim.times(c for c in configs), sim.times(configs))
 
 
 class TestPhysicalShape:

@@ -32,6 +32,7 @@ import urllib.request
 
 import pytest
 
+from repro.datasets.store import DatasetStore
 from repro.distributed.coordinator import Coordinator
 from repro.distributed.worker import FleetWorker
 from repro.experiments import ExperimentSettings, run_experiment
@@ -331,17 +332,23 @@ class TestTracing:
 
 
 def _span_tree_checks(spans, n_cells, executor):
-    """Assert cell -> batch -> plan -> experiment linkage for one run."""
+    """Assert cell -> batch -> plan -> experiment linkage for one run,
+    with the dataset span a sibling of the plan span."""
     by_id = {s.span_id: s for s in spans}
     by_name: dict[str, list] = {}
     for span in spans:
         by_name.setdefault(span.name, []).append(span)
     assert len(by_name["experiment"]) == 1
     assert len(by_name["plan"]) == 1
+    assert len(by_name.get("dataset", [])) == 1, (
+        f"{executor}: expected one dataset span")
     assert len(by_name["cell"]) == n_cells, (
         f"{executor}: expected a span per cell")
     experiment, plan = by_name["experiment"][0], by_name["plan"][0]
     assert plan.parent_id == experiment.span_id
+    dataset = by_name["dataset"][0]
+    assert dataset.parent_id == experiment.span_id
+    assert dataset.attrs == {"dataset": "stencil-grid-only", "store_hit": False}
     assert experiment.parent_id is None
     for batch in by_name["batch"]:
         assert batch.parent_id == plan.span_id
@@ -408,6 +415,16 @@ class TestExecutorSpans:
         assert fleet_evaluated == n_cells
         assert health["status"] == "ok"
         assert health["coordinator_id"] == coordinator.coordinator_id
+
+    def test_dataset_span_records_store_hits(self, tmp_path):
+        store = DatasetStore(tmp_path)
+        hits = []
+        for _ in range(2):
+            with TRACER.collect() as spans:
+                run_experiment("figure5", TINY, store=store)
+            (dataset,) = [s for s in spans if s.name == "dataset"]
+            hits.append(dataset.attrs["store_hit"])
+        assert hits == [False, True]
 
     def test_trace_summary_reports_phases_and_workers(self, n_cells):
         with TRACER.collect() as spans:

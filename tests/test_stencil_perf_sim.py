@@ -2,10 +2,37 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.machine import blue_waters_xe6, small_embedded_node
-from repro.stencil.config import StencilConfig
+from repro.machine import MACHINE_PRESETS, blue_waters_xe6, small_embedded_node
+from repro.parallel.scaling import ThreadScalingModel
+from repro.stencil.config import StencilConfig, StencilConfigSpace
 from repro.stencil.perf_sim import StencilPerformanceSimulator
+
+#: The configuration spaces behind the dataset registry's stencil entries.
+REGISTRY_SPACES = {
+    "stencil-blocked": StencilConfigSpace.small_grids_with_blocking(),
+    "stencil-grid-only": StencilConfigSpace.large_grids_no_blocking(),
+    "stencil-threaded": StencilConfigSpace.threaded_plane_grids(),
+}
+
+
+@st.composite
+def stencil_configs(draw):
+    """Any valid configuration, blocks from 0 (unblocked) up to the extent."""
+    I, J, K = (draw(st.integers(1, 300)) for _ in range(3))  # noqa: E741
+    return StencilConfig(
+        I=I, J=J, K=K, bi=draw(st.integers(0, I)), bj=draw(st.integers(0, J)),
+        bk=draw(st.integers(0, K)), unroll=draw(st.integers(0, 8)),
+        threads=draw(st.integers(1, 32)), stencil_points=draw(st.sampled_from([7, 27])),
+        order=draw(st.integers(1, 3)))
+
+
+def assert_times_equal_run(sim, configs):
+    """``times`` must reproduce the scalar reference ``run`` bit for bit."""
+    expected = np.array([sim.run(c).seconds for c in configs], dtype=np.float64)
+    np.testing.assert_array_equal(sim.times(configs), expected, strict=True)
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +59,8 @@ class TestBasicBehaviour:
 
     def test_times_vectorized_matches_scalar(self, sim):
         configs = [StencilConfig(I=32, J=32, K=32), StencilConfig(I=64, J=32, K=16)]
-        times = sim.times(configs)
-        assert times[0] == pytest.approx(sim.time(configs[0]))
-        assert times[1] == pytest.approx(sim.time(configs[1]))
+        np.testing.assert_array_equal(sim.times(configs),
+                                      [sim.time(c) for c in configs])
 
     def test_run_breakdown_consistency(self, sim):
         run = sim.run(StencilConfig(I=96, J=96, K=96))
@@ -87,6 +113,46 @@ class TestPhysicalShape:
         bw = StencilPerformanceSimulator(machine=blue_waters_xe6(), noise=0.0).time(cfg)
         small = StencilPerformanceSimulator(machine=small_embedded_node(), noise=0.0).time(cfg)
         assert small > bw
+
+
+class TestArrayKernel:
+    """``times`` (the array kernel) against ``run`` (the scalar reference)."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.04])
+    @pytest.mark.parametrize("preset", sorted(MACHINE_PRESETS))
+    @pytest.mark.parametrize("space", sorted(REGISTRY_SPACES))
+    def test_registry_spaces_bit_identical(self, space, preset, noise):
+        sim = StencilPerformanceSimulator(machine=MACHINE_PRESETS[preset](), noise=noise)
+        assert_times_equal_run(sim, REGISTRY_SPACES[space].configs())
+
+    @pytest.mark.parametrize("kwargs", [
+        {"timesteps": 3},
+        {"scaling": ThreadScalingModel(serial_fraction=0.1, saturation_threads=2.0,
+                                       compute_fraction=0.5, cores_per_socket=3,
+                                       numa_penalty=1.3, overhead_s=1e-5)},
+        {"tile_overhead_cycles": 100, "tlb_entries": 8, "page_bytes": 1024,
+         "random_state": 5},
+    ], ids=["timesteps", "custom-scaling", "tlb-and-overhead"])
+    def test_simulator_options_bit_identical(self, kwargs):
+        sim = StencilPerformanceSimulator(**kwargs)
+        for space in REGISTRY_SPACES.values():
+            assert_times_equal_run(sim, space.configs())
+
+    @settings(max_examples=60, deadline=None)
+    @given(configs=st.lists(stencil_configs(), max_size=40),
+           preset=st.sampled_from(sorted(MACHINE_PRESETS)),
+           noise=st.sampled_from([0.0, 0.04]),
+           timesteps=st.integers(1, 3))
+    def test_random_configs_bit_identical(self, configs, preset, noise, timesteps):
+        sim = StencilPerformanceSimulator(machine=MACHINE_PRESETS[preset](), noise=noise,
+                                          timesteps=timesteps)
+        assert_times_equal_run(sim, configs)
+
+    def test_empty_and_generator_inputs(self, sim):
+        empty = sim.times([])
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+        configs = StencilConfigSpace.threaded_plane_grids().configs()
+        np.testing.assert_array_equal(sim.times(c for c in configs), sim.times(configs))
 
 
 class TestValidation:
