@@ -25,6 +25,11 @@ Two benchmarks are tracked:
   >= 2x), ExtraTrees fit speedup (recorded), and the quick Figure-5
   quality check (held-out R^2 of the binned extra-trees model within
   0.02 of the exact model's, plus both methods' learning-curve MAPEs).
+  Both hist ratios divide by the frozen exact builder of
+  :mod:`repro.testing.tree_reference`, the exact algorithm hist was
+  accepted against, so a faster exact builder does not move them.  The
+  same entry records the exact builder's own speedup over that reference
+  (RandomForest asserted >= 1.5x, ExtraTrees recorded).
 
 Scale the hist workload down with ``REPRO_BENCH_HIST_TREES`` if a
 constrained machine cannot afford the 100-tree fits.
@@ -32,6 +37,7 @@ constrained machine cannot afford the 100-tree fits.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -42,6 +48,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.ml._batched
 from repro.datasets import DatasetStore
 from repro.datasets.registry import load_dataset
 from repro.experiments import experiment_plan, figure5, run_all, run_plan
@@ -49,6 +56,7 @@ from repro.experiments.runner import ExperimentSettings
 from repro.ml import ExtraTreesRegressor, RandomForestRegressor
 from repro.ml.metrics import r2_score
 from repro.ml.model_selection import train_test_split
+from repro.testing.tree_reference import build_forest_batched as build_forest_reference
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULT_PATH = REPO_ROOT / "BENCH_engine.json"
@@ -56,6 +64,9 @@ RESULT_PATH = REPO_ROOT / "BENCH_engine.json"
 #: Acceptance thresholds of the histogram-engine PR.
 MIN_HIST_FIT_SPEEDUP = 2.0
 MAX_HIST_R2_GAP = 0.02
+#: Acceptance threshold of the level-pass rewrite of the exact builder:
+#: its RandomForest fit against the frozen reference builder.
+MIN_EXACT_FIT_SPEEDUP = 1.5
 HIST_DATASET = "stencil-blocked"  # full registry dataset, n = 3364 >= 2000
 
 #: Experiments of the scheduler-speedup sweep (several figures sharing
@@ -99,6 +110,14 @@ def _platform_fields() -> dict:
     }
 
 
+@contextlib.contextmanager
+def _reference_builder():
+    """Grow exact-method trees on the frozen reference builder in the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.ml._batched, "build_forest_batched", build_forest_reference)
+        yield
+
+
 def _with_tree_method(plan, tree_method: str):
     """*plan* with every series' estimator set to *tree_method*."""
     return dataclasses.replace(plan, series=tuple(
@@ -110,13 +129,15 @@ def _with_tree_method(plan, tree_method: str):
 
 @pytest.mark.benchmark(group="engines")
 def test_hist_engine_speedup():
-    """Histogram-binned split search vs the exact batched engine.
+    """Histogram-binned split search vs the exact builder.
 
     The asserted workload is the acceptance criterion of the hist-engine
     PR: a RandomForest fit on a full registry dataset (n >= 2000) at
-    least twice as fast as the exact batched engine, with the binned
+    least twice as fast as the exact builder it was accepted against
+    (kept frozen in :mod:`repro.testing.tree_reference`), with the binned
     extra-trees model's held-out R^2 on the quick Figure-5 dataset
-    within 0.02 of the exact engine's.
+    within 0.02 of the exact engine's.  Alongside, the exact builder's
+    RandomForest fit must stay at least 1.5x faster than that reference.
     """
     n_trees = int(os.environ.get("REPRO_BENCH_HIST_TREES", "100"))
     dataset = load_dataset(HIST_DATASET)
@@ -132,12 +153,17 @@ def test_hist_engine_speedup():
             n_estimators=n_trees, random_state=0, tree_method=tree_method,
         ).fit(X, y)
 
+    with _reference_builder():
+        t_rf_reference = _best_of(fit_rf("exact"))
+        t_et_reference = _best_of(fit_et("exact"))
     t_rf_exact = _best_of(fit_rf("exact"))
-    t_rf_hist = _best_of(fit_rf("hist"))
     t_et_exact = _best_of(fit_et("exact"))
+    t_rf_hist = _best_of(fit_rf("hist"))
     t_et_hist = _best_of(fit_et("hist"))
-    rf_speedup = t_rf_exact / t_rf_hist
-    et_speedup = t_et_exact / t_et_hist
+    rf_speedup = t_rf_reference / t_rf_hist
+    et_speedup = t_et_reference / t_et_hist
+    rf_exact_speedup = t_rf_reference / t_rf_exact
+    et_exact_speedup = t_et_reference / t_et_exact
 
     # Quick Figure-5 quality: the binned engine must reproduce the
     # learning-curve experiment.  R^2 is compared at the curve's largest
@@ -169,20 +195,41 @@ def test_hist_engine_speedup():
         "workloads": {
             "random_forest_fit": {
                 "description": f"RandomForestRegressor(n_estimators={n_trees}).fit "
-                               f"on {HIST_DATASET} (n={X.shape[0]}), hist vs batched",
+                               f"on {HIST_DATASET} (n={X.shape[0]}), hist vs the "
+                               f"frozen exact reference",
                 "n_trees": n_trees,
-                "exact_seconds": round(t_rf_exact, 4),
+                "reference_seconds": round(t_rf_reference, 4),
                 "hist_seconds": round(t_rf_hist, 4),
                 "speedup": round(rf_speedup, 2),
                 "threshold": MIN_HIST_FIT_SPEEDUP,
             },
             "extra_trees_fit": {
                 "description": f"ExtraTreesRegressor(n_estimators={n_trees}).fit "
-                               f"on {HIST_DATASET} (n={X.shape[0]}), hist vs batched",
+                               f"on {HIST_DATASET} (n={X.shape[0]}), hist vs the "
+                               f"frozen exact reference",
                 "n_trees": n_trees,
-                "exact_seconds": round(t_et_exact, 4),
+                "reference_seconds": round(t_et_reference, 4),
                 "hist_seconds": round(t_et_hist, 4),
                 "speedup": round(et_speedup, 2),
+            },
+            "exact_random_forest_fit": {
+                "description": f"RandomForestRegressor(n_estimators={n_trees}).fit "
+                               f"on {HIST_DATASET} (n={X.shape[0]}), exact builder "
+                               f"vs the frozen exact reference",
+                "n_trees": n_trees,
+                "reference_seconds": round(t_rf_reference, 4),
+                "exact_seconds": round(t_rf_exact, 4),
+                "speedup": round(rf_exact_speedup, 2),
+                "threshold": MIN_EXACT_FIT_SPEEDUP,
+            },
+            "exact_extra_trees_fit": {
+                "description": f"ExtraTreesRegressor(n_estimators={n_trees}).fit "
+                               f"on {HIST_DATASET} (n={X.shape[0]}), exact builder "
+                               f"vs the frozen exact reference",
+                "n_trees": n_trees,
+                "reference_seconds": round(t_et_reference, 4),
+                "exact_seconds": round(t_et_exact, 4),
+                "speedup": round(et_exact_speedup, 2),
             },
             "figure5_quick_quality": {
                 "description": "figure5(quick): hist vs exact engines",
@@ -201,6 +248,9 @@ def test_hist_engine_speedup():
     assert rf_speedup >= MIN_HIST_FIT_SPEEDUP, (
         f"hist RandomForest fit speedup {rf_speedup:.2f}x below "
         f"{MIN_HIST_FIT_SPEEDUP}x")
+    assert rf_exact_speedup >= MIN_EXACT_FIT_SPEEDUP, (
+        f"exact RandomForest fit speedup {rf_exact_speedup:.2f}x over the "
+        f"reference builder below {MIN_EXACT_FIT_SPEEDUP}x")
     assert abs(r2_exact - r2_hist) <= MAX_HIST_R2_GAP, (
         f"hist R^2 {r2_hist:.4f} deviates from exact {r2_exact:.4f} by more "
         f"than {MAX_HIST_R2_GAP}")

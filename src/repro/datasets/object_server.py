@@ -84,6 +84,11 @@ class ObjectStoreServer(ReproHTTPServer):
 
     name = "object-store"
 
+    #: The largest artifact a default sweep stores is a ~6 MB 20-tree
+    #: forest model; 256 MiB leaves room for 100-tree forests on full
+    #: datasets.
+    max_body_bytes = 256 * 1024 * 1024
+
     def __init__(self, backend: StoreBackend,
                  address: tuple[str, int] = ("127.0.0.1", 0), *,
                  auth: bytes | None = None,

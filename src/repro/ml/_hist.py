@@ -74,7 +74,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import _NO_CHILD, Tree
+from repro.ml._batched import _Arena, _exclusive_cumsum, _LevelSplit, _tree_groups
+from repro.ml.tree import Tree
 from repro.utils.rng import check_random_state
 
 __all__ = ["compute_bin_edges", "bin_dataset", "build_forest_hist"]
@@ -148,14 +149,6 @@ def bin_dataset(X: np.ndarray, max_bins: int = DEFAULT_MAX_BINS,
         codes[:, f] = np.searchsorted(e, X[:, f], side="left")
         edges_pad[f, : e.size] = e
     return codes, edges_pad
-
-
-def _tree_groups(tree_ids: np.ndarray):
-    """Yield ``(tree, start, stop)`` runs of the non-decreasing id array."""
-    boundaries = np.nonzero(np.diff(tree_ids))[0] + 1
-    bounds = np.concatenate(([0], boundaries, [len(tree_ids)]))
-    for a, b in zip(bounds[:-1], bounds[1:], strict=True):
-        yield int(tree_ids[a]), int(a), int(b)
 
 
 def _local_shift(span: np.ndarray, width: int) -> np.ndarray:
@@ -258,7 +251,7 @@ def build_forest_hist(
     S = codes_s.shape[0]
 
     order = np.arange(S, dtype=np.int64)  # slots grouped by frontier node
-    starts = np.concatenate(([0], np.cumsum(sizes0)))[:-1]
+    starts = _exclusive_cumsum(sizes0)
     sizes = sizes0.copy()
     tree_of = np.arange(n_trees, dtype=np.int64)
     depth = 0
@@ -266,19 +259,9 @@ def build_forest_hist(
     # histograms in the parent's bin mapping, or None to re-accumulate.
     carried = None
 
-    # arena: per-level chunks, concatenated at the end
-    A_feature: list[np.ndarray] = []
-    A_threshold: list[np.ndarray] = []
-    A_left: list[np.ndarray] = []
-    A_right: list[np.ndarray] = []
-    A_value: list[np.ndarray] = []
-    A_n: list[np.ndarray] = []
-    A_imp: list[np.ndarray] = []
-    A_tree: list[np.ndarray] = []
-    arena_count = 0
+    arena = _Arena()
 
     while sizes.size:
-        F = len(sizes)
         yo = ys[order]
         yo2 = ys2[order]
         s1_node = np.add.reduceat(yo, starts)
@@ -287,20 +270,7 @@ def build_forest_hist(
         value = s1_node / nf
         imp = np.maximum(s2_node / nf - value * value, 0.0)
 
-        feat_level = np.full(F, _NO_CHILD, dtype=np.int64)
-        thr_level = np.full(F, np.nan)
-        left_level = np.full(F, _NO_CHILD, dtype=np.int64)
-        right_level = np.full(F, _NO_CHILD, dtype=np.int64)
-        A_feature.append(feat_level)
-        A_threshold.append(thr_level)
-        A_left.append(left_level)
-        A_right.append(right_level)
-        A_value.append(value)
-        A_n.append(sizes)
-        A_imp.append(imp)
-        A_tree.append(tree_of)
-        arena_count += F
-        next_base = arena_count  # arena id of the first child created below
+        level = arena.add_level(value, sizes, imp, tree_of)
 
         splittable = (
             (depth < depth_limit)
@@ -318,7 +288,7 @@ def build_forest_hist(
         ro = order[pos_mask]
         rsizes = sizes[sp]
         node_of = np.repeat(np.arange(K), rsizes)
-        rstarts = np.concatenate(([0], np.cumsum(rsizes)))[:-1]
+        rstarts = _exclusive_cumsum(rsizes)
         cols = [c[ro] for c in code_cols]
         lo = np.empty((K, d), dtype=np.int64)
         hi = np.empty((K, d), dtype=np.int64)
@@ -462,30 +432,12 @@ def build_forest_hist(
         best_thr = edges_pad[best_f, np.minimum(thr_code, edges_pad.shape[1] - 1)]
 
         # ---- stable partition of every split node's slots ---- #
-        dsp = do_split[node_of]
         gl_region = codes_s[ro, best_f[node_of]] <= thr_code[node_of]
-        glf = gl_region.astype(np.int64)
-        nL_all = np.add.reduceat(glf, rstarts)
-        szL = nL_all[do_split]
-        szR = rsizes[do_split] - szL
-        child_sizes = np.empty(2 * K2, dtype=np.int64)
-        child_sizes[0::2] = szL
-        child_sizes[1::2] = szR
-        new_starts = np.concatenate(([0], np.cumsum(child_sizes)))[:-1]
-        m2 = int(child_sizes.sum())
-        idmap = np.full(K, -1, dtype=np.int64)
-        idmap[np.nonzero(do_split)[0]] = np.arange(K2)
-        node2_of = idmap[node_of]
-
-        cg = np.cumsum(glf)
-        rank_l = cg - (cg[rstarts] - glf[rstarts])[node_of] - 1
-        gr = 1 - glf
-        ch = np.cumsum(gr)
-        rank_r = ch - (ch[rstarts] - gr[rstarts])[node_of] - 1
-        child = np.clip(2 * node2_of + np.where(gl_region, 0, 1), 0, None)
-        dest = new_starts[child] + np.where(gl_region, rank_l, rank_r)
-        order = np.empty(m2, dtype=np.int64)
-        order[dest[dsp]] = ro[dsp]
+        split = _LevelSplit(gl_region, rstarts, rsizes, do_split)
+        szL, szR = split.left_sizes, split.right_sizes
+        child_sizes = split.child_sizes
+        m2 = split.perm.size
+        order = split.apply(ro, split.side)
 
         # ---- histogram-subtraction trick, where it pays ---- #
         # Carrying child histograms means accumulating only the smaller
@@ -527,39 +479,10 @@ def build_forest_hist(
 
         # ---- record splits and enqueue children ---- #
         sp2 = sp[do_split]
-        feat_level[sp2] = best_f[do_split]
-        thr_level[sp2] = best_thr[do_split]
-        left_level[sp2] = next_base + 2 * np.arange(K2)
-        right_level[sp2] = next_base + 2 * np.arange(K2) + 1
-        starts = new_starts
+        arena.record_splits(level, sp2, best_f[do_split], best_thr[do_split])
+        starts = split.child_starts
         sizes = child_sizes
         tree_of = np.repeat(tree_of[sp2], 2)
         depth += 1
 
-    # ---- split the level-major arena into per-tree Tree objects ---- #
-    feature_all = np.concatenate(A_feature)
-    threshold_all = np.concatenate(A_threshold)
-    left_all = np.concatenate(A_left)
-    right_all = np.concatenate(A_right)
-    value_all = np.concatenate(A_value)
-    n_all = np.concatenate(A_n)
-    imp_all = np.concatenate(A_imp)
-    tree_all = np.concatenate(A_tree)
-
-    trees: list[Tree] = []
-    arena_to_local = np.full(arena_count, -1, dtype=np.int64)
-    for t in range(n_trees):
-        mask = tree_all == t
-        arena_to_local[mask] = np.arange(int(mask.sum()))
-        lt = left_all[mask]
-        rt = right_all[mask]
-        trees.append(Tree(
-            feature=feature_all[mask],
-            threshold=threshold_all[mask],
-            left=np.where(lt >= 0, arena_to_local[np.clip(lt, 0, None)], _NO_CHILD),
-            right=np.where(rt >= 0, arena_to_local[np.clip(rt, 0, None)], _NO_CHILD),
-            value=value_all[mask],
-            n_samples=n_all[mask],
-            impurity=imp_all[mask],
-        ))
-    return trees
+    return arena.trees(n_trees)

@@ -8,7 +8,9 @@ Three pieces mount the HTTP tier onto one spine:
 * :class:`ReproHTTPServer` — the base every bundled HTTP server
   (the object store, the model server, the status sidecar) subclasses.
   It implements, exactly once: request-body reading (a malformed
-  ``Content-Length`` answers 400 and closes the connection), replies
+  ``Content-Length`` answers 400, and one over the server's
+  ``max_body_bytes`` answers 413, before any body byte is read and
+  before authorization; both close the connection), replies
   written in one send on ``TCP_NODELAY`` sockets, shared-secret HMAC
   authorization (``Authorization: Repro-HMAC <hex>``), the labeled
   ``repro_auth_failures_total`` counter, ``GET /metrics`` and ``GET
@@ -184,6 +186,16 @@ class _Handler(BaseHTTPRequestHandler):
                                           f"{declared[:32]!r}"})
             return
         length = int(declared)
+        if length > self.server.max_body_bytes:
+            # Refused before a byte of the body is read, and so before the
+            # auth check (which signs the body): the unread body leaves
+            # the stream unframed, so the connection is dropped too.
+            self.close_connection = True
+            self.server.count_error(413)
+            self.send_json(413, {"error": f"request body of {length} bytes exceeds "
+                                          f"the {self.server.max_body_bytes}-byte "
+                                          f"limit of {self.server.name}"})
+            return
         body = self.rfile.read(length) if length > 0 else b""
         parsed = urllib.parse.urlsplit(self.path)
         path = parsed.path.rstrip("/") or "/"
@@ -264,6 +276,13 @@ class ReproHTTPServer(ThreadingHTTPServer):
         :data:`~repro.obs.metrics.REGISTRY`).
     verbose:
         Log each request to stderr.
+
+    A request whose declared ``Content-Length`` exceeds
+    :attr:`max_body_bytes` answers 413 and its connection is closed
+    before any body byte is read and before the auth check, so neither
+    an unsigned peer nor a signed one can make the server wait for, or
+    buffer, an oversized body.  Subclasses size the cap from the largest
+    body their routes accept, plus headroom.
     """
 
     daemon_threads = True
@@ -271,6 +290,10 @@ class ReproHTTPServer(ThreadingHTTPServer):
     #: Subclass identity: the ``server`` label on auth-failure counters
     #: and the serving thread's name.
     name = "repro-http"
+
+    #: Largest request body accepted.  The base serves only the built-in
+    #: GET routes, which take no body; 64 KiB is headroom.
+    max_body_bytes = 64 * 1024
 
     def __init__(self, bind: tuple[str, int] = ("127.0.0.1", 0), *,
                  auth: bytes | None = None,

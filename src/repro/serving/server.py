@@ -248,6 +248,10 @@ class ModelServer(ReproHTTPServer):
 
     name = "model-server"
 
+    #: ``/predict`` and ``/recommend`` JSON: a whole registry
+    #: configuration space (3,696 rows) posts ~0.1 MB; 16 MiB is headroom.
+    max_body_bytes = 16 * 1024 * 1024
+
     def __init__(self, store: DatasetStore | StoreBackend | str,
                  address: tuple[str, int] = ("127.0.0.1", 0), *,
                  auth: bytes | None = None,

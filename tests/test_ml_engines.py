@@ -143,6 +143,18 @@ class TestBatchedEngine:
         for a, b in zip(small.estimators_, large.estimators_[:2], strict=True):
             assert_trees_identical(a.tree_, b.tree_)
 
+    def test_extra_trees_members_match_trees_grown_alone(self, data):
+        """Random-splitter node sums are per-segment reduceat sums, so a
+        member grown with 7 others equals the same tree grown alone.  (The
+        "best" splitter does not promise this: its left sums are prefix
+        sums over the whole level.)"""
+        X, y = data
+        forest = ExtraTreesRegressor(n_estimators=8, random_state=3).fit(X, y)
+        for member in forest.estimators_:
+            alone = DecisionTreeRegressor(splitter="random", max_features=1.0,
+                                          random_state=member.random_state).fit(X, y)
+            assert_trees_identical(member.tree_, alone.tree_)
+
     def test_constant_target_single_leaf(self):
         X = np.random.default_rng(1).random((30, 3))
         model = DecisionTreeRegressor().fit(X, np.full(30, 2.5))

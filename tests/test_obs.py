@@ -27,11 +27,14 @@ import logging
 import pickle
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.datasets.backends import MemoryBackend
+from repro.datasets.object_server import ObjectStoreServer
 from repro.datasets.store import DatasetStore
 from repro.distributed.coordinator import Coordinator
 from repro.distributed.worker import FleetWorker
@@ -51,8 +54,9 @@ from repro.obs import (
     span_into,
     write_trace,
 )
-from repro.obs.http import CONTENT_TYPE, StatusServer, metrics_body
+from repro.obs.http import CONTENT_TYPE, StatusServer, metrics_body, sign_request
 from repro.obs.tracing import SpanContext, load_trace
+from repro.serving import ModelServer
 
 TINY = ExperimentSettings(n_estimators=4, n_repeats=2, max_configs=120, random_state=0)
 
@@ -472,6 +476,34 @@ class TestStatusServer:
         assert reply.startswith(b"HTTP/1.1 400 "), reply
         assert b"\r\nConnection: close\r\n" in reply
         assert b"malformed Content-Length" in reply
+
+    @pytest.mark.parametrize("make_server", [
+        lambda key: StatusServer(auth=key),
+        lambda key: ObjectStoreServer(MemoryBackend(), auth=key),
+        lambda key: ModelServer(DatasetStore("memory://"), auth=key),
+    ], ids=["status", "object-store", "model"])
+    def test_oversized_body_is_413_before_reading_or_auth(self, make_server):
+        """An unsigned POST declaring 1 GiB and sending no body is refused
+        at once; before the cap the server sat waiting for the body."""
+        key = b"body-cap-test-key"
+        with make_server(key) as server:
+            start = time.monotonic()
+            with socket.create_connection(server.server_address[:2],
+                                          timeout=1.0) as sock:
+                sock.sendall(b"POST /upload HTTP/1.1\r\nHost: test\r\n"
+                             b"Content-Length: 1073741824\r\n\r\n")
+                reply = b""
+                while chunk := sock.recv(4096):  # until the server closes
+                    reply += chunk
+            assert time.monotonic() - start < 1.0
+            assert reply.startswith(b"HTTP/1.1 413 "), reply
+            assert b"\r\nConnection: close\r\n" in reply
+            assert server.auth_failures == 0  # refused before the auth check
+            request = urllib.request.Request(
+                server.url + "metrics",
+                headers={"Authorization": sign_request(key, "GET", "/metrics")})
+            with urllib.request.urlopen(request, timeout=10.0) as response:
+                assert response.status == 200
 
 
 class TestStructuredLogging:
