@@ -13,8 +13,7 @@ Two benchmarks are tracked:
   against a pre-warmed dataset store, so only the scheduling changes).
   The pooled sweep is timed on its *second* consecutive invocation of
   the same pool — the steady-state an experiment sequence sees: workers
-  already spawned, per-plan memos warm, the dataset mapped via shared
-  memory.  The cold first invocation and a phase breakdown (spawn,
+  already spawned and per-plan memos warm.  The cold first invocation and a phase breakdown (spawn,
   dispatch, compute, merge) are recorded alongside.  The speedup is
   recorded here and enforced by ``bench_gate.py`` (it tracks the host's
   core count, so the floor is conditional on ``cpus``); the rows are

@@ -291,7 +291,12 @@ def _decode(reader: _Reader, depth: int):
         result = {}
         for _ in range(count):
             key = _decode(reader, depth + 1)
-            result[key] = _decode(reader, depth + 1)
+            value = _decode(reader, depth + 1)
+            try:
+                result[key] = value
+            except TypeError:  # a list, dict or list-holding key
+                raise CodecError(
+                    f"unhashable dict key of type {type(key).__name__}") from None
         return result
     if tag == _STRUCT:
         return _decode_struct(reader, depth)

@@ -103,6 +103,13 @@ _AUTO_LEASE_TARGET_CELLS = 4
 #: Hard cap on cells per ``"auto"`` lease, bounding both the requeue cost
 #: of a dead worker and the damage of a bad cost estimate.
 _AUTO_LEASE_MAX_CELLS = 16
+#: Read timeout, in seconds, on a connection that has not completed
+#: HELLO.  Workers send HELLO as soon as they connect; a peer that stays
+#: silent this long is severed.
+HELLO_TIMEOUT_S = 5.0
+#: Most connections that may be waiting to complete HELLO at once.  Each
+#: holds a thread; a connection accepted over the cap is closed at once.
+MAX_PENDING_HELLOS = 32
 
 
 def _sever_socket(sock: socket.socket) -> None:
@@ -319,6 +326,8 @@ class Coordinator:
         #: Every accepted connection, registered worker or not, so that
         #: close() can sever the ones that never sent HELLO.
         self._conns: set[socket.socket] = set()
+        #: Accepted connections that have not completed HELLO yet.
+        self._pending_hellos = 0
 
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -697,6 +706,14 @@ class Coordinator:
                 conn, addr = self._listener.accept()
             except OSError:
                 return
+            with self._lock:
+                admitted = self._pending_hellos < MAX_PENDING_HELLOS
+                if admitted:
+                    self._pending_hellos += 1
+            if not admitted:
+                _sever_socket(conn)
+                continue
+            conn.settimeout(HELLO_TIMEOUT_S)
             thread = threading.Thread(
                 target=self._serve_connection, args=(conn, addr),
                 name=f"fleet-conn-{addr[0]}:{addr[1]}", daemon=True)
@@ -707,6 +724,7 @@ class Coordinator:
 
     def _serve_connection(self, conn, addr) -> None:
         info: _WorkerInfo | None = None
+        pending = True  # holds one of the MAX_PENDING_HELLOS slots
         auth = (protocol.FrameAuth(self.auth_key, role="coordinator")
                 if self.auth_key is not None else None)
         try:
@@ -721,6 +739,12 @@ class Coordinator:
                     info = self._handshake(conn, addr, message, now, auth)
                     if info is None:
                         return
+                    if pending:
+                        # A registered worker may idle between requests.
+                        conn.settimeout(None)
+                        pending = False
+                        with self._lock:
+                            self._pending_hellos -= 1
                     continue
                 if info is None:
                     protocol.send_message(
@@ -762,6 +786,8 @@ class Coordinator:
                 self._conns.discard(conn)
                 self._threads = [t for t in self._threads
                                  if t is not threading.current_thread()]
+                if pending:
+                    self._pending_hellos -= 1
 
     def _handshake(self, conn, addr, hello: Hello, now: float,
                    auth=None) -> _WorkerInfo | None:

@@ -382,6 +382,19 @@ class Hello:
     auth_nonce: str = ""
     auth_proof: str = ""
 
+    def __post_init__(self) -> None:
+        # The codec checks field names, not types, and a HELLO arrives
+        # before its sender is authenticated: a mistyped field must fail
+        # decoding, not the handshake code that reads it.
+        for name in ("protocol_version", "store_format_version", "pid"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"Hello.{name} must be an int, not {type(value).__name__}")
+        for name in ("worker_id", "simulator_versions", "auth_nonce", "auth_proof"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise TypeError(f"Hello.{name} must be a str, not {type(value).__name__}")
+
 
 @dataclass(frozen=True)
 class Welcome:

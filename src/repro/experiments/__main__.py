@@ -4,19 +4,19 @@ Options
 -------
 ``--quick``       use the cheap settings (small ensembles, subsampled datasets)
 ``--full``        use the high-fidelity settings
-``--executor``    how to dispatch learning-curve cells: ``serial``, ``thread``,
-                  ``process`` or ``remote`` (a TCP worker fleet) — results are
+``--executor``    how to dispatch learning-curve cells: ``serial``, ``process``
+                  or ``remote`` (a TCP worker fleet) — results are
                   bit-identical; defaults to ``process`` when ``--jobs`` > 1
                   and ``serial`` otherwise
-``--jobs``        worker count for the thread/process executors (``-1`` = CPUs);
-                  for ``remote``, the size of the spawned localhost fleet
+``--jobs``        worker count for the process executor (``-1`` = CPUs); for
+                  ``remote``, the size of the spawned localhost fleet
 ``--bind``        remote executor: listen address for *external* fleet workers
                   (``HOST:PORT``; default is a loopback ephemeral port)
 ``--workers``     remote executor: spawn N localhost fleet workers (default:
                   ``--jobs`` when ``--bind`` is not given, else 0)
 ``--store-dir``   persistent dataset/cache store directory: datasets are
                   simulated and analytical caches warmed at most once, then
-                  reloaded by later invocations and worker processes
+                  reloaded by later invocations and fleet workers
 ``--store-url``   the same store behind any registered backend locator:
                   ``file://DIR``, ``memory://`` (process-local scratch) or
                   ``http://HOST:PORT/`` — an S3-style object store (serve one
@@ -45,7 +45,7 @@ Options
                   sequence, so workers spawn once and keep their per-plan
                   memos across experiments
 ``--trace``       record every experiment/plan/batch/cell span of the run —
-                  across threads, worker processes and the fleet wire — to
+                  across worker processes and the fleet wire — to
                   FILE as JSON lines and print a per-phase summary (see
                   ``docs/observability.md``)
 ``--status-port`` remote executor: serve the coordinator's read-only
@@ -117,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="cell executor (results are bit-identical across "
                              "executors; default: process when --jobs > 1, else serial)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="workers for the thread/process executors (-1 = CPU "
+                        help="workers for the process executor (-1 = CPU "
                              "count); local fleet size for --executor remote")
     parser.add_argument("--bind", default=None, metavar="HOST:PORT",
                         help="remote executor: accept external fleet workers on "

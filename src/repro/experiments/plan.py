@@ -8,8 +8,8 @@ series (each a picklable :class:`FactorySpec` plus its training
 fractions), the repeat count and the master seed.  Because every field is
 a frozen dataclass of primitives, a plan — and the :class:`EvalCell`
 tasks it expands into — can cross process boundaries, which is what lets
-:mod:`repro.experiments.scheduler` dispatch cells to thread or process
-pools while guaranteeing results bit-identical to the serial run.
+:mod:`repro.experiments.scheduler` dispatch cells to worker processes
+and fleets while guaranteeing results bit-identical to the serial run.
 
 Experiments that do not fit the learning-curve-grid shape
 (``analytical_accuracy``, ``ablation_sampling_strategy``) have no plan;

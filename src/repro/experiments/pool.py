@@ -1,4 +1,4 @@
-"""Persistent warm worker pool, cost-aware batch shaping and zero-copy transport.
+"""Persistent warm worker pool, cost-aware batch shaping and plan-state transport.
 
 The process executor's historical constant factors — worker spawn per
 plan, per-batch dataset pickling, per-process plan-state rebuild — are
@@ -24,16 +24,12 @@ attacked here structurally, in three coordinated layers:
   stragglers shrink.  The same estimates make the distributed
   coordinator's lease size adaptive (``batch_size="auto"``).
 
-* :class:`SharedDataset` ships :class:`~repro.core.features.
-  PerformanceDataset` arrays to workers through
-  :mod:`multiprocessing.shared_memory`: the parent copies ``X``/``y``
-  into one named segment, workers attach and build zero-copy read-only
-  views, and only a tiny :class:`SharedDatasetRef` crosses the pickle
-  boundary per batch.  When shared memory is unavailable the scheduler
-  degrades to shipping the dataset object itself (pickled in-band with
-  protocol 5 by the pool machinery) or, with a shareable store locator,
-  to the store bootstrap path — both existing routes stay intact as the
-  cold-start fallbacks.
+* :class:`PlanState` is the one way a worker receives a plan's inputs:
+  the parent packs the dataset it resolved and the analytical caches it
+  warmed into one small picklable value that travels in every batch's
+  arguments.  Workers rebuild the dataset, caches and model factories
+  from it once per ``(plan, content digest)``; they open no store and
+  warm no cache.
 
 Batch shape never affects results: cells are pure, seeds are derived at
 planning time and the merge is keyed, so any permutation or fusion of a
@@ -51,15 +47,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analytical import AnalyticalPredictionCache
 from repro.core.features import PerformanceDataset
+from repro.experiments.plan import build_analytical
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.parallel.threadpool import weighted_chunk_indices
 
 __all__ = [
     "CostModel",
     "COST_MODEL",
-    "SharedDataset",
-    "SharedDatasetRef",
+    "PlanState",
     "WorkerPool",
     "resolve_batch_cells",
     "shape_batches",
@@ -73,6 +70,14 @@ AUTO_BATCHES_PER_WORKER = 2
 #: Hard cap on cells per lease/batch under ``"auto"`` shaping, bounding
 #: both the requeue cost of a dead fleet worker and estimate error.
 AUTO_LEASE_MAX_CELLS = 16
+
+
+def _resolve_jobs(jobs: int) -> int:
+    if jobs == -1:
+        return max(1, os.cpu_count() or 1)
+    if jobs < 1:
+        raise ValueError(f"jobs must be -1 or >= 1, got {jobs}")
+    return jobs
 
 
 def resolve_batch_cells(value: int | str | None) -> int | str | None:
@@ -251,118 +256,58 @@ def shape_batches(cells: list, costs: dict[tuple, float],
 
 
 # --------------------------------------------------------------------------- #
-# Zero-copy dataset transport
+# Plan-state transport
 # --------------------------------------------------------------------------- #
-def _dataset_digest(dataset: PerformanceDataset) -> str:
-    return hashlib.sha256(dataset.X.tobytes() + dataset.y.tobytes()).hexdigest()
+@dataclass(frozen=True, eq=False)
+class PlanState:
+    """One plan's resolved dataset and warmed caches, shipped by value.
 
+    The parent packs it from what it has already resolved (see
+    ``_resolve_data`` in :mod:`repro.experiments.scheduler`) and it rides
+    in every batch's arguments: ``X``, ``y`` and each analytical cache's
+    predictions aligned with ``X``'s rows.  The largest registry dataset
+    has 3,696 rows, so a state pickles to a few hundred KB at most.
+    Workers rebuild the dataset and caches from it once per
+    ``(plan, digest)`` and open no store.
 
-@dataclass(frozen=True)
-class SharedDatasetRef:
-    """Picklable handle to a :class:`SharedDataset` segment.
-
-    A few hundred bytes cross the process boundary per batch instead of
-    the full arrays.  ``canonical`` records whether the content is the
-    plan's store-registered dataset (workers may then trust store-loaded
-    caches for its fingerprint) or an explicit override (stores must be
-    bypassed, exactly like the shipped-object path).
+    Configuration objects are not shipped: cell evaluation touches only
+    ``X``/``y``/``feature_names``, and every row it looks up in a cache
+    is a row of ``X``.
     """
 
-    shm_name: str
     dataset_name: str
     feature_names: tuple[str, ...]
-    x_shape: tuple[int, int]
-    x_dtype: str
-    y_dtype: str
+    X: np.ndarray
+    y: np.ndarray
+    #: ``(cache key, predictions for every row of X)`` per analytical cache.
+    cache_values: tuple[tuple[str, np.ndarray], ...]
+    #: SHA-256 of the content: the worker memo's key.
     digest: str
-    canonical: bool = True
 
-    def materialize(self) -> PerformanceDataset:
-        """Attach to the segment and build a zero-copy, read-only dataset.
-
-        The attached segment is kept alive (and leak-tracker-unregistered)
-        in a per-process registry; the parent owns the segment's lifetime
-        and unlinks it when the pool closes.
-        """
-        from multiprocessing import shared_memory
-
-        shm = _ATTACHED_SEGMENTS.get(self.shm_name)
-        if shm is None:
-            shm = shared_memory.SharedMemory(name=self.shm_name)
-            # Attaching registers the segment with the resource tracker on
-            # Python < 3.13, which would unlink it when this *worker*
-            # exits even though the parent still owns it.  Unregister
-            # defensively; the parent's registration does the cleanup.
-            try:  # pragma: no cover - interpreter-version dependent
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
-            _ATTACHED_SEGMENTS[self.shm_name] = shm
-        x_size = int(np.prod(self.x_shape)) * np.dtype(self.x_dtype).itemsize
-        X = np.ndarray(self.x_shape, dtype=self.x_dtype, buffer=shm.buf)
-        y = np.ndarray((self.x_shape[0],), dtype=self.y_dtype,
-                       buffer=shm.buf, offset=x_size)
-        X.flags.writeable = False
-        y.flags.writeable = False
-        return PerformanceDataset(name=self.dataset_name, X=X, y=y,
-                                  feature_names=list(self.feature_names))
-
-
-#: Worker-side registry of attached segments: keeps the mapped memory
-#: alive for as long as memo'd datasets reference it.
-_ATTACHED_SEGMENTS: dict = {}
-
-
-class SharedDataset:
-    """Parent-side owner of one dataset's shared-memory segment.
-
-    ``X`` and ``y`` are copied once into a single named segment;
-    :attr:`ref` is the tiny picklable handle workers materialize from.
-    The creator must call :meth:`close` (or let the owning
-    :class:`WorkerPool` do it) to unlink the segment.
-
-    Configuration objects are deliberately not shipped: cell evaluation
-    touches only ``X``/``y``/``feature_names``, and analytical caches
-    reconstruct configurations from feature rows.
-    """
-
-    def __init__(self, dataset: PerformanceDataset, *, canonical: bool = True) -> None:
-        from multiprocessing import shared_memory
-
+    @classmethod
+    def pack(cls, dataset: PerformanceDataset,
+             caches: dict[str, AnalyticalPredictionCache]) -> PlanState:
+        """The state of *dataset* and its warmed *caches*."""
         X = np.ascontiguousarray(dataset.X)
         y = np.ascontiguousarray(dataset.y)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=max(1, X.nbytes + y.nbytes))
-        buf = self._shm.buf
-        np.ndarray(X.shape, dtype=X.dtype, buffer=buf)[...] = X
-        np.ndarray(y.shape, dtype=y.dtype, buffer=buf, offset=X.nbytes)[...] = y
-        self.ref = SharedDatasetRef(
-            shm_name=self._shm.name,
-            dataset_name=dataset.name,
-            feature_names=tuple(dataset.feature_names),
-            x_shape=tuple(X.shape),
-            x_dtype=X.dtype.str,
-            y_dtype=y.dtype.str,
-            digest=_dataset_digest(dataset),
-            canonical=canonical,
-        )
-        self._closed = False
+        cache_values = tuple((key, cache.predict(X)) for key, cache in caches.items())
+        names = tuple(dataset.feature_names)
+        digest = hashlib.sha256(
+            repr((dataset.name, names, [key for key, _ in cache_values])).encode())
+        for array in (X, y, *(values for _, values in cache_values)):
+            digest.update(array.tobytes())
+        return cls(dataset.name, names, X, y, cache_values, digest.hexdigest())
 
-    def close(self) -> None:
-        """Unmap and unlink the segment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover - already gone
-            pass
-
-    def __del__(self) -> None:  # pragma: no cover - GC-order dependent
-        self.close()
+    def unpack(self) -> tuple[PerformanceDataset, dict[str, AnalyticalPredictionCache]]:
+        """The dataset and caches, rebuilt through the store's own load path."""
+        dataset = PerformanceDataset(name=self.dataset_name, X=self.X, y=self.y,
+                                     feature_names=list(self.feature_names))
+        caches = {
+            key: AnalyticalPredictionCache(build_analytical(key),
+                                           dataset.feature_names).load_rows(self.X, values)
+            for key, values in self.cache_values
+        }
+        return dataset, caches
 
 
 # --------------------------------------------------------------------------- #
@@ -392,14 +337,6 @@ def _timed_call(fn, args: tuple):
     start = time.perf_counter()
     result = fn(*args)
     return os.getpid(), start, time.perf_counter() - start, result
-
-
-def _resolve_pool_jobs(jobs: int) -> int:
-    if jobs == -1:
-        return max(1, os.cpu_count() or 1)
-    if jobs < 1:
-        raise ValueError(f"jobs must be -1 or >= 1, got {jobs}")
-    return jobs
 
 
 class WorkerPool:
@@ -437,7 +374,7 @@ class WorkerPool:
     _COUNT_KEYS = ("batches", "cells", "plans")
 
     def __init__(self, jobs: int = -1, *, prime: bool = True) -> None:
-        self.jobs = _resolve_pool_jobs(jobs)
+        self.jobs = _resolve_jobs(jobs)
         # Registry-backed phase counters: run_batches mutates them from
         # whichever thread drives the plan while monitors read .stats —
         # every increment happens under the registry lock, so a snapshot
@@ -452,7 +389,6 @@ class WorkerPool:
             for key in self._SECONDS_KEYS + self._COUNT_KEYS
         }
         self._pids: set[int] = set()
-        self._shared: dict[str, SharedDataset] = {}
         self._closed = False
         t0 = time.perf_counter()
         self._executor = ProcessPoolExecutor(max_workers=self.jobs)
@@ -494,26 +430,6 @@ class WorkerPool:
         self.close()
 
     # ------------------------------------------------------------------ #
-    def share_dataset(self, dataset: PerformanceDataset, *,
-                      canonical: bool = True) -> SharedDatasetRef | None:
-        """Place *dataset* in shared memory (memoized by content digest).
-
-        Returns the picklable ref workers materialize from, or ``None``
-        when shared memory is unavailable on this platform — callers then
-        fall back to shipping the dataset object or the store locator.
-        Segments live until :meth:`close`.
-        """
-        digest = _dataset_digest(dataset)
-        shared = self._shared.get(digest)
-        if shared is not None:
-            return shared.ref
-        try:
-            shared = SharedDataset(dataset, canonical=canonical)
-        except (ImportError, OSError):  # pragma: no cover - platform dependent
-            return None
-        self._shared[digest] = shared
-        return shared.ref
-
     def run_batches(self, fn, batch_args: list[tuple]) -> list:
         """Run ``fn(*args)`` for every argument tuple; results in order.
 
@@ -560,11 +476,8 @@ class WorkerPool:
         self._counters["plans"].inc()
 
     def close(self) -> None:
-        """Shut down workers and unlink every shared segment (idempotent)."""
+        """Shut down the workers (idempotent)."""
         if self._closed:
             return
         self._closed = True
         self._executor.shutdown(wait=True)
-        for shared in self._shared.values():
-            shared.close()
-        self._shared.clear()

@@ -3,8 +3,8 @@
 ``run_experiment`` / ``run_all`` are built on the plan/scheduler
 architecture: experiments that expand into independent ``(series,
 fraction, repeat)`` cells (see :mod:`repro.experiments.plan`) are
-dispatched through a pluggable executor (``serial`` / ``thread`` /
-``process``, see :mod:`repro.experiments.scheduler`) with results
+dispatched through a pluggable executor (``serial`` / ``process`` /
+``remote``, see :mod:`repro.experiments.scheduler`) with results
 bit-identical across executors; the two irregular experiments
 (``analytical_accuracy``, ``ablation_sampling_strategy``) fall back to
 their plain functions.  A persistent
@@ -154,12 +154,12 @@ def run_experiment(name: str, settings: ExperimentSettings | None = None, *,
     settings:
         Quality/cost knobs (default :class:`ExperimentSettings()`).
     executor:
-        ``"serial"``, ``"thread"``, ``"process"`` or ``"remote"`` — how
-        the experiment's ``(series, fraction, repeat)`` cells are
+        ``"serial"``, ``"process"`` or ``"remote"`` — how the
+        experiment's ``(series, fraction, repeat)`` cells are
         dispatched.  Results are bit-identical across executors.
     jobs:
-        Worker count for the thread/process executors (``-1`` = CPU
-        count) or the size of the spawned local fleet for ``"remote"``.
+        Worker count for the process executor (``-1`` = CPU count) or
+        the size of the spawned local fleet for ``"remote"``.
     store:
         Optional persistent dataset/cache store — a
         :class:`~repro.datasets.store.DatasetStore` or a directory path.

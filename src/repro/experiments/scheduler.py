@@ -5,20 +5,17 @@ expands it into :class:`~repro.core.evaluation.EvalCell` tasks and
 dispatches them through one of three executors:
 
 * ``"serial"`` — the cells run in plan order in the calling process;
-* ``"thread"`` — a ``ThreadPoolExecutor`` (tree fitting spends its time in
-  NumPy kernels that release the GIL, so threads give real concurrency);
 * ``"process"`` — a persistent :class:`~repro.experiments.pool.WorkerPool`
   of worker processes.  Cells are fused into cost-balanced batches by a
   greedy LPT shaper driven by the pool module's calibrated
-  :class:`~repro.experiments.pool.CostModel`, and the resolved dataset is
-  shipped zero-copy through POSIX shared memory (workers attach read-only
-  views; only a tiny handle crosses the pickle boundary).  Workers
-  resolve the remaining plan state (analytical caches, factories) once
-  per plan — from the store when a shareable locator exists — and keep it
-  in a bounded per-process memo across batches *and plans*: pass an
-  external pool (see ``run_all``/the CLI, which create one per experiment
-  sequence) and consecutive plans skip worker spawn and state rebuild
-  entirely.
+  :class:`~repro.experiments.pool.CostModel`.  The parent packs the
+  dataset and warmed analytical caches it resolved into one small
+  :class:`~repro.experiments.pool.PlanState` that rides in every batch's
+  arguments; workers rebuild the dataset, caches and factories from it
+  once per plan and content, and keep them in a bounded per-process memo
+  across batches *and plans*: pass an external pool (see
+  ``run_all``/the CLI, which create one per experiment sequence) and
+  consecutive plans skip worker spawn entirely.
 * ``"remote"`` — a TCP worker fleet (:mod:`repro.distributed`): cells are
   leased in batches to :mod:`repro.distributed.worker` processes on any
   number of hosts, with heartbeat/requeue fault tolerance and store
@@ -28,23 +25,20 @@ dispatches them through one of three executors:
   coordinator plus ``jobs`` localhost workers is spun up per plan.
 
 Because seeds are derived at planning time and the merge is performed in
-plan order, all four executors produce **bit-identical**
+plan order, all three executors produce **bit-identical**
 :class:`~repro.experiments.runner.ExperimentResult` rows; the executor is
 purely a throughput knob.
 
-When a store is supplied the parent process resolves (and persists) the
-dataset and warmed analytical caches *before* dispatch, so worker
-processes hit the on-disk artifacts instead of re-simulating datasets or
-re-warming caches.
+The parent process always resolves the dataset and warms the analytical
+caches *before* dispatch — through the store, when one is supplied, so
+the expensive work happens at most once per machine.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.analytical import AnalyticalPredictionCache
 from repro.core.evaluation import CellResult, evaluate_cell, merge_cell_results
@@ -61,8 +55,9 @@ from repro.experiments.plan import (
 from repro.experiments.pool import (
     AUTO_BATCHES_PER_WORKER,
     COST_MODEL,
-    SharedDatasetRef,
+    PlanState,
     WorkerPool,
+    _resolve_jobs,
     resolve_batch_cells,
     shape_batches,
 )
@@ -76,20 +71,11 @@ from repro.obs.tracing import TRACER, span_into
 __all__ = ["EXECUTORS", "run_plan", "run_named_plan", "worker_state_stats"]
 
 #: Valid values of the ``executor`` argument / ``--executor`` CLI flag.
-EXECUTORS = ("serial", "thread", "process", "remote")
-
-
-def _resolve_jobs(jobs: int) -> int:
-    if jobs == -1:
-        return max(1, os.cpu_count() or 1)
-    if jobs < 1:
-        raise ValueError(f"jobs must be -1 or >= 1, got {jobs}")
-    return jobs
+EXECUTORS = ("serial", "process", "remote")
 
 
 def _resolve_data(plan: ExperimentPlan, store: DatasetStore | None,
-                  dataset: PerformanceDataset | None = None, *,
-                  canonical: bool = False,
+                  dataset: PerformanceDataset | None = None,
                   ) -> tuple[PerformanceDataset, dict[str, AnalyticalPredictionCache]]:
     """Dataset and warmed analytical caches for *plan*.
 
@@ -97,12 +83,9 @@ def _resolve_data(plan: ExperimentPlan, store: DatasetStore | None,
     the warmed caches are read from / written to disk, so the expensive
     work happens at most once per machine.  An explicit *dataset* override
     (used by tests and notebooks) bypasses the store entirely — its
-    content has no registered fingerprint.  *canonical* marks a provided
-    *dataset* as store-equivalent content (the shared-memory transport
-    path: the bytes are the plan's registered dataset, just delivered
-    without the npz read), so caches may still flow through the store.
+    content has no registered fingerprint.
     """
-    use_store = store is not None and (dataset is None or canonical)
+    use_store = store is not None and dataset is None
     if dataset is None:
         dataset = store.get(plan.dataset) if store is not None else plan.dataset.build()
     caches: dict[str, AnalyticalPredictionCache] = {}
@@ -134,14 +117,14 @@ def _series_factories(plan: ExperimentPlan, dataset: PerformanceDataset,
 # --------------------------------------------------------------------------- #
 # Process-pool worker side
 # --------------------------------------------------------------------------- #
-#: Per-process memo of resolved plan state, so one worker handling several
-#: cell batches of the same plan loads the dataset and caches only once.
+#: Per-process memo of rebuilt plan state, so one worker handling several
+#: cell batches of the same plan rebuilds the dataset and caches only once.
 #: Workers now outlive a single plan (see :class:`WorkerPool`), so the
 #: memo is a bounded LRU: long experiment sequences evict their oldest
 #: plan state instead of growing worker RSS without limit.
 _WORKER_STATE: OrderedDict = OrderedDict()
-#: Resolved plan states kept per worker.  One state holds a dataset view
-#: plus warmed caches and factories — a handful covers every realistic
+#: Rebuilt plan states kept per worker.  One state holds a dataset plus
+#: warmed caches and factories — a handful covers every realistic
 #: sequence (consecutive plans sharing datasets hit the memo), while a
 #: hard cap bounds worker memory on arbitrarily long sequences.
 _WORKER_STATE_LIMIT = 8
@@ -169,90 +152,50 @@ def _worker_state_put(key, state) -> None:
         _WORKER_STATE_EVICTIONS += 1
 
 
-def _evaluate_batch(plan: ExperimentPlan, cells: list, store_locator: str | None,
-                    dataset: PerformanceDataset | None = None,
-                    shared_ref: SharedDatasetRef | None = None) -> list[CellResult]:
-    """Evaluate one batch of cells (runs inside a worker process).
-
-    Module-level (and with picklable arguments) so the process pool can
-    ship it.  *store_locator* is the parent store's shareable URL
-    (``file://`` directory, ``http://`` object store); workers open
-    their own :class:`DatasetStore` on it.  *shared_ref*, when given, is
-    the parent's shared-memory dataset handle: the worker attaches a
-    zero-copy read-only view instead of loading the npz artifact or
-    unpickling shipped arrays (a canonical ref still reads analytical
-    caches through the store; an override ref bypasses stores entirely,
-    like a shipped override *dataset*).  The serial/thread paths
-    evaluate cells directly in :func:`run_plan` against the
-    parent-resolved state; divergence is impossible because every path
-    reduces to the same :func:`~repro.core.evaluation.evaluate_cell`
-    call per cell and the merge is plan-ordered.
-    """
-    canonical = shared_ref.canonical if shared_ref is not None else False
-    if shared_ref is not None and not canonical:
-        key = (plan, "override", shared_ref.digest)
-    elif shared_ref is None and dataset is not None:
-        # Override datasets have no registered fingerprint; key the memo by
-        # content so a worker handling several batches warms caches once.
-        digest = hashlib.sha256(dataset.X.tobytes() + dataset.y.tobytes()).hexdigest()
-        key = (plan, "override", digest)
-    else:
-        # Canonical content: identical whether it arrives via the store
-        # locator, shared memory, or a shipped copy of the built dataset.
-        key = (plan, store_locator)
-    state = _WORKER_STATE.get(key)
-    if state is None:
-        if shared_ref is not None:
-            dataset = shared_ref.materialize()
-        if dataset is not None:
-            store = (DatasetStore(store_locator)
-                     if canonical and store_locator is not None else None)
-            resolved, caches = _resolve_data(plan, store, dataset,
-                                             canonical=canonical)
-        else:
-            store = DatasetStore(store_locator) if store_locator is not None else None
-            resolved, caches = _resolve_data(plan, store)
-        state = (resolved, _series_factories(plan, resolved, caches))
-        _worker_state_put(key, state)
-    else:
-        _WORKER_STATE.move_to_end(key)
-    resolved, factories = state
-    return [evaluate_cell(cell, factories[cell.factory_key], resolved)
-            for cell in cells]
-
-
 def _cell_attrs(cell) -> dict:
     """Span attributes identifying one cell (kept to its key fields only)."""
     return {"series": cell.series, "fraction": cell.fraction,
             "repeat": cell.repeat}
 
 
-def _evaluate_batch_traced(plan: ExperimentPlan, cells: list,
-                           store_locator: str | None,
-                           dataset: PerformanceDataset | None = None,
-                           shared_ref: SharedDatasetRef | None = None,
-                           trace=None) -> tuple[list[CellResult], list]:
-    """Traced twin of :func:`_evaluate_batch`: results plus finished spans.
+def _evaluate_batch(plan: ExperimentPlan, cells: list, state: PlanState,
+                    trace=None) -> tuple[list[CellResult], list]:
+    """Evaluate one batch of cells in a pool worker: ``(results, spans)``.
 
-    Dispatched instead of the plain function only when the parent runs
-    under an active trace collection, so the untraced hot path stays
-    byte-for-byte identical.  *trace* is the parent plan span's
-    :class:`~repro.obs.tracing.SpanContext`; the batch and per-cell spans
-    created here parent to it and travel back over the pool's pickle
-    boundary as plain :class:`~repro.obs.tracing.Span` values.
+    Module-level (and with picklable arguments) so the process pool can
+    ship it.  *state* carries the parent-resolved dataset and warmed
+    caches; the worker rebuilds them (and the series factories) once per
+    ``(plan, state.digest)`` and memoizes the result.  *trace* is the
+    parent plan span's :class:`~repro.obs.tracing.SpanContext` when the
+    parent runs under an active trace collection: the batch and per-cell
+    spans created here parent to it and travel back over the pool's
+    pickle boundary as plain :class:`~repro.obs.tracing.Span` values.
+    Without it no span objects are created at all.  Every executor
+    reduces to the same :func:`~repro.core.evaluation.evaluate_cell`
+    call per cell and the merge is plan-ordered, so rows cannot diverge.
     """
+    key = (plan, state.digest)
+    memo = _WORKER_STATE.get(key)
+    if memo is None:
+        dataset, caches = state.unpack()
+        memo = (dataset, _series_factories(plan, dataset, caches))
+        _worker_state_put(key, memo)
+    else:
+        _WORKER_STATE.move_to_end(key)
+    dataset, factories = memo
+    if trace is None:
+        return [evaluate_cell(cell, factories[cell.factory_key], dataset)
+                for cell in cells], []
     spans: list = []
-    with span_into(spans, "batch",
-                   parent=trace,
+    with span_into(spans, "batch", parent=trace,
                    attrs={"executor": "process", "pid": os.getpid(),
                           "cells": len(cells)}) as batch_span:
         results: list[CellResult] = []
         for cell in cells:
             with span_into(spans, "cell", parent=batch_span,
                            attrs=_cell_attrs(cell)):
-                results.extend(
-                    _evaluate_batch(plan, [cell], store_locator,
-                                    dataset, shared_ref))
+                results.append(evaluate_cell(
+                    cell, factories[cell.factory_key], dataset))
     return results, spans
 
 
@@ -295,14 +238,14 @@ def _run_remote(plan: ExperimentPlan, cells: list, dataset: PerformanceDataset,
 # Process-pool (parent-side) dispatch
 # --------------------------------------------------------------------------- #
 def _run_process(plan: ExperimentPlan, cells: list, resolved: PerformanceDataset,
-                 store_locator: str | None, *, dataset_override: bool,
+                 caches: dict[str, AnalyticalPredictionCache], *,
                  pool: WorkerPool, batch_cells) -> list[CellResult]:
     """Dispatch cells to a (possibly long-lived) :class:`WorkerPool`.
 
     Three overhead attacks compose here: the pool may outlive this plan
     (workers keep their state memos), the batch shape is cost-balanced
     (LPT over the calibrated cost model) instead of a blind contiguous
-    split, and the dataset travels through shared memory when available.
+    split, and the plan's state is packed once and shipped by value.
     Measured batch durations are fed back into the cost model, so later
     plans — and the fleet coordinator's adaptive leases — shape better.
     """
@@ -315,41 +258,18 @@ def _run_process(plan: ExperimentPlan, cells: list, resolved: PerformanceDataset
     else:
         n_batches = max(1, -(-len(cells) // batch_cells))
     batches = shape_batches(cells, costs, n_batches)
-
-    shared_ref = pool.share_dataset(resolved, canonical=not dataset_override)
-    if shared_ref is not None:
-        shipped = None  # zero-copy: only the handle crosses the boundary
-    else:
-        # Shared memory unavailable: fall back to the store bootstrap
-        # (when a shareable locator exists) or in-band pickling.
-        shipped = None if store_locator is not None else resolved
-
-    # Tracing on: dispatch the traced twin, which ships finished spans
-    # back with the results.  Off (the common case): the dispatched
-    # callable and its argument tuples are identical to the untraced
-    # build, so the pool's hot path pays nothing.
+    state = PlanState.pack(resolved, caches)
     trace = TRACER.current_context() if TRACER.enabled else None
-    if trace is None:
-        timed = pool.run_batches(
-            _evaluate_batch,
-            [(plan, batch, store_locator, shipped, shared_ref)
-             for batch in batches])
-    else:
-        traced = pool.run_batches(
-            _evaluate_batch_traced,
-            [(plan, batch, store_locator, shipped, shared_ref, trace)
-             for batch in batches])
-        timed = []
-        for seconds, (batch_results, spans) in traced:
-            TRACER.record(spans)
-            timed.append((seconds, batch_results))
-    for batch, (seconds, _) in zip(batches, timed, strict=True):
+    timed = pool.run_batches(_evaluate_batch,
+                             [(plan, batch, state, trace) for batch in batches])
+    for batch, (seconds, (_, spans)) in zip(batches, timed, strict=True):
+        TRACER.record(spans)
         by_family: dict[str, float] = {}
         for cell in batch:
             family, cell_units = units[cell.key]
             by_family[family] = by_family.get(family, 0.0) + cell_units
         COST_MODEL.observe(by_family, seconds)
-    return [result for _, batch_results in timed for result in batch_results]
+    return [result for _, (batch_results, _) in timed for result in batch_results]
 
 
 # --------------------------------------------------------------------------- #
@@ -367,15 +287,17 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
     plan:
         The experiment plan to execute.
     executor:
-        One of :data:`EXECUTORS`.  All four produce bit-identical rows.
+        One of :data:`EXECUTORS`.  All three produce bit-identical rows.
     jobs:
-        Worker count for the thread/process executors (``-1`` = CPU
-        count); for ``"remote"`` without a *fleet*, the size of the
-        spawned localhost fleet.
+        Worker count for the process executor (``-1`` = CPU count); for
+        ``"remote"`` without a *fleet*, the size of the spawned
+        localhost fleet.
     store:
         Optional persistent :class:`DatasetStore`: datasets and warmed
-        analytical caches are loaded from (and saved to) disk, shared
-        across experiments, invocations and worker processes.
+        analytical caches are loaded from (and saved to) disk by this
+        process, shared across experiments and invocations (and with
+        fleet workers that open the same store).  Pool workers receive
+        the resolved state by value and never open the store.
     dataset:
         Explicit dataset override (tests/notebooks); bypasses the store.
     fleet:
@@ -444,8 +366,7 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
                                   store if dataset is None else None, fleet, jobs,
                                   dataset_override=dataset is not None,
                                   batch_cells=batch_cells)
-        elif (executor == "serial" or len(cells) <= 1
-              or (jobs == 1 and not (executor == "process" and pool is not None))):
+        elif executor == "serial" or len(cells) <= 1 or (jobs == 1 and pool is None):
             factories = _series_factories(plan, resolved, caches)
             with TRACER.span("batch", attrs={"executor": "serial",
                                              "cells": len(cells)}) as batch_span:
@@ -455,27 +376,12 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
                                      attrs=_cell_attrs(cell)):
                         results.append(evaluate_cell(
                             cell, factories[cell.factory_key], resolved))
-        elif executor == "thread":
-            factories = _series_factories(plan, resolved, caches)
-            with TRACER.span("batch", attrs={"executor": "thread", "jobs": jobs,
-                                             "cells": len(cells)}) as batch_span:
-                def _eval_one(cell):
-                    # Pool threads don't inherit the contextvar; parent
-                    # each cell span to the batch explicitly.
-                    with TRACER.span("cell", parent=batch_span,
-                                     attrs=_cell_attrs(cell)):
-                        return evaluate_cell(
-                            cell, factories[cell.factory_key], resolved)
-                with ThreadPoolExecutor(max_workers=jobs) as thread_pool:
-                    results = list(thread_pool.map(_eval_one, cells))
         else:  # process
-            store_locator = store.locator if (store is not None and dataset is None) else None
             own_pool = pool is None
             if own_pool:
                 pool = WorkerPool(jobs)
             try:
-                results = _run_process(plan, cells, resolved, store_locator,
-                                       dataset_override=dataset is not None,
+                results = _run_process(plan, cells, resolved, caches,
                                        pool=pool, batch_cells=batch_cells)
                 used_pool = True
             finally:

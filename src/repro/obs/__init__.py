@@ -10,7 +10,7 @@ reproduction:
   frames) and a Prometheus text-format exposition writer.
 * :mod:`repro.obs.tracing` — lightweight :class:`Span` objects whose
   parent ids propagate from ``run_plan`` through batches to individual
-  ``EvalCell`` executions, across the serial/thread/process/remote
+  ``EvalCell`` executions, across the serial/process/remote
   executors, over the wire and into HTTP request handlers; dumped as
   JSON lines via the CLI ``--trace FILE``.
 * :mod:`repro.obs.logging` — a structured-JSON log formatter and

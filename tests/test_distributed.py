@@ -8,6 +8,9 @@ The guarantees under test:
   heartbeat goes silent;
 * the HELLO handshake rejects protocol-version and store-format-version
   mismatches instead of exchanging incompatible artifacts;
+* before HELLO, a malformed frame or a mistyped ``Hello`` severs the
+  connection without crashing its thread, a silent peer is severed after
+  ``HELLO_TIMEOUT_S``, and at most ``MAX_PENDING_HELLOS`` peers wait at once;
 * cold-store workers bootstrap the dataset and warmed analytical caches
   without ever re-simulating (store hit counters) — directly from the
   store the coordinator advertises when it is shareable, through
@@ -19,16 +22,19 @@ The guarantees under test:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import socket
+import struct
 import threading
 import time
+import zlib
 
 import pytest
 
 from repro.datasets.store import _FORMAT_VERSION, DatasetStore, _simulator_versions
-from repro.distributed import protocol
+from repro.distributed import codec, protocol
 from repro.distributed.coordinator import Coordinator
 from repro.distributed.protocol import PROTOCOL_VERSION, parse_address
 from repro.distributed.worker import FleetWorker
@@ -197,6 +203,121 @@ class TestHandshake:
         assert worker.run() == 2
 
 
+def _wait_for(condition, what: str, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
+
+
+def _frame(payload: bytes) -> bytes:
+    """*payload* behind a valid, unsigned frame header."""
+    return protocol._HEADER.pack(len(payload), zlib.crc32(payload), 0) + payload
+
+
+def _mistyped_hello(**fields):
+    """A ``Hello`` built around its own type checks, as a hostile peer sends it."""
+    hello = object.__new__(protocol.Hello)
+    values = dict(protocol_version=PROTOCOL_VERSION,
+                  store_format_version=_FORMAT_VERSION, worker_id="raw-client",
+                  pid=os.getpid(), simulator_versions=_simulator_versions(),
+                  auth_nonce="", auth_proof="")
+    values.update(fields)
+    for field in dataclasses.fields(protocol.Hello):
+        object.__setattr__(hello, field.name, values[field.name])
+    return hello
+
+
+class TestPreHelloInput:
+    """Malformed or idle peers before HELLO: severed, never a thread crash."""
+
+    @pytest.fixture()
+    def thread_errors(self, monkeypatch):
+        errors: list = []
+        monkeypatch.setattr(threading, "excepthook",
+                            lambda args: errors.append(args.exc_value))
+        return errors
+
+    @staticmethod
+    def _send_first_frame(coordinator, frame: bytes) -> bytes:
+        """Open a connection, send *frame*, and return all bytes sent back
+        before the coordinator closed it; joins the connection's thread."""
+        with socket.create_connection(coordinator.address, timeout=10.0) as sock:
+            _wait_for(lambda: coordinator._threads, "the connection to be accepted")
+            threads = list(coordinator._threads)
+            sock.sendall(frame)
+            received = b""
+            while chunk := sock.recv(1 << 16):
+                received += chunk
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        return received
+
+    def test_unhashable_dict_key_is_severed(self, thread_errors):
+        """A dict keyed by a list used to escape the codec as a TypeError
+        and kill the connection thread."""
+        payload = b"d" + struct.pack(">I", 1) + b"l" + struct.pack(">I", 0) + b"N"
+        with Coordinator() as coordinator:
+            assert self._send_first_frame(coordinator, _frame(payload)) == b""
+            sock, reply = _raw_handshake(coordinator.address)
+            sock.close()
+        assert isinstance(reply, protocol.Welcome)
+        assert thread_errors == []
+
+    @pytest.mark.parametrize("key,proof", [(None, ""), (b"fleet-key", "forged")],
+                             ids=["unkeyed", "keyed"])
+    def test_mistyped_hello_is_severed(self, thread_errors, key, proof):
+        """A Hello whose worker_id is a list used to crash the handshake: in
+        the worker registry unkeyed, in the proof check keyed."""
+        hello = _mistyped_hello(worker_id=["x"], auth_nonce="nonce" if proof else "",
+                                auth_proof=proof)
+        with Coordinator(auth_key=key) as coordinator:
+            assert self._send_first_frame(
+                coordinator, _frame(codec.encode_value(hello))) == b""
+            assert coordinator.load()["workers"] == 0
+        assert thread_errors == []
+
+    def test_idle_connection_is_severed_within_the_deadline(self, monkeypatch):
+        monkeypatch.setattr("repro.distributed.coordinator.HELLO_TIMEOUT_S", 0.5)
+        with Coordinator() as coordinator:
+            with socket.create_connection(coordinator.address, timeout=10.0) as sock:
+                start = time.monotonic()
+                assert sock.recv(1) == b""
+                elapsed = time.monotonic() - start
+        assert 0.4 < elapsed < 5.0, f"severed after {elapsed:.2f} s"
+
+    def test_worker_registers_once_idle_peers_time_out(self, monkeypatch):
+        """Idle peers fill the pre-HELLO cap: a connection over it is closed
+        at once, and a worker registers once their deadline has passed."""
+        monkeypatch.setattr("repro.distributed.coordinator.HELLO_TIMEOUT_S", 1.0)
+        monkeypatch.setattr("repro.distributed.coordinator.MAX_PENDING_HELLOS", 3)
+        with Coordinator() as coordinator:
+            idle = [socket.create_connection(coordinator.address, timeout=10.0)
+                    for _ in range(3)]
+            try:
+                _wait_for(lambda: coordinator._pending_hellos == 3,
+                          "the idle peers to be accepted")
+                with socket.create_connection(coordinator.address,
+                                              timeout=10.0) as extra:
+                    start = time.monotonic()
+                    assert extra.recv(1) == b""
+                    assert time.monotonic() - start < 0.5
+                for sock in idle:
+                    assert sock.recv(1) == b""
+            finally:
+                for sock in idle:
+                    sock.close()
+            _wait_for(lambda: coordinator._pending_hellos == 0, "the slots to free")
+            worker = FleetWorker(coordinator.address, connect_timeout=5.0)
+            thread = threading.Thread(target=worker.run, daemon=True)
+            thread.start()
+            _wait_for(lambda: coordinator.load()["workers"] == 1,
+                      "the worker to register")
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+
 class TestClose:
     def test_close_is_prompt_with_an_idle_pre_hello_connection(self):
         """close() wakes the accept loop and severs connections that never
@@ -227,10 +348,15 @@ class TestRemoteExecutor:
         serial6 = run_experiment("figure6", TINY)
         serial8 = run_experiment("figure8", TINY)
         with Coordinator() as coordinator:
-            workers = [FleetWorker(coordinator.address) for _ in range(3)]
+            # Slow cells keep one worker from draining a plan before the
+            # others wake from their 0.2 s between-plans poll.
+            workers = [FleetWorker(coordinator.address, cell_delay=0.05)
+                       for _ in range(3)]
             threads = [threading.Thread(target=w.run, daemon=True) for w in workers]
             for thread in threads:
                 thread.start()
+            _wait_for(lambda: coordinator.load()["workers"] == 3,
+                      "all three workers to register")
             remote6 = run_experiment("figure6", TINY, executor="remote",
                                      fleet=coordinator)
             remote8 = run_experiment("figure8", TINY, executor="remote",

@@ -11,7 +11,7 @@ The guarantees under test:
 * Prometheus text exposition matches the 0.0.4 format exactly (golden
   test) and round-trips through :func:`parse_prometheus`;
 * histogram bucket edges follow Prometheus semantics (``v <= le``);
-* a plan run under **each of the four executors** produces a span per
+* a plan run under **each of the three executors** produces a span per
   cell with intact parent links (cell → batch → plan → experiment) and
   bit-identical result rows; the remote run additionally exposes a
   scrapeable coordinator status port whose
@@ -40,6 +40,7 @@ from repro.distributed.coordinator import Coordinator
 from repro.distributed.worker import FleetWorker
 from repro.experiments import ExperimentSettings, run_experiment
 from repro.experiments.plan import expand_cells, experiment_plan
+from repro.experiments.pool import WorkerPool
 from repro.experiments.reporting import format_trace_summary, summarize_trace
 from repro.obs import (
     REGISTRY,
@@ -373,7 +374,7 @@ class TestExecutorSpans:
     def n_cells(self):
         return len(expand_cells(experiment_plan("figure5", TINY)))
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_local_executors(self, executor, baseline, n_cells):
         with TRACER.collect() as spans:
             result = run_experiment("figure5", TINY, executor=executor, jobs=2)
@@ -431,12 +432,14 @@ class TestExecutorSpans:
         assert hits == [False, True]
 
     def test_trace_summary_reports_phases_and_workers(self, n_cells):
-        with TRACER.collect() as spans:
-            run_experiment("figure5", TINY, executor="thread", jobs=2)
+        with WorkerPool(2) as pool, TRACER.collect() as spans:
+            run_experiment("figure5", TINY, executor="process", jobs=2, pool=pool)
         summary = summarize_trace(spans)
         assert summary["spans"] == len(spans)
         assert summary["phases"]["cell"]["count"] == n_cells
         assert sum(w["cells"] for w in summary["workers"].values()) == n_cells
+        # Every cell is attributed to the pool worker that evaluated it.
+        assert set(summary["workers"]) <= {f"pid-{pid}" for pid in pool.worker_pids}
         text = format_trace_summary(summary)
         assert "worker utilization:" in text
         assert "slowest cells:" in text

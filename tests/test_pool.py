@@ -1,4 +1,4 @@
-"""Tests for the warm worker pool, cost model and zero-copy transport.
+"""Tests for the warm worker pool, cost model and plan-state transport.
 
 The guarantees under test:
 
@@ -11,28 +11,30 @@ The guarantees under test:
   per-plan memos;
 * the per-worker plan memo is a bounded LRU whose evictions are
   observable (the PR-7 fix for the unbounded ``_WORKER_STATE`` global);
-* shared-memory dataset transport round-trips arrays exactly, hands
-  workers read-only views, and unlinks segments on pool close.
+* a :class:`PlanState` round-trips the dataset and every warmed cache
+  bit for bit, and pool workers built from it open no store, warm no
+  cache and miss no cache row.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
+import pickle
 
-import numpy as np
 import pytest
 
-from repro.core.features import PerformanceDataset
+from repro.datasets.store import DatasetStore
 from repro.experiments import ExperimentSettings, expand_cells, experiment_plan, run_all
 from repro.experiments.pool import (
     COST_MODEL,
     CostModel,
-    SharedDataset,
+    PlanState,
     WorkerPool,
     resolve_batch_cells,
     shape_batches,
 )
-from repro.experiments.scheduler import run_plan, worker_state_stats
+from repro.experiments.scheduler import _resolve_data, run_plan, worker_state_stats
 from repro.parallel.threadpool import weighted_chunk_indices
 
 TINY = ExperimentSettings(n_estimators=4, n_repeats=2, max_configs=120, random_state=0)
@@ -197,55 +199,95 @@ class TestShapeBatches:
         assert sorted(flat) == sorted(cell.key for cell in cells)
 
 
-class TestSharedDataset:
-    @pytest.fixture()
-    def dataset(self):
-        rng = np.random.default_rng(42)
-        return PerformanceDataset(
-            name="shm-test", X=rng.uniform(size=(31, 4)),
-            y=rng.uniform(size=31), feature_names=["a", "b", "c", "d"])
+class TestPlanState:
+    @pytest.fixture(scope="class")
+    def resolved(self):
+        # Three analytical caches, one of them a degraded model.
+        return _resolve_data(experiment_plan("ablation_analytical_quality", TINY), None)
 
-    def test_round_trip_and_read_only_views(self, dataset):
-        shared = SharedDataset(dataset)
+    def test_round_trip_is_bit_identical(self, resolved):
+        dataset, caches = resolved
+        state = pickle.loads(pickle.dumps(PlanState.pack(dataset, caches)))
+        loaded, rebuilt = state.unpack()
+        assert loaded.X.dtype == dataset.X.dtype and loaded.X.shape == dataset.X.shape
+        assert loaded.X.tobytes() == dataset.X.tobytes()
+        assert loaded.y.tobytes() == dataset.y.tobytes()
+        assert loaded.feature_names == dataset.feature_names
+        assert loaded.name == dataset.name
+        assert list(rebuilt) == list(caches)
+        for key, cache in rebuilt.items():
+            expected = caches[key].predict(dataset.X)
+            assert cache.predict(loaded.X).tobytes() == expected.tobytes(), key
+            assert cache.misses == 0, key
+
+    def test_digest_tracks_content(self, resolved):
+        dataset, caches = resolved
+        digest = PlanState.pack(dataset, caches).digest
+        assert PlanState.pack(dataset, caches).digest == digest
+        shifted = dataclasses.replace(dataset, y=dataset.y * 2.0)
+        assert PlanState.pack(shifted, caches).digest != digest
+        renamed = dataclasses.replace(dataset, name="other")
+        assert PlanState.pack(renamed, caches).digest != digest
+
+
+#: Worker-side counters installed by :func:`_install_worker_counters`.
+_WORKER_COUNTS: dict = {}
+
+
+def _install_worker_counters() -> None:
+    """Count store opens, cache warms and cache-row misses in this process.
+
+    Misses are counted at the cache, not the analytical model: the models
+    override ``predict``, so a counter on their base class would miss them.
+    """
+    from repro.analytical.cache import AnalyticalPredictionCache
+
+    _WORKER_COUNTS.update(stores=0, warms=0, misses=0)
+    store_init = DatasetStore.__init__
+    warm = AnalyticalPredictionCache.warm
+    predict = AnalyticalPredictionCache.predict
+
+    def counting_store_init(self, *args, **kwargs):
+        _WORKER_COUNTS["stores"] += 1
+        store_init(self, *args, **kwargs)
+
+    def counting_warm(self, X):
+        _WORKER_COUNTS["warms"] += 1
+        return warm(self, X)
+
+    def counting_predict(self, X):
+        before = self.misses
         try:
-            loaded = shared.ref.materialize()
-            np.testing.assert_array_equal(loaded.X, dataset.X)
-            np.testing.assert_array_equal(loaded.y, dataset.y)
-            assert loaded.feature_names == dataset.feature_names
-            assert loaded.name == dataset.name
-            with pytest.raises(ValueError):
-                loaded.X[0, 0] = 1.0
-            with pytest.raises(ValueError):
-                loaded.y[0] = 1.0
+            return predict(self, X)
         finally:
-            from repro.experiments.pool import _ATTACHED_SEGMENTS
+            _WORKER_COUNTS["misses"] += self.misses - before
 
-            attached = _ATTACHED_SEGMENTS.pop(shared.ref.shm_name, None)
-            if attached is not None:
-                attached.close()
-            shared.close()
+    DatasetStore.__init__ = counting_store_init
+    AnalyticalPredictionCache.warm = counting_warm
+    AnalyticalPredictionCache.predict = counting_predict
 
-    def test_close_unlinks_the_segment(self, dataset):
-        from multiprocessing import shared_memory
 
-        shared = SharedDataset(dataset)
-        name = shared.ref.shm_name
-        shared.close()
-        shared.close()  # idempotent
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+def _worker_counts() -> dict:
+    return dict(_WORKER_COUNTS)
 
-    def test_pool_memoizes_by_content(self, dataset):
-        with WorkerPool(1, prime=False) as pool:
-            ref1 = pool.share_dataset(dataset)
-            ref2 = pool.share_dataset(dataset)
-            assert ref1 is not None and ref1.shm_name == ref2.shm_name
-            assert ref1.canonical
-        # Pool close unlinked the memoized segment.
-        from multiprocessing import shared_memory
 
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=ref1.shm_name)
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the probed functions must be importable in the worker")
+class TestWorkerIsolation:
+    @pytest.mark.parametrize("with_store", [True, False], ids=["store", "no-store"])
+    def test_workers_open_no_store_and_warm_no_cache(self, tmp_path, with_store):
+        """Pool workers evaluate from the parent's plan state alone: with a
+        file store they open none, and without one they re-warm nothing."""
+        plan = experiment_plan("figure6", TINY)
+        store = DatasetStore(tmp_path) if with_store else None
+        serial = run_plan(plan, store=store)
+        with WorkerPool(1) as pool:
+            pool.probe(_install_worker_counters)
+            pooled = run_plan(plan, executor="process", jobs=1, pool=pool,
+                              store=store)
+            counts = pool.probe(_worker_counts)
+        assert counts == {"stores": 0, "warms": 0, "misses": 0}
+        assert _rows(pooled) == _rows(serial)
 
 
 class TestWorkerPool:
@@ -268,7 +310,7 @@ class TestWorkerPool:
         plan = experiment_plan("figure5", TINY)
         with WorkerPool(1, prime=False) as pool:
             with pytest.raises(ValueError, match="process"):
-                run_plan(plan, executor="thread", jobs=2, pool=pool)
+                run_plan(plan, executor="serial", jobs=2, pool=pool)
 
     def test_warm_pool_bit_identical_across_plans(self):
         """The acceptance oracle: >= 2 consecutive plans on one pool (and a

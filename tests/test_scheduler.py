@@ -3,8 +3,9 @@
 The key guarantees:
 
 * every experiment plan expands into picklable cells whose seeds are
-  derived at planning time, so the serial, thread and process executors
-  produce **bit-identical** ``ExperimentResult`` rows;
+  derived at planning time, so the serial and process executors produce
+  **bit-identical** ``ExperimentResult`` rows, with a store, without one
+  and with an explicit dataset;
 * a persistent :class:`DatasetStore` lets a second invocation skip both
   dataset generation and the analytical warm-up (verified through the
   store's hit counters).
@@ -27,6 +28,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.plan import build_analytical, build_factory
+from repro.experiments.scheduler import EXECUTORS
 from repro.utils.rng import check_random_state, spawn_seeds
 
 TINY = ExperimentSettings(n_estimators=4, n_repeats=2, max_configs=120, random_state=0)
@@ -96,10 +98,12 @@ class TestExecutorDeterminism:
     def serial_results(self):
         return run_all(TINY)
 
-    def test_thread_executor_bit_identical(self, serial_results):
-        threaded = run_all(TINY, SUBSET, executor="thread", jobs=4)
+    def test_process_executor_with_store_bit_identical(self, serial_results, tmp_path):
+        """A cold file store: the parent resolves into it, workers never open it."""
+        processed = run_all(TINY, SUBSET, executor="process", jobs=2,
+                            store=DatasetStore(tmp_path))
         serial = {name: serial_results[name] for name in SUBSET}
-        assert _all_rows(threaded) == _all_rows(serial)
+        assert _all_rows(processed) == _all_rows(serial)
 
     def test_process_executor_bit_identical(self, serial_results):
         """The acceptance criterion: process rows == serial rows, bit for bit."""
@@ -110,7 +114,17 @@ class TestExecutorDeterminism:
         with pytest.raises(ValueError):
             run_experiment("figure6", TINY, executor="rocket")
         with pytest.raises(ValueError):
-            run_experiment("figure6", TINY, executor="thread", jobs=0)
+            run_experiment("figure6", TINY, executor="process", jobs=0)
+
+    def test_thread_executor_is_rejected(self, capsys):
+        from repro.experiments.__main__ import main
+
+        assert EXECUTORS == ("serial", "process", "remote")
+        with pytest.raises(ValueError, match="'serial', 'process', 'remote'"):
+            run_experiment("figure6", TINY, executor="thread")
+        with pytest.raises(SystemExit):
+            main(["figure6", "--quick", "--executor", "thread"])
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
     def test_dataset_override_with_executors(self, serial_results):
         """Explicit datasets (the test/notebook path) work on every executor."""
@@ -120,9 +134,7 @@ class TestExecutorDeterminism:
         dataset = plan.dataset.build()
         serial = figure6(TINY, dataset)
         assert serial.rows() == serial_results["figure6"].rows()
-        threaded = figure6(TINY, dataset, executor="thread", jobs=2)
         processed = figure6(TINY, dataset, executor="process", jobs=2)
-        assert threaded.rows() == serial.rows()
         assert processed.rows() == serial.rows()
 
 
@@ -250,7 +262,7 @@ class TestCommandLine:
     def test_cli_parallel_store_run(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
 
-        args = ["figure6", "--quick", "--executor", "thread", "--jobs", "2",
+        args = ["figure6", "--quick", "--executor", "process", "--jobs", "2",
                 "--store-dir", str(tmp_path)]
         assert main(args) == 0
         out = capsys.readouterr().out
