@@ -35,10 +35,8 @@ unverified for backward compatibility.
 
 ``resolve_backend`` maps a locator URL (``file://``, ``memory://``,
 ``http://``/``https://``) to a backend instance — the registry behind
-the ``--store-url`` CLI flag and the store locator the distributed
-coordinator advertises to fleet workers, so a cold worker can bootstrap
-datasets and warmed caches *directly* from shared storage instead of
-relaying blobs through the coordinator's socket.
+the ``--store-url`` CLI flags, so processes on several hosts can open
+one shared store by URL.
 """
 
 from __future__ import annotations
@@ -100,7 +98,7 @@ class IntegrityError(RuntimeError):
     Raised by :meth:`StoreBackend.read` before the corrupt bytes reach
     any deserializer.  Consumers reject-and-refetch: the
     :class:`~repro.datasets.store.DatasetStore` deletes the blob and
-    regenerates, a fleet worker falls back to the coordinator relay.
+    regenerates.
     """
 
     def __init__(self, key: str, expected: str, actual: str) -> None:
@@ -159,8 +157,7 @@ class StoreBackend(abc.ABC):
         """URL another process can use to open this same store.
 
         ``None`` when the backend is not shareable (an anonymous
-        in-memory store); the distributed coordinator only advertises
-        non-``None`` locators to fleet workers.
+        in-memory store).
         """
 
     @abc.abstractmethod
@@ -318,8 +315,7 @@ class MemoryBackend(StoreBackend):
     the same store by URL.  No memory store ever advertises a locator:
     the :attr:`~StoreBackend.locator` contract is "another *process* can
     open this", and a ``memory://`` URL resolved in a subprocess is a
-    fresh empty dict — advertising it would make process-pool workers
-    silently regenerate datasets instead of receiving the parent's copy.
+    fresh empty dict.
     """
 
     scheme = "memory"
@@ -409,9 +405,7 @@ class ObjectStoreBackend(StoreBackend):
     request target and the body digest (see
     :func:`repro.obs.http.sign_request`).
 
-    ``reads``/``writes`` count successful blob transfers (the
-    hit-counter instrumentation the fleet tests use to prove workers
-    bootstrap from the object store rather than the coordinator);
+    ``reads``/``writes`` count successful blob transfers;
     ``retries`` counts backed-off attempts across all requests.
     """
 

@@ -2,8 +2,7 @@
 
 A deliberately minimal object server built on the shared
 :class:`~repro.obs.http.ReproHTTPServer` base, so the ``http://`` store
-backend — and the fleet's bootstrap-from-object-store path — is testable
-end to end without any external service.  It serves the four-verb API
+backend is testable end to end without any external service.  It serves the four-verb API
 :class:`~repro.datasets.backends.ObjectStoreBackend` speaks:
 
 * ``GET /<key>`` — blob bytes (404 when absent);

@@ -16,8 +16,7 @@ All byte I/O is delegated to a
 * ``memory://`` URLs open an in-memory store;
 * ``http(s)://`` URLs open an S3-style object store (see
   :mod:`repro.datasets.object_server` for the bundled server), which
-  lets distributed fleet workers bootstrap shared artifacts directly
-  instead of relaying blobs through the coordinator.
+  lets processes on several hosts share one store.
 
 Fingerprint scheme
 ------------------
@@ -234,9 +233,7 @@ class DatasetStore:
     def locator(self) -> str | None:
         """URL another process can open this store with (``None``: not shareable).
 
-        The distributed coordinator advertises this in its
-        ``PlanAssignment`` manifests so fleet workers can bootstrap
-        artifacts directly from shared storage.
+        The model server reports it in its ``/healthz`` document.
         """
         return self.backend.locator
 
@@ -338,14 +335,7 @@ class DatasetStore:
 
     @classmethod
     def encode_dataset(cls, dataset: PerformanceDataset) -> bytes:
-        """The dataset as raw ``.npz`` bytes (the store's artifact format).
-
-        The byte form doubles as the wire format of the distributed
-        fleet's store bootstrap: the coordinator (or the shared object
-        store) ships exactly what the worker's store would hold, so a
-        downloaded blob round-trips through :meth:`put_dataset_bytes` +
-        :meth:`get` bit-for-bit.
-        """
+        """The dataset as raw ``.npz`` bytes (the store's artifact format)."""
         buf = io.BytesIO()
         np.savez(
             buf,
@@ -356,21 +346,6 @@ class DatasetStore:
             configs=np.array(cls._encode_configs(dataset.configs)),
         )
         return buf.getvalue()
-
-    @classmethod
-    def decode_dataset_bytes(cls, data: bytes) -> PerformanceDataset:
-        """Inverse of :meth:`encode_dataset` (store-less workers use this)."""
-        return cls._load_dataset(io.BytesIO(data))
-
-    def dataset_bytes(self, spec: DatasetSpec) -> bytes:
-        """Raw stored bytes of the dataset of *spec* (:class:`KeyError` when absent)."""
-        return self.backend.read(self.dataset_key(spec))
-
-    def put_dataset_bytes(self, spec: DatasetSpec, data: bytes):
-        """Install pre-encoded dataset bytes under the fingerprint of *spec*."""
-        key = self.dataset_key(spec)
-        self.backend.write(key, data)
-        return self._artifact_path(key)
 
     # ------------------------------------------------------------------ #
     # Analytical-prediction caches
@@ -421,16 +396,6 @@ class DatasetStore:
         buf = io.BytesIO()
         cache.save(buf)
         self.backend.write(key, buf.getvalue())
-        return self._artifact_path(key)
-
-    def cache_bytes(self, model_key: str, spec: DatasetSpec) -> bytes:
-        """Raw bytes of the ``(model_key, spec)`` cache (:class:`KeyError` when absent)."""
-        return self.backend.read(self.cache_key(model_key, spec))
-
-    def put_cache_bytes(self, model_key: str, spec: DatasetSpec, data: bytes):
-        """Install pre-encoded cache bytes under ``(model_key, spec)``."""
-        key = self.cache_key(model_key, spec)
-        self.backend.write(key, data)
         return self._artifact_path(key)
 
     # ------------------------------------------------------------------ #

@@ -7,12 +7,12 @@ workers on any number of hosts:
 
 * :mod:`repro.distributed.protocol` — the versioned, length-prefixed,
   schema'd wire protocol (HELLO handshake with optional keyed
-  challenge–response, HMAC-signed frames, plan manifests, cell batches,
-  results, heartbeats, store-bootstrap blobs — no pickle anywhere);
+  challenge–response, HMAC-signed frames, plan assignments carrying the
+  plan's state by value, cell batches, results, heartbeats — no pickle
+  anywhere);
 * :mod:`repro.distributed.coordinator` — the :class:`Coordinator` that
-  expands a plan into cells, leases them to workers with bounded-retry
-  requeue on worker death, serves dataset/cache blobs to cold stores and
-  merges results in plan order;
+  leases a plan's cells to workers with bounded-retry requeue on worker
+  death and merges results in plan order;
 * :mod:`repro.distributed.worker` — the :class:`FleetWorker` client,
   runnable as ``python -m repro.distributed.worker --connect HOST:PORT``.
 

@@ -19,9 +19,8 @@ start — don't thrash on the gap between two plans).
 Usage::
 
     with Coordinator() as coordinator, LocalAutoscaler(
-            coordinator, min_workers=0, max_workers=4,
-            store_url=server.url) as scaler:
-        rows = coordinator.execute(plan, cells, dataset, caches)
+            coordinator, min_workers=0, max_workers=4) as scaler:
+        rows = coordinator.execute(plan, cells, PlanState.pack(dataset, caches))
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class LocalAutoscaler:
         Seconds between scaling decisions.
     idle_ticks:
         Consecutive under-target observations before retiring anyone.
-    store_dir / store_url / cell_delay / auth_key_file:
+    cell_delay / auth_key_file:
         Forwarded to :meth:`Coordinator.spawn_local_workers` —
         *auth_key_file* is how elastically-spawned workers inherit a
         keyed fleet's shared secret.
@@ -81,7 +80,6 @@ class LocalAutoscaler:
     def __init__(self, coordinator: Coordinator, *, min_workers: int = 0,
                  max_workers: int = 4, cells_per_worker: int = 4,
                  interval: float = 0.5, idle_ticks: int = 4,
-                 store_dir=None, store_url=None,
                  cell_delay: float | None = None,
                  auth_key_file=None) -> None:
         # Validate the bounds eagerly (desired_workers re-checks per call).
@@ -96,8 +94,6 @@ class LocalAutoscaler:
         self.cells_per_worker = cells_per_worker
         self.interval = interval
         self.idle_ticks = idle_ticks
-        self.store_dir = store_dir
-        self.store_url = store_url
         self.cell_delay = cell_delay
         self.auth_key_file = auth_key_file
         # Registry-backed counters: the ticker thread increments while
@@ -168,8 +164,7 @@ class LocalAutoscaler:
             self._under_target = 0
             n = want - effective
             self.coordinator.spawn_local_workers(
-                n, store_dir=self.store_dir, store_url=self.store_url,
-                cell_delay=self.cell_delay, auth_key_file=self.auth_key_file)
+                n, cell_delay=self.cell_delay, auth_key_file=self.auth_key_file)
             self._counters["spawned"].inc(n)
             logger.info("autoscaler: spawned %d worker(s) -> %d "
                         "(outstanding=%d)", n, want, load["outstanding"])

@@ -12,8 +12,8 @@ a small msgpack-style binary encoding built entirely from the stdlib:
 * a **struct registry** — the only non-primitive objects that may cross
   the wire are the frame dataclasses of
   :mod:`repro.distributed.protocol` and the plain-data payload types
-  they carry (the experiment-plan tree, eval cells and results, spans,
-  metrics snapshots).  Each registered struct has an explicit field
+  they carry (the experiment-plan tree, the plan state, eval cells and
+  results, spans, metrics snapshots).  Each registered struct has an explicit field
   schema derived from its dataclass definition; decoding validates the
   tag and the field names and then calls the dataclass constructor —
   never arbitrary code.
@@ -21,10 +21,11 @@ a small msgpack-style binary encoding built entirely from the stdlib:
 Anything outside the value model or the registry fails closed with
 :class:`CodecError` (a subclass of the protocol's framing error type by
 the time it surfaces from :func:`~repro.distributed.protocol.recv_message`).
-Numpy blobs ride as typed raw ``bytes`` buffers and are only
-deserialized by the store's ``.npz`` decoders after digest verification
-— nothing in this module ever materializes an object from attacker
-bytes beyond the whitelisted dataclasses of primitives.
+Arrays ride as raw little-endian float64 ``bytes`` inside
+:class:`~repro.experiments.pool.PlanState`, whose constructor checks
+their lengths; the worker reads them with ``np.frombuffer`` — nothing in
+this module ever materializes an object from attacker bytes beyond the
+whitelisted dataclasses of primitives.
 
 The encoding is deterministic for a given message (no maps with
 unordered iteration beyond the insertion order Python guarantees), so
@@ -53,7 +54,7 @@ _INT64 = b"i"      # ">q"
 _BIGINT = b"I"     # u32 length + signed big-endian bytes
 _FLOAT = b"f"      # ">d" (exact IEEE-754 round trip)
 _STR = b"s"        # u32 length + UTF-8
-_BYTES = b"b"      # u64 length + raw (dataset blobs are large)
+_BYTES = b"b"      # u64 length + raw (plan-state arrays)
 _TUPLE = b"t"      # u32 count + items
 _LIST = b"l"       # u32 count + items
 _DICT = b"d"       # u32 count + (key, value) pairs
@@ -120,6 +121,7 @@ def _load_registry() -> None:
         FactorySpec,
         SeriesSpec,
     )
+    from repro.experiments.pool import PlanState
     from repro.obs.metrics import MetricsSnapshot
     from repro.obs.tracing import Span, SpanContext
 
@@ -127,12 +129,11 @@ def _load_registry() -> None:
         # Frame vocabulary (every type recv_message may return).
         protocol.Hello, protocol.Welcome, protocol.Reject,
         protocol.GetPlan, protocol.PlanAssignment, protocol.NoPlan,
-        protocol.Goodbye, protocol.FetchDataset, protocol.DatasetBlob,
-        protocol.FetchCache, protocol.CacheBlob, protocol.GetBatch,
-        protocol.Batch, protocol.Idle, protocol.PlanDone,
-        protocol.Results, protocol.Ack, protocol.Heartbeat,
+        protocol.Goodbye, protocol.GetBatch, protocol.Batch,
+        protocol.Idle, protocol.PlanDone, protocol.Results, protocol.Ack,
+        protocol.Heartbeat,
         # Payload objects frames carry (all plain-data dataclasses).
-        ExperimentPlan, DatasetSpec, SeriesSpec, FactorySpec,
+        ExperimentPlan, PlanState, DatasetSpec, SeriesSpec, FactorySpec,
         EstimatorSpec, EvalCell, CellResult, Span, SpanContext,
         MetricsSnapshot,
     ):

@@ -37,24 +37,17 @@ workers for a polite Goodbye at their next between-plans poll, and
 setting :attr:`elastic` suppresses the all-local-workers-exited fail-fast
 (under an autoscaler an empty fleet is a transient, not a wreck).
 
-Store bootstrap
----------------
-When the parent store is shareable (``file://`` locator on a shared
-filesystem, ``http://`` object store), its locator is advertised in the
-:class:`PlanAssignment` manifest and cold workers read the dataset and
-warmed caches **directly from shared storage** — fleet cold-start no
-longer serializes every blob through this one socket.  The coordinator
-still snapshots the resolved dataset and every warmed analytical cache
-as raw ``.npz`` blobs (read from the parent store when present, encoded
-in memory otherwise) and serves them as the relay fallback to workers
-that have no advertised store or cannot reach it.
+Plan state
+----------
+:meth:`execute` takes the plan's :class:`~repro.experiments.pool.PlanState`
+— the resolved dataset and warmed analytical caches the caller packed —
+and every :class:`PlanAssignment` carries it, so a worker has all it
+needs from one reply: it opens no store and never simulates.
 """
 
 from __future__ import annotations
 
-import hashlib
 import hmac
-import io
 import os
 import socket
 import subprocess
@@ -66,18 +59,13 @@ from collections import deque
 from pathlib import Path
 
 from repro.core.evaluation import CellResult
-from repro.datasets.backends import IntegrityError
-from repro.datasets.store import _FORMAT_VERSION, DatasetStore, _simulator_versions
+from repro.datasets.store import _FORMAT_VERSION, _simulator_versions
 from repro.distributed import protocol
 from repro.distributed.protocol import (
     PROTOCOL_VERSION,
     Ack,
     Batch,
-    CacheBlob,
     ConnectionClosed,
-    DatasetBlob,
-    FetchCache,
-    FetchDataset,
     GetBatch,
     GetPlan,
     Goodbye,
@@ -142,14 +130,11 @@ class _WorkerInfo:
 class _Job:
     """One plan's in-flight state: queue, completed results, retry counts."""
 
-    def __init__(self, plan, plan_id: str, cells: list,
-                 dataset_blob: bytes, cache_blobs: dict[str, bytes],
-                 store_ok: bool, store_url: str | None = None,
-                 auto_leases: bool = False) -> None:
+    def __init__(self, plan, state, cells: list, auto_leases: bool = False) -> None:
         self.plan = plan
-        self.plan_id = plan_id
-        self.store_ok = store_ok
-        self.store_url = store_url
+        self.state = state
+        # The digest makes the same plan on other data another plan.
+        self.plan_id = f"{plan.fingerprint}-{state.digest[:16]}"
         self.cells = cells
         self.lease_budget: float | None = None
         if auto_leases:
@@ -166,13 +151,6 @@ class _Job:
             self.queue = deque(cells)
         self.completed: dict[tuple, CellResult] = {}
         self.retries: dict[tuple, int] = {}
-        self.dataset_blob = dataset_blob
-        self.cache_blobs = cache_blobs
-        # Relay-blob content digests: workers verify what arrives over the
-        # socket against these before deserializing.
-        self.dataset_sha256 = hashlib.sha256(dataset_blob).hexdigest()
-        self.cache_sha256s = {key: hashlib.sha256(blob).hexdigest()
-                              for key, blob in cache_blobs.items()}
         self.lease_durations: list[float] = []  # completed leases, seconds
         self.failure: str | None = None
         #: Plan span context shipped in every Batch (None = tracing off).
@@ -290,10 +268,10 @@ class Coordinator:
                 "HELLO handshakes refused for a version or auth mismatch"),
             "datasets_served": (
                 "repro_fleet_datasets_served_total",
-                "Dataset blobs relayed over the coordinator socket"),
+                "Datasets shipped in plan assignments"),
             "caches_served": (
                 "repro_fleet_caches_served_total",
-                "Cache blobs relayed over the coordinator socket"),
+                "Analytical caches shipped in plan assignments"),
             "speculative_releases": (
                 "repro_fleet_speculative_releases_total",
                 "Straggler leases speculatively duplicated"),
@@ -408,8 +386,7 @@ class Coordinator:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def spawn_local_workers(self, n: int, *, store_dir=None, store_url=None,
-                            cell_delay: float | None = None,
+    def spawn_local_workers(self, n: int, *, cell_delay: float | None = None,
                             auth_key_file=None) -> list[subprocess.Popen]:
         """Spawn *n* localhost worker processes connected to this coordinator.
 
@@ -417,16 +394,12 @@ class Coordinator:
         without an external fleet.  The workers inherit the environment
         plus a ``PYTHONPATH`` entry for this package, so they import the
         same code whether it is installed or run from a source tree.
-        *store_dir* (a directory) or *store_url* (a ``file://`` /
-        ``http://`` store locator) configures their persistent store;
         *auth_key_file* hands them the fleet's shared secret (required
         to handshake with a keyed coordinator — the key itself never
         appears on a command line, only its path).
         """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        if store_dir is not None and store_url is not None:
-            raise ValueError("pass store_dir or store_url, not both")
         host, port = self.address
         env = os.environ.copy()
         src_root = str(Path(__file__).resolve().parent.parent.parent)
@@ -434,10 +407,6 @@ class Coordinator:
         env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
         cmd = [sys.executable, "-m", "repro.distributed.worker",
                "--connect", f"{host}:{port}"]
-        if store_dir is not None:
-            cmd += ["--store-dir", str(store_dir)]
-        if store_url is not None:
-            cmd += ["--store-url", str(store_url)]
         if cell_delay is not None:
             cmd += ["--cell-delay", str(cell_delay)]
         if auth_key_file is not None:
@@ -491,40 +460,15 @@ class Coordinator:
         with self._lock:
             self._retire_pending += n
 
-    def execute(self, plan, cells: list, dataset, caches: dict, *,
-                store: DatasetStore | None = None,
-                dataset_override: bool = False) -> list[CellResult]:
+    def execute(self, plan, cells: list, state) -> list[CellResult]:
         """Run every cell of *plan* on the fleet; results in plan order.
 
-        *dataset* and *caches* are the parent-resolved plan state (the
-        same objects the other executors use); *store*, when given, is the
-        parent's persistent store whose on-disk artifacts back the
-        bootstrap blobs (otherwise the blobs are encoded in memory).
-
-        *dataset_override* marks *dataset* as an explicit content
-        override (the test/notebook path): its bytes have no registered
-        fingerprint, so the plan id is extended with a content digest
-        (distinct worker memo entry) and workers are told to bypass their
-        persistent stores and always fetch the coordinator's blobs.
-
-        When *store* has a shareable locator (``file://`` on a shared
-        filesystem, ``http://`` object store) the locator is advertised
-        in the plan manifest and workers bootstrap missing artifacts
-        directly from it; the coordinator-relay blobs below stay as the
-        fallback for workers that cannot reach the advertised store.
+        *state* is the :class:`~repro.experiments.pool.PlanState` the
+        caller packed from its resolved dataset and warmed caches (the
+        value the process executor ships too); every
+        :class:`PlanAssignment` of the plan carries it.
         """
-        plan_id = plan.fingerprint
-        if dataset_override:
-            digest = hashlib.sha256(
-                dataset.X.tobytes() + dataset.y.tobytes()).hexdigest()[:16]
-            plan_id = f"{plan_id}-override-{digest}"
-            store = None
-        job = _Job(plan, plan_id, cells,
-                   self._dataset_blob(plan, dataset, store),
-                   self._cache_blobs(plan, caches, store),
-                   store_ok=not dataset_override,
-                   store_url=None if store is None else store.locator,
-                   auto_leases=self.batch_size == "auto")
+        job = _Job(plan, state, cells, auto_leases=self.batch_size == "auto")
         # Under an active trace collection the caller's current span (the
         # scheduler's plan span) becomes the parent of every worker-side
         # batch/cell span; None keeps the fleet span-free.
@@ -584,35 +528,6 @@ class Coordinator:
             _sever_socket(conn)
         for thread in list(self._threads):
             thread.join(timeout=2.0)
-
-    # ------------------------------------------------------------------ #
-    # Blob snapshots
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _dataset_blob(plan, dataset, store: DatasetStore | None) -> bytes:
-        if store is not None and store.has_dataset(plan.dataset):
-            try:
-                return store.dataset_bytes(plan.dataset)
-            except IntegrityError:
-                # The stored blob is corrupt; the in-memory dataset is the
-                # source of truth, so re-encode instead of relaying garbage.
-                pass
-        return DatasetStore.encode_dataset(dataset)
-
-    @staticmethod
-    def _cache_blobs(plan, caches: dict, store: DatasetStore | None) -> dict[str, bytes]:
-        blobs: dict[str, bytes] = {}
-        for key, cache in caches.items():
-            if store is not None and store.has_cache(key, plan.dataset):
-                try:
-                    blobs[key] = store.cache_bytes(key, plan.dataset)
-                    continue
-                except IntegrityError:
-                    pass  # fall through: encode from the in-memory cache
-            buf = io.BytesIO()
-            cache.save(buf)
-            blobs[key] = buf.getvalue()
-        return blobs
 
     # ------------------------------------------------------------------ #
     # Fleet liveness
@@ -799,11 +714,10 @@ class Coordinator:
         elif hello.store_format_version != _FORMAT_VERSION:
             reason = (f"store fingerprint format mismatch: worker uses "
                       f"version {hello.store_format_version}, coordinator "
-                      f"{_FORMAT_VERSION} — artifacts would not be shareable")
+                      f"{_FORMAT_VERSION} — the builds disagree on fingerprints")
         elif hello.simulator_versions != _simulator_versions():
             # Fingerprints fold in the simulator versions: a skewed worker
-            # would store the coordinator's blobs under keys its own local
-            # runs compute differently, silently serving stale data later.
+            # is another build than the one the plan's dataset came from.
             reason = (f"simulator version mismatch: worker has "
                       f"{hello.simulator_versions!r}, coordinator "
                       f"{_simulator_versions()!r} — fingerprints would not agree")
@@ -866,8 +780,9 @@ class Coordinator:
                 if self._closing:
                     return Goodbye()
                 if job is not None and job.failure is None and not job.finished:
-                    return PlanAssignment(job.plan_id, job.plan, job.store_ok,
-                                          job.store_url)
+                    self._counters["datasets_served"].inc()
+                    self._counters["caches_served"].inc(len(job.state.cache_values))
+                    return PlanAssignment(job.plan_id, job.plan, job.state)
                 if self._retire_pending > 0:
                     # Between plans is the safe retirement point: the
                     # worker holds no lease and abandons nothing.
@@ -875,19 +790,6 @@ class Coordinator:
                     self._counters["workers_retired"].inc()
                     return Goodbye("retired by autoscaler")
                 return NoPlan()
-            if isinstance(message, FetchDataset):
-                if job is None or job.plan_id != message.plan_id:
-                    return PlanDone(message.plan_id)
-                self._counters["datasets_served"].inc()
-                return DatasetBlob(job.plan_id, job.dataset_blob,
-                                   job.dataset_sha256)
-            if isinstance(message, FetchCache):
-                if job is None or job.plan_id != message.plan_id:
-                    return PlanDone(message.plan_id)
-                self._counters["caches_served"].inc()
-                return CacheBlob(job.plan_id, message.model_key,
-                                 job.cache_blobs[message.model_key],
-                                 job.cache_sha256s[message.model_key])
             if isinstance(message, GetBatch):
                 return self._lease_batch(info, job, message)
             if isinstance(message, Results):

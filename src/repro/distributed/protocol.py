@@ -1,7 +1,7 @@
 """Versioned wire protocol of the distributed worker fleet.
 
-Framing (v5)
-------------
+Framing (v5, unchanged in v6)
+-----------------------------
 Every message is one *frame*: a 13-byte big-endian header — payload
 length, the CRC32 of the payload, and a flags byte — followed by that
 many bytes of **schema-encoded** payload
@@ -45,24 +45,17 @@ direction and get no reply).
 1. handshake — :class:`Hello` (protocol version, store-fingerprint format
    version, worker identity) answered by :class:`Welcome` or, on any
    version mismatch, :class:`Reject` followed by a close;
-2. plan manifest — :class:`GetPlan` answered by :class:`PlanAssignment`
+2. plan assignment — :class:`GetPlan` answered by :class:`PlanAssignment`
    (the full :class:`~repro.experiments.plan.ExperimentPlan`, a frozen
-   dataclass of primitives with an explicit codec schema), :class:`NoPlan`
-   (poll again later) or :class:`Goodbye` (fleet shutting down);
-3. store bootstrap — the :class:`PlanAssignment` manifest advertises the
-   coordinator store's *locator* URL (``store_url``) when the store is
-   shareable, so cold workers read the dataset and warmed caches
-   **directly from shared storage** (e.g. the S3-style object store of
-   :mod:`repro.datasets.object_server`) instead of funneling blobs
-   through the coordinator's socket; :class:`FetchDataset` /
-   :class:`FetchCache` answered by :class:`DatasetBlob` /
-   :class:`CacheBlob` (raw ``.npz`` bytes) remain as the
-   coordinator-relay fallback when no locator is advertised or the
-   advertised store is unreachable;
-4. work loop — :class:`GetBatch` answered by :class:`Batch`,
+   dataclass of primitives with an explicit codec schema, plus the
+   plan's :class:`~repro.experiments.pool.PlanState`: the resolved
+   dataset and warmed analytical caches as float64 bytes), :class:`NoPlan`
+   (poll again later) or :class:`Goodbye` (fleet shutting down).  The
+   state is all a worker needs: it opens no store and never simulates;
+3. work loop — :class:`GetBatch` answered by :class:`Batch`,
    :class:`Idle` (cells in flight elsewhere, poll again) or
    :class:`PlanDone`; :class:`Results` answered by :class:`Ack`;
-5. liveness — :class:`Heartbeat`, sent on an interval by a worker-side
+4. liveness — :class:`Heartbeat`, sent on an interval by a worker-side
    daemon thread even while cells compute.
 
 Trust model
@@ -83,7 +76,7 @@ import socket
 import struct
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
 
 from repro.distributed.codec import CodecError, decode_value, encode_value
@@ -106,10 +99,6 @@ __all__ = [
     "PlanAssignment",
     "NoPlan",
     "Goodbye",
-    "FetchDataset",
-    "DatasetBlob",
-    "FetchCache",
-    "CacheBlob",
     "GetBatch",
     "Batch",
     "Idle",
@@ -121,9 +110,8 @@ __all__ = [
 
 #: Bump on any incompatible change to the message set or framing; the
 #: HELLO handshake rejects workers whose version differs.
-#: Version 2 added the advertised store locator (``PlanAssignment.store_url``).
-#: Version 3 added CRC32 frame checksums and blob digests
-#: (``DatasetBlob.sha256`` / ``CacheBlob.sha256``).
+#: Version 2 added the advertised store locator to the plan assignment.
+#: Version 3 added CRC32 frame checksums and relay-blob digests.
 #: Version 4 added telemetry: ``Heartbeat.metrics`` / ``Results.metrics``
 #: (worker-side counter snapshots the coordinator merges into its
 #: fleet-wide view), ``Batch.trace`` (the parent span context) and
@@ -132,10 +120,13 @@ __all__ = [
 #: (:mod:`repro.distributed.codec`), added the flags byte to the frame
 #: header, and layered the shared-key HMAC handshake + per-frame tags
 #: (``Hello.auth_nonce``/``auth_proof``, ``Welcome`` likewise).
-PROTOCOL_VERSION = 5
+#: Version 6 ships the plan's state inside ``PlanAssignment.state`` and
+#: deleted the store bootstrap: the advertised store locator, the
+#: store-bypass flag and the four dataset/cache relay frames.
+PROTOCOL_VERSION = 6
 
 #: Upper bound on a single frame (a defensive cap, far above any real
-#: dataset blob; a corrupt or foreign length prefix fails fast instead of
+#: plan state; a corrupt or foreign length prefix fails fast instead of
 #: attempting a multi-gigabyte read).
 MAX_FRAME_BYTES = 1 << 31
 
@@ -365,9 +356,7 @@ class Hello:
     ``simulator_versions`` (its
     :func:`~repro.datasets.store._simulator_versions` token) must both
     match the coordinator's: they are fingerprint ingredients, so a skew
-    would let bootstrap blobs land under keys the other side never looks
-    up — or worse, let one side's store serve the other side's stale
-    simulator output.
+    means the two sides would not agree on what a plan's dataset is.
 
     ``auth_nonce``/``auth_proof`` (v5) carry the worker's half of the
     keyed challenge–response: a fresh random nonce and
@@ -429,30 +418,32 @@ class GetPlan:
 
 @dataclass(frozen=True)
 class PlanAssignment:
-    """The plan manifest: the full plan plus its content-hash identity.
+    """The plan assignment: the full plan, its inputs and its identity.
 
-    ``plan_id`` (:attr:`ExperimentPlan.fingerprint`, extended with a
-    content digest when the coordinator runs an explicit dataset
-    override) scopes every later message, so results or fetches from a
-    worker still chewing on a previous plan are recognized as stale
-    instead of corrupting the current one.  ``store_ok`` is ``False``
-    when the plan runs on an override dataset whose content has no
-    registered fingerprint: the worker must then fetch the blobs and keep
-    them out of its persistent store.
-
-    ``store_url`` is the coordinator store's shareable locator (``file://``
-    on a shared filesystem, ``http://`` for an object store) or ``None``:
-    a worker missing an artifact tries the advertised store first and
-    only falls back to :class:`FetchDataset`/:class:`FetchCache` relay
-    frames when there is no locator or the direct read fails, so
-    cold-starting a large fleet no longer serializes every blob through
-    the coordinator's single socket.
+    ``state`` is the coordinator's
+    :class:`~repro.experiments.pool.PlanState` — the resolved dataset
+    and warmed analytical caches the worker rebuilds once per
+    ``(plan, state.digest)``.  ``plan_id`` (the plan fingerprint joined
+    with the state's digest, so the same plan on other data is another
+    id) scopes every later message, so results from a worker still
+    chewing on a previous plan are recognized as stale instead of
+    corrupting the current one.
     """
 
     plan_id: str
     plan: object
-    store_ok: bool = True
-    store_url: str | None = None
+    state: object
+
+    def __post_init__(self) -> None:
+        # Imported here so that importing the protocol does not pull in
+        # the experiments stack (see ``codec._load_registry``).
+        from repro.experiments.plan import ExperimentPlan
+        from repro.experiments.pool import PlanState
+
+        for name, cls in (("plan_id", str), ("plan", ExperimentPlan),
+                          ("state", PlanState)):
+            if not isinstance(getattr(self, name), cls):
+                raise TypeError(f"PlanAssignment.{name} must be a {cls.__name__}")
 
 
 @dataclass(frozen=True)
@@ -467,46 +458,6 @@ class Goodbye:
     """The fleet is shutting down; the worker should exit cleanly."""
 
     reason: str = "shutdown"
-
-
-# --------------------------------------------------------------------------- #
-# Store bootstrap
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class FetchDataset:
-    plan_id: str
-
-
-@dataclass(frozen=True)
-class DatasetBlob:
-    """Raw ``.npz`` bytes of the plan's resolved dataset.
-
-    ``sha256`` is the hex content digest of ``data`` (empty when the
-    sender predates v3); receivers verify it before deserializing.
-    """
-
-    plan_id: str
-    data: bytes = field(repr=False)
-    sha256: str = ""
-
-
-@dataclass(frozen=True)
-class FetchCache:
-    plan_id: str
-    model_key: str
-
-
-@dataclass(frozen=True)
-class CacheBlob:
-    """Raw ``.npz`` bytes of one warmed analytical-prediction cache.
-
-    ``sha256`` as on :class:`DatasetBlob`.
-    """
-
-    plan_id: str
-    model_key: str
-    data: bytes = field(repr=False)
-    sha256: str = ""
 
 
 # --------------------------------------------------------------------------- #
@@ -578,8 +529,8 @@ class Heartbeat:
     """Fire-and-forget liveness signal; resets the coordinator's lease timer.
 
     ``metrics`` (v4) is a :class:`~repro.obs.metrics.MetricsSnapshot`
-    of the worker's counters (``direct_fetches``, ``relay_fetches``,
-    ``reconnects``, cells completed, ...), so the coordinator exposes
+    of the worker's counters (plans served, cells evaluated,
+    reconnects), so the coordinator exposes
     per-worker and aggregate fleet gauges on its status port even while
     cells are still computing.
     """

@@ -1,34 +1,22 @@
 """Fleet worker: pulls cell batches from a coordinator, streams results back.
 
-Runnable as ``python -m repro.distributed.worker --connect HOST:PORT
-[--store-dir DIR | --store-url URL]`` (also exposed as ``python -m
-repro.experiments fleet-worker ...``).  A worker is a long-lived client: it serves every
-plan the coordinator runs over one connection and exits when the
-coordinator says :class:`~repro.distributed.protocol.Goodbye` or goes
-away.
+Runnable as ``python -m repro.distributed.worker --connect HOST:PORT``
+(also exposed as ``python -m repro.experiments fleet-worker ...``).  A
+worker is a long-lived client: it serves every plan the coordinator runs
+over one connection and exits when the coordinator says
+:class:`~repro.distributed.protocol.Goodbye` or goes away.
 
-Per-plan state follows the same memo discipline as the process executor:
-the dataset, warmed analytical caches and series factories are resolved
-once per plan fingerprint and reused across batches.  Resolution never
-simulates: a worker with a store (``--store-dir`` directory or any
-``--store-url`` backend) loads artifacts whose fingerprint exists and
-*downloads* the rest — **directly from the store the coordinator
-advertises** in the plan manifest (a shared ``file://`` directory or an
-``http://`` object store) when one is reachable, through
-``FetchDataset``/``FetchCache`` relay frames on the coordinator's socket
-otherwise.  Downloads are saved, so the store warms for future runs; a
-store-less worker keeps them in memory.  ``direct_fetches`` /
-``relay_fetches`` count which path each artifact took.
+A worker receives a plan's inputs one way, the way a process-pool worker
+does: the :class:`~repro.experiments.pool.PlanState` inside the
+:class:`~repro.distributed.protocol.PlanAssignment`.  It rebuilds the
+dataset, warmed analytical caches and series factories from it once per
+``(plan, state digest)`` in a bounded
+:class:`~repro.experiments.scheduler.PlanMemo` and reuses them across
+batches.  It opens no store and never simulates.
 
 A daemon thread heartbeats on an interval even while cells compute, so
 the coordinator can tell "slow" from "dead" without bounding cell cost.
-
-Failure semantics: a direct store fetch that fails for any reason
-(missing key, unreachable store, checksum mismatch) is **logged with its
-cause and counted** (``direct_fetch_errors``) before degrading to the
-coordinator relay — degradation is never silent.  Relay blobs are
-verified against the digest in the frame and retried on mismatch.  A
-lost coordinator connection is retried (``reconnect_attempts`` fresh
+A lost coordinator connection is retried (``reconnect_attempts`` fresh
 handshakes, per-plan memo preserved) before the worker gives up and
 exits cleanly.
 """
@@ -37,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import hmac
-import io
 import logging
 import os
 import socket
@@ -46,19 +33,14 @@ import threading
 import time
 import uuid
 
-from repro.analytical.cache import AnalyticalPredictionCache
+from repro.cli import add_auth_args, add_logging_parent, load_auth_key
 from repro.core.evaluation import evaluate_cell
-from repro.datasets.backends import IntegrityError, resolve_backend, sha256_hex
-from repro.datasets.store import _FORMAT_VERSION, DatasetStore, _simulator_versions
+from repro.datasets.store import _FORMAT_VERSION, _simulator_versions
 from repro.distributed import protocol
 from repro.distributed.protocol import (
     PROTOCOL_VERSION,
     Batch,
-    CacheBlob,
     ConnectionClosed,
-    DatasetBlob,
-    FetchCache,
-    FetchDataset,
     GetBatch,
     GetPlan,
     Goodbye,
@@ -72,7 +54,7 @@ from repro.distributed.protocol import (
     Results,
     parse_address,
 )
-from repro.cli import add_auth_args, add_logging_parent, add_store_args, load_auth_key
+from repro.experiments.scheduler import PlanMemo
 from repro.obs.logging import configure_logging
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.tracing import span_into
@@ -82,17 +64,9 @@ __all__ = ["FleetWorker", "HandshakeRejected", "main"]
 
 logger = logging.getLogger(__name__)
 
-#: Default policy for a worker's fallible fetches (relay blob verify,
-#: advertised-store transport); jittered so a fleet does not stampede.
-WORKER_RETRY = RetryPolicy(max_attempts=3, base_delay=0.1, max_delay=1.0)
-
 
 class HandshakeRejected(RuntimeError):
     """The coordinator refused the HELLO handshake (version/auth mismatch)."""
-
-
-class _StalePlan(Exception):
-    """The coordinator moved on from the plan being bootstrapped."""
 
 
 class FleetWorker:
@@ -102,14 +76,6 @@ class FleetWorker:
     ----------
     address:
         ``(host, port)`` of the coordinator.
-    store:
-        Optional persistent :class:`DatasetStore` (or a directory path /
-        ``file://`` / ``memory://`` / ``http(s)://`` store URL).
-        Artifacts present under the plan's fingerprint are loaded from
-        the store; missing ones are downloaded — from the coordinator's
-        advertised store when reachable, over the coordinator socket
-        otherwise — and saved.  Without a store the downloads stay in
-        memory.
     connect_timeout:
         Seconds to keep retrying the initial connection (workers are
         typically started before, or racing with, the coordinator).
@@ -119,39 +85,27 @@ class FleetWorker:
     cell_delay:
         Artificial per-cell sleep in seconds (fault-injection knob for
         tests and demos; defaults to ``$REPRO_FLEET_CELL_DELAY`` or 0).
-    retry:
-        :class:`~repro.utils.retry.RetryPolicy` for fallible fetches
-        (advertised-store transport, relay-blob digest verification).
     reconnect_attempts:
         Fresh connect+handshake attempts after the coordinator connection
         drops mid-service (each within ``reconnect_timeout`` seconds)
         before the worker exits cleanly.  The per-plan memo survives a
-        reconnect, so no artifact is re-fetched.
+        reconnect, so a resumed plan is not rebuilt.
     auth_key:
         The fleet's shared secret.  With a key the HELLO handshake
         carries a challenge proof, the coordinator's WELCOME is
         verified, and every subsequent frame in both directions is
-        HMAC-signed under a per-connection session key; the same key
-        signs requests to ``http(s)://`` stores (the worker's own and
-        the coordinator-advertised one).
+        HMAC-signed under a per-connection session key.
     """
 
-    def __init__(self, address: tuple[str, int], *, store=None,
+    def __init__(self, address: tuple[str, int], *,
                  worker_id: str | None = None, connect_timeout: float = 20.0,
                  heartbeat_interval: float = 1.0,
                  cell_delay: float | None = None,
-                 retry: RetryPolicy | None = None,
                  reconnect_attempts: int = 3,
                  reconnect_timeout: float = 2.0,
                  auth_key: bytes | None = None) -> None:
         self.address = address
         self.auth_key = auth_key
-        if store is None or isinstance(store, DatasetStore):
-            self.store = store
-        elif isinstance(store, str) and store.startswith(("http://", "https://")):
-            self.store = DatasetStore(store, auth=auth_key)
-        else:  # a directory path, file://memory:// URL or StoreBackend
-            self.store = DatasetStore(store)
         self.worker_id = worker_id or (
             f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}")
         self.connect_timeout = connect_timeout
@@ -159,7 +113,6 @@ class FleetWorker:
         if cell_delay is None:
             cell_delay = float(os.environ.get("REPRO_FLEET_CELL_DELAY", "0") or 0)
         self.cell_delay = cell_delay
-        self.retry = retry or WORKER_RETRY
         if reconnect_attempts < 0:
             raise ValueError(
                 f"reconnect_attempts must be >= 0, got {reconnect_attempts}")
@@ -168,8 +121,8 @@ class FleetWorker:
         # The worker's telemetry registry: every counter below is shipped
         # to the coordinator inside Heartbeat/Results frames (protocol
         # v4) and merged into the fleet-wide view its status port serves.
-        # The legacy int attributes (`worker.direct_fetches`, ...) remain
-        # as read-only properties over these counters.
+        # The int attributes (`worker.cells_evaluated`, ...) are
+        # read-only properties over these counters.
         self.metrics = MetricsRegistry(attach_to=REGISTRY)
         self._counters = {
             "plans_served": self.metrics.counter(
@@ -177,22 +130,6 @@ class FleetWorker:
             "cells_evaluated": self.metrics.counter(
                 "repro_worker_cells_evaluated_total",
                 "Cells this worker evaluated"),
-            # Artifacts bootstrapped directly from the advertised store
-            # vs. relayed through the coordinator socket.
-            "direct_fetches": self.metrics.counter(
-                "repro_worker_direct_fetches_total",
-                "Artifacts fetched directly from the advertised store"),
-            "relay_fetches": self.metrics.counter(
-                "repro_worker_relay_fetches_total",
-                "Artifacts relayed through the coordinator socket"),
-            # Failed direct fetches that degraded to relay — never silent.
-            "direct_fetch_errors": self.metrics.counter(
-                "repro_worker_direct_fetch_errors_total",
-                "Direct fetches that failed and degraded to relay"),
-            # Relay blobs rejected for a digest mismatch (each is retried).
-            "blob_integrity_errors": self.metrics.counter(
-                "repro_worker_blob_integrity_errors_total",
-                "Relay blobs rejected for a digest mismatch"),
             # Successful re-connect+handshake cycles after a dropped socket.
             "reconnects": self.metrics.counter(
                 "repro_worker_reconnects_total",
@@ -202,8 +139,7 @@ class FleetWorker:
         #: Per-connection frame authenticator (rebuilt on every fresh
         #: connect so reconnects negotiate a new session key).
         self._auth: protocol.FrameAuth | None = None
-        self._memo: dict[str, tuple] = {}
-        self._advertised: dict[str, DatasetStore | None] = {}
+        self._memo = PlanMemo()
 
     # Compatibility views over the registry counters (tests and callers
     # read these as plain ints; writes go through the registry so every
@@ -219,26 +155,6 @@ class FleetWorker:
         return int(self._counters["cells_evaluated"].value)
 
     @property
-    def direct_fetches(self) -> int:
-        """Artifacts fetched directly from the advertised store."""
-        return int(self._counters["direct_fetches"].value)
-
-    @property
-    def relay_fetches(self) -> int:
-        """Artifacts relayed through the coordinator socket."""
-        return int(self._counters["relay_fetches"].value)
-
-    @property
-    def direct_fetch_errors(self) -> int:
-        """Direct fetches that failed and degraded to relay."""
-        return int(self._counters["direct_fetch_errors"].value)
-
-    @property
-    def blob_integrity_errors(self) -> int:
-        """Relay blobs rejected for a digest mismatch."""
-        return int(self._counters["blob_integrity_errors"].value)
-
-    @property
     def reconnects(self) -> int:
         """Successful reconnect+handshake cycles."""
         return int(self._counters["reconnects"].value)
@@ -252,7 +168,7 @@ class FleetWorker:
         A connection lost mid-service (coordinator restart, network blip,
         corrupted frame) is retried with a fresh connect + handshake up
         to ``reconnect_attempts`` times; the per-plan memo is preserved,
-        so a reconnected worker resumes without re-fetching artifacts.
+        so a reconnected worker resumes without rebuilding its plan state.
         When the coordinator stays gone the worker exits 0 — its leased
         cells are requeued on the coordinator's side if it lives.
         """
@@ -294,10 +210,7 @@ class FleetWorker:
                         time.sleep(reply.delay)
                         continue
                     if isinstance(reply, PlanAssignment):
-                        try:
-                            self._serve_plan(sock, reply)
-                        except _StalePlan:
-                            continue
+                        self._serve_plan(sock, reply)
             except HandshakeRejected as exc:
                 print(f"fleet worker {self.worker_id}: rejected: {exc}",
                       file=sys.stderr)
@@ -379,7 +292,7 @@ class FleetWorker:
     # Plan serving
     # ------------------------------------------------------------------ #
     def _serve_plan(self, sock: socket.socket, assignment: PlanAssignment) -> None:
-        dataset, factories = self._ensure_state(sock, assignment)
+        dataset, factories = self._memo.resolve(assignment.plan, assignment.state)
         plan_id = assignment.plan_id
         self._counters["plans_served"].inc()
         while True:
@@ -432,144 +345,12 @@ class FleetWorker:
                         cell, factories[cell.factory_key], dataset))
         return results, spans
 
-    def _ensure_state(self, sock: socket.socket, assignment: PlanAssignment):
-        """Dataset + series factories for the plan, memoized by fingerprint."""
-        state = self._memo.get(assignment.plan_id)
-        if state is not None:
-            return state
-        from repro.experiments.plan import build_analytical
-        from repro.experiments.scheduler import _series_factories
-
-        plan = assignment.plan
-        spec = plan.dataset
-        # store_ok is False when the coordinator runs an explicit dataset
-        # override: its content has no registered fingerprint, so the
-        # local store must be bypassed in both directions.
-        store = self.store if assignment.store_ok else None
-        if store is not None and store.has_dataset(spec):
-            dataset = store.get(spec)
-        else:
-            data = self._artifact_bytes(
-                sock, assignment, lambda shared: shared.dataset_bytes(spec),
-                FetchDataset(assignment.plan_id), DatasetBlob)
-            if store is not None:
-                store.put_dataset_bytes(spec, data)
-                dataset = store.get(spec)
-            else:
-                dataset = DatasetStore.decode_dataset_bytes(data)
-        caches = {}
-        for key in plan.cache_keys():
-            model = build_analytical(key)
-            if store is not None and store.has_cache(key, spec):
-                caches[key] = store.load_analytical_cache(
-                    key, spec, model, dataset.feature_names)
-                continue
-            data = self._artifact_bytes(
-                sock, assignment,
-                lambda shared, key=key: shared.cache_bytes(key, spec),
-                FetchCache(assignment.plan_id, key), CacheBlob)
-            if store is not None:
-                store.put_cache_bytes(key, spec, data)
-                caches[key] = store.load_analytical_cache(
-                    key, spec, model, dataset.feature_names)
-            else:
-                caches[key] = AnalyticalPredictionCache.load(
-                    io.BytesIO(data), model, dataset.feature_names)
-        state = (dataset, _series_factories(plan, dataset, caches))
-        self._memo[assignment.plan_id] = state
-        return state
-
-    def _advertised_store(self, assignment: PlanAssignment) -> DatasetStore | None:
-        """The shared store the plan manifest advertises (memoized), or ``None``."""
-        url = assignment.store_url
-        if not url or not assignment.store_ok:
-            return None
-        if url not in self._advertised:
-            try:
-                self._advertised[url] = DatasetStore(
-                    resolve_backend(url, retry=self.retry,
-                                    auth=self.auth_key))
-            except ValueError:
-                # Unknown scheme / malformed locator (e.g. a newer
-                # coordinator): the relay path still works.
-                self._advertised[url] = None
-        return self._advertised[url]
-
-    def _artifact_bytes(self, sock: socket.socket, assignment: PlanAssignment,
-                        direct_read, request, expected: type) -> bytes:
-        """One artifact's bytes: advertised store first, coordinator relay fallback.
-
-        *direct_read* takes the advertised :class:`DatasetStore` and
-        returns the artifact bytes; any miss or failure (``KeyError`` for
-        absent keys, ``OSError`` for an unreachable object store or
-        filesystem, ``IntegrityError`` for a checksum-rejected blob)
-        degrades to a ``FetchDataset``/``FetchCache`` round-trip on the
-        coordinator socket, so a worker that cannot see the shared store
-        still bootstraps — just without relieving the coordinator.  The
-        degradation is logged with its cause and counted
-        (``direct_fetch_errors``); relay blobs are verified against the
-        digest in the frame and retried on mismatch.
-        """
-        shared = self._advertised_store(assignment)
-        if shared is not None:
-            try:
-                data = direct_read(shared)
-            except (KeyError, OSError, ValueError, IntegrityError) as exc:
-                self._counters["direct_fetch_errors"].inc()
-                logger.warning(
-                    "worker %s: direct fetch of %s from %s failed "
-                    "(%s: %s); degrading to coordinator relay",
-                    self.worker_id, type(request).__name__,
-                    assignment.store_url, type(exc).__name__, exc)
-            else:
-                self._counters["direct_fetches"].inc()
-                return data
-        self._counters["relay_fetches"].inc()
-
-        def relay() -> bytes:
-            reply = self._fetch(sock, request, expected)
-            digest = getattr(reply, "sha256", "")
-            if digest:
-                actual = sha256_hex(reply.data)
-                if actual != digest:
-                    self._counters["blob_integrity_errors"].inc()
-                    raise IntegrityError(type(reply).__name__, digest, actual)
-            return reply.data
-
-        def on_retry(attempt: int, exc: BaseException, delay: float) -> None:
-            logger.warning(
-                "worker %s: relay blob failed verification (attempt %d: %s); "
-                "refetching in %.2fs", self.worker_id, attempt, exc, delay)
-
-        # _StalePlan is not an IntegrityError, so it propagates on the
-        # first occurrence — a vanished plan must never be retried.
-        return self.retry.call(relay, retry_on=(IntegrityError,),
-                               on_retry=on_retry)
-
-    def _fetch(self, sock: socket.socket, request, expected: type):
-        reply = self._request(sock, request)
-        if isinstance(reply, PlanDone):
-            raise _StalePlan(reply.plan_id)
-        if not isinstance(reply, expected):
-            raise protocol.ProtocolError(
-                f"expected {expected.__name__}, got {type(reply).__name__}")
-        return reply
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.distributed.worker",
         description="Fleet worker: evaluate experiment cells for a coordinator",
-        parents=[
-            add_store_args(
-                dir_help="persistent dataset/cache store directory; missing "
-                         "artifacts are bootstrapped from the advertised "
-                         "shared store or the coordinator, never re-simulated",
-                url_help="store locator instead of a directory: file://DIR, "
-                         "memory:// or http://HOST:PORT/ (an S3-style object "
-                         "store, e.g. python -m repro.datasets.object_server)"),
-            add_auth_args(), add_logging_parent(),
-        ],
+        parents=[add_auth_args(), add_logging_parent()],
     )
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="coordinator address")
@@ -582,10 +363,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cell-delay", type=float, default=None, metavar="S",
                         help="artificial per-cell sleep (fault-injection/testing; "
                              "default $REPRO_FLEET_CELL_DELAY or 0)")
-    parser.add_argument("--max-retries", type=int, default=None, metavar="N",
-                        help="retry attempts for fallible fetches: store transport "
-                             "and relay-blob digest verification (default "
-                             f"{WORKER_RETRY.max_attempts}; minimum 1)")
     parser.add_argument("--reconnect-attempts", type=int, default=3, metavar="N",
                         help="fresh connect+handshake attempts after the "
                              "coordinator connection drops (default 3; 0 = exit "
@@ -593,30 +370,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     configure_logging(fmt=args.log_format, level=args.log_level)
     auth_key = load_auth_key(args.auth_key_file, parser=parser)
-    if args.max_retries is not None and args.max_retries < 1:
-        parser.error(f"--max-retries must be >= 1, got {args.max_retries}")
     if args.reconnect_attempts < 0:
         parser.error(
             f"--reconnect-attempts must be >= 0, got {args.reconnect_attempts}")
-    retry = None
-    if args.max_retries is not None:
-        retry = RetryPolicy(max_attempts=args.max_retries,
-                            base_delay=WORKER_RETRY.base_delay,
-                            max_delay=WORKER_RETRY.max_delay)
-    store = args.store_dir
-    if args.store_url is not None:
-        # Resolved through the scheme registry so a malformed URL is a
-        # usage error, not a silently-created local directory.
-        try:
-            store = resolve_backend(args.store_url, retry=retry, auth=auth_key)
-        except ValueError as exc:
-            parser.error(str(exc))
     worker = FleetWorker(
-        parse_address(args.connect), store=store,
+        parse_address(args.connect),
         worker_id=args.worker_id, connect_timeout=args.connect_timeout,
         heartbeat_interval=args.heartbeat_interval, cell_delay=args.cell_delay,
-        retry=retry, reconnect_attempts=args.reconnect_attempts,
-        auth_key=auth_key)
+        reconnect_attempts=args.reconnect_attempts, auth_key=auth_key)
     return worker.run()
 
 

@@ -16,14 +16,13 @@ Options
                   ``--jobs`` when ``--bind`` is not given, else 0)
 ``--store-dir``   persistent dataset/cache store directory: datasets are
                   simulated and analytical caches warmed at most once, then
-                  reloaded by later invocations and fleet workers
+                  reloaded by later invocations.  Only this process opens
+                  it; pool and fleet workers receive each plan's state by
+                  value
 ``--store-url``   the same store behind any registered backend locator:
                   ``file://DIR``, ``memory://`` (process-local scratch) or
                   ``http://HOST:PORT/`` — an S3-style object store (serve one
-                  with ``python -m repro.datasets.object_server``).  A fleet
-                  coordinator advertises the locator to its workers, so cold
-                  workers bootstrap directly from the object store instead of
-                  relaying blobs through the coordinator socket
+                  with ``python -m repro.datasets.object_server``)
 ``--store-prune`` after the run, delete store entries whose fingerprint none
                   of the executed experiments uses (stale settings, old
                   simulator versions)
@@ -65,13 +64,12 @@ Options
 
 Fleet workers
 -------------
-``python -m repro.experiments fleet-worker --connect HOST:PORT
-[--store-dir DIR | --store-url URL]`` starts a worker process for a
-``--executor remote --bind`` coordinator on this or any other host (an
-alias for ``python -m repro.distributed.worker``; see there for all
-options).  Workers missing an artifact bootstrap it directly from the
-store the coordinator advertises (falling back to coordinator relay),
-so even store-less workers never re-simulate.
+``python -m repro.experiments fleet-worker --connect HOST:PORT`` starts
+a worker process for a ``--executor remote --bind`` coordinator on this
+or any other host (an alias for ``python -m repro.distributed.worker``;
+see there for all options).  Each plan assignment carries the plan's
+dataset and warmed caches, so a worker needs no store and never
+re-simulates.
 """
 
 from __future__ import annotations
@@ -271,13 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         if n_local is None:
             n_local = 0 if args.bind is not None else _resolve_jobs(args.jobs)
         if n_local:
-            # Workers open the parent store through its shareable locator
-            # (file:// directory, http:// object store); a non-shareable
-            # store (memory://) leaves them store-less — they bootstrap
-            # from the coordinator's blobs instead.
-            fleet.spawn_local_workers(
-                n_local, store_url=None if store is None else store.locator,
-                auth_key_file=args.auth_key_file)
+            fleet.spawn_local_workers(n_local, auth_key_file=args.auth_key_file)
 
     pool = None
     if executor == "process":

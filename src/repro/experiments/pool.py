@@ -24,10 +24,11 @@ attacked here structurally, in three coordinated layers:
   stragglers shrink.  The same estimates make the distributed
   coordinator's lease size adaptive (``batch_size="auto"``).
 
-* :class:`PlanState` is the one way a worker receives a plan's inputs:
-  the parent packs the dataset it resolved and the analytical caches it
-  warmed into one small picklable value that travels in every batch's
-  arguments.  Workers rebuild the dataset, caches and model factories
+* :class:`PlanState` is the one way any worker receives a plan's
+  inputs: the parent packs the dataset it resolved and the analytical
+  caches it warmed into one small value that travels pickled in every
+  pool batch's arguments and schema-encoded in the fleet's plan
+  assignment.  Workers rebuild the dataset, caches and model factories
   from it once per ``(plan, content digest)``; they open no store and
   warm no cache.
 
@@ -43,7 +44,7 @@ import hashlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,10 +68,6 @@ __all__ = [
 #: dispatch round-trip per cell.
 AUTO_BATCHES_PER_WORKER = 2
 
-#: Hard cap on cells per lease/batch under ``"auto"`` shaping, bounding
-#: both the requeue cost of a dead fleet worker and estimate error.
-AUTO_LEASE_MAX_CELLS = 16
-
 
 def _resolve_jobs(jobs: int) -> int:
     if jobs == -1:
@@ -83,9 +80,8 @@ def _resolve_jobs(jobs: int) -> int:
 def resolve_batch_cells(value: int | str | None) -> int | str | None:
     """Validate a ``batch_cells`` knob: ``None``, ``"auto"`` or an int >= 1.
 
-    The shared validator behind ``run_plan(batch_cells=...)``, the
-    ``--batch-cells`` CLI flag and ``Coordinator(batch_size=...)``;
-    numeric strings (CLI input) are converted.
+    The shared validator behind ``run_plan(batch_cells=...)`` and the
+    ``--batch-cells`` CLI flag; numeric strings (CLI input) are converted.
     """
     if value is None or value == "auto":
         return value
@@ -258,53 +254,104 @@ def shape_batches(cells: list, costs: dict[tuple, float],
 # --------------------------------------------------------------------------- #
 # Plan-state transport
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True, eq=False)
+#: The byte layout of every array a :class:`PlanState` carries.
+_F64 = np.dtype("<f8")
+
+
+def _floats(raw: bytes) -> np.ndarray:
+    """A writable native float64 array holding the little-endian *raw* bytes."""
+    return np.frombuffer(raw, dtype=_F64).astype(np.float64)
+
+
+@dataclass(frozen=True)
 class PlanState:
     """One plan's resolved dataset and warmed caches, shipped by value.
 
     The parent packs it from what it has already resolved (see
-    ``_resolve_data`` in :mod:`repro.experiments.scheduler`) and it rides
-    in every batch's arguments: ``X``, ``y`` and each analytical cache's
-    predictions aligned with ``X``'s rows.  The largest registry dataset
-    has 3,696 rows, so a state pickles to a few hundred KB at most.
-    Workers rebuild the dataset and caches from it once per
-    ``(plan, digest)`` and open no store.
+    ``_resolve_data`` in :mod:`repro.experiments.scheduler`) and it is
+    the only way any worker receives a plan's inputs: pickled in every
+    pool batch's arguments, schema-encoded in the fleet's
+    :class:`~repro.distributed.protocol.PlanAssignment`.  It holds ``X``,
+    ``y`` and each analytical cache's predictions aligned with ``X``'s
+    rows, as little-endian float64 bytes.  The largest registry dataset
+    has 3,696 rows, so a state is a few hundred KB at most.  Workers
+    rebuild the dataset and caches from it once per ``(plan, digest)``
+    and open no store.
 
-    Configuration objects are not shipped: cell evaluation touches only
-    ``X``/``y``/``feature_names``, and every row it looks up in a cache
-    is a row of ``X``.
+    It is a registered wire struct, so the constructor checks every
+    field's type and every buffer's length: a malformed state fails to
+    decode instead of reaching a worker.  Configuration objects are not
+    shipped: cell evaluation touches only ``X``/``y``/``feature_names``,
+    and every row it looks up in a cache is a row of ``X``.
     """
 
     dataset_name: str
     feature_names: tuple[str, ...]
-    X: np.ndarray
-    y: np.ndarray
+    #: The ``(rows, len(feature_names))`` feature matrix, row-major.
+    X: bytes = field(repr=False)
+    #: The ``rows`` targets.
+    y: bytes = field(repr=False)
     #: ``(cache key, predictions for every row of X)`` per analytical cache.
-    cache_values: tuple[tuple[str, np.ndarray], ...]
+    cache_values: tuple[tuple[str, bytes], ...] = field(repr=False)
     #: SHA-256 of the content: the worker memo's key.
     digest: str
+
+    def __post_init__(self) -> None:
+        for name in ("dataset_name", "digest"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"PlanState.{name} must be a str")
+        if not (isinstance(self.feature_names, tuple)
+                and all(isinstance(name, str) for name in self.feature_names)):
+            raise TypeError("PlanState.feature_names must be a tuple of str")
+        if not (isinstance(self.cache_values, tuple) and all(
+                isinstance(entry, tuple) and len(entry) == 2
+                and isinstance(entry[0], str) and isinstance(entry[1], bytes)
+                for entry in self.cache_values)):
+            raise TypeError(
+                "PlanState.cache_values must be a tuple of (str, bytes) pairs")
+        if not (isinstance(self.X, bytes) and isinstance(self.y, bytes)):
+            raise TypeError("PlanState.X and PlanState.y must be bytes")
+        if len(self.y) % _F64.itemsize:
+            raise ValueError(f"PlanState.y holds {len(self.y)} bytes, "
+                             f"not a whole number of float64 values")
+        if len(self.X) != len(self.y) * len(self.feature_names):
+            raise ValueError(
+                f"PlanState.X holds {len(self.X)} bytes, expected "
+                f"{self.n_rows} rows x {len(self.feature_names)} features")
+        for key, values in self.cache_values:
+            if len(values) != len(self.y):
+                raise ValueError(
+                    f"PlanState cache {key!r} holds {len(values)} bytes, "
+                    f"expected one float64 per row ({len(self.y)})")
+
+    @property
+    def n_rows(self) -> int:
+        """Rows of the dataset."""
+        return len(self.y) // _F64.itemsize
 
     @classmethod
     def pack(cls, dataset: PerformanceDataset,
              caches: dict[str, AnalyticalPredictionCache]) -> PlanState:
         """The state of *dataset* and its warmed *caches*."""
-        X = np.ascontiguousarray(dataset.X)
-        y = np.ascontiguousarray(dataset.y)
-        cache_values = tuple((key, cache.predict(X)) for key, cache in caches.items())
+        X = np.ascontiguousarray(dataset.X, dtype=_F64)
+        cache_values = tuple((key, np.asarray(cache.predict(X), dtype=_F64).tobytes())
+                             for key, cache in caches.items())
         names = tuple(dataset.feature_names)
+        raw_X, raw_y = X.tobytes(), np.asarray(dataset.y, dtype=_F64).tobytes()
         digest = hashlib.sha256(
             repr((dataset.name, names, [key for key, _ in cache_values])).encode())
-        for array in (X, y, *(values for _, values in cache_values)):
-            digest.update(array.tobytes())
-        return cls(dataset.name, names, X, y, cache_values, digest.hexdigest())
+        for data in (raw_X, raw_y, *(values for _, values in cache_values)):
+            digest.update(data)
+        return cls(dataset.name, names, raw_X, raw_y, cache_values, digest.hexdigest())
 
     def unpack(self) -> tuple[PerformanceDataset, dict[str, AnalyticalPredictionCache]]:
         """The dataset and caches, rebuilt through the store's own load path."""
-        dataset = PerformanceDataset(name=self.dataset_name, X=self.X, y=self.y,
+        X = _floats(self.X).reshape(self.n_rows, len(self.feature_names))
+        dataset = PerformanceDataset(name=self.dataset_name, X=X, y=_floats(self.y),
                                      feature_names=list(self.feature_names))
         caches = {
             key: AnalyticalPredictionCache(build_analytical(key),
-                                           dataset.feature_names).load_rows(self.X, values)
+                                           dataset.feature_names).load_rows(X, _floats(values))
             for key, values in self.cache_values
         }
         return dataset, caches

@@ -18,8 +18,9 @@ dispatches them through one of three executors:
   consecutive plans skip worker spawn entirely.
 * ``"remote"`` — a TCP worker fleet (:mod:`repro.distributed`): cells are
   leased in batches to :mod:`repro.distributed.worker` processes on any
-  number of hosts, with heartbeat/requeue fault tolerance and store
-  bootstrap for cold workers.  Pass an existing
+  number of hosts, with heartbeat/requeue fault tolerance.  The same
+  :class:`~repro.experiments.pool.PlanState` rides in the plan
+  assignment, and fleet workers keep the same bounded memo.  Pass an existing
   :class:`~repro.distributed.coordinator.Coordinator` as ``fleet`` (the
   CLI's ``--bind``/``--workers`` mode); without one a throwaway
   coordinator plus ``jobs`` localhost workers is spun up per plan.
@@ -68,7 +69,7 @@ from repro.experiments.runner import (
 )
 from repro.obs.tracing import TRACER, span_into
 
-__all__ = ["EXECUTORS", "run_plan", "run_named_plan", "worker_state_stats"]
+__all__ = ["EXECUTORS", "PlanMemo", "run_plan", "run_named_plan", "worker_state_stats"]
 
 #: Valid values of the ``executor`` argument / ``--executor`` CLI flag.
 EXECUTORS = ("serial", "process", "remote")
@@ -115,21 +116,52 @@ def _series_factories(plan: ExperimentPlan, dataset: PerformanceDataset,
 
 
 # --------------------------------------------------------------------------- #
-# Process-pool worker side
+# Worker side (process pool and fleet)
 # --------------------------------------------------------------------------- #
-#: Per-process memo of rebuilt plan state, so one worker handling several
-#: cell batches of the same plan rebuilds the dataset and caches only once.
-#: Workers now outlive a single plan (see :class:`WorkerPool`), so the
-#: memo is a bounded LRU: long experiment sequences evict their oldest
-#: plan state instead of growing worker RSS without limit.
-_WORKER_STATE: OrderedDict = OrderedDict()
 #: Rebuilt plan states kept per worker.  One state holds a dataset plus
 #: warmed caches and factories — a handful covers every realistic
 #: sequence (consecutive plans sharing datasets hit the memo), while a
 #: hard cap bounds worker memory on arbitrarily long sequences.
 _WORKER_STATE_LIMIT = 8
-#: Evictions performed by this process (exposed via :func:`worker_state_stats`).
-_WORKER_STATE_EVICTIONS = 0
+
+
+class PlanMemo:
+    """Bounded LRU of the plan state a worker rebuilt from :class:`PlanState`.
+
+    Maps ``(plan, state.digest)`` to the dataset and series factories,
+    so a worker handling several cell batches of one plan rebuilds them
+    once.  Workers outlive a single plan (a :class:`WorkerPool`, a fleet
+    connection), so at most :data:`_WORKER_STATE_LIMIT` entries are kept
+    and the least recently used is evicted.  Each memo has one user: a
+    pool worker process runs one batch at a time, and every fleet worker
+    owns its own memo, so fleet workers sharing a process share nothing.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict = OrderedDict()
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def resolve(self, plan: ExperimentPlan, state: PlanState) -> tuple:
+        """``(dataset, factories)`` for *plan* on *state*, rebuilt on a miss."""
+        key = (plan, state.digest)
+        entry = self._entries.get(key)
+        if entry is None:
+            dataset, caches = state.unpack()
+            entry = (dataset, _series_factories(plan, dataset, caches))
+            self._entries[key] = entry
+            while len(self._entries) > _WORKER_STATE_LIMIT:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+        else:
+            self._entries.move_to_end(key)
+        return entry
+
+
+#: This process's memo when it is a pool worker.
+_WORKER_STATE = PlanMemo()
 
 
 def worker_state_stats() -> dict:
@@ -140,16 +172,7 @@ def worker_state_stats() -> dict:
     parent's own — normally empty — memo.
     """
     return {"size": len(_WORKER_STATE), "limit": _WORKER_STATE_LIMIT,
-            "evictions": _WORKER_STATE_EVICTIONS}
-
-
-def _worker_state_put(key, state) -> None:
-    global _WORKER_STATE_EVICTIONS
-    _WORKER_STATE[key] = state
-    _WORKER_STATE.move_to_end(key)
-    while len(_WORKER_STATE) > _WORKER_STATE_LIMIT:
-        _WORKER_STATE.popitem(last=False)
-        _WORKER_STATE_EVICTIONS += 1
+            "evictions": _WORKER_STATE.evictions}
 
 
 def _cell_attrs(cell) -> dict:
@@ -174,15 +197,7 @@ def _evaluate_batch(plan: ExperimentPlan, cells: list, state: PlanState,
     reduces to the same :func:`~repro.core.evaluation.evaluate_cell`
     call per cell and the merge is plan-ordered, so rows cannot diverge.
     """
-    key = (plan, state.digest)
-    memo = _WORKER_STATE.get(key)
-    if memo is None:
-        dataset, caches = state.unpack()
-        memo = (dataset, _series_factories(plan, dataset, caches))
-        _worker_state_put(key, memo)
-    else:
-        _WORKER_STATE.move_to_end(key)
-    dataset, factories = memo
+    dataset, factories = _WORKER_STATE.resolve(plan, state)
     if trace is None:
         return [evaluate_cell(cell, factories[cell.factory_key], dataset)
                 for cell in cells], []
@@ -202,20 +217,17 @@ def _evaluate_batch(plan: ExperimentPlan, cells: list, state: PlanState,
 # --------------------------------------------------------------------------- #
 # Remote (worker-fleet) dispatch
 # --------------------------------------------------------------------------- #
-def _run_remote(plan: ExperimentPlan, cells: list, dataset: PerformanceDataset,
-                caches: dict, store: DatasetStore | None, fleet,
-                jobs: int, dataset_override: bool,
-                batch_cells=None) -> list[CellResult]:
+def _run_remote(plan: ExperimentPlan, cells: list, state: PlanState, fleet,
+                jobs: int, batch_cells=None) -> list[CellResult]:
     """Dispatch cells to a TCP worker fleet (see :mod:`repro.distributed`).
 
     With an existing *fleet* coordinator the plan simply runs on it.  The
     convenience path spawns a throwaway coordinator plus *jobs* localhost
-    workers; the workers share the parent's store (via its locator URL —
-    warm-path loads, no bootstrap traffic) when a shareable one is
-    configured.  *batch_cells* (``"auto"`` or an int) becomes the
-    throwaway coordinator's lease ``batch_size``; an existing fleet
-    already fixed its lease policy at construction, so combining the two
-    is a usage error rather than a silent no-op.
+    workers.  Either way the workers receive *state* in the plan
+    assignment and open no store.  *batch_cells* (``"auto"`` or an int)
+    becomes the throwaway coordinator's lease ``batch_size``; an existing
+    fleet already fixed its lease policy at construction, so combining
+    the two is a usage error rather than a silent no-op.
     """
     from repro.distributed.coordinator import Coordinator
 
@@ -224,33 +236,29 @@ def _run_remote(plan: ExperimentPlan, cells: list, dataset: PerformanceDataset,
             raise ValueError(
                 "batch_cells cannot be combined with an existing fleet; "
                 "construct the Coordinator with batch_size=... instead")
-        return fleet.execute(plan, cells, dataset, caches, store=store,
-                             dataset_override=dataset_override)
+        return fleet.execute(plan, cells, state)
     knobs = {} if batch_cells is None else {"batch_size": batch_cells}
     with Coordinator(**knobs) as coordinator:
-        coordinator.spawn_local_workers(
-            jobs, store_url=None if store is None else store.locator)
-        return coordinator.execute(plan, cells, dataset, caches, store=store,
-                                   dataset_override=dataset_override)
+        coordinator.spawn_local_workers(jobs)
+        return coordinator.execute(plan, cells, state)
 
 
 # --------------------------------------------------------------------------- #
 # Process-pool (parent-side) dispatch
 # --------------------------------------------------------------------------- #
-def _run_process(plan: ExperimentPlan, cells: list, resolved: PerformanceDataset,
-                 caches: dict[str, AnalyticalPredictionCache], *,
+def _run_process(plan: ExperimentPlan, cells: list, state: PlanState, *,
                  pool: WorkerPool, batch_cells) -> list[CellResult]:
     """Dispatch cells to a (possibly long-lived) :class:`WorkerPool`.
 
     Three overhead attacks compose here: the pool may outlive this plan
     (workers keep their state memos), the batch shape is cost-balanced
     (LPT over the calibrated cost model) instead of a blind contiguous
-    split, and the plan's state is packed once and shipped by value.
+    split, and the plan's state, packed once, is shipped by value.
     Measured batch durations are fed back into the cost model, so later
     plans — and the fleet coordinator's adaptive leases — shape better.
     """
-    costs = COST_MODEL.plan_costs(plan, cells, resolved.n_samples)
-    units = COST_MODEL.plan_units(plan, cells, resolved.n_samples)
+    costs = COST_MODEL.plan_costs(plan, cells, state.n_rows)
+    units = COST_MODEL.plan_units(plan, cells, state.n_rows)
     if batch_cells is None or batch_cells == "auto":
         # Mild oversubscription: the pool queue absorbs cost-estimate
         # error dynamically without a dispatch round-trip per cell.
@@ -258,7 +266,6 @@ def _run_process(plan: ExperimentPlan, cells: list, resolved: PerformanceDataset
     else:
         n_batches = max(1, -(-len(cells) // batch_cells))
     batches = shape_batches(cells, costs, n_batches)
-    state = PlanState.pack(resolved, caches)
     trace = TRACER.current_context() if TRACER.enabled else None
     timed = pool.run_batches(_evaluate_batch,
                              [(plan, batch, state, trace) for batch in batches])
@@ -295,9 +302,9 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
     store:
         Optional persistent :class:`DatasetStore`: datasets and warmed
         analytical caches are loaded from (and saved to) disk by this
-        process, shared across experiments and invocations (and with
-        fleet workers that open the same store).  Pool workers receive
-        the resolved state by value and never open the store.
+        process, shared across experiments and invocations.  Pool and
+        fleet workers receive the resolved state by value and never open
+        the store.
     dataset:
         Explicit dataset override (tests/notebooks); bypasses the store.
     fleet:
@@ -361,12 +368,8 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
     with TRACER.span("plan", attrs={"plan": plan.experiment_id,
                                     "executor": executor,
                                     "cells": len(cells)}):
-        if executor == "remote":
-            results = _run_remote(plan, cells, resolved, caches,
-                                  store if dataset is None else None, fleet, jobs,
-                                  dataset_override=dataset is not None,
-                                  batch_cells=batch_cells)
-        elif executor == "serial" or len(cells) <= 1 or (jobs == 1 and pool is None):
+        if executor == "serial" or (executor == "process" and (
+                len(cells) <= 1 or (jobs == 1 and pool is None))):
             factories = _series_factories(plan, resolved, caches)
             with TRACER.span("batch", attrs={"executor": "serial",
                                              "cells": len(cells)}) as batch_span:
@@ -376,17 +379,23 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
                                      attrs=_cell_attrs(cell)):
                         results.append(evaluate_cell(
                             cell, factories[cell.factory_key], resolved))
-        else:  # process
-            own_pool = pool is None
-            if own_pool:
-                pool = WorkerPool(jobs)
-            try:
-                results = _run_process(plan, cells, resolved, caches,
-                                       pool=pool, batch_cells=batch_cells)
-                used_pool = True
-            finally:
+        else:
+            # Both parallel executors ship the same packed state by value.
+            state = PlanState.pack(resolved, caches)
+            if executor == "remote":
+                results = _run_remote(plan, cells, state, fleet, jobs,
+                                      batch_cells=batch_cells)
+            else:
+                own_pool = pool is None
                 if own_pool:
-                    pool.close()
+                    pool = WorkerPool(jobs)
+                try:
+                    results = _run_process(plan, cells, state,
+                                           pool=pool, batch_cells=batch_cells)
+                    used_pool = True
+                finally:
+                    if own_pool:
+                        pool.close()
 
         merge_start = time.perf_counter()
         by_series: dict[str, list[CellResult]] = {}

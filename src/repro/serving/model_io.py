@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import io
 import logging
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -275,67 +277,85 @@ def _decode_scaler(data, n_features: int) -> StandardScaler | None:
     return scaler
 
 
+#: What ``np.load`` and member reads raise on a structurally broken blob:
+#: a missing member, a plain ``.npy`` array where an archive belongs, a
+#: truncated or bit-flipped archive, no bytes at all.
+_MALFORMED_BLOB_ERRORS = (KeyError, TypeError, IndexError, EOFError, OSError,
+                          zipfile.BadZipFile, zlib.error)
+
+
 def decode_model(blob: bytes) -> ServedModel:
     """Rebuild a :class:`ServedModel` from :func:`encode_model` bytes.
 
     Pickle-free: only whitelisted estimator shapes are reconstructed.
-    Raises :class:`ValueError` for unknown format versions, kinds or
-    malformed arenas (the server answers 503 — the blob passed its
-    checksum, so a decode failure means a format skew, not corruption).
+    Raises :class:`ValueError` for every blob it cannot decode: unknown
+    format versions or kinds, malformed arenas, and archives that are
+    truncated, corrupt, missing a member or not archives at all (the
+    server answers 503 — the blob passed its checksum, so a decode
+    failure means a format skew, not corruption in the store).
     """
-    with np.load(io.BytesIO(blob), allow_pickle=False) as data:
-        version = int(data["format"])
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(
-                f"model blob has format version {version}, this build reads "
-                f"{MODEL_FORMAT_VERSION}")
-        kind = str(data["kind"])
-        n_features_in = int(data["n_features_in"])
-        feature_names = tuple(str(n) for n in data["feature_names"])
-        forest = PackedForest.from_state(
-            {name: data[f"forest_{name}"] for name in
-             ("roots", "feature", "threshold", "value", "left", "right")})
-        # A hybrid's forest also reads the stacked analytical column.
-        width = n_features_in + (kind == "hybrid")
-        if forest.feature.max() >= width:
-            raise ValueError(f"model blob splits on feature {forest.feature.max()} "
-                             f"of a {width}-column input")
-        if kind == "ml_pipeline":
-            scaler = _decode_scaler(data, n_features_in)
-            regressor = PackedRegressor(forest=forest, n_features_in=n_features_in)
-            steps = ([("scale", scaler)] if scaler is not None else [])
-            steps.append(("model", regressor))
-            pipeline = Pipeline(steps=list(steps))
-            pipeline.steps_ = list(steps)
-            return ServedModel(kind=kind, model=pipeline,
-                               n_features_in=n_features_in,
-                               feature_names=feature_names, forest=forest)
-        if kind == "hybrid":
-            from repro.experiments.plan import build_analytical
+    try:
+        with np.load(io.BytesIO(blob), allow_pickle=False) as data:
+            return _decode_members(data)
+    except _MALFORMED_BLOB_ERRORS as exc:
+        raise ValueError(
+            f"malformed model blob ({type(exc).__name__}: {exc})") from exc
 
-            if len(feature_names) != n_features_in:
-                raise ValueError(
-                    f"hybrid blob names {len(feature_names)} features for "
-                    f"{n_features_in} columns")
-            analytical_key = str(data["analytical"])
-            model = HybridPerformanceModel(
-                analytical_model=build_analytical(analytical_key),
-                feature_names=list(feature_names),
-                aggregate_analytical=bool(int(data["aggregate"])),
-                analytical_weight=float(data["analytical_weight"]),
-                log_analytical_feature=bool(int(data["log_feature"])),
-                standardize=bool(int(data["has_scaler"])),
-            )
-            # The stacked feature matrix is the raw features plus the
-            # analytical column, hence width n_features_in + 1.
-            model.scaler_ = _decode_scaler(data, n_features_in + 1)
-            model.stacked_model_ = PackedRegressor(
-                forest=forest, n_features_in=n_features_in + 1)
-            model.n_features_in_ = n_features_in
-            return ServedModel(kind=kind, model=model,
-                               n_features_in=n_features_in,
-                               feature_names=feature_names, forest=forest)
-        raise ValueError(f"unknown model kind {kind!r} in blob")
+
+def _decode_members(data) -> ServedModel:
+    """The :class:`ServedModel` the members of an opened model archive hold."""
+    version = int(data["format"])
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(
+            f"model blob has format version {version}, this build reads "
+            f"{MODEL_FORMAT_VERSION}")
+    kind = str(data["kind"])
+    n_features_in = int(data["n_features_in"])
+    feature_names = tuple(str(n) for n in data["feature_names"])
+    forest = PackedForest.from_state(
+        {name: data[f"forest_{name}"] for name in
+         ("roots", "feature", "threshold", "value", "left", "right")})
+    # A hybrid's forest also reads the stacked analytical column.
+    width = n_features_in + (kind == "hybrid")
+    if forest.feature.max() >= width:
+        raise ValueError(f"model blob splits on feature {forest.feature.max()} "
+                         f"of a {width}-column input")
+    if kind == "ml_pipeline":
+        scaler = _decode_scaler(data, n_features_in)
+        regressor = PackedRegressor(forest=forest, n_features_in=n_features_in)
+        steps = ([("scale", scaler)] if scaler is not None else [])
+        steps.append(("model", regressor))
+        pipeline = Pipeline(steps=list(steps))
+        pipeline.steps_ = list(steps)
+        return ServedModel(kind=kind, model=pipeline,
+                           n_features_in=n_features_in,
+                           feature_names=feature_names, forest=forest)
+    if kind == "hybrid":
+        from repro.experiments.plan import build_analytical
+
+        if len(feature_names) != n_features_in:
+            raise ValueError(
+                f"hybrid blob names {len(feature_names)} features for "
+                f"{n_features_in} columns")
+        analytical_key = str(data["analytical"])
+        model = HybridPerformanceModel(
+            analytical_model=build_analytical(analytical_key),
+            feature_names=list(feature_names),
+            aggregate_analytical=bool(int(data["aggregate"])),
+            analytical_weight=float(data["analytical_weight"]),
+            log_analytical_feature=bool(int(data["log_feature"])),
+            standardize=bool(int(data["has_scaler"])),
+        )
+        # The stacked feature matrix is the raw features plus the
+        # analytical column, hence width n_features_in + 1.
+        model.scaler_ = _decode_scaler(data, n_features_in + 1)
+        model.stacked_model_ = PackedRegressor(
+            forest=forest, n_features_in=n_features_in + 1)
+        model.n_features_in_ = n_features_in
+        return ServedModel(kind=kind, model=model,
+                           n_features_in=n_features_in,
+                           feature_names=feature_names, forest=forest)
+    raise ValueError(f"unknown model kind {kind!r} in blob")
 
 
 # --------------------------------------------------------------------------- #

@@ -1,8 +1,8 @@
 """Programmable fault injection for the store and the fleet wire protocol.
 
 The robustness claims of the store/fleet stack (checksums catch
-corruption, retries absorb error bursts, relay fallback survives a dead
-shared store) are only claims until a test can *cause* each failure on
+corruption, retries absorb error bursts, a fleet survives a dead
+connection) are only claims until a test can *cause* each failure on
 demand.  This module provides the two injection points:
 
 * :class:`FaultyBackend` wraps any

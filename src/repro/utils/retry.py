@@ -1,11 +1,10 @@
 """Shared retry-with-backoff policy for fallible I/O paths.
 
 Every network- or disk-touching seam of the system (the HTTP object-store
-client, the fleet worker's connect/reconnect path, the worker's artifact
-bootstrap) retries transient failures through one :class:`RetryPolicy`
-instead of ad-hoc sleep loops, so the backoff shape, the per-attempt
-timeout and the retry budget are tunable in one place and observable
-everywhere (``on_retry`` is the hook the callers use to count and log
+client, the fleet worker's connect/reconnect path) retries transient
+failures through one :class:`RetryPolicy` instead of ad-hoc sleep loops,
+so the backoff shape, the per-attempt timeout and the retry budget are
+tunable in one place and observable everywhere (``on_retry`` is the hook the callers use to count and log
 every degradation — a retry is never silent).
 
 The policy is deliberately dependency-free and deterministic under test:

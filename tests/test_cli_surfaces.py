@@ -18,14 +18,15 @@ import pytest
 
 from repro import cli
 
-#: entry point -> flags its surface must expose.  Store flags are
-#: universal (every surface reads or serves a store); auth and logging
-#: flags are universal by design — that is the point of this PR.
+#: entry point -> flags its surface must expose.  Store flags belong to
+#: every surface that reads or serves a store (a fleet worker receives
+#: each plan's state in its assignment and opens none); auth and logging
+#: flags are universal by design.
 _SHARED_FLAGS = ("--auth-key-file", "--insecure",
                  "--log-format", "--log-level")
 SURFACES = {
     "repro.experiments.__main__": _SHARED_FLAGS + ("--store-dir", "--store-url"),
-    "repro.distributed.worker": _SHARED_FLAGS + ("--store-dir", "--store-url"),
+    "repro.distributed.worker": _SHARED_FLAGS,
     "repro.datasets.object_server": _SHARED_FLAGS + ("--bind", "--port"),
     "repro.serving.server": _SHARED_FLAGS + ("--store-dir", "--store-url",
                                              "--bind", "--port"),
@@ -52,6 +53,11 @@ class TestSharedSurface:
         missing = [flag for flag in flags if flag not in text]
         assert not missing, (f"{module_name} --help is missing {missing}; "
                              "shared flags live in repro.cli parents")
+
+    def test_fleet_worker_has_no_store_or_retry_flags(self):
+        text = _help_text("repro.distributed.worker")
+        for flag in ("--store-dir", "--store-url", "--max-retries"):
+            assert flag not in text, f"fleet worker --help lists {flag}"
 
     def test_store_flags_are_mutually_exclusive(self):
         parser = __import__("argparse").ArgumentParser(

@@ -294,7 +294,7 @@ class TestChaosFleet:
         from repro.distributed.coordinator import Coordinator
         from repro.distributed.worker import FleetWorker
         from repro.experiments import ExperimentSettings
-        from repro.experiments.plan import experiment_plan
+        from repro.experiments.plan import expand_cells, experiment_plan
         from repro.experiments.scheduler import run_plan
 
         tiny = ExperimentSettings(n_estimators=4, n_repeats=2,
@@ -307,25 +307,22 @@ class TestChaosFleet:
             shared = DatasetStore(server.url)
             run_plan(plan, store=shared)  # seed the object store
             # Chaos: every dataset read is served corrupted (the checksum
-            # catches it; the driver regenerates, workers degrade to
-            # relay), and cache reads hit a 500 burst (the client's
-            # retry policy absorbs it).
+            # catches it and the driver regenerates), and cache reads hit
+            # a 500 burst (the client's retry policy absorbs it).  The
+            # workers open no store: the driver's plan state reaches them
+            # in the plan assignment.
             faulty.inject_corruption(op="read", key="datasets/", times=None)
             faulty.inject_error(RuntimeError("error burst"), op="read",
                                 key="caches/", times=2)
+            parent = DatasetStore(server.url)
             with Coordinator() as coordinator:
-                workers = [
-                    FleetWorker(coordinator.address,
-                                retry=RetryPolicy(max_attempts=4,
-                                                  base_delay=0.01))
-                    for _ in range(2)
-                ]
+                workers = [FleetWorker(coordinator.address) for _ in range(2)]
                 threads = [threading.Thread(target=w.run, daemon=True)
                            for w in workers]
                 for thread in threads:
                     thread.start()
                 chaotic = run_plan(plan, executor="remote", fleet=coordinator,
-                                   store=DatasetStore(server.url))
+                                   store=parent)
             for thread in threads:
                 thread.join(timeout=10.0)
                 assert not thread.is_alive()
@@ -333,7 +330,6 @@ class TestChaosFleet:
         assert (chaotic.rows(), chaotic.extra) == (serial.rows(), serial.extra)
         # The faults really fired and were survived, not skipped.
         assert {e["kind"] for e in faulty.log} == {"corrupt", "error"}
-        assert sum(w.direct_fetch_errors for w in workers) >= 1
-        assert sum(w.relay_fetches for w in workers) >= 1
-        assert sum(w.direct_fetches for w in workers) >= 1
+        assert parent.integrity_failures >= 1
+        assert sum(w.cells_evaluated for w in workers) == len(expand_cells(plan))
         assert faulty.log_text()

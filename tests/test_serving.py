@@ -21,6 +21,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import zipfile
 
 import numpy as np
 import pytest
@@ -258,6 +259,42 @@ class TestModelBlobFormat:
         with pytest.raises(ValueError, match="format version 99"):
             decode_model(buf.getvalue())
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_damaged_published_blob_raises_or_predicts(self, published, data):
+        """Truncate, bit-flip or drop members of a real published blob:
+        decoding either raises ``ValueError`` or yields a model that
+        predicts — never another exception type."""
+        plan, store, dataset, *_ = published
+        label = data.draw(st.sampled_from(["hybrid", "extra_trees"]), label="series")
+        blob = store.model_bytes(plan.fingerprint, label)
+        damage = data.draw(st.sampled_from(["truncate", "flip", "drop"]),
+                           label="damage")
+        if damage == "truncate":
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="keep")]
+        elif damage == "flip":
+            raw = bytearray(blob)
+            for _ in range(data.draw(st.integers(1, 3), label="flips")):
+                i = data.draw(st.integers(0, len(raw) - 1), label="byte")
+                raw[i] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+            blob = bytes(raw)
+        else:
+            with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+                members = {name: archive.read(name) for name in archive.namelist()}
+            dropped = data.draw(st.sets(st.sampled_from(sorted(members)),
+                                        min_size=1), label="dropped")
+            buf = io.BytesIO()
+            with zipfile.ZipFile(buf, "w") as archive:
+                for name, member in members.items():
+                    if name not in dropped:
+                        archive.writestr(name, member)
+            blob = buf.getvalue()
+        try:
+            served = decode_model(blob)
+        except ValueError:
+            return
+        assert served.predict_rows(dataset.X[:4]).shape == (4,)
+
 
 class TestPublishing:
     def test_publish_writes_every_servable_series(self, published):
@@ -403,6 +440,23 @@ class TestModelServer:
             assert stats["store_integrity_failures"] == 1
         # The corrupt blob was discarded: the next publish repairs the key.
         assert not store.backend.exists(key)
+
+    def test_undecodable_blob_is_503(self):
+        """A blob that passes its checksum but is no model archive (a plain
+        ``.npy`` array under the model's key) answers the documented 503."""
+        plan = experiment_plan("figure5", SETTINGS)
+        store = DatasetStore("memory://")
+        npy = io.BytesIO()
+        np.save(npy, np.arange(3.0))
+        store.backend.write(store.model_key(plan.fingerprint, "hybrid"),
+                            npy.getvalue())
+        with ModelServer(store) as server:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _post(server.url + "predict",
+                      {"plan": plan.fingerprint, "series": "hybrid",
+                       "rows": [[1.0, 2.0, 3.0]]})
+            assert err.value.code == 503
+            assert "cannot be decoded" in json.loads(err.value.read())["error"]
 
     def test_concurrent_requests_batch_and_preserve_values(self, published):
         plan, store, dataset, caches, _ = published

@@ -11,7 +11,8 @@ The guarantees under test:
   (before the CRC), replayed frames fail the sequence check, and a
   v4/v5 version skew is refused at HELLO;
 * a fully keyed fleet produces rows bit-identical to serial with zero
-  auth failures — auth changes who may talk, never what is computed;
+  auth failures — auth changes who may talk, never what is computed —
+  also when its driver runs on a keyed object store;
 * the HTTP servers (object store, model server, status sidecar) share
   the same auth convention: unsigned requests get 401 + a labeled
   ``repro_auth_failures_total`` increment, signed clients round-trip,
@@ -37,6 +38,9 @@ from repro.distributed import codec, protocol
 from repro.distributed.coordinator import Coordinator
 from repro.distributed.worker import FleetWorker
 from repro.experiments import ExperimentSettings, run_experiment
+from repro.experiments.plan import experiment_plan
+from repro.experiments.pool import PlanState
+from repro.experiments.scheduler import _resolve_data
 from repro.obs.http import AUTH_SCHEME, sign_request, verify_request
 from repro.testing.faults import FaultySocket
 
@@ -81,13 +85,15 @@ class TestCodec:
     """The schema'd codec: round-trips in, everything else out."""
 
     def test_round_trips_every_wire_shape(self):
+        plan = experiment_plan("figure6", TINY)
         messages = [
             protocol.Hello(5, _FORMAT_VERSION, "w1", 123, "fmm1",
                            auth_nonce="aa", auth_proof="bb"),
             protocol.Welcome("coord", auth_nonce="cc", auth_proof="dd"),
             protocol.Reject("nope"),
             protocol.Heartbeat("w1"),
-            protocol.DatasetBlob("abc", os.urandom(1 << 12)),
+            protocol.PlanAssignment(
+                "abc", plan, PlanState.pack(*_resolve_data(plan, None))),
             protocol.NoPlan(),
             protocol.Goodbye("done"),
         ]
@@ -130,14 +136,16 @@ class TestCodec:
         import repro.distributed.coordinator
         import repro.distributed.protocol
         import repro.distributed.worker
+        import repro.experiments.pool
         import repro.obs.http
         import repro.serving.server
 
         wire_modules = [
             repro.distributed.codec, repro.distributed.protocol,
             repro.distributed.coordinator, repro.distributed.worker,
-            repro.obs.http, repro.datasets.object_server,
-            repro.datasets.backends, repro.serving.server,
+            repro.experiments.pool, repro.obs.http,
+            repro.datasets.object_server, repro.datasets.backends,
+            repro.serving.server,
         ]
         import ast
         from pathlib import Path
@@ -368,23 +376,24 @@ class TestKeyedFleetEndToEnd:
         assert _rows(remote) == _rows(serial)
         assert sum(w.cells_evaluated for w in workers) == 12
 
-    def test_keyed_worker_signs_store_requests(self, tmp_path):
-        """One secret secures both planes: a worker given the fleet key
-        can bootstrap from a keyed object store."""
-        store_backend = MemoryBackend()
-        with ObjectStoreServer(store_backend, auth=KEY) as server:
+    def test_keyed_fleet_over_keyed_object_store(self):
+        """One secret secures both planes: the driver reads a keyed object
+        store, the keyed workers receive the plan state over signed
+        frames, and neither side rejects a credential."""
+        with ObjectStoreServer(MemoryBackend(), auth=KEY) as server:
             seed = DatasetStore(ObjectStoreBackend(server.url, retry=FAST,
                                                    auth=KEY))
             serial = run_experiment("figure6", TINY, store=seed)
             with Coordinator(auth_key=KEY) as coordinator:
-                worker = FleetWorker(coordinator.address, auth_key=KEY,
-                                     store=server.url)
+                worker = FleetWorker(coordinator.address, auth_key=KEY)
                 thread = threading.Thread(target=worker.run, daemon=True)
                 thread.start()
                 remote = run_experiment("figure6", TINY, executor="remote",
                                         fleet=coordinator, store=seed)
+                assert coordinator.auth_failures == 0
             thread.join(timeout=10.0)
             assert _rows(remote) == _rows(serial)
+            assert worker.cells_evaluated == 12
             assert server.auth_failures == 0
 
 
