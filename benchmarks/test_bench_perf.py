@@ -14,7 +14,7 @@ Two benchmarks are tracked:
   The pooled sweep is timed on its *second* consecutive invocation of
   the same pool — the steady-state an experiment sequence sees: workers
   already spawned and per-plan memos warm.  The cold first invocation and a phase breakdown (spawn,
-  dispatch, compute, merge) are recorded alongside.  The speedup is
+  dispatch, compute, batches) are recorded alongside.  The speedup is
   recorded here and enforced by ``bench_gate.py`` (it tracks the host's
   core count, so the floor is conditional on ``cpus``); the rows are
   asserted bit-identical in-test, which *is* hardware-independent.
@@ -296,10 +296,7 @@ def test_scheduler_speedup(tmp_path):
                 pool.stats["dispatch_seconds"] - stats_cold["dispatch_seconds"], 4),
             "compute_seconds": round(
                 pool.stats["compute_seconds"] - stats_cold["compute_seconds"], 4),
-            "merge_seconds": round(
-                pool.stats["merge_seconds"] - stats_cold["merge_seconds"], 4),
             "batches": pool.stats["batches"] - stats_cold["batches"],
-            "cells": pool.stats["cells"] - stats_cold["cells"],
         }
         spawn_count = pool.spawn_count
 

@@ -143,17 +143,6 @@ class EvalCell:
         and the model's randomness, exactly as the serial loop did.
     min_train:
         Lower bound on the number of training samples.
-    dataset_fingerprint:
-        Optional fingerprint of the dataset the cell evaluates on (used
-        by the scheduling layer to resolve datasets in worker processes).
-    cost_hint:
-        Estimated relative cost of the cell in arbitrary units
-        (``0.0`` = unknown).  Populated by the scheduling layer from its
-        cost model (estimator-family weight × ensemble size × fraction)
-        and consumed by cost-aware batch shaping — the distributed
-        coordinator's adaptive leases pack cells against a budget of
-        these units.  Purely advisory: it never affects the cell's
-        result, only how cells are grouped for dispatch.
     """
 
     series: str
@@ -162,8 +151,6 @@ class EvalCell:
     repeat: int
     seed: int
     min_train: int = 3
-    dataset_fingerprint: str = ""
-    cost_hint: float = 0.0
 
     @property
     def key(self) -> tuple[str, float, int]:
@@ -200,7 +187,6 @@ def plan_learning_curve(
     factory_key: str = "",
     min_train: int = 3,
     random_state=0,
-    dataset_fingerprint: str = "",
 ) -> list[EvalCell]:
     """Expand a learning-curve evaluation into independent :class:`EvalCell` tasks.
 
@@ -225,7 +211,6 @@ def plan_learning_curve(
                 repeat=repeat,
                 seed=seed,
                 min_train=min_train,
-                dataset_fingerprint=dataset_fingerprint,
             ))
     return cells
 

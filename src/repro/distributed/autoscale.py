@@ -41,7 +41,8 @@ def desired_workers(load: dict, *, min_workers: int, max_workers: int,
     """The worker count a load snapshot calls for.
 
     One worker per ``cells_per_worker`` outstanding cells (queued +
-    leased; the natural unit is the lease ``batch_size``), clamped to
+    leased; the natural unit is the coordinator's
+    :data:`~repro.distributed.coordinator.LEASE_CELLS`), clamped to
     ``[min_workers, max_workers]``.  Pure function of the snapshot
     returned by :meth:`Coordinator.load`.
     """

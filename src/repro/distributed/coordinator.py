@@ -10,11 +10,12 @@ the plan has a result (or a cell exhausts its retry budget).
 
 Fault tolerance
 ---------------
-Work is handed out in small *leased* batches.  A lease is released when
-the worker returns its results; if the worker's connection drops (EOF,
-reset — a ``SIGKILL``'d process closes its sockets immediately) or its
-heartbeat goes silent for longer than ``heartbeat_timeout``, every
-unfinished cell of the lease is requeued at the front of the queue.  Each
+Work is handed out in *leased* batches of :data:`LEASE_CELLS` cells, in
+plan order.  A lease is released when the worker returns its results;
+if the worker's connection drops (EOF, reset — a ``SIGKILL``'d process
+closes its sockets immediately) or its heartbeat goes silent for longer
+than ``heartbeat_timeout``, every unfinished cell of the lease is
+requeued at the front of the queue.  Each
 cell tolerates ``max_retries`` requeues; one cell exceeding the budget
 fails the whole plan with a hard error (a cell is deterministic, so
 repeated failure means the fleet — not the data — is broken).  A worker
@@ -24,10 +25,11 @@ result is bit-identical.
 
 Straggler speculation rides on the same dedupe: once the queue drains,
 a lease held far longer than the fleet's typical lease duration (past
-``speculation_factor`` × the ``speculation_percentile`` of completed
-lease times) is *speculatively re-leased* — its unfinished cells are
-duplicated to the queue for a healthy worker to race, without charging
-the cell's retry budget.  Whichever copy lands first wins; the loser is
+:data:`SPECULATION_FACTOR` × the :data:`SPECULATION_PERCENTILE` of
+completed lease times, and at least :data:`SPECULATION_MIN_DELAY_S`) is
+*speculatively re-leased* — its unfinished cells are duplicated to the
+queue for a healthy worker to race, without charging the cell's retry
+budget.  Whichever copy lands first wins; the loser is
 counted as a duplicate and discarded.  This bounds plan latency by the
 healthy fleet, not by one degraded host.
 
@@ -84,13 +86,19 @@ from repro.obs.tracing import TRACER
 
 __all__ = ["Coordinator"]
 
-#: ``batch_size="auto"``: a lease targets the predicted cost of this many
-#: *average* cells of the plan, so cheap cells fuse into big leases and a
-#: cell costlier than the whole budget is leased alone.
-_AUTO_LEASE_TARGET_CELLS = 4
-#: Hard cap on cells per ``"auto"`` lease, bounding both the requeue cost
-#: of a dead worker and the damage of a bad cost estimate.
-_AUTO_LEASE_MAX_CELLS = 16
+#: Cells per lease.  Small leases bound both the requeue cost of a dead
+#: worker and fleet idle time at the tail of a plan.
+LEASE_CELLS = 4
+#: Straggler speculation: once the queue drains, a lease outstanding
+#: longer than ``max(SPECULATION_MIN_DELAY_S, SPECULATION_FACTOR x`` the
+#: ``SPECULATION_PERCENTILE`` of the plan's completed lease durations) is
+#: duplicated to the queue, once, for a healthy worker to race.
+SPECULATION_FACTOR = 3.0
+SPECULATION_PERCENTILE = 0.75
+SPECULATION_MIN_DELAY_S = 2.0
+#: Longest close() waits for registered workers to take the Goodbye their
+#: next GetPlan poll gets: about one poll interval, plus slack.
+GOODBYE_WAIT_S = 2 * NoPlan.delay
 #: Read timeout, in seconds, on a connection that has not completed
 #: HELLO.  Workers send HELLO as soon as they connect; a peer that stays
 #: silent this long is severed.
@@ -130,25 +138,13 @@ class _WorkerInfo:
 class _Job:
     """One plan's in-flight state: queue, completed results, retry counts."""
 
-    def __init__(self, plan, state, cells: list, auto_leases: bool = False) -> None:
+    def __init__(self, plan, state, cells: list) -> None:
         self.plan = plan
         self.state = state
         # The digest makes the same plan on other data another plan.
         self.plan_id = f"{plan.fingerprint}-{state.digest[:16]}"
         self.cells = cells
-        self.lease_budget: float | None = None
-        if auto_leases:
-            # Cost-aware leasing: dispatch expensive cells first (LPT-style
-            # makespan) against a budget of N average cells per lease.
-            # Any lease shape is safe — requeue and dedupe key on the
-            # cell, and results merge in plan order regardless.
-            hints = [max(cell.cost_hint, 0.0) for cell in cells]
-            mean = sum(hints) / len(hints) if hints else 0.0
-            self.lease_budget = _AUTO_LEASE_TARGET_CELLS * mean
-            order = sorted(range(len(cells)), key=lambda i: (-hints[i], i))
-            self.queue = deque(cells[i] for i in order)
-        else:
-            self.queue = deque(cells)
+        self.queue = deque(cells)
         self.completed: dict[tuple, CellResult] = {}
         self.retries: dict[tuple, int] = {}
         self.lease_durations: list[float] = []  # completed leases, seconds
@@ -178,25 +174,8 @@ class Coordinator:
         leased cells are requeued.  Workers heartbeat every
         ``heartbeat_interval`` (default 1s) even while computing, so the
         timeout trades failover latency against false positives only.
-    batch_size:
-        Cells per lease.  Small batches bound both the requeue cost of a
-        dead worker and fleet idle time at the tail of a plan.
-        ``"auto"`` makes leases cost-aware instead of fixed-size: cells
-        are dispatched expensive-first and packed against a budget of
-        :data:`_AUTO_LEASE_TARGET_CELLS` average cells (per the
-        cells' :attr:`~repro.core.evaluation.EvalCell.cost_hint`), so
-        many cheap cells fuse into one lease while a cell costlier than
-        the whole budget is leased alone — stragglers shrink without
-        giving up round-trip amortization.
     max_retries:
         Requeue budget per cell; exceeding it fails the plan.
-    speculation:
-        Enable straggler re-lease.  Once the queue is empty, a lease
-        outstanding longer than ``max(speculation_min_delay,
-        speculation_factor × P[speculation_percentile] of completed lease
-        durations)`` is duplicated to the queue (once per lease) so a
-        healthy worker races the straggler; dedupe-by-key keeps the
-        duplicate harmless and the cell's retry budget is not charged.
     auth_key:
         The fleet's shared secret (bytes) or ``None`` for an open fleet.
         With a key, a HELLO must carry a valid challenge proof (wrong or
@@ -208,35 +187,15 @@ class Coordinator:
     """
 
     def __init__(self, bind: tuple[str, int] = ("127.0.0.1", 0), *,
-                 heartbeat_timeout: float = 15.0, batch_size: int | str = 4,
-                 max_retries: int = 3, speculation: bool = True,
-                 speculation_factor: float = 3.0,
-                 speculation_percentile: float = 0.75,
-                 speculation_min_delay: float = 2.0,
+                 heartbeat_timeout: float = 15.0, max_retries: int = 3,
                  auth_key: bytes | None = None) -> None:
         if heartbeat_timeout <= 0:
             raise ValueError(
                 f"heartbeat_timeout must be > 0, got {heartbeat_timeout}")
-        if batch_size != "auto" and (
-                not isinstance(batch_size, int) or isinstance(batch_size, bool)
-                or batch_size < 1):
-            raise ValueError(
-                f"batch_size must be 'auto' or an integer >= 1, got {batch_size!r}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if speculation_factor < 1.0:
-            raise ValueError(
-                f"speculation_factor must be >= 1, got {speculation_factor}")
-        if not 0.0 <= speculation_percentile <= 1.0:
-            raise ValueError("speculation_percentile must be in [0, 1], "
-                             f"got {speculation_percentile}")
         self.heartbeat_timeout = heartbeat_timeout
-        self.batch_size = batch_size
         self.max_retries = max_retries
-        self.speculation = speculation
-        self.speculation_factor = speculation_factor
-        self.speculation_percentile = speculation_percentile
-        self.speculation_min_delay = speculation_min_delay
         #: The fleet's shared secret: with a key, HELLO handshakes must
         #: carry a valid challenge proof and every post-handshake frame
         #: is HMAC-signed under a per-connection session key.
@@ -468,7 +427,7 @@ class Coordinator:
         value the process executor ships too); every
         :class:`PlanAssignment` of the plan carries it.
         """
-        job = _Job(plan, state, cells, auto_leases=self.batch_size == "auto")
+        job = _Job(plan, state, cells)
         # Under an active trace collection the caller's current span (the
         # scheduler's plan span) becomes the parent of every worker-side
         # batch/cell span; None keeps the fleet span-free.
@@ -497,7 +456,13 @@ class Coordinator:
         return [job.completed[cell.key] for cell in cells]
 
     def close(self, *, timeout: float = 10.0) -> None:
-        """Shut the fleet down: Goodbye to polling workers, reap local ones."""
+        """Shut the fleet down: Goodbye to polling workers, reap local ones.
+
+        Spawned workers get up to *timeout* seconds to take their
+        Goodbye and exit; registered in-process or external workers get
+        about one poll interval (:data:`GOODBYE_WAIT_S`).  Every
+        connection still open after that is severed.
+        """
         with self._cond:
             if self._closing:
                 return
@@ -522,6 +487,11 @@ class Coordinator:
         # can be added behind the sever below.
         _sever_socket(self._listener)
         self._accept_thread.join(timeout=2.0)
+        # Registered workers take their Goodbye at their next GetPlan poll
+        # too, instead of reconnecting to a closed listener.
+        wait = min(GOODBYE_WAIT_S, deadline - time.monotonic())
+        with self._cond:
+            self._cond.wait_for(lambda: not self._workers, timeout=max(0.0, wait))
         with self._lock:
             conns = list(self._conns)
         for conn in conns:
@@ -566,12 +536,12 @@ class Coordinator:
         once, and the duplicated cells do not charge the retry budget —
         the straggler is presumed slow, not broken.
         """
-        if not self.speculation or job.queue or not job.lease_durations:
+        if job.queue or not job.lease_durations:
             return
         durations = sorted(job.lease_durations)
-        index = int(self.speculation_percentile * (len(durations) - 1))
-        deadline = max(self.speculation_min_delay,
-                       self.speculation_factor * durations[index])
+        index = int(SPECULATION_PERCENTILE * (len(durations) - 1))
+        deadline = max(SPECULATION_MIN_DELAY_S,
+                       SPECULATION_FACTOR * durations[index])
         now = time.monotonic()
         for info in self._workers.values():
             if (not info.lease or info.lease_plan_id != job.plan_id
@@ -802,30 +772,13 @@ class Coordinator:
         if job is None or job.plan_id != message.plan_id or job.failure is not None:
             return PlanDone(message.plan_id)
         lease: list = []
-        if self.batch_size == "auto":
-            lease_cost = 0.0
-            while job.queue and len(lease) < _AUTO_LEASE_MAX_CELLS:
-                cell = job.queue[0]
-                if cell.key in job.completed:
-                    job.queue.popleft()  # stale requeued copy
-                    continue
-                cost = max(cell.cost_hint, 0.0)
-                # The first cell is always taken (so a cell costlier than
-                # the whole budget goes out as a singleton lease); after
-                # that, stop before the budget overflows.
-                if lease and lease_cost + cost > job.lease_budget:
-                    break
-                job.queue.popleft()
-                lease.append(cell)
-                lease_cost += cost
-        else:
-            while job.queue and len(lease) < self.batch_size:
-                cell = job.queue.popleft()
-                # A requeued cell may have been completed after all by a
-                # worker that was wrongly presumed dead; skip stale copies.
-                if cell.key in job.completed:
-                    continue
-                lease.append(cell)
+        while job.queue and len(lease) < LEASE_CELLS:
+            cell = job.queue.popleft()
+            # A requeued cell may have been completed after all by a
+            # worker that was wrongly presumed dead; skip stale copies.
+            if cell.key in job.completed:
+                continue
+            lease.append(cell)
         if lease:
             info.lease = lease
             info.lease_plan_id = job.plan_id

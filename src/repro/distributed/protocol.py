@@ -1,6 +1,6 @@
 """Versioned wire protocol of the distributed worker fleet.
 
-Framing (v5, unchanged in v6)
+Framing (v5, unchanged in v7)
 -----------------------------
 Every message is one *frame*: a 13-byte big-endian header — payload
 length, the CRC32 of the payload, and a flags byte — followed by that
@@ -123,7 +123,9 @@ __all__ = [
 #: Version 6 ships the plan's state inside ``PlanAssignment.state`` and
 #: deleted the store bootstrap: the advertised store locator, the
 #: store-bypass flag and the four dataset/cache relay frames.
-PROTOCOL_VERSION = 6
+#: Version 7 dropped two unused fields from every ``EvalCell`` a
+#: ``Batch`` carries: the cost hint and the dataset fingerprint.
+PROTOCOL_VERSION = 7
 
 #: Upper bound on a single frame (a defensive cap, far above any real
 #: plan state; a corrupt or foreign length prefix fails fast instead of

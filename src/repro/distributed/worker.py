@@ -292,7 +292,14 @@ class FleetWorker:
     # Plan serving
     # ------------------------------------------------------------------ #
     def _serve_plan(self, sock: socket.socket, assignment: PlanAssignment) -> None:
-        dataset, factories = self._memo.resolve(assignment.plan, assignment.state)
+        try:
+            dataset, factories = self._memo.resolve(assignment.plan,
+                                                    assignment.state)
+        except (KeyError, ValueError) as exc:
+            # Well formed, but it names an analytical model, estimator or
+            # factory this build cannot make: as bad as a corrupt frame.
+            raise protocol.ProtocolError(
+                f"plan assignment does not resolve: {exc}") from exc
         plan_id = assignment.plan_id
         self._counters["plans_served"].inc()
         while True:
@@ -321,6 +328,10 @@ class FleetWorker:
         :class:`Results` frame.  Without one (tracing off), no span
         objects are created at all.
         """
+        unknown = {cell.factory_key for cell in batch.cells} - factories.keys()
+        if unknown:
+            raise protocol.ProtocolError(
+                f"batch names series the plan lacks: {sorted(unknown)}")
         results = []
         if batch.trace is None:
             for cell in batch.cells:

@@ -42,7 +42,7 @@ from repro.experiments.plan import (
     expand_cells,
     experiment_plan,
 )
-from repro.experiments.pool import CostModel, WorkerPool
+from repro.experiments.pool import WorkerPool
 from repro.experiments.reporting import format_curves, format_result, results_to_markdown
 from repro.experiments.runner import (
     EXPERIMENTS,
@@ -68,7 +68,6 @@ __all__ = [
     "EXECUTORS",
     "run_plan",
     "WorkerPool",
-    "CostModel",
     "figure3_stencil",
     "figure3_fmm",
     "figure5",

@@ -9,7 +9,11 @@ Options
                   bit-identical; defaults to ``process`` when ``--jobs`` > 1
                   and ``serial`` otherwise
 ``--jobs``        worker count for the process executor (``-1`` = CPUs); for
-                  ``remote``, the size of the spawned localhost fleet
+                  ``remote``, the size of the spawned localhost fleet.  With
+                  ``--executor process`` and ``--jobs`` > 1 one warm worker
+                  pool serves the whole experiment sequence, so workers
+                  spawn once and keep their per-plan memos across
+                  experiments
 ``--bind``        remote executor: listen address for *external* fleet workers
                   (``HOST:PORT``; default is a loopback ephemeral port)
 ``--workers``     remote executor: spawn N localhost fleet workers (default:
@@ -31,18 +35,10 @@ Options
                   it into the store under ``models/<series>-<plan_fp>.npz``;
                   serve the store with ``repro-serve --store-url ...`` (see
                   :mod:`repro.serving` and ``docs/serving.md``)
-``--heartbeat-timeout`` / ``--batch-size`` / ``--max-retries``
+``--heartbeat-timeout`` / ``--max-retries``
                   remote-executor fault-tolerance knobs: worker liveness
-                  deadline, cells per lease, and the per-cell requeue budget
-                  (see the README's "Operating a fleet" section)
-``--batch-cells`` cell-fusion target for the process and remote executors:
-                  ``auto`` (default) shapes cost-balanced batches/leases from
-                  the calibrated cost model, an integer ``N`` forces ~N cells
-                  per batch/lease.  Batch shape never affects results.  For
-                  ``--executor process`` with ``--jobs`` > 1 a single warm
-                  worker pool additionally serves the whole experiment
-                  sequence, so workers spawn once and keep their per-plan
-                  memos across experiments
+                  deadline and the per-cell requeue budget (see the
+                  README's "Operating a fleet" section)
 ``--trace``       record every experiment/plan/batch/cell span of the run —
                   across worker processes and the fleet wire — to
                   FILE as JSON lines and print a per-phase summary (see
@@ -130,20 +126,10 @@ def main(argv: list[str] | None = None) -> int:
                              "before a worker is presumed dead and its leased "
                              "cells are requeued (default 15; must be > 0 and "
                              "well above the workers' 1s heartbeat interval)")
-    parser.add_argument("--batch-size", type=int, default=None, metavar="N",
-                        help="remote executor: cells per lease (default 4; "
-                             "smaller bounds requeue cost and tail idle time, "
-                             "larger amortizes round-trips)")
     parser.add_argument("--max-retries", type=int, default=None, metavar="N",
                         help="remote executor: requeue budget per cell before "
                              "the plan fails hard (default 3; 0 = any worker "
                              "death fails the plan)")
-    parser.add_argument("--batch-cells", default=None, metavar="auto|N",
-                        help="process/remote executors: cell-fusion target — "
-                             "'auto' shapes cost-balanced batches (process) "
-                             "or adaptive leases (remote) from the cost "
-                             "model, an integer forces ~N cells per batch; "
-                             "results are bit-identical for any value")
     parser.add_argument("--store-prune", action="store_true",
                         help="after the run, delete store entries not used by "
                              "the executed experiments (requires --store-dir "
@@ -184,7 +170,6 @@ def main(argv: list[str] | None = None) -> int:
     if executor != "remote" and (args.bind is not None or args.workers is not None):
         parser.error("--bind/--workers require --executor remote")
     fleet_knobs = {"heartbeat_timeout": args.heartbeat_timeout,
-                   "batch_size": args.batch_size,
                    "max_retries": args.max_retries}
     fleet_knobs = {k: v for k, v in fleet_knobs.items() if v is not None}
     if fleet_knobs and executor != "remote":
@@ -192,30 +177,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{flags} require --executor remote")
     if args.heartbeat_timeout is not None and args.heartbeat_timeout <= 0:
         parser.error(f"--heartbeat-timeout must be > 0, got {args.heartbeat_timeout}")
-    if args.batch_size is not None and args.batch_size < 1:
-        parser.error(f"--batch-size must be >= 1, got {args.batch_size}")
     if args.max_retries is not None and args.max_retries < 0:
         parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
     if args.status_port is not None and executor != "remote":
         parser.error("--status-port requires --executor remote (it serves "
                      "the fleet coordinator's metrics)")
-    batch_cells = None
-    if args.batch_cells is not None:
-        if executor not in ("process", "remote"):
-            parser.error("--batch-cells requires --executor process or remote")
-        from repro.experiments.pool import resolve_batch_cells
-
-        try:
-            batch_cells = resolve_batch_cells(args.batch_cells)
-        except ValueError as exc:
-            parser.error(str(exc))
-        if executor == "remote":
-            if args.batch_size is not None:
-                parser.error("--batch-cells and --batch-size are mutually "
-                             "exclusive (both set the fleet lease size)")
-            # For the remote executor the fusion target IS the lease size.
-            fleet_knobs["batch_size"] = batch_cells
-            batch_cells = None
     if args.store_prune and args.store_url is None and args.store_dir is None:
         parser.error("--store-prune requires --store-dir or --store-url")
     if args.publish_models and args.store_url is None and args.store_dir is None:
@@ -297,8 +263,7 @@ def main(argv: list[str] | None = None) -> int:
                     publish = False
                 result = run_experiment(name, settings=settings, executor=executor,
                                         jobs=args.jobs, store=store, fleet=fleet,
-                                        pool=pool, batch_cells=batch_cells,
-                                        publish_models=publish)
+                                        pool=pool, publish_models=publish)
                 print(format_result(result))
                 if publish:
                     outcome = result.extra.get("published_models", {})

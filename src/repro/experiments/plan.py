@@ -252,7 +252,9 @@ def build_factory(spec: FactorySpec, dataset: PerformanceDataset,
     For hybrid factories the shared *cache* (bound to the spec's
     analytical model) is threaded into every instance, so each dataset
     row is evaluated by the analytical model at most once per process.
+    An unknown estimator name raises ``KeyError`` here, not in a cell.
     """
+    _build_estimator(spec.estimator, 0)
     if spec.kind == "ml_pipeline":
         def factory(seed: int):
             return Pipeline(steps=[
@@ -288,31 +290,14 @@ def expand_cells(plan: ExperimentPlan) -> list[EvalCell]:
 
     Each series spawns its seeds from its own stream (seeded with the
     plan's master seed), exactly as the serial per-curve evaluation did,
-    so the expansion is executor-independent.  Every cell is stamped
-    with a :attr:`~repro.core.evaluation.EvalCell.cost_hint` (per-row
-    cost units from the scheduler's cost model) so cost-aware batch
-    shapers — the process executor's LPT fusion, the fleet
-    coordinator's adaptive leases — can balance work without
-    re-deriving estimator metadata.  The hint is advisory and excluded
-    from the plan fingerprint; results never depend on it.
+    so the expansion is executor-independent.
     """
-    # Imported lazily: the pool module is package-internal machinery and
-    # importing it here at module level would re-enter the package
-    # __init__ while this module is still initializing.
-    from repro.experiments.pool import COST_MODEL
-
     cells: list[EvalCell] = []
     for spec in plan.series:
-        cells.extend(
-            dataclasses.replace(
-                cell,
-                cost_hint=COST_MODEL.factory_units(spec.factory, cell.fraction))
-            for cell in plan_learning_curve(
-                spec.fractions, plan.n_repeats,
-                series=spec.label, factory_key=spec.label,
-                min_train=plan.min_train, random_state=plan.random_state,
-                dataset_fingerprint=plan.dataset.fingerprint,
-            ))
+        cells.extend(plan_learning_curve(
+            spec.fractions, plan.n_repeats,
+            series=spec.label, factory_key=spec.label,
+            min_train=plan.min_train, random_state=plan.random_state))
     return cells
 
 

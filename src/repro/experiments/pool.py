@@ -1,4 +1,4 @@
-"""Persistent warm worker pool, cost-aware batch shaping and plan-state transport.
+"""Persistent warm worker pool, batch shaping and plan-state transport.
 
 The process executor's historical constant factors — worker spawn per
 plan, per-batch dataset pickling, per-process plan-state rebuild — are
@@ -10,19 +10,17 @@ attacked here structurally, in three coordinated layers:
   (see ``_WORKER_STATE`` in :mod:`repro.experiments.scheduler`) across
   plans.  The pool counts distinct worker PIDs (:attr:`WorkerPool.
   spawn_count`) so tests and CI can assert that a second invocation
-  *reused* workers instead of respawning, and accumulates a phase
-  breakdown (spawn / dispatch / compute / merge) in :attr:`WorkerPool.
-  stats` so benchmark history can say which constant factor moved.
+  *reused* workers instead of respawning, and accumulates spawn,
+  dispatch and compute seconds in :attr:`WorkerPool.stats`.
 
-* :class:`CostModel` estimates a cell's cost from ``fraction x n_rows x
-  estimator-family weight`` and calibrates the per-family
-  seconds-per-unit scale from observed batch durations.
-  :func:`shape_batches` uses those estimates in a greedy LPT
-  (longest-processing-time-first) shaper that replaces the blind
-  contiguous split: expensive cells are isolated early, cheap cells are
-  fused into large batches, so every batch carries comparable work and
-  stragglers shrink.  The same estimates make the distributed
-  coordinator's lease size adaptive (``batch_size="auto"``).
+* :func:`plan_costs` estimates each cell's cost from ``family weight x
+  trees x fraction x rows``, a pure function of the plan.
+  :func:`shape_batches` feeds those costs to a greedy LPT
+  (longest-processing-time-first) shaper over ``jobs x``
+  :data:`BATCHES_PER_WORKER` batches: expensive cells are isolated
+  early, cheap cells are fused, so every batch carries comparable work
+  and stragglers shrink.  A plan's batch shapes depend only on the plan
+  and ``jobs``, never on what ran before it.
 
 * :class:`PlanState` is the one way any worker receives a plan's
   inputs: the parent packs the dataset it resolved and the analytical
@@ -33,8 +31,8 @@ attacked here structurally, in three coordinated layers:
   warm no cache.
 
 Batch shape never affects results: cells are pure, seeds are derived at
-planning time and the merge is keyed, so any permutation or fusion of a
-plan's cells produces bit-identical rows (property-tested in
+planning time and the merge is keyed, so any partition of a plan's
+cells produces bit-identical rows (property-tested in
 ``tests/test_pool.py``).
 """
 
@@ -54,19 +52,12 @@ from repro.experiments.plan import build_analytical
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.parallel.threadpool import weighted_chunk_indices
 
-__all__ = [
-    "CostModel",
-    "COST_MODEL",
-    "PlanState",
-    "WorkerPool",
-    "resolve_batch_cells",
-    "shape_batches",
-]
+__all__ = ["PlanState", "WorkerPool", "plan_costs", "shape_batches"]
 
-#: ``"auto"`` fusion: batches per pool worker.  Mild oversubscription lets
-#: the pool queue absorb cost-estimate error dynamically without paying a
-#: dispatch round-trip per cell.
-AUTO_BATCHES_PER_WORKER = 2
+#: Batches per pool worker.  Mild oversubscription lets the pool queue
+#: absorb cost-estimate error dynamically without paying a dispatch
+#: round-trip per cell.
+BATCHES_PER_WORKER = 2
 
 
 def _resolve_jobs(jobs: int) -> int:
@@ -77,34 +68,12 @@ def _resolve_jobs(jobs: int) -> int:
     return jobs
 
 
-def resolve_batch_cells(value: int | str | None) -> int | str | None:
-    """Validate a ``batch_cells`` knob: ``None``, ``"auto"`` or an int >= 1.
-
-    The shared validator behind ``run_plan(batch_cells=...)`` and the
-    ``--batch-cells`` CLI flag; numeric strings (CLI input) are converted.
-    """
-    if value is None or value == "auto":
-        return value
-    if isinstance(value, bool):  # bool is an int subclass; reject explicitly
-        raise ValueError(f"batch_cells must be 'auto' or an integer >= 1, got {value!r}")
-    if isinstance(value, str):
-        if not value.isdigit():
-            raise ValueError(
-                f"batch_cells must be 'auto' or an integer >= 1, got {value!r}")
-        value = int(value)
-    if not isinstance(value, int):
-        raise ValueError(f"batch_cells must be 'auto' or an integer >= 1, got {value!r}")
-    if value < 1:
-        raise ValueError(f"batch_cells must be 'auto' or an integer >= 1, got {value}")
-    return value
-
-
 # --------------------------------------------------------------------------- #
-# Cost model
+# Batch shaping
 # --------------------------------------------------------------------------- #
 #: Relative per-tree (or per-fit) weight of each estimator family.  Rough
-#: priors — :meth:`CostModel.observe` calibrates the absolute scale per
-#: family from measured batch durations, so only the ballpark matters.
+#: priors: the LPT shaper only compares costs within one plan, so only
+#: the ratios matter.
 _FAMILY_WEIGHTS = {
     "decision_tree": 1.0,
     "extra_trees": 0.7,       # random thresholds: no split search
@@ -115,123 +84,34 @@ _FAMILY_WEIGHTS = {
 _DEFAULT_WEIGHT = 1.0
 #: The hybrid wrapper adds one stacked feature + cached analytical calls.
 _HYBRID_FACTOR = 1.15
-#: Uncalibrated seconds-per-unit: any common scale works for *shaping*
-#: (only ratios matter); calibration makes estimates absolute.
-_DEFAULT_SECONDS_PER_UNIT = 1e-5
+#: Rough seconds per cost unit, one tree-row of training work.
+_SECONDS_PER_UNIT = 1e-5
 
 
-class CostModel:
-    """Per-cell cost estimates, calibrated from observed cell durations.
+def plan_costs(plan, cells, n_rows: int) -> dict[tuple, float]:
+    """``cell.key -> estimated seconds`` for every cell of *plan* on *n_rows* rows.
 
-    A cell's *units* are ``family_weight x max(1, n_estimators) x
-    fraction x n_rows`` — proportional to the training work of the
-    fitted ensemble (trees x training rows).  :meth:`observe` folds
-    measured ``(units, seconds)`` samples into a per-family
-    seconds-per-unit EWMA, so later plans (and the fleet coordinator's
-    adaptive leases) see estimates in real seconds.
-
-    The model is a process-wide singleton (:data:`COST_MODEL`): every
-    executor contributes observations and every shaper benefits.
+    A cell's units are ``family_weight x max(1, n_estimators) x fraction
+    x n_rows`` (x :data:`_HYBRID_FACTOR` for a hybrid), proportional to
+    the training work of the fitted ensemble (trees x training rows),
+    and each costs :data:`_SECONDS_PER_UNIT`.  A pure function of the
+    plan: the same plan always gets the same costs, and so the same
+    batch shapes.
     """
-
-    def __init__(self, smoothing: float = 0.5) -> None:
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError(f"smoothing must be in (0, 1], got {smoothing}")
-        self.smoothing = smoothing
-        self._seconds_per_unit: dict[str, float] = {}
-        self.observations = 0
-
-    @staticmethod
-    def family(factory) -> str:
-        """The calibration family of a :class:`FactorySpec` (estimator name)."""
-        return factory.estimator.name
-
-    def factory_units(self, factory, fraction: float, n_rows: float = 1.0) -> float:
-        """Estimated cost units of one ``(factory, fraction)`` fit.
-
-        With the default ``n_rows=1`` the result is a *per-row* unit —
-        the right scale for :attr:`EvalCell.cost_hint`, where only
-        ratios within one plan matter (the dataset size is a common
-        factor across a plan's cells).
-        """
+    factories = {spec.label: spec.factory for spec in plan.series}
+    costs: dict[tuple, float] = {}
+    for cell in cells:
+        factory = factories[cell.factory_key]
         est = factory.estimator
-        weight = _FAMILY_WEIGHTS.get(est.name, _DEFAULT_WEIGHT)
-        units = weight * max(1, est.n_estimators) * fraction * n_rows
+        units = (_FAMILY_WEIGHTS.get(est.name, _DEFAULT_WEIGHT)
+                 * max(1, est.n_estimators) * cell.fraction * n_rows)
         if factory.kind == "hybrid":
             units *= _HYBRID_FACTOR
-        return units
-
-    def seconds_per_unit(self, family: str) -> float:
-        """Calibrated (or default) seconds-per-unit scale of *family*."""
-        return self._seconds_per_unit.get(family, _DEFAULT_SECONDS_PER_UNIT)
-
-    def estimate_seconds(self, family: str, units: float) -> float:
-        """Predicted wall-clock seconds for *units* of *family* work."""
-        return units * self.seconds_per_unit(family)
-
-    def plan_costs(self, plan, cells, n_rows: int) -> dict[tuple, float]:
-        """``cell.key -> estimated seconds`` for every cell of *plan*.
-
-        Estimates are comparable across series (the per-family
-        calibration shares the scale), which is what lets the LPT shaper
-        and the coordinator's adaptive leases mix families in one batch
-        budget.
-        """
-        factories = {spec.label: spec.factory for spec in plan.series}
-        costs: dict[tuple, float] = {}
-        for cell in cells:
-            factory = factories[cell.factory_key]
-            # The 1-unit floor keeps degenerate cells (tiny fractions)
-            # from looking free: every cell pays fixed split/predict
-            # overhead regardless of training size.
-            units = max(self.factory_units(factory, cell.fraction, n_rows), 1.0)
-            costs[cell.key] = self.estimate_seconds(self.family(factory), units)
-        return costs
-
-    def plan_units(self, plan, cells, n_rows: int) -> dict[tuple, tuple[str, float]]:
-        """``cell.key -> (family, units)`` — the raw inputs behind :meth:`plan_costs`."""
-        factories = {spec.label: spec.factory for spec in plan.series}
-        return {
-            cell.key: (
-                self.family(factories[cell.factory_key]),
-                max(self.factory_units(factories[cell.factory_key],
-                                       cell.fraction, n_rows), 1.0),
-            )
-            for cell in cells
-        }
-
-    def observe(self, units_by_family: dict[str, float], seconds: float) -> None:
-        """Fold one measured batch into the per-family calibration.
-
-        The batch's wall clock is attributed to its families
-        proportionally to their *predicted* share, then each family's
-        seconds-per-unit is blended toward the implied scale (EWMA).
-        Non-positive observations are ignored (clock glitches).
-        """
-        total_units = sum(units_by_family.values())
-        if seconds <= 0.0 or total_units <= 0.0:
-            return
-        predicted = sum(self.estimate_seconds(family, units)
-                        for family, units in units_by_family.items())
-        if predicted <= 0.0:
-            return
-        scale = seconds / predicted
-        for family, units in units_by_family.items():
-            if units <= 0.0:
-                continue
-            implied = self.seconds_per_unit(family) * scale
-            old = self._seconds_per_unit.get(family)
-            if old is None:
-                self._seconds_per_unit[family] = implied
-            else:
-                alpha = self.smoothing
-                self._seconds_per_unit[family] = (1 - alpha) * old + alpha * implied
-        self.observations += 1
-
-
-#: Process-wide cost model shared by the process executor and the fleet
-#: coordinator, so calibration from one plan benefits the next.
-COST_MODEL = CostModel()
+        # The 1-unit floor keeps degenerate cells (tiny fractions) from
+        # looking free: every cell pays fixed split/predict overhead
+        # regardless of training size.
+        costs[cell.key] = max(units, 1.0) * _SECONDS_PER_UNIT
+    return costs
 
 
 def shape_batches(cells: list, costs: dict[tuple, float],
@@ -243,8 +123,8 @@ def shape_batches(cells: list, costs: dict[tuple, float],
     early, cheap cells are fused, and each batch keeps its cells in plan
     order.  Cells whose key is missing from *costs* count as free.
 
-    Batch shape is a pure throughput knob: any partition of a plan's
-    cells merges to bit-identical rows (property-tested).
+    Batch shape affects throughput only: any partition of a plan's cells
+    merges to bit-identical rows (property-tested).
     """
     weights = [costs.get(cell.key, 0.0) for cell in cells]
     return [[cells[i] for i in chunk]
@@ -406,19 +286,16 @@ class WorkerPool:
     counts distinct worker PIDs ever observed; a warm second invocation
     must not grow it (asserted by the CI ``parallel-smoke`` job).
 
-    :attr:`stats` accumulates the phase breakdown benchmark entries
-    record: ``spawn_seconds`` (pool creation + priming),
+    :attr:`stats` accumulates the pool's own phases, which no span
+    covers: ``spawn_seconds`` (pool creation + priming),
     ``dispatch_seconds`` (submit-to-worker-start latency: queueing and
     argument pickling), ``compute_seconds`` (in-worker evaluation) and
-    ``merge_seconds`` (plan-order result merge, recorded by the
-    scheduler).
+    ``batches``.  The plan span times the merge.
     """
 
-    #: Phase-breakdown keys accumulated in seconds (floats in ``.stats``).
-    _SECONDS_KEYS = ("spawn_seconds", "dispatch_seconds",
-                     "compute_seconds", "merge_seconds")
-    #: Work-volume keys (ints in ``.stats``).
-    _COUNT_KEYS = ("batches", "cells", "plans")
+    #: The ``.stats`` keys: three phases in seconds, then a count.
+    _STATS_KEYS = ("spawn_seconds", "dispatch_seconds", "compute_seconds",
+                   "batches")
 
     def __init__(self, jobs: int = -1, *, prime: bool = True) -> None:
         self.jobs = _resolve_jobs(jobs)
@@ -433,7 +310,7 @@ class WorkerPool:
                 f"repro_pool_{key}" if key.endswith("_seconds")
                 else f"repro_pool_{key}_total",
                 f"Worker pool {key.replace('_', ' ')}")
-            for key in self._SECONDS_KEYS + self._COUNT_KEYS
+            for key in self._STATS_KEYS
         }
         self._pids: set[int] = set()
         self._closed = False
@@ -451,13 +328,11 @@ class WorkerPool:
     def stats(self) -> dict[str, float]:
         """Compatibility view of the registry counters (atomic snapshot).
 
-        Seconds keys stay floats, volume keys ints — the shape the
+        Seconds stay floats and ``batches`` an int — the shape the
         benchmark entries and tests always consumed.
         """
-        out: dict[str, float] = {key: self._counters[key].value
-                                 for key in self._SECONDS_KEYS}
-        out.update({key: int(self._counters[key].value)
-                    for key in self._COUNT_KEYS})
+        out = {key: counter.value for key, counter in self._counters.items()}
+        out["batches"] = int(out["batches"])
         return out
 
     @property
@@ -481,9 +356,7 @@ class WorkerPool:
         """Run ``fn(*args)`` for every argument tuple; results in order.
 
         Each call is wrapped to report the worker's PID (spawn counting)
-        and its monotonic start/duration (phase accounting).  Returns
-        ``[(seconds, result), ...]`` so callers can feed measured batch
-        durations back into the cost model.
+        and its monotonic start/duration (phase accounting).
         """
         if self._closed:
             raise RuntimeError("worker pool is closed")
@@ -500,7 +373,7 @@ class WorkerPool:
             self._pids.add(pid)
             self._counters["dispatch_seconds"].inc(max(0.0, started - submitted))
             self._counters["compute_seconds"].inc(seconds)
-            out.append((seconds, result))
+            out.append(result)
         self._counters["batches"].inc(len(batch_args))
         return out
 
@@ -515,12 +388,6 @@ class WorkerPool:
         pid, _, _, result = self._executor.submit(_timed_call, fn, args).result()
         self._pids.add(pid)
         return result
-
-    def record_merge(self, seconds: float, cells: int) -> None:
-        """Fold one plan's merge time into the phase stats (scheduler hook)."""
-        self._counters["merge_seconds"].inc(seconds)
-        self._counters["cells"].inc(cells)
-        self._counters["plans"].inc()
 
     def close(self) -> None:
         """Shut down the workers (idempotent)."""

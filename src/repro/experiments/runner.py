@@ -144,7 +144,7 @@ def _experiment_registry() -> dict:
 def run_experiment(name: str, settings: ExperimentSettings | None = None, *,
                    executor: str = "serial", jobs: int = 1,
                    store=None, fleet=None, pool=None,
-                   batch_cells=None, publish_models: bool = False) -> ExperimentResult:
+                   publish_models: bool = False) -> ExperimentResult:
     """Run one experiment by name.
 
     Parameters
@@ -172,10 +172,6 @@ def run_experiment(name: str, settings: ExperimentSettings | None = None, *,
         :class:`~repro.experiments.pool.WorkerPool` (``None`` spawns a
         pool per plan; see :func:`run_all`, which shares one across the
         whole sequence).
-    batch_cells:
-        Cell-fusion target (``"auto"`` or an int) for the process
-        executor / spawned remote fleet; batch shape never affects
-        results.
     publish_models:
         After the run, fit one canonical model per servable series on
         the full dataset and publish it into the *store* for the
@@ -183,23 +179,21 @@ def run_experiment(name: str, settings: ExperimentSettings | None = None, *,
 
     The two plan-less experiments (``analytical_accuracy``,
     ``ablation_sampling_strategy``) always run serially in-process and
-    build their datasets directly (the store is not consulted); executor,
-    jobs and batch_cells are still validated so invalid values fail
-    uniformly.  They have no plan fingerprint, hence nothing to publish:
-    requesting ``publish_models`` for them is an error.
+    build their datasets directly (the store is not consulted); executor
+    and jobs are still validated so invalid values fail uniformly.  They
+    have no plan fingerprint, hence nothing to publish: requesting
+    ``publish_models`` for them is an error.
     """
     registry = _experiment_registry()
     try:
         func = registry[name]
     except KeyError:
         raise KeyError(f"unknown experiment {name!r}; available: {sorted(registry)}") from None
-    from repro.experiments.pool import resolve_batch_cells
     from repro.experiments.scheduler import EXECUTORS, _resolve_jobs
 
     if executor not in EXECUTORS:
         raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
     _resolve_jobs(jobs)
-    batch_cells = resolve_batch_cells(batch_cells)
     settings = settings or ExperimentSettings()
     from repro.experiments.plan import experiment_plan
     from repro.obs.tracing import TRACER
@@ -220,14 +214,14 @@ def run_experiment(name: str, settings: ExperimentSettings | None = None, *,
 
         return run_plan(plan, executor=executor, jobs=jobs,
                         store=_resolve_store(store), fleet=fleet, pool=pool,
-                        batch_cells=batch_cells, publish_models=publish_models)
+                        publish_models=publish_models)
 
 
 def run_all(settings: ExperimentSettings | None = None,
             names: tuple[str, ...] | None = None, *,
             executor: str = "serial", jobs: int = 1,
             store=None, fleet=None, pool=None,
-            batch_cells=None, publish_models: bool = False) -> dict[str, ExperimentResult]:
+            publish_models: bool = False) -> dict[str, ExperimentResult]:
     """Run several (default: all) experiments and return their results by name.
 
     The optional *store* is shared across all experiments of the run, so
@@ -268,7 +262,6 @@ def run_all(settings: ExperimentSettings | None = None,
             results[name] = run_experiment(name, settings=settings,
                                            executor=executor, jobs=jobs,
                                            store=store, fleet=fleet, pool=pool,
-                                           batch_cells=batch_cells,
                                            publish_models=publish)
     finally:
         if own_pool:

@@ -6,9 +6,9 @@ dispatches them through one of three executors:
 
 * ``"serial"`` — the cells run in plan order in the calling process;
 * ``"process"`` — a persistent :class:`~repro.experiments.pool.WorkerPool`
-  of worker processes.  Cells are fused into cost-balanced batches by a
-  greedy LPT shaper driven by the pool module's calibrated
-  :class:`~repro.experiments.pool.CostModel`.  The parent packs the
+  of worker processes.  Cells are fused into ``jobs x 2`` cost-balanced
+  batches by a greedy LPT shaper over the plan's pure per-cell costs
+  (:func:`~repro.experiments.pool.plan_costs`).  The parent packs the
   dataset and warmed analytical caches it resolved into one small
   :class:`~repro.experiments.pool.PlanState` that rides in every batch's
   arguments; workers rebuild the dataset, caches and factories from it
@@ -17,8 +17,9 @@ dispatches them through one of three executors:
   ``run_all``/the CLI, which create one per experiment sequence) and
   consecutive plans skip worker spawn entirely.
 * ``"remote"`` — a TCP worker fleet (:mod:`repro.distributed`): cells are
-  leased in batches to :mod:`repro.distributed.worker` processes on any
-  number of hosts, with heartbeat/requeue fault tolerance.  The same
+  leased in fixed 4-cell batches to :mod:`repro.distributed.worker`
+  processes on any number of hosts, with heartbeat/requeue fault
+  tolerance and straggler speculation.  The same
   :class:`~repro.experiments.pool.PlanState` rides in the plan
   assignment, and fleet workers keep the same bounded memo.  Pass an existing
   :class:`~repro.distributed.coordinator.Coordinator` as ``fleet`` (the
@@ -27,8 +28,8 @@ dispatches them through one of three executors:
 
 Because seeds are derived at planning time and the merge is performed in
 plan order, all three executors produce **bit-identical**
-:class:`~repro.experiments.runner.ExperimentResult` rows; the executor is
-purely a throughput knob.
+:class:`~repro.experiments.runner.ExperimentResult` rows under any batch
+shape; the executor is purely a throughput knob.
 
 The parent process always resolves the dataset and warms the analytical
 caches *before* dispatch — through the store, when one is supplied, so
@@ -38,7 +39,6 @@ the expensive work happens at most once per machine.
 from __future__ import annotations
 
 import os
-import time
 from collections import OrderedDict
 
 from repro.analytical import AnalyticalPredictionCache
@@ -54,12 +54,11 @@ from repro.experiments.plan import (
     experiment_plan,
 )
 from repro.experiments.pool import (
-    AUTO_BATCHES_PER_WORKER,
-    COST_MODEL,
+    BATCHES_PER_WORKER,
     PlanState,
     WorkerPool,
     _resolve_jobs,
-    resolve_batch_cells,
+    plan_costs,
     shape_batches,
 )
 from repro.experiments.runner import (
@@ -218,27 +217,19 @@ def _evaluate_batch(plan: ExperimentPlan, cells: list, state: PlanState,
 # Remote (worker-fleet) dispatch
 # --------------------------------------------------------------------------- #
 def _run_remote(plan: ExperimentPlan, cells: list, state: PlanState, fleet,
-                jobs: int, batch_cells=None) -> list[CellResult]:
+                jobs: int) -> list[CellResult]:
     """Dispatch cells to a TCP worker fleet (see :mod:`repro.distributed`).
 
     With an existing *fleet* coordinator the plan simply runs on it.  The
     convenience path spawns a throwaway coordinator plus *jobs* localhost
     workers.  Either way the workers receive *state* in the plan
-    assignment and open no store.  *batch_cells* (``"auto"`` or an int)
-    becomes the throwaway coordinator's lease ``batch_size``; an existing
-    fleet already fixed its lease policy at construction, so combining
-    the two is a usage error rather than a silent no-op.
+    assignment and open no store.
     """
     from repro.distributed.coordinator import Coordinator
 
     if fleet is not None:
-        if batch_cells is not None:
-            raise ValueError(
-                "batch_cells cannot be combined with an existing fleet; "
-                "construct the Coordinator with batch_size=... instead")
         return fleet.execute(plan, cells, state)
-    knobs = {} if batch_cells is None else {"batch_size": batch_cells}
-    with Coordinator(**knobs) as coordinator:
+    with Coordinator() as coordinator:
         coordinator.spawn_local_workers(jobs)
         return coordinator.execute(plan, cells, state)
 
@@ -246,37 +237,36 @@ def _run_remote(plan: ExperimentPlan, cells: list, state: PlanState, fleet,
 # --------------------------------------------------------------------------- #
 # Process-pool (parent-side) dispatch
 # --------------------------------------------------------------------------- #
-def _run_process(plan: ExperimentPlan, cells: list, state: PlanState, *,
-                 pool: WorkerPool, batch_cells) -> list[CellResult]:
+def _run_process(plan: ExperimentPlan, cells: list, state: PlanState,
+                 pool: WorkerPool) -> list[CellResult]:
     """Dispatch cells to a (possibly long-lived) :class:`WorkerPool`.
 
-    Three overhead attacks compose here: the pool may outlive this plan
-    (workers keep their state memos), the batch shape is cost-balanced
-    (LPT over the calibrated cost model) instead of a blind contiguous
-    split, and the plan's state, packed once, is shipped by value.
-    Measured batch durations are fed back into the cost model, so later
-    plans — and the fleet coordinator's adaptive leases — shape better.
+    The pool may outlive this plan (workers keep their state memos), the
+    cells go out in ``jobs x 2`` batches balanced by LPT over the plan's
+    per-cell costs, and the plan's state, packed once, is shipped by
+    value.  The shapes depend only on the plan and ``pool.jobs``.
     """
-    costs = COST_MODEL.plan_costs(plan, cells, state.n_rows)
-    units = COST_MODEL.plan_units(plan, cells, state.n_rows)
-    if batch_cells is None or batch_cells == "auto":
-        # Mild oversubscription: the pool queue absorbs cost-estimate
-        # error dynamically without a dispatch round-trip per cell.
-        n_batches = pool.jobs * AUTO_BATCHES_PER_WORKER
-    else:
-        n_batches = max(1, -(-len(cells) // batch_cells))
-    batches = shape_batches(cells, costs, n_batches)
+    batches = shape_batches(cells, plan_costs(plan, cells, state.n_rows),
+                            pool.jobs * BATCHES_PER_WORKER)
     trace = TRACER.current_context() if TRACER.enabled else None
-    timed = pool.run_batches(_evaluate_batch,
-                             [(plan, batch, state, trace) for batch in batches])
-    for batch, (seconds, (_, spans)) in zip(batches, timed, strict=True):
+    results: list[CellResult] = []
+    for batch_results, spans in pool.run_batches(
+            _evaluate_batch, [(plan, batch, state, trace) for batch in batches]):
         TRACER.record(spans)
-        by_family: dict[str, float] = {}
-        for cell in batch:
-            family, cell_units = units[cell.key]
-            by_family[family] = by_family.get(family, 0.0) + cell_units
-        COST_MODEL.observe(by_family, seconds)
-    return [result for _, (batch_results, _) in timed for result in batch_results]
+        results.extend(batch_results)
+    return results
+
+
+def _merge_curves(plan: ExperimentPlan, cells: list,
+                  results: list[CellResult]) -> dict:
+    """Merge cell results, in any order, into the plan's learning curves."""
+    by_series: dict[str, list[CellResult]] = {}
+    for result in results:
+        by_series.setdefault(result.series, []).append(result)
+    return {spec.label: merge_cell_results(
+                [c for c in cells if c.series == spec.label],
+                by_series.get(spec.label, []), label=spec.label)
+            for spec in plan.series}
 
 
 # --------------------------------------------------------------------------- #
@@ -286,7 +276,7 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
              store: DatasetStore | None = None,
              dataset: PerformanceDataset | None = None,
              fleet=None, pool: WorkerPool | None = None,
-             batch_cells=None, publish_models: bool = False) -> ExperimentResult:
+             publish_models: bool = False) -> ExperimentResult:
     """Execute *plan* and merge the cell results into an :class:`ExperimentResult`.
 
     Parameters
@@ -320,12 +310,6 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
         their plan-state memos, so one pool serves a whole sequence of
         experiments; see ``run_all`` and the CLI).  ``None`` spins up a
         pool of ``jobs`` workers for just this plan.
-    batch_cells:
-        Cell-fusion target for the process executor and the spawned
-        remote fleet: ``None``/``"auto"`` lets the cost model shape
-        cost-balanced batches (process) or adaptive leases (remote); an
-        integer ``N`` forces ~``N`` cells per batch/lease.  Batch shape
-        never affects results.
     publish_models:
         After a successful run, fit one canonical model per servable
         series on the **full** dataset and publish it into the *store*
@@ -338,7 +322,6 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
     if executor not in EXECUTORS:
         raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
     jobs = _resolve_jobs(jobs)
-    batch_cells = resolve_batch_cells(batch_cells)
     if pool is not None and executor != "process":
         raise ValueError(
             f"pool requires the process executor, got executor={executor!r}")
@@ -356,7 +339,6 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
         if data_span is not None:
             data_span.attrs["store_hit"] = hits is not None and store.hits > hits
     cells = expand_cells(plan)
-    used_pool = False
 
     # Under an active trace collection (``TRACER.collect()`` / the CLI's
     # ``--trace``) the whole dispatch+merge runs inside a plan span; every
@@ -383,31 +365,17 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
             # Both parallel executors ship the same packed state by value.
             state = PlanState.pack(resolved, caches)
             if executor == "remote":
-                results = _run_remote(plan, cells, state, fleet, jobs,
-                                      batch_cells=batch_cells)
+                results = _run_remote(plan, cells, state, fleet, jobs)
             else:
                 own_pool = pool is None
                 if own_pool:
                     pool = WorkerPool(jobs)
                 try:
-                    results = _run_process(plan, cells, state,
-                                           pool=pool, batch_cells=batch_cells)
-                    used_pool = True
+                    results = _run_process(plan, cells, state, pool)
                 finally:
                     if own_pool:
                         pool.close()
-
-        merge_start = time.perf_counter()
-        by_series: dict[str, list[CellResult]] = {}
-        for result in results:
-            by_series.setdefault(result.series, []).append(result)
-        curves = {}
-        for spec in plan.series:
-            series_cells = [c for c in cells if c.series == spec.label]
-            curves[spec.label] = merge_cell_results(
-                series_cells, by_series.get(spec.label, []), label=spec.label)
-        if used_pool:
-            pool.record_merge(time.perf_counter() - merge_start, len(cells))
+        curves = _merge_curves(plan, cells, results)
 
     extra = compute_extras(plan, resolved, caches)
     if publish_models:
@@ -429,19 +397,18 @@ def run_named_plan(name: str, settings: ExperimentSettings | None = None,
                    dataset: PerformanceDataset | None = None, *,
                    executor: str = "serial", jobs: int = 1,
                    store=None, fleet=None, pool=None,
-                   batch_cells=None, publish_models: bool = False) -> ExperimentResult:
+                   publish_models: bool = False) -> ExperimentResult:
     """Resolve the plan of experiment *name* and execute it.
 
     The shared backend of the thin per-figure / per-ablation wrappers
     (``store`` may be a :class:`DatasetStore` or a directory path;
     ``fleet`` an existing remote-executor coordinator; ``pool`` an
-    existing process-executor :class:`WorkerPool`; ``batch_cells`` the
-    cell-fusion target, ``"auto"`` or an int; ``publish_models`` fits
-    and publishes serving-tier models into the store after the run).
+    existing process-executor :class:`WorkerPool`; ``publish_models``
+    fits and publishes serving-tier models into the store after the run).
     """
     plan = experiment_plan(name, settings or ExperimentSettings())
     if plan is None:
         raise KeyError(f"experiment {name!r} has no plan (runs opaquely)")
     return run_plan(plan, dataset=dataset, executor=executor, jobs=jobs,
                     store=_resolve_store(store), fleet=fleet, pool=pool,
-                    batch_cells=batch_cells, publish_models=publish_models)
+                    publish_models=publish_models)

@@ -10,7 +10,9 @@ Three pieces mount the HTTP tier onto one spine:
   It implements, exactly once: request-body reading (a malformed
   ``Content-Length`` answers 400, and one over the server's
   ``max_body_bytes`` answers 413, before any body byte is read and
-  before authorization; both close the connection), replies
+  before authorization; both close the connection), a
+  :data:`READ_TIMEOUT_S` deadline on every read (a peer that stalls
+  mid-request or idles on a keep-alive connection is dropped), replies
   written in one send on ``TCP_NODELAY`` sockets, shared-secret HMAC
   authorization (``Authorization: Repro-HMAC <hex>``), the labeled
   ``repro_auth_failures_total`` counter, ``GET /metrics`` and ``GET
@@ -67,6 +69,11 @@ CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: The ``Authorization`` scheme spoken by every bundled server/client.
 AUTH_SCHEME = "Repro-HMAC"
+
+#: Seconds any one read (request line, header or body) may block before
+#: the connection, and the handler thread it holds, is dropped.  Far
+#: above any gap between the requests of a closed-loop keep-alive client.
+READ_TIMEOUT_S = 30.0
 
 
 def metrics_body(snapshot: MetricsSnapshot | None = None) -> bytes:
@@ -141,6 +148,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: ReproHTTPServer
 
+    def setup(self) -> None:
+        """Bound every read by :data:`READ_TIMEOUT_S`; the stdlib request
+        loop drops the connection when one times out."""
+        self.timeout = READ_TIMEOUT_S
+        super().setup()
+
     def log_message(self, fmt, *args):
         """Per-request stderr logging, only under ``--verbose``."""
         if self.server.verbose:
@@ -161,6 +174,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("WWW-Authenticate", AUTH_SCHEME)
         if self.close_connection:
             self.send_header("Connection", "close")
+        if self.request_version == "HTTP/0.9":  # only GET; no status line or headers
+            self.wfile.write(body)
+            return
         # What end_headers() would do, with the body joined to the
         # buffered status line and headers so that all of it goes out in
         # one write and one segment.
@@ -197,7 +213,12 @@ class _Handler(BaseHTTPRequestHandler):
                                           f"limit of {self.server.name}"})
             return
         body = self.rfile.read(length) if length > 0 else b""
-        parsed = urllib.parse.urlsplit(self.path)
+        try:
+            parsed = urllib.parse.urlsplit(self.path)
+        except ValueError as exc:  # e.g. an unclosed "[" in an absolute URI
+            self.server.count_error(400)
+            self.send_json(400, {"error": f"malformed request target: {exc}"})
+            return
         path = parsed.path.rstrip("/") or "/"
         query = urllib.parse.parse_qs(parsed.query)
         try:

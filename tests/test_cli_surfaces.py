@@ -59,6 +59,19 @@ class TestSharedSurface:
         for flag in ("--store-dir", "--store-url", "--max-retries"):
             assert flag not in text, f"fleet worker --help lists {flag}"
 
+    @pytest.mark.parametrize("flag,value", [("--batch-cells", "auto"),
+                                            ("--batch-size", "2")])
+    def test_experiments_cli_has_no_batch_flags(self, flag, value):
+        """Batch and lease shapes are fixed per executor: the flags that
+        set them are gone, and argparse refuses them (exit 2)."""
+        from repro.experiments.__main__ import main
+
+        assert flag not in _help_text("repro.experiments.__main__")
+        with contextlib.redirect_stderr(io.StringIO()):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["figure6", "--quick", flag, value])
+        assert excinfo.value.code == 2
+
     def test_store_flags_are_mutually_exclusive(self):
         parser = __import__("argparse").ArgumentParser(
             parents=[cli.add_store_args()])

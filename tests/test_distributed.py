@@ -23,6 +23,7 @@ The guarantees under test:
 from __future__ import annotations
 
 import dataclasses
+import logging
 import os
 import signal
 import socket
@@ -358,6 +359,31 @@ class TestClose:
             sock.close()
         assert elapsed < 0.1, f"close() took {elapsed:.3f} s"
 
+    def test_idle_in_process_worker_takes_its_goodbye(self, caplog):
+        """An in-process worker idle between plans exits within 0.5 s of
+        close(), on the Goodbye its next poll gets: it never sees its
+        connection cut, so it neither reconnects nor logs a lost one."""
+        coordinator = Coordinator()
+        worker = FleetWorker(coordinator.address)
+        outcome: dict = {}
+        thread = threading.Thread(
+            target=lambda: outcome.update(code=worker.run()), daemon=True)
+        with caplog.at_level(logging.INFO, logger="repro.distributed.worker"):
+            thread.start()
+            deadline = time.monotonic() + 10.0
+            while not coordinator.worker_snapshot():
+                assert time.monotonic() < deadline, "worker never registered"
+                time.sleep(0.01)
+            start = time.perf_counter()
+            coordinator.close()
+            thread.join(timeout=10.0)
+            elapsed = time.perf_counter() - start
+        assert not thread.is_alive()
+        assert elapsed < 0.5, f"worker exited {elapsed:.3f} s after close()"
+        assert outcome == {"code": 0}
+        assert worker.reconnects == 0
+        assert "connection lost" not in caplog.text
+
 
 class TestRemoteExecutor:
     def test_remote_is_a_registered_executor(self):
@@ -398,35 +424,13 @@ class TestRemoteExecutor:
                                 store=str(tmp_path))
         assert _rows(remote) == _rows(serial)
 
-    def test_auto_leases_bit_identical(self):
-        """``batch_size="auto"`` (cost-budget leases, expensive-first
-        queue) changes only the lease shapes: rows match serial and every
-        cell is evaluated exactly as often as the fixed-size path."""
-        plan = experiment_plan("figure6", TINY)
-        serial = run_plan(plan)
-        with Coordinator(batch_size="auto") as coordinator:
-            workers = [FleetWorker(coordinator.address) for _ in range(2)]
-            threads = [threading.Thread(target=w.run, daemon=True) for w in workers]
-            for thread in threads:
-                thread.start()
-            remote = run_plan(plan, executor="remote", fleet=coordinator)
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert _rows(remote) == _rows(serial)
-        assert sum(w.cells_evaluated for w in workers) == len(expand_cells(plan))
-
-    def test_batch_size_validation(self):
-        for bad in (0, -1, "bogus", True, 2.5):
-            with pytest.raises(ValueError, match="batch_size"):
-                Coordinator(batch_size=bad)
-
     def test_worker_sigkill_mid_plan_requeues(self, tmp_path):
         """Kill a worker process mid-plan: its leased cells are requeued and
         the merged result is still bit-identical to serial."""
         store = DatasetStore(tmp_path)
         plan = experiment_plan("figure6", TINY)
         serial = run_plan(plan, store=store)
-        with Coordinator(batch_size=2, heartbeat_timeout=30.0) as coordinator:
+        with Coordinator(heartbeat_timeout=30.0) as coordinator:
             procs = coordinator.spawn_local_workers(2, cell_delay=0.4)
             pids = {proc.pid for proc in procs}
             killed: list[int] = []
@@ -456,7 +460,7 @@ class TestRemoteExecutor:
         """A worker that stops heartbeating (without dying) loses its lease."""
         plan = experiment_plan("figure6", TINY)
         serial = run_plan(plan)
-        coordinator = Coordinator(batch_size=4, heartbeat_timeout=0.6)
+        coordinator = Coordinator(heartbeat_timeout=0.6)
         try:
             thread, box = _run_plan_async(plan, coordinator)
             sock, welcome = _raw_handshake(coordinator.address, worker_id="silent")
@@ -483,7 +487,7 @@ class TestRemoteExecutor:
     def test_retry_exhaustion_is_a_hard_error(self):
         """A cell whose every lease dies exhausts max_retries and fails the plan."""
         plan = experiment_plan("figure6", TINY)
-        coordinator = Coordinator(batch_size=2, max_retries=0)
+        coordinator = Coordinator(max_retries=0)
         try:
             thread, box = _run_plan_async(plan, coordinator)
             sock, welcome = _raw_handshake(coordinator.address, worker_id="dying")
@@ -763,6 +767,70 @@ class TestPlanStateWire:
         assert errors == []
         assert worker.plans_served == 0
 
+    @pytest.mark.parametrize("case", ["unknown-cache-key", "unknown-estimator",
+                                      "unknown-factory-kind",
+                                      "hybrid-without-model", "unknown-series"])
+    def test_unresolvable_assignment_never_kills_a_worker(self, case,
+                                                          monkeypatch):
+        """A well-formed assignment whose content this build cannot
+        resolve (an unregistered analytical model, estimator or factory
+        kind, or a leased cell of a series the plan lacks) is a protocol
+        error: the worker drops the connection and exits cleanly once its
+        reconnect budget is spent; its thread never crashes."""
+        errors: list = []
+        monkeypatch.setattr(threading, "excepthook",
+                            lambda args: errors.append(args.exc_value))
+        real = _assignment()
+        plan, state = real.plan, real.state
+        hybrid = next(i for i, spec in enumerate(plan.series)
+                      if spec.factory.kind == "hybrid")
+        spec = plan.series[hybrid]
+        factory = {
+            "unknown-estimator": dataclasses.replace(
+                spec.factory, estimator=dataclasses.replace(
+                    spec.factory.estimator, name="no-such-estimator")),
+            "unknown-factory-kind": dataclasses.replace(
+                spec.factory, kind="no-such-kind"),
+            "hybrid-without-model": dataclasses.replace(
+                spec.factory, analytical=None),
+        }.get(case, spec.factory)
+        series = list(plan.series)
+        series[hybrid] = dataclasses.replace(spec, factory=factory)
+        plan = dataclasses.replace(plan, series=tuple(series))
+        if case == "unknown-cache-key":
+            state = dataclasses.replace(state, cache_values=tuple(
+                ("no-such-model", values) for _, values in state.cache_values))
+        assignment = protocol.PlanAssignment(real.plan_id, plan, state)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            worker = FleetWorker(listener.getsockname()[:2], connect_timeout=5.0,
+                                 heartbeat_interval=60.0, reconnect_attempts=0)
+            outcome: dict = {}
+            thread = threading.Thread(
+                target=lambda: outcome.update(code=worker.run()), daemon=True)
+            thread.start()
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10.0)
+                assert isinstance(protocol.recv_message(conn), protocol.Hello)
+                protocol.send_message(conn, protocol.Welcome("fake"))
+                assert isinstance(protocol.recv_message(conn), protocol.GetPlan)
+                protocol.send_message(conn, assignment)
+                try:
+                    request = protocol.recv_message(conn)
+                except ConnectionError:
+                    request = None  # the worker hung up on the assignment
+                if isinstance(request, protocol.GetBatch):
+                    cell = next(cell for cell in expand_cells(plan)
+                                if cell.factory_key == spec.label)
+                    if case == "unknown-series":
+                        cell = dataclasses.replace(cell, factory_key="no-such-series")
+                    protocol.send_message(conn, protocol.Batch(real.plan_id, (cell,)))
+                thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert outcome == {"code": 0}
+        assert errors == []
+        assert worker.cells_evaluated == 0
+
 
 class TestObjectStoreBootstrap:
     """A fleet whose driver runs on the bundled S3-style object store."""
@@ -882,16 +950,17 @@ class TestFaultTolerance:
 
 
 class TestSpeculation:
-    def test_straggler_lease_is_speculatively_duplicated(self):
+    def test_straggler_lease_is_speculatively_duplicated(self, monkeypatch):
         """A worker that holds a lease forever does not stall the plan: once
         the queue drains, its overdue cells are re-leased to a healthy
         worker and dedupe-by-key keeps the duplication harmless."""
+        monkeypatch.setattr(
+            "repro.distributed.coordinator.SPECULATION_MIN_DELAY_S", 0.2)
+        monkeypatch.setattr("repro.distributed.coordinator.SPECULATION_FACTOR", 1.5)
         plan = experiment_plan("figure6", TINY)
         serial = run_plan(plan)
         total = len(expand_cells(plan))
-        coordinator = Coordinator(batch_size=1, heartbeat_timeout=30.0,
-                                  speculation_min_delay=0.2,
-                                  speculation_factor=1.5)
+        coordinator = Coordinator(heartbeat_timeout=30.0)
         try:
             thread, box = _run_plan_async(plan, coordinator)
             sock, welcome = _raw_handshake(coordinator.address,
@@ -981,8 +1050,7 @@ class TestFleetKnobCli:
     def test_knobs_require_remote_executor(self):
         from repro.experiments.__main__ import main
 
-        for flag, value in [("--heartbeat-timeout", "5"),
-                            ("--batch-size", "2"), ("--max-retries", "1")]:
+        for flag, value in [("--heartbeat-timeout", "5"), ("--max-retries", "1")]:
             with pytest.raises(SystemExit):
                 main(["figure6", "--quick", flag, value])
 
@@ -990,8 +1058,7 @@ class TestFleetKnobCli:
         from repro.experiments.__main__ import main
 
         base = ["figure6", "--quick", "--executor", "remote", "--jobs", "1"]
-        for flag, bad in [("--heartbeat-timeout", "0"),
-                          ("--batch-size", "0"), ("--max-retries", "-1")]:
+        for flag, bad in [("--heartbeat-timeout", "0"), ("--max-retries", "-1")]:
             with pytest.raises(SystemExit):
                 main(base + [flag, bad])
 
@@ -1008,46 +1075,9 @@ class TestFleetKnobCli:
         monkeypatch.setattr("repro.distributed.coordinator.Coordinator", _Probe)
         with pytest.raises(RuntimeError, match="probe stop"):
             main(["figure6", "--quick", "--executor", "remote", "--jobs", "2",
-                  "--heartbeat-timeout", "2.5", "--batch-size", "3",
-                  "--max-retries", "7"])
+                  "--heartbeat-timeout", "2.5", "--max-retries", "7"])
         assert captured["heartbeat_timeout"] == 2.5
-        assert captured["batch_size"] == 3
         assert captured["max_retries"] == 7
-
-    def test_batch_cells_reaches_the_coordinator(self, monkeypatch):
-        """``--batch-cells`` is the fleet's lease size for the remote
-        executor: ``auto`` and integers both land in ``batch_size``."""
-        from repro.experiments.__main__ import main
-
-        captured = {}
-
-        class _Probe:
-            def __init__(self, **kwargs):
-                captured.update(kwargs)
-                raise RuntimeError("probe stop")
-
-        monkeypatch.setattr("repro.distributed.coordinator.Coordinator", _Probe)
-        with pytest.raises(RuntimeError, match="probe stop"):
-            main(["figure6", "--quick", "--executor", "remote", "--jobs", "2",
-                  "--batch-cells", "auto"])
-        assert captured["batch_size"] == "auto"
-        captured.clear()
-        with pytest.raises(RuntimeError, match="probe stop"):
-            main(["figure6", "--quick", "--executor", "remote", "--jobs", "2",
-                  "--batch-cells", "6"])
-        assert captured["batch_size"] == 6
-
-    def test_batch_cells_flag_validation(self):
-        from repro.experiments.__main__ import main
-
-        with pytest.raises(SystemExit):  # needs a parallel executor
-            main(["figure6", "--quick", "--batch-cells", "auto"])
-        with pytest.raises(SystemExit):  # bad value
-            main(["figure6", "--quick", "--executor", "process", "--jobs", "2",
-                  "--batch-cells", "bogus"])
-        with pytest.raises(SystemExit):  # conflicts with the fleet knob
-            main(["figure6", "--quick", "--executor", "remote", "--jobs", "2",
-                  "--batch-cells", "4", "--batch-size", "2"])
 
     def test_worker_cli_rejects_bad_retry_knobs(self):
         from repro.distributed.worker import main

@@ -16,7 +16,11 @@ The guarantees under test:
   bit-identical result rows; the remote run additionally exposes a
   scrapeable coordinator status port whose
   ``repro_cells_completed_total`` equals the plan's cell count;
-* the structured-log formatter round-trips through ``json.loads``.
+* the structured-log formatter round-trips through ``json.loads``;
+* an HTTP request that stalls is dropped after the per-read timeout, and
+  random request lines, headers and ``Content-Length`` values against a
+  keyed server get a 4xx, a 501 or a closed connection — never a 500, an
+  escaped handler exception or a hang.
 """
 
 from __future__ import annotations
@@ -25,13 +29,19 @@ import io
 import json
 import logging
 import pickle
+import re
 import socket
+import sys
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.backends import MemoryBackend
 from repro.datasets.object_server import ObjectStoreServer
@@ -507,6 +517,113 @@ class TestStatusServer:
                 headers={"Authorization": sign_request(key, "GET", "/metrics")})
             with urllib.request.urlopen(request, timeout=10.0) as response:
                 assert response.status == 200
+
+    @pytest.mark.parametrize("sent", [
+        b"GET /metrics HTTP/1.1\r\nHost: test\r\nContent-Length: 10\r\n\r\n",
+        b"",
+    ], ids=["declared-body-never-sent", "silent"])
+    def test_stalled_request_is_dropped_after_the_read_timeout(self, sent,
+                                                               monkeypatch):
+        """A peer that declares a body it never sends, or sends nothing,
+        loses its connection once a read has waited the handler's
+        timeout; without one it held the connection, and a handler
+        thread, before any auth check, for as long as it liked."""
+        monkeypatch.setattr("repro.obs.http.READ_TIMEOUT_S", 0.3)
+        with StatusServer(auth=b"read-timeout-test-key") as server:
+            start = time.monotonic()
+            with socket.create_connection(server.server_address[:2],
+                                          timeout=3.0) as sock:
+                sock.sendall(sent)
+                reply = sock.recv(4096)  # b"" once the server hangs up
+            elapsed = time.monotonic() - start
+        assert reply == b""
+        assert 0.2 < elapsed < 2.0, f"dropped after {elapsed:.2f} s"
+
+
+#: Read timeout of the fuzzed server, and how long a fuzzed exchange may
+#: stay open before it counts as a hang.
+_FUZZ_READ_TIMEOUT_S = 0.1
+_FUZZ_HANG_S = 5.0
+_TOKEN = st.text(st.characters(min_codepoint=33, max_codepoint=126),
+                 min_size=1, max_size=12)
+_HEADER_VALUE = st.one_of(
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=24),
+    st.integers(-2 ** 40, 2 ** 70).map(str),
+    st.sampled_from(["Repro-HMAC 00", "100-continue", "close", "chunked",
+                     " 5", "0x10", "1e3", "\uff15"]))
+
+
+@st.composite
+def _http_requests(draw) -> tuple[bytes, str]:
+    """``(raw request bytes, request target)``: a request line, headers and
+    a body, each drawn from plausible and hostile values."""
+    method = draw(st.sampled_from(
+        ["GET", "HEAD", "POST", "PUT", "DELETE", "PATCH", "OPTIONS"]) | _TOKEN)
+    target = draw(st.sampled_from(
+        ["/metrics", "/healthz", "/healthz?x=1", "/", "/nope", "*",
+         "http://[::1/metrics"]) | _TOKEN)
+    version = draw(st.sampled_from(
+        ["HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "HTTP/0.9", "HTTP/1", ""]) | _TOKEN)
+    headers = draw(st.lists(st.tuples(
+        st.sampled_from(["Content-Length", "Authorization", "Host",
+                         "Connection", "Expect", "Transfer-Encoding"]) | _TOKEN,
+        _HEADER_VALUE), max_size=5))
+    line = " ".join(part for part in (method, target, version) if part)
+    raw = (line + "\r\n" + "".join(f"{name}: {value}\r\n" for name, value in headers)
+           + "\r\n").encode("utf-8") + draw(st.binary(max_size=64))
+    return raw, target
+
+
+@pytest.fixture(scope="class")
+def fuzzed_server():
+    """A keyed status server with a short read timeout that records every
+    exception escaping a request handler."""
+    escaped: list = []
+    with mock.patch("repro.obs.http.READ_TIMEOUT_S", _FUZZ_READ_TIMEOUT_S):
+        with StatusServer(auth=b"http-fuzz-key") as server:
+            server.handle_error = lambda request, address: escaped.append(
+                sys.exc_info()[1])
+            yield server, escaped
+
+
+class TestHTTPRequestFuzz:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(request=st.one_of(_http_requests(),
+                             st.binary(max_size=128).map(lambda raw: (raw, ""))),
+           half_close=st.booleans())
+    @example(request=(b"GET http://[::1/metrics HTTP/1.1\r\n\r\n",
+                      "http://[::1/metrics"), half_close=True)
+    @example(request=(b"GET /metrics\r\n", "/metrics"), half_close=True)
+    def test_random_requests_get_4xx_501_or_a_close(self, fuzzed_server,
+                                                     request, half_close):
+        """Whatever arrives, every reply is a 4xx, a 501 (unknown method),
+        a 505 (an HTTP/2+ version line) or a 1xx interim line; a 200 only
+        for the open ``/healthz``.  The connection always ends within the
+        read timeout, no handler exception escapes, and ``/healthz``
+        still answers afterwards."""
+        server, escaped = fuzzed_server
+        escaped.clear()
+        raw, target = request
+        with socket.create_connection(server.server_address[:2],
+                                      timeout=_FUZZ_HANG_S) as sock:
+            sock.sendall(raw)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := sock.recv(65536):  # TimeoutError on a hang
+                reply += chunk
+        try:
+            healthz = urllib.parse.urlsplit(target).path.rstrip("/") == "/healthz"
+        except ValueError:
+            healthz = False
+        for status in map(int, re.findall(rb"^HTTP/\d\.\d (\d{3}) ", reply, re.M)):
+            assert (400 <= status < 500 or status in (100, 501, 505)
+                    or (status == 200 and healthz)), (status, raw, reply)
+        assert escaped == [], escaped
+        with urllib.request.urlopen(server.url + "healthz",
+                                    timeout=_FUZZ_HANG_S) as response:
+            assert response.status == 200
 
 
 class TestStructuredLogging:

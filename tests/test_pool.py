@@ -1,10 +1,12 @@
-"""Tests for the warm worker pool, cost model and plan-state transport.
+"""Tests for the warm worker pool, batch shaping and plan-state transport.
 
 The guarantees under test:
 
-* batch shape is a pure throughput knob: any permutation or fusion of a
-  plan's cells — forced batch sizes, LPT auto-shaping, skewed cost
-  vectors — merges to **bit-identical** ``ExperimentResult`` rows;
+* batch shape is a pure throughput knob: any partition of a plan's
+  cells, in any order, merges to **bit-identical** ``ExperimentResult``
+  rows;
+* a plan's batch shapes are a pure function of the plan and the pool
+  size: they do not change with what ran earlier in the process;
 * a :class:`WorkerPool` outlives a single plan: two consecutive plans
   (and two consecutive invocations of the same plan) on one pool reuse
   the same worker processes (``spawn_count`` stays flat) and their
@@ -19,22 +21,30 @@ The guarantees under test:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import multiprocessing
 import pickle
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.store import DatasetStore
 from repro.experiments import ExperimentSettings, expand_cells, experiment_plan, run_all
 from repro.experiments.pool import (
-    COST_MODEL,
-    CostModel,
+    BATCHES_PER_WORKER,
     PlanState,
     WorkerPool,
-    resolve_batch_cells,
+    plan_costs,
     shape_batches,
 )
-from repro.experiments.scheduler import _resolve_data, run_plan, worker_state_stats
+from repro.experiments.scheduler import (
+    _evaluate_batch,
+    _merge_curves,
+    _resolve_data,
+    run_plan,
+    worker_state_stats,
+)
 from repro.parallel.threadpool import weighted_chunk_indices
 
 TINY = ExperimentSettings(n_estimators=4, n_repeats=2, max_configs=120, random_state=0)
@@ -99,89 +109,58 @@ class TestWeightedChunks:
         assert weighted_chunk_indices([], 3) == []
 
 
-class TestResolveBatchCells:
-    @pytest.mark.parametrize("value,expected", [
-        (None, None), ("auto", "auto"), (3, 3), ("7", 7), (1, 1),
-    ])
-    def test_valid(self, value, expected):
-        assert resolve_batch_cells(value) == expected
+class _RecordingPool:
+    """A two-worker stand-in for :class:`WorkerPool` that runs batches
+    in-process and records each plan's batch shapes (cell keys)."""
 
-    @pytest.mark.parametrize("value", [0, -1, True, False, "bogus", "-2", 2.5])
-    def test_invalid(self, value):
-        with pytest.raises(ValueError, match="batch_cells"):
-            resolve_batch_cells(value)
+    jobs = 2
+
+    def __init__(self) -> None:
+        self.shapes: list = []
+
+    def run_batches(self, fn, batch_args):
+        self.shapes.append([[cell.key for cell in args[1]] for args in batch_args])
+        return [fn(*args) for args in batch_args]
 
 
 class TestCostModel:
-    def test_cells_carry_cost_hints(self):
-        """``expand_cells`` stamps every cell with a positive per-row cost
-        hint that grows with the training fraction within a series."""
-        plan = experiment_plan("figure5", TINY)
-        cells = expand_cells(plan)
-        assert all(cell.cost_hint > 0.0 for cell in cells)
-        for spec in plan.series:
-            hints = {cell.fraction: cell.cost_hint
-                     for cell in cells if cell.series == spec.label}
-            fractions = sorted(hints)
-            assert [hints[f] for f in fractions] == sorted(hints.values())
-
     def test_family_weights_separate_estimators(self):
         """A random forest cell (split search) must cost more units than
         an extra-trees cell (random thresholds) at the same fraction."""
-        model = CostModel()
         plan = experiment_plan("ablation_ml_backend", TINY)
-        factories = {spec.label: spec.factory for spec in plan.series}
-        units = {label: model.factory_units(factory, 0.1)
-                 for label, factory in factories.items()}
+        cells = [cell for cell in expand_cells(plan)
+                 if cell.fraction == plan.series[0].fractions[0]]
+        costs = plan_costs(plan, cells, n_rows=120)
+        units = {cell.series: costs[cell.key] for cell in cells}
         assert units["hybrid_random_forest"] > units["hybrid_extra_trees"]
         assert units["hybrid_knn"] < units["hybrid_extra_trees"]
-
-    def test_hints_never_enter_the_fingerprint(self):
-        """The hint is advisory scheduling metadata: two expansions of the
-        same plan agree on keys and seeds regardless of the model state."""
-        plan = experiment_plan("figure5", TINY)
-        first = expand_cells(plan)
-        COST_MODEL.observe({"extra_trees": 50.0}, 0.123)
-        second = expand_cells(plan)
-        assert [c.key for c in first] == [c.key for c in second]
-        assert [c.seed for c in first] == [c.seed for c in second]
-
-    def test_observe_calibrates_seconds_per_unit(self):
-        model = CostModel()
-        model.observe({"extra_trees": 100.0}, 0.5)
-        assert model.observations == 1
-        # First observation pins the scale exactly: 0.5s for 100 units.
-        assert model.estimate_seconds("extra_trees", 100.0) == pytest.approx(0.5)
-        # A second, slower observation moves the EWMA toward it.
-        model.observe({"extra_trees": 100.0}, 1.5)
-        assert 0.5 < model.estimate_seconds("extra_trees", 100.0) < 1.5
-
-    def test_observe_ignores_degenerate_samples(self):
-        model = CostModel()
-        model.observe({}, 1.0)
-        model.observe({"extra_trees": 10.0}, 0.0)
-        model.observe({"extra_trees": 0.0}, 1.0)
-        assert model.observations == 0
 
     def test_plan_costs_floor_and_positivity(self):
         plan = experiment_plan("figure5", TINY)
         cells = expand_cells(plan)
-        costs = COST_MODEL.plan_costs(plan, cells, n_rows=120)
+        costs = plan_costs(plan, cells, n_rows=120)
         assert set(costs) == {cell.key for cell in cells}
         assert all(cost > 0.0 for cost in costs.values())
 
-    def test_smoothing_validation(self):
-        with pytest.raises(ValueError):
-            CostModel(smoothing=0.0)
-        with pytest.raises(ValueError):
-            CostModel(smoothing=1.5)
+    def test_batch_shapes_do_not_depend_on_history(self):
+        """The same plan gets the same batches before and after other
+        plans ran in the process: shapes depend on the plan and ``jobs``
+        alone."""
+        pool = _RecordingPool()
+        fmm = experiment_plan("figure3_fmm", TINY)
+        run_plan(fmm, executor="process", pool=pool)
+        for name in ("figure5", "ablation_ml_backend"):
+            run_plan(experiment_plan(name, TINY), executor="process", pool=pool)
+        run_plan(fmm, executor="process", pool=pool)
+        assert len(pool.shapes[0]) == pool.jobs * BATCHES_PER_WORKER
+        assert pool.shapes[-1] == pool.shapes[0]
 
 
 class TestShapeBatches:
     def test_partition_matches_cells(self):
         plan = experiment_plan("figure5", TINY)
         cells = expand_cells(plan)
-        costs = COST_MODEL.plan_costs(plan, cells, n_rows=120)
+        costs = plan_costs(plan, cells, n_rows=120)
         batches = shape_batches(cells, costs, 4)
         flat = [cell.key for batch in batches for cell in batch]
         assert sorted(flat) == sorted(cell.key for cell in cells)
@@ -197,6 +176,34 @@ class TestShapeBatches:
         batches = shape_batches(cells, {}, 3)
         flat = [cell.key for batch in batches for cell in batch]
         assert sorted(flat) == sorted(cell.key for cell in cells)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_any_partition_merges_to_serial_rows(self, data):
+        """Property: cut a plan's cells into any batches, shuffle the
+        cells and the batches, evaluate each batch with the pool's batch
+        function and merge: the curves are the serial ones, bit for bit."""
+        plan, cells, state, serial = _figure5()
+        order = data.draw(st.permutations(range(len(cells))))
+        labels = data.draw(st.lists(st.integers(0, len(cells) - 1),
+                                    min_size=len(cells), max_size=len(cells)))
+        batch_ids = data.draw(st.permutations(sorted(set(labels))))
+        batches = [[cells[i] for i in order if labels[i] == batch_id]
+                   for batch_id in batch_ids]
+        results = [result for batch in batches
+                   for result in _evaluate_batch(plan, batch, state)[0]]
+        merged = dataclasses.replace(
+            serial, curves=_merge_curves(plan, cells, results))
+        assert merged.rows() == serial.rows()
+
+
+@functools.lru_cache(maxsize=1)
+def _figure5():
+    """Figure 5's plan, cells, packed state and serial result (computed once)."""
+    plan = experiment_plan("figure5", TINY)
+    state = PlanState.pack(*_resolve_data(plan, None))
+    return plan, expand_cells(plan), state, run_plan(plan)
 
 
 class TestPlanState:
@@ -323,27 +330,12 @@ class TestWorkerPool:
             first = run_all(TINY, names, executor="process", jobs=2, pool=pool)
             second = run_all(TINY, names, executor="process", jobs=2, pool=pool)
             assert pool.spawn_count == 2
-            assert pool.stats["plans"] == 4
+            # Four plan runs of 2 x BATCHES_PER_WORKER batches each.
+            assert pool.stats["batches"] == 4 * 2 * BATCHES_PER_WORKER
             assert pool.stats["compute_seconds"] > 0.0
         for name in names:
             assert _rows(first[name]) == _rows(serial[name])
             assert _rows(second[name]) == _rows(serial[name])
-
-    def test_forced_batch_shapes_bit_identical(self):
-        """Property: every forced fusion target — singleton batches, odd
-        fixed sizes, cost-model auto-shaping — merges to the same rows."""
-        plan = experiment_plan("figure5", TINY)
-        serial = run_plan(plan)
-        with WorkerPool(2) as pool:
-            for batch_cells in (1, 3, len(expand_cells(plan)) + 5, "auto"):
-                shaped = run_plan(plan, executor="process", jobs=2, pool=pool,
-                                  batch_cells=batch_cells)
-                assert _rows(shaped) == _rows(serial), batch_cells
-
-    def test_batch_cells_validation(self):
-        plan = experiment_plan("figure5", TINY)
-        with pytest.raises(ValueError, match="batch_cells"):
-            run_plan(plan, executor="process", jobs=2, batch_cells=0)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

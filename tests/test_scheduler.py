@@ -68,8 +68,6 @@ class TestPlans:
         cells = expand_cells(plan)
         expected = sum(len(s.fractions) * plan.n_repeats for s in plan.series)
         assert len(cells) == expected
-        # Every cell carries the dataset fingerprint of the plan.
-        assert {c.dataset_fingerprint for c in cells} == {plan.dataset.fingerprint}
 
     def test_cell_seeds_reproduce_the_serial_stream(self):
         """Planning draws seeds exactly as the serial per-curve loop did."""
@@ -269,13 +267,13 @@ class TestCommandLine:
         assert "figure6" in out and "hybrid" in out
         assert (tmp_path / "datasets").exists() and (tmp_path / "caches").exists()
 
-    def test_cli_process_sequence_with_batch_cells(self, tmp_path, capsys):
-        """`--jobs 2 --batch-cells auto` runs the sequence on one warm
-        pool with cost-shaped batches and prints every experiment."""
+    def test_cli_process_sequence_on_one_pool(self, tmp_path, capsys):
+        """`--jobs 2` runs the sequence on one warm pool with cost-shaped
+        batches and prints every experiment."""
         from repro.experiments.__main__ import main
 
         args = ["figure5", "figure6", "--quick", "--jobs", "2",
-                "--batch-cells", "auto", "--store-dir", str(tmp_path)]
+                "--store-dir", str(tmp_path)]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "figure5" in out and "figure6" in out
