@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the design choices of the hybrid model.
 
 Not figures from the paper; these quantify the contribution of each
 ingredient of the hybrid model (aggregation stage, analytical-model

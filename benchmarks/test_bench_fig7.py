@@ -3,7 +3,7 @@ dataset, where the (serial) analytical model does not cover the threads
 dimension at all.
 
 Expected shape (paper): the hybrid is at least as accurate as the pure ML
-model.  Deviation note (see EXPERIMENTS.md): with the paper's literal
+model.  Deviation note: with the paper's literal
 configuration space this dataset has only 128 points, so 1-4% training
 means 3-5 samples and the two models end up statistically tied on our
 simulated measurements.

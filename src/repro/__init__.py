@@ -19,7 +19,8 @@ Quick start
 >>> _ = model.fit(data.X[train], data.y[train])
 >>> predictions = model.predict(data.X[test])
 
-See ``examples/`` and ``EXPERIMENTS.md`` for the full evaluation.
+See ``examples/`` and the README (``python -m repro.experiments``) for
+the full evaluation.
 """
 
 from repro import analytical, core, datasets, experiments, fmm, machine, ml, parallel, stencil, utils

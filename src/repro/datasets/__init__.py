@@ -2,8 +2,8 @@
 
 Each generator enumerates the configuration space of one figure, obtains
 "measured" execution times from the corresponding performance simulator
-(the Blue Waters stand-in, see DESIGN.md) and packages the result as a
-:class:`~repro.core.features.PerformanceDataset`.
+(the Blue Waters stand-in, see ``docs/architecture.md``, layer 3) and
+packages the result as a :class:`~repro.core.features.PerformanceDataset`.
 
 | Generator                      | Paper figure(s) | Modeling vector              |
 |--------------------------------|-----------------|------------------------------|

@@ -1,7 +1,7 @@
 """Name-based dataset registry.
 
 Lets examples, experiments and benchmarks refer to the paper's datasets by
-the short names used throughout DESIGN.md and EXPERIMENTS.md.
+short names.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ does: the :class:`~repro.experiments.pool.PlanState` inside the
 dataset, warmed analytical caches and series factories from it once per
 ``(plan, state digest)`` in a bounded
 :class:`~repro.experiments.scheduler.PlanMemo` and reuses them across
-batches.  It opens no store and never simulates.
+batches.  It opens no store and never simulates, and it evaluates each
+leased batch in the scheduler's one cell loop,
+:func:`~repro.experiments.scheduler.evaluate_cells`.
 
 A daemon thread heartbeats on an interval even while cells compute, so
 the coordinator can tell "slow" from "dead" without bounding cell cost.
@@ -34,7 +36,6 @@ import time
 import uuid
 
 from repro.cli import add_auth_args, add_logging_parent, load_auth_key
-from repro.core.evaluation import evaluate_cell
 from repro.datasets.store import _FORMAT_VERSION, _simulator_versions
 from repro.distributed import protocol
 from repro.distributed.protocol import (
@@ -54,10 +55,9 @@ from repro.distributed.protocol import (
     Results,
     parse_address,
 )
-from repro.experiments.scheduler import PlanMemo
+from repro.experiments.scheduler import PlanMemo, evaluate_cells
 from repro.obs.logging import configure_logging
 from repro.obs.metrics import REGISTRY, MetricsRegistry
-from repro.obs.tracing import span_into
 from repro.utils.retry import RetryPolicy
 
 __all__ = ["FleetWorker", "HandshakeRejected", "main"]
@@ -83,8 +83,9 @@ class FleetWorker:
         Seconds between liveness heartbeats; must be well under the
         coordinator's ``heartbeat_timeout``.
     cell_delay:
-        Artificial per-cell sleep in seconds (fault-injection knob for
-        tests and demos; defaults to ``$REPRO_FLEET_CELL_DELAY`` or 0).
+        Artificial per-cell sleep in seconds, taken before each leased
+        batch (fault-injection knob for tests and demos; defaults to
+        ``$REPRO_FLEET_CELL_DELAY`` or 0).
     reconnect_attempts:
         Fresh connect+handshake attempts after the coordinator connection
         drops mid-service (each within ``reconnect_timeout`` seconds)
@@ -321,40 +322,20 @@ class FleetWorker:
     def _evaluate_batch(self, batch: Batch, factories, dataset):
         """One leased batch's results plus (when traced) its finished spans.
 
-        With a ``trace`` context in the frame the worker builds a
-        ``batch`` span parented to the coordinator side's plan span and
-        one ``cell`` span per cell under it — the exact hierarchy the
-        in-process executors produce — and ships them back inside the
-        :class:`Results` frame.  Without one (tracing off), no span
-        objects are created at all.
+        Cells go through the scheduler's one cell loop; with a ``trace``
+        context in the frame, its batch and cell spans name this worker
+        and ship back inside the :class:`Results` frame.
         """
         unknown = {cell.factory_key for cell in batch.cells} - factories.keys()
         if unknown:
             raise protocol.ProtocolError(
                 f"batch names series the plan lacks: {sorted(unknown)}")
-        results = []
-        if batch.trace is None:
-            for cell in batch.cells:
-                if self.cell_delay:
-                    time.sleep(self.cell_delay)
-                results.append(evaluate_cell(
-                    cell, factories[cell.factory_key], dataset))
-            return results, ()
-        spans: list = []
-        with span_into(spans, "batch", parent=batch.trace,
-                       attrs={"executor": "remote", "worker": self.worker_id,
-                              "cells": len(batch.cells)}) as batch_span:
-            for cell in batch.cells:
-                if self.cell_delay:
-                    time.sleep(self.cell_delay)
-                with span_into(spans, "cell", parent=batch_span,
-                               attrs={"series": cell.series,
-                                      "fraction": cell.fraction,
-                                      "repeat": cell.repeat,
-                                      "worker": self.worker_id}):
-                    results.append(evaluate_cell(
-                        cell, factories[cell.factory_key], dataset))
-        return results, spans
+        if self.cell_delay:
+            time.sleep(self.cell_delay * len(batch.cells))
+        identity = {"worker": self.worker_id}
+        return evaluate_cells(batch.cells, factories, dataset, batch.trace,
+                              attrs={"executor": "remote", **identity},
+                              cell_attrs=identity)
 
 
 def main(argv: list[str] | None = None) -> int:

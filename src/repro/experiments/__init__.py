@@ -11,8 +11,8 @@ Use :func:`~repro.experiments.runner.run_experiment` /
 :func:`~repro.experiments.runner.run_all` (or
 ``python -m repro.experiments``) to execute them directly.  Execution is
 plan-based: experiments expand into picklable ``(series, fraction,
-repeat)`` cells (:mod:`repro.experiments.plan`) dispatched through
-pluggable serial/process/remote executors
+repeat)`` cells (:mod:`repro.experiments.plan`) that run in this
+process, on a worker pool or on a fleet
 (:mod:`repro.experiments.scheduler`) with bit-identical results, backed
 by an optional persistent dataset/cache store
 (:mod:`repro.datasets.store`).
@@ -45,13 +45,14 @@ from repro.experiments.plan import (
 from repro.experiments.pool import WorkerPool
 from repro.experiments.reporting import format_curves, format_result, results_to_markdown
 from repro.experiments.runner import (
+    EXECUTORS,
     EXPERIMENTS,
     ExperimentResult,
     ExperimentSettings,
     run_all,
     run_experiment,
 )
-from repro.experiments.scheduler import EXECUTORS, run_plan
+from repro.experiments.scheduler import run_plan
 
 __all__ = [
     "ExperimentResult",

@@ -76,8 +76,13 @@ import sys
 from repro.cli import (add_auth_args, add_logging_parent, add_store_args,
                        check_bind_safety, load_auth_key)
 from repro.experiments.reporting import format_result
-from repro.experiments.runner import EXPERIMENTS, ExperimentSettings, run_experiment
-from repro.experiments.scheduler import EXECUTORS
+from repro.experiments.runner import (
+    EXECUTORS,
+    EXPERIMENTS,
+    ExperimentSettings,
+    open_workers,
+    run_experiment,
+)
 from repro.obs.logging import configure_logging
 from repro.obs.tracing import TRACER, write_trace
 
@@ -209,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     if executor == "remote":
         from repro.distributed.coordinator import Coordinator
         from repro.distributed.protocol import parse_address
-        from repro.experiments.scheduler import _resolve_jobs
+        from repro.experiments.pool import _resolve_jobs
 
         bind = ("127.0.0.1", 0) if args.bind is None else parse_address(args.bind)
         check_bind_safety(parser, bind[0], auth=auth_key, insecure=args.insecure)
@@ -237,33 +242,23 @@ def main(argv: list[str] | None = None) -> int:
         if n_local:
             fleet.spawn_local_workers(n_local, auth_key_file=args.auth_key_file)
 
-    pool = None
-    if executor == "process":
-        from repro.experiments.scheduler import _resolve_jobs
-
-        n_workers = _resolve_jobs(args.jobs)
-        if n_workers > 1:
-            # One warm pool for the whole sequence: workers spawn once and
-            # keep their per-plan memos across experiments.
-            from repro.experiments.pool import WorkerPool
-
-            pool = WorkerPool(n_workers)
-
     from contextlib import nullcontext
+
+    from repro.experiments.plan import experiment_plan
 
     collect = TRACER.collect() if args.trace is not None else nullcontext([])
     try:
-        with collect as trace_spans:
+        # One warm pool (or the fleet above) serves the whole sequence:
+        # workers spawn once and keep their per-plan memos.
+        with (open_workers(executor, args.jobs, fleet=fleet) as workers,
+              collect as trace_spans):
             for name in args.names:
-                if args.publish_models:
-                    from repro.experiments.plan import experiment_plan
-
-                    publish = experiment_plan(name, settings) is not None
-                else:
-                    publish = False
-                result = run_experiment(name, settings=settings, executor=executor,
-                                        jobs=args.jobs, store=store, fleet=fleet,
-                                        pool=pool, publish_models=publish)
+                publish = (args.publish_models
+                           and experiment_plan(name, settings) is not None)
+                result = run_experiment(
+                    name, settings=settings, executor=executor, jobs=args.jobs,
+                    store=store, pool=workers if executor == "process" else None,
+                    fleet=fleet, publish_models=publish)
                 print(format_result(result))
                 if publish:
                     outcome = result.extra.get("published_models", {})
@@ -277,8 +272,6 @@ def main(argv: list[str] | None = None) -> int:
             status_server.stop()
         if fleet is not None:
             fleet.close()
-        if pool is not None:
-            pool.close()
 
     if args.trace is not None:
         from repro.experiments.reporting import format_trace_summary, summarize_trace
@@ -288,8 +281,6 @@ def main(argv: list[str] | None = None) -> int:
         print(format_trace_summary(summarize_trace(trace_spans)))
 
     if args.store_prune:
-        from repro.experiments.plan import experiment_plan
-
         # Datasets/caches are keyed by dataset fingerprint, published
         # models by plan fingerprint: keep both, or pruning right after
         # --publish-models would delete the just-published models.

@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices called out in DESIGN.md.
+"""Ablation experiments for the design choices of the hybrid model.
 
 These go beyond the paper's figures and quantify how much each ingredient
 of the hybrid model contributes:
@@ -11,11 +11,13 @@ of the hybrid model contributes:
 * **sampling strategy** — uniform random vs Latin-hypercube-style
   stratified training-set selection at small fractions;
 * **ML backend** — extra trees (the paper's choice) vs random forest,
-  bagged trees and k-NN as the stacked learner.
+  bagged trees and k-NN as the stacked learner;
+* **tree method** — exact vs histogram-binned split search for the ML
+  and hybrid models.
 
-The first, second and fourth are regular learning-curve grids and are
-declared as plans in :mod:`repro.experiments.plan` (so they run through
-the same pluggable scheduler as the figures); the sampling-strategy
+All but the sampling-strategy ablation are regular learning-curve grids
+and are declared as plans in :mod:`repro.experiments.plan` (so they run
+through the same scheduler as the figures); the sampling-strategy
 ablation substitutes its own training-set selector for the evaluation
 protocol's uniform split and therefore runs opaquely.
 """
@@ -32,7 +34,6 @@ from repro.core.features import PerformanceDataset
 from repro.core.hybrid import HybridPerformanceModel
 from repro.datasets import blocked_small_grid_dataset
 from repro.datasets.sampling import latin_hypercube_indices, uniform_sample_indices
-from repro.experiments.plan import BlockingBlindStencilModel, ConstantAnalyticalModel
 from repro.experiments.runner import ExperimentResult, ExperimentSettings
 from repro.experiments.scheduler import run_named_plan
 from repro.ml import ExtraTreesRegressor
@@ -48,11 +49,6 @@ __all__ = [
 ]
 
 _FRACTIONS = (0.01, 0.02, 0.04)
-
-# Degraded analytical models, kept under their historical (private) names
-# for callers that imported them from here.
-_BlockingBlindModel = BlockingBlindStencilModel
-_ConstantModel = ConstantAnalyticalModel
 
 
 def ablation_aggregation(settings: ExperimentSettings | None = None,

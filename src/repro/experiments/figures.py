@@ -5,7 +5,8 @@ The figure functions are thin wrappers over the declarative plans in
 :class:`~repro.experiments.plan.ExperimentPlan` (which dataset, which
 models, which training fractions, which hybrid options) and hands it to
 :func:`~repro.experiments.scheduler.run_plan`, which owns the evaluation
-protocol, the executor choice and the persistent dataset/cache store.
+protocol and the persistent dataset/cache store and runs the cells where
+its ``workers`` argument says.
 ``analytical_accuracy`` reports standalone numbers rather than learning
 curves and therefore bypasses the plan machinery.
 """

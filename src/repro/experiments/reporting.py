@@ -148,7 +148,7 @@ def format_trace_summary(summary: dict) -> str:
 
 
 def results_to_markdown(results: dict[str, ExperimentResult]) -> str:
-    """Markdown summary of several experiments (used to draft EXPERIMENTS.md)."""
+    """Markdown summary of several experiments."""
     lines = ["| experiment | series | train % | MAPE mean | MAPE std |",
              "|---|---|---|---|---|"]
     for result in results.values():

@@ -2,26 +2,30 @@
 
 ``run_experiment`` / ``run_all`` are built on the plan/scheduler
 architecture: experiments that expand into independent ``(series,
-fraction, repeat)`` cells (see :mod:`repro.experiments.plan`) are
-dispatched through a pluggable executor (``serial`` / ``process`` /
-``remote``, see :mod:`repro.experiments.scheduler`) with results
-bit-identical across executors; the two irregular experiments
-(``analytical_accuracy``, ``ablation_sampling_strategy``) fall back to
-their plain functions.  A persistent
-:class:`~repro.datasets.store.DatasetStore` can be shared across the run
-so datasets are simulated and analytical caches warmed at most once per
-machine.
+fraction, repeat)`` cells (see :mod:`repro.experiments.plan`) run
+through :func:`~repro.experiments.scheduler.run_plan` on the workers
+:func:`open_workers` picks, with results bit-identical across executors;
+the two irregular experiments (``analytical_accuracy``,
+``ablation_sampling_strategy``) fall back to their plain functions.  A
+persistent :class:`~repro.datasets.store.DatasetStore` can be shared
+across the run so datasets are simulated and analytical caches warmed at
+most once per machine.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.evaluation import LearningCurve
 
-__all__ = ["ExperimentSettings", "ExperimentResult", "run_experiment", "run_all", "EXPERIMENTS"]
+__all__ = ["ExperimentSettings", "ExperimentResult", "run_experiment", "run_all",
+           "open_workers", "EXECUTORS", "EXPERIMENTS"]
+
+#: Valid values of the ``executor`` argument / ``--executor`` CLI flag.
+EXECUTORS = ("serial", "process", "remote")
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,46 @@ def _experiment_registry() -> dict:
     return registry
 
 
+def open_workers(executor: str = "serial", jobs: int = 1, pool=None, fleet=None):
+    """Where cells run, as a context manager yielding ``run_plan``'s ``workers``.
+
+    It yields the caller's *pool* or *fleet* when given; otherwise, on
+    entry, it opens a throwaway ``WorkerPool(jobs)`` for ``"process"``
+    with ``jobs > 1`` or a coordinator with *jobs* localhost workers for
+    ``"remote"``, and closes it on exit; else ``None`` (this process).
+    The arguments are checked at once, before anything opens.
+    """
+    from repro.experiments.pool import _resolve_jobs
+
+    if executor not in EXECUTORS:
+        raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
+    jobs = _resolve_jobs(jobs)
+    if pool is not None and executor != "process":
+        raise ValueError(
+            f"pool requires the process executor, got executor={executor!r}")
+    if fleet is not None and executor != "remote":
+        raise ValueError(
+            f"fleet requires the remote executor, got executor={executor!r}")
+    return _opened_workers(executor, jobs, pool if pool is not None else fleet)
+
+
+@contextmanager
+def _opened_workers(executor: str, jobs: int, given):
+    if given is None and executor == "process" and jobs > 1:
+        from repro.experiments.pool import WorkerPool
+
+        with WorkerPool(jobs) as pool:
+            yield pool
+    elif given is None and executor == "remote":
+        from repro.distributed.coordinator import Coordinator
+
+        with Coordinator() as fleet:
+            fleet.spawn_local_workers(jobs)
+            yield fleet
+    else:
+        yield given
+
+
 def run_experiment(name: str, settings: ExperimentSettings | None = None, *,
                    executor: str = "serial", jobs: int = 1,
                    store=None, fleet=None, pool=None,
@@ -189,11 +233,7 @@ def run_experiment(name: str, settings: ExperimentSettings | None = None, *,
         func = registry[name]
     except KeyError:
         raise KeyError(f"unknown experiment {name!r}; available: {sorted(registry)}") from None
-    from repro.experiments.scheduler import EXECUTORS, _resolve_jobs
-
-    if executor not in EXECUTORS:
-        raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-    _resolve_jobs(jobs)
+    workers = open_workers(executor, jobs, pool, fleet)
     settings = settings or ExperimentSettings()
     from repro.experiments.plan import experiment_plan
     from repro.obs.tracing import TRACER
@@ -212,9 +252,9 @@ def run_experiment(name: str, settings: ExperimentSettings | None = None, *,
             return func(settings=settings)
         from repro.experiments.scheduler import run_plan
 
-        return run_plan(plan, executor=executor, jobs=jobs,
-                        store=_resolve_store(store), fleet=fleet, pool=pool,
-                        publish_models=publish_models)
+        with workers as opened:
+            return run_plan(plan, workers=opened, store=_resolve_store(store),
+                            publish_models=publish_models)
 
 
 def run_all(settings: ExperimentSettings | None = None,
@@ -226,14 +266,10 @@ def run_all(settings: ExperimentSettings | None = None,
 
     The optional *store* is shared across all experiments of the run, so
     e.g. the blocked-stencil dataset is generated once for figure 3, 6
-    and the ablations instead of once each.  A *fleet* coordinator is
-    likewise shared: its workers stay connected (and keep their per-plan
-    memos) across the whole sequence.  The process executor gets the
-    same treatment automatically: unless an external *pool* is passed,
-    one warm :class:`~repro.experiments.pool.WorkerPool` is created for
-    the whole sequence, so workers are spawned once and keep their
-    per-plan memos across experiments instead of being respawned per
-    plan.
+    and the ablations instead of once each.  So are the workers
+    (:func:`open_workers` runs once): the caller's *pool* or *fleet*, or
+    one throwaway pool or fleet, serves every experiment, so workers
+    spawn once and keep their per-plan memos across experiments.
 
     With ``publish_models``, every plan-backed experiment additionally
     publishes its serving-tier models into the shared *store*; the two
@@ -245,25 +281,13 @@ def run_all(settings: ExperimentSettings | None = None,
     store = _resolve_store(store)
     if publish_models and store is None:
         raise ValueError("publish_models requires a store to publish into")
-    own_pool = False
-    if pool is None and executor == "process":
-        from repro.experiments.scheduler import _resolve_jobs
-
-        n_workers = _resolve_jobs(jobs)
-        if n_workers > 1:
-            from repro.experiments.pool import WorkerPool
-
-            pool = WorkerPool(n_workers)
-            own_pool = True
     results: dict[str, ExperimentResult] = {}
-    try:
+    with open_workers(executor, jobs, pool, fleet) as workers:
         for name in (names or EXPERIMENTS):
             publish = publish_models and experiment_plan(name, settings) is not None
-            results[name] = run_experiment(name, settings=settings,
-                                           executor=executor, jobs=jobs,
-                                           store=store, fleet=fleet, pool=pool,
-                                           publish_models=publish)
-    finally:
-        if own_pool:
-            pool.close()
+            results[name] = run_experiment(
+                name, settings=settings, executor=executor, jobs=jobs, store=store,
+                pool=workers if executor == "process" else None,
+                fleet=workers if executor == "remote" else None,
+                publish_models=publish)
     return results

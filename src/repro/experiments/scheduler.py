@@ -1,35 +1,26 @@
-"""Pluggable execution of experiment plans.
+"""Execution of experiment plans.
 
 :func:`run_plan` takes an :class:`~repro.experiments.plan.ExperimentPlan`,
-expands it into :class:`~repro.core.evaluation.EvalCell` tasks and
-dispatches them through one of three executors:
-
-* ``"serial"`` — the cells run in plan order in the calling process;
-* ``"process"`` — a persistent :class:`~repro.experiments.pool.WorkerPool`
-  of worker processes.  Cells are fused into ``jobs x 2`` cost-balanced
-  batches by a greedy LPT shaper over the plan's pure per-cell costs
-  (:func:`~repro.experiments.pool.plan_costs`).  The parent packs the
-  dataset and warmed analytical caches it resolved into one small
-  :class:`~repro.experiments.pool.PlanState` that rides in every batch's
-  arguments; workers rebuild the dataset, caches and factories from it
-  once per plan and content, and keep them in a bounded per-process memo
-  across batches *and plans*: pass an external pool (see
-  ``run_all``/the CLI, which create one per experiment sequence) and
-  consecutive plans skip worker spawn entirely.
-* ``"remote"`` — a TCP worker fleet (:mod:`repro.distributed`): cells are
-  leased in fixed 4-cell batches to :mod:`repro.distributed.worker`
-  processes on any number of hosts, with heartbeat/requeue fault
-  tolerance and straggler speculation.  The same
-  :class:`~repro.experiments.pool.PlanState` rides in the plan
-  assignment, and fleet workers keep the same bounded memo.  Pass an existing
-  :class:`~repro.distributed.coordinator.Coordinator` as ``fleet`` (the
-  CLI's ``--bind``/``--workers`` mode); without one a throwaway
-  coordinator plus ``jobs`` localhost workers is spun up per plan.
+expands it into :class:`~repro.core.evaluation.EvalCell` tasks and runs
+them where its ``workers`` argument says: ``None`` in plan order in the
+calling process; a :class:`~repro.experiments.pool.WorkerPool` in
+``jobs x 2`` batches shaped by greedy LPT over the plan's pure per-cell
+costs (:func:`~repro.experiments.pool.plan_costs`); a
+:class:`~repro.distributed.coordinator.Coordinator` in fixed 4-cell
+leases to :mod:`repro.distributed.worker` processes on any number of
+hosts, with heartbeat/requeue fault tolerance and straggler speculation.
+The caller owns the pool or fleet, so one serves a whole sequence of
+plans (:func:`~repro.experiments.runner.open_workers` opens throwaway
+ones).  Both receive one small :class:`~repro.experiments.pool.PlanState`
+holding the dataset and warmed analytical caches the parent resolved;
+their workers rebuild from it once per plan and content, in a bounded
+:class:`PlanMemo` kept across batches *and plans*.  Wherever they run,
+cells go through one loop, :func:`evaluate_cells`.
 
 Because seeds are derived at planning time and the merge is performed in
-plan order, all three executors produce **bit-identical**
+plan order, every choice of ``workers`` produces **bit-identical**
 :class:`~repro.experiments.runner.ExperimentResult` rows under any batch
-shape; the executor is purely a throughput knob.
+shape; it only decides where cells run.
 
 The parent process always resolves the dataset and warms the analytical
 caches *before* dispatch — through the store, when one is supplied, so
@@ -40,6 +31,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
+from contextlib import nullcontext
 
 from repro.analytical import AnalyticalPredictionCache
 from repro.core.evaluation import CellResult, evaluate_cell, merge_cell_results
@@ -56,8 +48,6 @@ from repro.experiments.plan import (
 from repro.experiments.pool import (
     BATCHES_PER_WORKER,
     PlanState,
-    WorkerPool,
-    _resolve_jobs,
     plan_costs,
     shape_batches,
 )
@@ -66,12 +56,10 @@ from repro.experiments.runner import (
     ExperimentSettings,
     _resolve_store,
 )
-from repro.obs.tracing import TRACER, span_into
+from repro.obs.tracing import TRACER, SpanContext, span_into
 
-__all__ = ["EXECUTORS", "PlanMemo", "run_plan", "run_named_plan", "worker_state_stats"]
-
-#: Valid values of the ``executor`` argument / ``--executor`` CLI flag.
-EXECUTORS = ("serial", "process", "remote")
+__all__ = ["PlanMemo", "evaluate_cells", "run_plan", "run_named_plan",
+           "worker_state_stats"]
 
 
 def _resolve_data(plan: ExperimentPlan, store: DatasetStore | None,
@@ -174,10 +162,29 @@ def worker_state_stats() -> dict:
             "evictions": _WORKER_STATE.evictions}
 
 
-def _cell_attrs(cell) -> dict:
-    """Span attributes identifying one cell (kept to its key fields only)."""
-    return {"series": cell.series, "fraction": cell.fraction,
-            "repeat": cell.repeat}
+def evaluate_cells(cells, factories: dict, dataset: PerformanceDataset,
+                   trace: SpanContext | None = None, *, attrs: dict,
+                   cell_attrs: dict | None = None) -> tuple[list[CellResult], list]:
+    """Evaluate *cells* in order: ``(results, spans)``.
+
+    The one cell loop, calling :func:`evaluate_cell` per cell, of serial
+    runs, pool workers and fleet workers.  Under a *trace* parent it
+    builds a ``batch`` span (*attrs* plus the cell count) holding a
+    ``cell`` span per cell (its key fields plus *cell_attrs*) for the
+    caller to record or ship; without one it builds no spans.
+    """
+    spans: list = []
+    results: list[CellResult] = []
+    with (nullcontext() if trace is None else
+          span_into(spans, "batch", parent=trace,
+                    attrs={**attrs, "cells": len(cells)})) as batch:
+        for cell in cells:
+            with (nullcontext() if batch is None else
+                  span_into(spans, "cell", parent=batch,
+                            attrs={"series": cell.series, "fraction": cell.fraction,
+                                   "repeat": cell.repeat, **(cell_attrs or {})})):
+                results.append(evaluate_cell(cell, factories[cell.factory_key], dataset))
+    return results, spans
 
 
 def _evaluate_batch(plan: ExperimentPlan, cells: list, state: PlanState,
@@ -187,74 +194,11 @@ def _evaluate_batch(plan: ExperimentPlan, cells: list, state: PlanState,
     Module-level (and with picklable arguments) so the process pool can
     ship it.  *state* carries the parent-resolved dataset and warmed
     caches; the worker rebuilds them (and the series factories) once per
-    ``(plan, state.digest)`` and memoizes the result.  *trace* is the
-    parent plan span's :class:`~repro.obs.tracing.SpanContext` when the
-    parent runs under an active trace collection: the batch and per-cell
-    spans created here parent to it and travel back over the pool's
-    pickle boundary as plain :class:`~repro.obs.tracing.Span` values.
-    Without it no span objects are created at all.  Every executor
-    reduces to the same :func:`~repro.core.evaluation.evaluate_cell`
-    call per cell and the merge is plan-ordered, so rows cannot diverge.
+    ``(plan, state.digest)`` and memoizes the result.
     """
     dataset, factories = _WORKER_STATE.resolve(plan, state)
-    if trace is None:
-        return [evaluate_cell(cell, factories[cell.factory_key], dataset)
-                for cell in cells], []
-    spans: list = []
-    with span_into(spans, "batch", parent=trace,
-                   attrs={"executor": "process", "pid": os.getpid(),
-                          "cells": len(cells)}) as batch_span:
-        results: list[CellResult] = []
-        for cell in cells:
-            with span_into(spans, "cell", parent=batch_span,
-                           attrs=_cell_attrs(cell)):
-                results.append(evaluate_cell(
-                    cell, factories[cell.factory_key], dataset))
-    return results, spans
-
-
-# --------------------------------------------------------------------------- #
-# Remote (worker-fleet) dispatch
-# --------------------------------------------------------------------------- #
-def _run_remote(plan: ExperimentPlan, cells: list, state: PlanState, fleet,
-                jobs: int) -> list[CellResult]:
-    """Dispatch cells to a TCP worker fleet (see :mod:`repro.distributed`).
-
-    With an existing *fleet* coordinator the plan simply runs on it.  The
-    convenience path spawns a throwaway coordinator plus *jobs* localhost
-    workers.  Either way the workers receive *state* in the plan
-    assignment and open no store.
-    """
-    from repro.distributed.coordinator import Coordinator
-
-    if fleet is not None:
-        return fleet.execute(plan, cells, state)
-    with Coordinator() as coordinator:
-        coordinator.spawn_local_workers(jobs)
-        return coordinator.execute(plan, cells, state)
-
-
-# --------------------------------------------------------------------------- #
-# Process-pool (parent-side) dispatch
-# --------------------------------------------------------------------------- #
-def _run_process(plan: ExperimentPlan, cells: list, state: PlanState,
-                 pool: WorkerPool) -> list[CellResult]:
-    """Dispatch cells to a (possibly long-lived) :class:`WorkerPool`.
-
-    The pool may outlive this plan (workers keep their state memos), the
-    cells go out in ``jobs x 2`` batches balanced by LPT over the plan's
-    per-cell costs, and the plan's state, packed once, is shipped by
-    value.  The shapes depend only on the plan and ``pool.jobs``.
-    """
-    batches = shape_batches(cells, plan_costs(plan, cells, state.n_rows),
-                            pool.jobs * BATCHES_PER_WORKER)
-    trace = TRACER.current_context() if TRACER.enabled else None
-    results: list[CellResult] = []
-    for batch_results, spans in pool.run_batches(
-            _evaluate_batch, [(plan, batch, state, trace) for batch in batches]):
-        TRACER.record(spans)
-        results.extend(batch_results)
-    return results
+    return evaluate_cells(cells, factories, dataset, trace,
+                          attrs={"executor": "process", "pid": os.getpid()})
 
 
 def _merge_curves(plan: ExperimentPlan, cells: list,
@@ -272,10 +216,9 @@ def _merge_curves(plan: ExperimentPlan, cells: list,
 # --------------------------------------------------------------------------- #
 # The scheduler proper
 # --------------------------------------------------------------------------- #
-def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
+def run_plan(plan: ExperimentPlan, *, workers=None,
              store: DatasetStore | None = None,
              dataset: PerformanceDataset | None = None,
-             fleet=None, pool: WorkerPool | None = None,
              publish_models: bool = False) -> ExperimentResult:
     """Execute *plan* and merge the cell results into an :class:`ExperimentResult`.
 
@@ -283,12 +226,12 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
     ----------
     plan:
         The experiment plan to execute.
-    executor:
-        One of :data:`EXECUTORS`.  All three produce bit-identical rows.
-    jobs:
-        Worker count for the process executor (``-1`` = CPU count); for
-        ``"remote"`` without a *fleet*, the size of the spawned
-        localhost fleet.
+    workers:
+        Where the cells run: ``None`` in this process, a
+        :class:`~repro.experiments.pool.WorkerPool` or a
+        :class:`~repro.distributed.coordinator.Coordinator`, which the
+        caller owns (see :func:`~repro.experiments.runner.open_workers`).
+        All three produce bit-identical rows.
     store:
         Optional persistent :class:`DatasetStore`: datasets and warmed
         analytical caches are loaded from (and saved to) disk by this
@@ -297,19 +240,6 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
         the store.
     dataset:
         Explicit dataset override (tests/notebooks); bypasses the store.
-    fleet:
-        Remote executor only: an existing
-        :class:`~repro.distributed.coordinator.Coordinator` whose workers
-        execute the plan (the coordinator outlives the call, so one fleet
-        serves a whole sequence of experiments).  ``None`` spins up a
-        local fleet of ``jobs`` workers for just this plan.
-    pool:
-        Process executor only: an existing
-        :class:`~repro.experiments.pool.WorkerPool` whose warm workers
-        execute the plan (the pool outlives the call — workers keep
-        their plan-state memos, so one pool serves a whole sequence of
-        experiments; see ``run_all`` and the CLI).  ``None`` spins up a
-        pool of ``jobs`` workers for just this plan.
     publish_models:
         After a successful run, fit one canonical model per servable
         series on the **full** dataset and publish it into the *store*
@@ -319,12 +249,6 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
         artifacts need somewhere to live) and no *dataset* override
         (published models must be reproducible from the plan alone).
     """
-    if executor not in EXECUTORS:
-        raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-    jobs = _resolve_jobs(jobs)
-    if pool is not None and executor != "process":
-        raise ValueError(
-            f"pool requires the process executor, got executor={executor!r}")
     if publish_models and store is None:
         raise ValueError("publish_models requires a store to publish into")
     if publish_models and dataset is not None:
@@ -339,6 +263,9 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
         if data_span is not None:
             data_span.attrs["store_hit"] = hits is not None and store.hits > hits
     cells = expand_cells(plan)
+    # A WorkerPool (or a stand-in) runs batches; a Coordinator executes plans.
+    executor = ("serial" if workers is None
+                else "process" if hasattr(workers, "run_batches") else "remote")
 
     # Under an active trace collection (``TRACER.collect()`` / the CLI's
     # ``--trace``) the whole dispatch+merge runs inside a plan span; every
@@ -350,31 +277,25 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
     with TRACER.span("plan", attrs={"plan": plan.experiment_id,
                                     "executor": executor,
                                     "cells": len(cells)}):
-        if executor == "serial" or (executor == "process" and (
-                len(cells) <= 1 or (jobs == 1 and pool is None))):
-            factories = _series_factories(plan, resolved, caches)
-            with TRACER.span("batch", attrs={"executor": "serial",
-                                             "cells": len(cells)}) as batch_span:
-                results = []
-                for cell in cells:
-                    with TRACER.span("cell", parent=batch_span,
-                                     attrs=_cell_attrs(cell)):
-                        results.append(evaluate_cell(
-                            cell, factories[cell.factory_key], resolved))
+        trace = TRACER.current_context() if TRACER.enabled else None
+        if workers is None:
+            results, spans = evaluate_cells(
+                cells, _series_factories(plan, resolved, caches), resolved, trace,
+                attrs={"executor": "serial"})
+            TRACER.record(spans)
         else:
             # Both parallel executors ship the same packed state by value.
             state = PlanState.pack(resolved, caches)
             if executor == "remote":
-                results = _run_remote(plan, cells, state, fleet, jobs)
+                results = workers.execute(plan, cells, state)
             else:
-                own_pool = pool is None
-                if own_pool:
-                    pool = WorkerPool(jobs)
-                try:
-                    results = _run_process(plan, cells, state, pool)
-                finally:
-                    if own_pool:
-                        pool.close()
+                batches = shape_batches(cells, plan_costs(plan, cells, state.n_rows),
+                                        workers.jobs * BATCHES_PER_WORKER)
+                results = []
+                for batch_results, spans in workers.run_batches(
+                        _evaluate_batch, [(plan, batch, state, trace) for batch in batches]):
+                    TRACER.record(spans)
+                    results.extend(batch_results)
         curves = _merge_curves(plan, cells, results)
 
     extra = compute_extras(plan, resolved, caches)
@@ -395,20 +316,16 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
 
 def run_named_plan(name: str, settings: ExperimentSettings | None = None,
                    dataset: PerformanceDataset | None = None, *,
-                   executor: str = "serial", jobs: int = 1,
-                   store=None, fleet=None, pool=None,
+                   workers=None, store=None,
                    publish_models: bool = False) -> ExperimentResult:
     """Resolve the plan of experiment *name* and execute it.
 
-    The shared backend of the thin per-figure / per-ablation wrappers
+    The shared backend of the per-figure / per-ablation functions
     (``store`` may be a :class:`DatasetStore` or a directory path;
-    ``fleet`` an existing remote-executor coordinator; ``pool`` an
-    existing process-executor :class:`WorkerPool`; ``publish_models``
-    fits and publishes serving-tier models into the store after the run).
+    ``workers`` and ``publish_models`` are :func:`run_plan`'s).
     """
     plan = experiment_plan(name, settings or ExperimentSettings())
     if plan is None:
         raise KeyError(f"experiment {name!r} has no plan (runs opaquely)")
-    return run_plan(plan, dataset=dataset, executor=executor, jobs=jobs,
-                    store=_resolve_store(store), fleet=fleet, pool=pool,
-                    publish_models=publish_models)
+    return run_plan(plan, workers=workers, store=_resolve_store(store),
+                    dataset=dataset, publish_models=publish_models)

@@ -20,7 +20,7 @@ This package implements the method from scratch:
 * :mod:`repro.fmm.direct` — the O(N^2) direct-summation baseline,
 * :mod:`repro.fmm.config` / :mod:`repro.fmm.perf_sim` — the (t, N, q, k)
   configuration space and the per-phase performance simulator that stands
-  in for Blue Waters measurements (DESIGN.md, substitution table).
+  in for Blue Waters measurements (see ``docs/architecture.md``, layer 3).
 """
 
 from repro.fmm.config import FmmConfig, FmmConfigSpace

@@ -1,11 +1,12 @@
 """Per-phase performance simulator for FMM configurations.
 
-Stand-in for the paper's ExaFMM measurements on Blue Waters (DESIGN.md,
-substitution table).  Given a configuration ``(t, N, q, k)`` and a machine
-description it produces an execution time built phase by phase — tree
-construction, P2M, M2M, M2L, L2L, L2P and P2P — from operation counts and
-memory-traffic estimates that *extend* the Section IV-B analytical model
-with the effects real FMM codes exhibit and the model ignores:
+Stand-in for the paper's ExaFMM measurements on Blue Waters (see
+``docs/architecture.md``, layer 3).  Given a configuration
+``(t, N, q, k)`` and a machine description it produces an execution time
+built phase by phase — tree construction, P2M, M2M, M2L, L2L, L2P and
+P2P — from operation counts and memory-traffic estimates that *extend*
+the Section IV-B analytical model with the effects real FMM codes exhibit
+and the model ignores:
 
 * the tree depth is discrete, so the *actual* particles-per-leaf is
   ``N / 8^depth`` rather than the requested ``q`` (staircase response);

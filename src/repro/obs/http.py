@@ -17,10 +17,11 @@ Three pieces mount the HTTP tier onto one spine:
   authorization (``Authorization: Repro-HMAC <hex>``), the labeled
   ``repro_auth_failures_total`` counter, ``GET /metrics`` and ``GET
   /healthz``, request tracing spans, :class:`RequestError` → status
-  mapping, the daemon-thread ``start``/``stop``/context-manager
-  lifecycle, and the wildcard-aware ``url`` property.  Subclasses
-  provide a ``name``, a :meth:`~ReproHTTPServer.handle` routing method,
-  and optional ``health()``/``metrics_snapshot()`` overrides.
+  mapping, a :data:`MAX_CONNECTIONS` cap on open connections, the
+  daemon-thread ``start``/``stop``/context-manager lifecycle, and the
+  wildcard-aware ``url`` property.  Subclasses provide a ``name``, a
+  :meth:`~ReproHTTPServer.handle` routing method, and optional
+  ``health()``/``metrics_snapshot()`` overrides.
 * :class:`StatusServer` — the read-only sidecar for processes whose
   main socket speaks the binary fleet protocol (the coordinator):
   ``GET /metrics`` serves a caller-supplied snapshot (the coordinator's
@@ -74,6 +75,11 @@ AUTH_SCHEME = "Repro-HMAC"
 #: the connection, and the handler thread it holds, is dropped.  Far
 #: above any gap between the requests of a closed-loop keep-alive client.
 READ_TIMEOUT_S = 30.0
+
+#: Most connections, each holding a handler thread, a server keeps open at
+#: once; one accepted over the cap is closed before a thread starts.  Far
+#: above the one keep-alive connection per core of a closed-loop client.
+MAX_CONNECTIONS = 64
 
 
 def metrics_body(snapshot: MetricsSnapshot | None = None) -> bytes:
@@ -329,6 +335,7 @@ class ReproHTTPServer(ThreadingHTTPServer):
             "Requests rejected for a missing or invalid credential",
             labelnames=("server",)).labels(server=self.name)
         self._thread: threading.Thread | None = None
+        self._connection_slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
         super().__init__(bind, _Handler)
 
     # -- hooks subclasses override ------------------------------------ #
@@ -362,6 +369,25 @@ class ReproHTTPServer(ThreadingHTTPServer):
     def auth_failures(self) -> int:
         """Requests this server rejected for bad/missing credentials."""
         return int(self._auth_failures.value)
+
+    # -- connection cap ------------------------------------------------- #
+    def process_request(self, request, client_address) -> None:
+        """Serve the connection on a new thread, or close it when at the cap."""
+        if not self._connection_slots.acquire(blocking=False):
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except RuntimeError:  # the thread did not start, so cannot free it
+            self._connection_slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        """Serve one connection, then free its slot."""
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._connection_slots.release()
 
     # -- lifecycle ------------------------------------------------------ #
     @property

@@ -9,7 +9,7 @@ collection, :meth:`Tracer.span` costs one attribute read and yields
 ``benchmarks/test_bench_perf.py`` asserts.  Activate it with::
 
     with TRACER.collect() as spans:
-        result = run_plan(plan, executor="remote", jobs=2)
+        result = run_plan(plan, workers=fleet)
     write_trace("trace.jsonl", spans)
 
 Inside a collection, ``run_plan`` opens a ``plan`` span, each dispatch

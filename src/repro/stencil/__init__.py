@@ -14,8 +14,8 @@ package provides:
 * :mod:`repro.stencil.executor` — runs and times stencil sweeps on the
   host machine,
 * :mod:`repro.stencil.perf_sim` — the cache-hierarchy performance
-  simulator that stands in for measurements on Blue Waters (see DESIGN.md,
-  substitution table).
+  simulator that stands in for measurements on Blue Waters (see
+  ``docs/architecture.md``, layer 3).
 """
 
 from repro.stencil.blocking import block_counts, blocked_sweep, iterate_blocks

@@ -6,7 +6,7 @@ and flop rate.  It is the "real measurement" path of the reproduction:
 examples and integration tests use it on grids that fit in a laptop's
 memory, while the full Blue-Waters-scale parameter sweeps of the paper's
 figures use :class:`repro.stencil.perf_sim.StencilPerformanceSimulator`
-(see DESIGN.md).
+(see ``docs/architecture.md``, layer 3).
 """
 
 from __future__ import annotations

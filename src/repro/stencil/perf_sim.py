@@ -1,7 +1,7 @@
 """Cache-hierarchy performance simulator for stencil configurations.
 
 This module is the stand-in for the paper's measurements of PATUS-generated
-stencil codes on Blue Waters (see the substitution table in DESIGN.md).
+stencil codes on Blue Waters (see ``docs/architecture.md``, layer 3).
 It produces an execution time for every point of the PATUS tuning space
 ``X = (I, J, K, bi, bj, bk, u, t)`` from first principles:
 

@@ -46,12 +46,11 @@ from repro.distributed import codec, protocol
 from repro.distributed.coordinator import Coordinator
 from repro.distributed.protocol import PROTOCOL_VERSION, parse_address
 from repro.distributed.worker import FleetWorker
-from repro.experiments import ExperimentSettings, run_experiment
+from repro.experiments import EXECUTORS, ExperimentSettings, run_all, run_experiment
 from repro.experiments.plan import expand_cells, experiment_plan
 from repro.experiments.pool import PlanState
 from repro.experiments.scheduler import (
     _WORKER_STATE_LIMIT,
-    EXECUTORS,
     _resolve_data,
     run_plan,
 )
@@ -90,13 +89,12 @@ def _await_plan(sock, worker_id="raw-client", timeout=30.0):
 
 
 def _run_plan_async(plan, coordinator, **kwargs):
-    """run_plan(executor='remote') in a thread; returns (thread, outcome box)."""
+    """run_plan(workers=coordinator) in a thread; returns (thread, outcome box)."""
     box: dict = {}
 
     def _target():
         try:
-            box["result"] = run_plan(plan, executor="remote", fleet=coordinator,
-                                     **kwargs)
+            box["result"] = run_plan(plan, workers=coordinator, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - surfaced via the box
             box["error"] = exc
 
@@ -424,6 +422,38 @@ class TestRemoteExecutor:
                                 store=str(tmp_path))
         assert _rows(remote) == _rows(serial)
 
+    def test_run_all_shares_one_throwaway_fleet(self, monkeypatch):
+        """``run_all(executor="remote", jobs=2)`` without a fleet opens one
+        coordinator, and its two workers, for the whole sequence instead
+        of one per experiment; the rows still equal serial."""
+        made = []
+        init = Coordinator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Coordinator, "__init__", counting_init)
+        names = ("figure5", "figure6", "figure7")
+        remote = run_all(TINY, names, executor="remote", jobs=2)
+        assert len(made) == 1
+        serial = run_all(TINY, names)
+        for name in names:
+            assert _rows(remote[name]) == _rows(serial[name])
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("run", [
+        lambda **options: run_experiment("figure5", TINY, **options),
+        lambda **options: run_all(TINY, ("figure5",), **options),
+    ], ids=["run_experiment", "run_all"])
+    def test_fleet_requires_the_remote_executor(self, executor, run):
+        """A fleet passed with another executor is an error before any
+        cell runs; it used to be ignored while the cells ran elsewhere."""
+        with Coordinator() as coordinator:
+            with pytest.raises(ValueError, match="remote"):
+                run(executor=executor, jobs=1, fleet=coordinator)
+            assert coordinator.stats["results_received"] == 0
+
     def test_worker_sigkill_mid_plan_requeues(self, tmp_path):
         """Kill a worker process mid-plan: its leased cells are requeued and
         the merged result is still bit-identical to serial."""
@@ -448,8 +478,7 @@ class TestRemoteExecutor:
 
             assassin = threading.Thread(target=_assassin, daemon=True)
             assassin.start()
-            remote = run_plan(plan, executor="remote", fleet=coordinator,
-                              store=store)
+            remote = run_plan(plan, workers=coordinator, store=store)
             assassin.join(timeout=5.0)
         assert killed, "no worker held a lease to kill"
         assert coordinator.stats["workers_failed"] >= 1
@@ -559,8 +588,7 @@ class TestStoreBootstrap:
             counts = _probe_thread(monkeypatch, thread)
             driver = _probe_thread(monkeypatch, threading.current_thread())
             thread.start()
-            remote = run_plan(plan, executor="remote", fleet=coordinator,
-                              store=DatasetStore(tmp_path))
+            remote = run_plan(plan, workers=coordinator, store=DatasetStore(tmp_path))
         thread.join(timeout=10.0)
         assert _rows(remote) == _rows(serial)
         assert worker.cells_evaluated == len(expand_cells(plan))
@@ -585,9 +613,8 @@ class TestStoreBootstrap:
             worker = FleetWorker(coordinator.address)
             thread = threading.Thread(target=worker.run, daemon=True)
             thread.start()
-            first = run_plan(plan, executor="remote", fleet=coordinator)
-            remote = run_plan(plan, executor="remote", fleet=coordinator,
-                              dataset=override)
+            first = run_plan(plan, workers=coordinator)
+            remote = run_plan(plan, workers=coordinator, dataset=override)
         thread.join(timeout=10.0)
         assert _rows(first) == _rows(registered)
         assert _rows(remote) == _rows(serial)
@@ -601,7 +628,7 @@ class TestStoreBootstrap:
             worker = FleetWorker(coordinator.address)
             thread = threading.Thread(target=worker.run, daemon=True)
             thread.start()
-            remote = run_plan(plan, executor="remote", fleet=coordinator)
+            remote = run_plan(plan, workers=coordinator)
         thread.join(timeout=10.0)
         assert len(worker._memo) == 1
         assert coordinator.stats["datasets_served"] == 1
@@ -636,8 +663,7 @@ class TestStoreBootstrap:
             thread.start()
             for i in range(_WORKER_STATE_LIMIT + 1):
                 variant = dataclasses.replace(base, y=base.y * (1.0 + i))
-                run_plan(plan, executor="remote", fleet=coordinator,
-                         dataset=variant)
+                run_plan(plan, workers=coordinator, dataset=variant)
         thread.join(timeout=10.0)
         assert len(worker._memo) == _WORKER_STATE_LIMIT
         assert worker._memo.evictions == 1
@@ -861,7 +887,7 @@ class TestObjectStoreBootstrap:
             thread = threading.Thread(target=worker.run, daemon=True)
             counts = _probe_thread(monkeypatch, thread)
             thread.start()
-            remote = run_plan(plan, executor="remote", fleet=coordinator,
+            remote = run_plan(plan, workers=coordinator,
                               store=DatasetStore(object_store.url))
         thread.join(timeout=10.0)
         assert _rows(remote) == _rows(serial)
@@ -933,7 +959,7 @@ class TestFaultTolerance:
                                  reconnect_timeout=5.0)
             thread = threading.Thread(target=worker.run, daemon=True)
             thread.start()
-            remote1 = run_plan(plan, executor="remote", fleet=coordinator)
+            remote1 = run_plan(plan, workers=coordinator)
             with coordinator._lock:
                 infos = list(coordinator._workers.values())
             assert infos
@@ -943,7 +969,7 @@ class TestFaultTolerance:
             while worker.reconnects == 0 and time.monotonic() < deadline:
                 time.sleep(0.02)
             assert worker.reconnects >= 1
-            remote2 = run_plan(plan, executor="remote", fleet=coordinator)
+            remote2 = run_plan(plan, workers=coordinator)
         thread.join(timeout=10.0)
         assert _rows(remote1) == _rows(serial)
         assert _rows(remote2) == _rows(serial)

@@ -321,8 +321,7 @@ class TestChaosFleet:
                            for w in workers]
                 for thread in threads:
                     thread.start()
-                chaotic = run_plan(plan, executor="remote", fleet=coordinator,
-                                   store=parent)
+                chaotic = run_plan(plan, workers=coordinator, store=parent)
             for thread in threads:
                 thread.join(timeout=10.0)
                 assert not thread.is_alive()

@@ -30,6 +30,7 @@ import json
 import logging
 import pickle
 import re
+import select
 import socket
 import sys
 import threading
@@ -538,6 +539,81 @@ class TestStatusServer:
             elapsed = time.monotonic() - start
         assert reply == b""
         assert 0.2 < elapsed < 2.0, f"dropped after {elapsed:.2f} s"
+
+    @pytest.mark.parametrize("make_server", [
+        lambda key: StatusServer(auth=key),
+        lambda key: ObjectStoreServer(MemoryBackend(), auth=key),
+        lambda key: ModelServer(DatasetStore("memory://"), auth=key),
+    ], ids=["status", "object-store", "model"])
+    def test_connections_over_the_cap_are_closed_at_once(self, make_server,
+                                                         monkeypatch):
+        """With the cap at 4, ten idle connections start at most four
+        handler threads and the six over the cap read EOF at once; without
+        a cap each held a thread, before any auth check, until the read
+        timeout.  A freed slot serves again."""
+        monkeypatch.setattr("repro.obs.http.MAX_CONNECTIONS", 4)
+
+        def handler_threads() -> int:
+            return sum("process_request_thread" in thread.name
+                       for thread in threading.enumerate())
+
+        with make_server(b"connection-cap-test-key") as server:
+            before = handler_threads()
+            socks = [socket.create_connection(server.server_address[:2],
+                                              timeout=5.0) for _ in range(10)]
+            try:
+                closed: list = []
+                deadline = time.monotonic() + 1.0
+                while len(closed) < 6 and time.monotonic() < deadline:
+                    readable, _, _ = select.select(
+                        [sock for sock in socks if sock not in closed], [], [],
+                        max(0.0, deadline - time.monotonic()))
+                    for sock in readable:
+                        assert sock.recv(1) == b""  # EOF: closed unanswered
+                        closed.append(sock)
+                assert len(closed) == 6
+                held = [sock for sock in socks if sock not in closed]
+                assert select.select(held, [], [], 0.2)[0] == []
+                assert handler_threads() - before <= 4
+            finally:
+                for sock in socks:
+                    sock.close()
+            # The idle connections' handlers see EOF and free their slots.
+            deadline = time.monotonic() + 5.0
+            while True:
+                try:
+                    with urllib.request.urlopen(server.url + "healthz",
+                                                timeout=5.0) as response:
+                        assert response.status == 200
+                    break
+                except (urllib.error.URLError, ConnectionError):
+                    if time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.05)
+
+    def test_a_handler_thread_that_fails_to_start_frees_its_slot(self,
+                                                                 monkeypatch):
+        """A connection whose handler thread cannot start is closed and
+        gives its slot back: at a cap of 1 the server still serves."""
+        monkeypatch.setattr("repro.obs.http.MAX_CONNECTIONS", 1)
+        start = threading.Thread.start
+        failed: list = []
+
+        def failing_start(thread):
+            if not failed and "process_request_thread" in thread.name:
+                failed.append(thread)
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        with StatusServer() as server:
+            monkeypatch.setattr(threading.Thread, "start", failing_start)
+            with socket.create_connection(server.server_address[:2],
+                                          timeout=5.0) as sock:
+                assert sock.recv(1) == b""
+            assert failed
+            with urllib.request.urlopen(server.url + "healthz",
+                                        timeout=5.0) as response:
+                assert response.status == 200
 
 
 #: Read timeout of the fuzzed server, and how long a fuzzed exchange may

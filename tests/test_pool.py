@@ -30,7 +30,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.store import DatasetStore
-from repro.experiments import ExperimentSettings, expand_cells, experiment_plan, run_all
+from repro.experiments import (
+    ExperimentSettings,
+    expand_cells,
+    experiment_plan,
+    run_all,
+    run_experiment,
+)
 from repro.experiments.pool import (
     BATCHES_PER_WORKER,
     PlanState,
@@ -148,10 +154,10 @@ class TestCostModel:
         alone."""
         pool = _RecordingPool()
         fmm = experiment_plan("figure3_fmm", TINY)
-        run_plan(fmm, executor="process", pool=pool)
+        run_plan(fmm, workers=pool)
         for name in ("figure5", "ablation_ml_backend"):
-            run_plan(experiment_plan(name, TINY), executor="process", pool=pool)
-        run_plan(fmm, executor="process", pool=pool)
+            run_plan(experiment_plan(name, TINY), workers=pool)
+        run_plan(fmm, workers=pool)
         assert len(pool.shapes[0]) == pool.jobs * BATCHES_PER_WORKER
         assert pool.shapes[-1] == pool.shapes[0]
 
@@ -290,8 +296,7 @@ class TestWorkerIsolation:
         serial = run_plan(plan, store=store)
         with WorkerPool(1) as pool:
             pool.probe(_install_worker_counters)
-            pooled = run_plan(plan, executor="process", jobs=1, pool=pool,
-                              store=store)
+            pooled = run_plan(plan, workers=pool, store=store)
             counts = pool.probe(_worker_counts)
         assert counts == {"stores": 0, "warms": 0, "misses": 0}
         assert _rows(pooled) == _rows(serial)
@@ -314,10 +319,9 @@ class TestWorkerPool:
             pool.probe(sorted, (3, 1, 2))
 
     def test_pool_requires_the_process_executor(self):
-        plan = experiment_plan("figure5", TINY)
         with WorkerPool(1, prime=False) as pool:
             with pytest.raises(ValueError, match="process"):
-                run_plan(plan, executor="serial", jobs=2, pool=pool)
+                run_experiment("figure5", TINY, executor="serial", jobs=2, pool=pool)
 
     def test_warm_pool_bit_identical_across_plans(self):
         """The acceptance oracle: >= 2 consecutive plans on one pool (and a
@@ -348,8 +352,7 @@ class TestWorkerStateLru:
         monkeypatch.setattr("repro.experiments.scheduler._WORKER_STATE_LIMIT", 1)
         with WorkerPool(1) as pool:
             for name in ("figure5", "figure6"):
-                run_plan(experiment_plan(name, TINY), executor="process",
-                         jobs=1, pool=pool)
+                run_plan(experiment_plan(name, TINY), workers=pool)
             stats = pool.probe(worker_state_stats)
         assert stats["limit"] == 1
         assert stats["size"] == 1

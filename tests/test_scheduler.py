@@ -19,16 +19,17 @@ import pytest
 from repro.core.evaluation import EvalCell
 from repro.datasets import DatasetSpec, DatasetStore
 from repro.experiments import (
+    EXECUTORS,
     EXPERIMENTS,
     PLANNED_EXPERIMENTS,
     ExperimentSettings,
+    WorkerPool,
     expand_cells,
     experiment_plan,
     run_all,
     run_experiment,
 )
 from repro.experiments.plan import build_analytical, build_factory
-from repro.experiments.scheduler import EXECUTORS
 from repro.utils.rng import check_random_state, spawn_seeds
 
 TINY = ExperimentSettings(n_estimators=4, n_repeats=2, max_configs=120, random_state=0)
@@ -132,7 +133,8 @@ class TestExecutorDeterminism:
         dataset = plan.dataset.build()
         serial = figure6(TINY, dataset)
         assert serial.rows() == serial_results["figure6"].rows()
-        processed = figure6(TINY, dataset, executor="process", jobs=2)
+        with WorkerPool(2) as pool:
+            processed = figure6(TINY, dataset, workers=pool)
         assert processed.rows() == serial.rows()
 
 
