@@ -65,17 +65,19 @@ def hybrid_tuning_demo() -> None:
     print(f"hybrid model MAPE on held-out configurations: {mape:.1f}%\n")
 
     # Pick the best q for a given scenario: N = 16384 particles, order 6,
-    # 16 threads (a production-accuracy run on the full node).
-    scenario = [(i, cfg) for i, cfg in enumerate(data.configs)
-                if cfg.n_particles == 16384 and cfg.order == 6 and cfg.threads == 16]
-    indices = np.array([i for i, _ in scenario])
+    # 16 threads (a production-accuracy run on the full node).  Each row's
+    # configuration is read off its feature columns by name.
+    column = dict(zip(data.feature_names, data.X.T, strict=True))
+    indices = np.flatnonzero((column["n_particles"] == 16384)
+                             & (column["order"] == 6) & (column["threads"] == 16))
     predicted = model.predict(data.X[indices])
     best_pred = indices[int(np.argmin(predicted))]
     best_true = indices[int(np.argmin(data.y[indices]))]
+    q = column["particles_per_leaf"]
     print("scenario: N=16384, order k=6, 16 threads")
-    print(f"  model-recommended q : {data.configs[best_pred].particles_per_leaf:>4d} "
+    print(f"  model-recommended q : {int(q[best_pred]):>4d} "
           f"(true time {data.y[best_pred] * 1e3:.2f} ms)")
-    print(f"  true optimal q      : {data.configs[best_true].particles_per_leaf:>4d} "
+    print(f"  true optimal q      : {int(q[best_true]):>4d} "
           f"(true time {data.y[best_true] * 1e3:.2f} ms)")
 
 

@@ -51,9 +51,12 @@ def main() -> None:
     predicted_best = int(np.argmin(predicted))
     true_best = int(np.argmin(data.y))
 
+    # A row's configuration is read off its feature columns by name.
+    column = dict(zip(data.feature_names, data.X.T, strict=True))
+
     def describe(i: int) -> str:
-        cfg = data.configs[i]
-        return (f"blocking (bi, bj, bk) = ({cfg.bi}, {cfg.bj}, {cfg.bk})  "
+        bi, bj, bk = (int(column[name][i]) for name in ("bi", "bj", "bk"))
+        return (f"blocking (bi, bj, bk) = ({bi}, {bj}, {bk})  "
                 f"time = {data.y[i] * 1e3:.3f} ms")
 
     print("model-recommended configuration:")

@@ -1,17 +1,18 @@
-"""Performance datasets: configurations, feature matrices and response times.
+"""Performance datasets: feature matrices and response times.
 
 Section V of the paper: "We encode information about the applications
 input sizes and tuning parameters into feature vectors and use the
 execution time as the response variable."  :class:`PerformanceDataset`
-is that encoding, carrying the original configuration objects alongside
-the numeric matrix so analytical models (which need structured
-configurations) and ML models (which need numbers) can both consume it.
+is that encoding and nothing more: ML models fit its ``X`` and ``y``,
+and analytical models rebuild a configuration from each feature row by
+column name (``config_from_features`` on
+:class:`~repro.analytical.base.AnalyticalModel`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,16 +35,12 @@ class PerformanceDataset:
         ``(n_samples,)`` execution times in seconds.
     feature_names:
         Column names of ``X`` (subset of the application's modeling vector).
-    configs:
-        The configuration objects the rows were generated from (optional
-        but required by analytical models).
     """
 
     name: str
     X: np.ndarray
     y: np.ndarray
     feature_names: Sequence[str]
-    configs: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -57,10 +54,6 @@ class PerformanceDataset:
         if len(self.feature_names) != self.X.shape[1]:
             raise ValueError(
                 f"{len(self.feature_names)} feature names for {self.X.shape[1]} columns"
-            )
-        if self.configs and len(self.configs) != self.X.shape[0]:
-            raise ValueError(
-                f"{len(self.configs)} configs for {self.X.shape[0]} samples"
             )
         self.feature_names = list(self.feature_names)
 
@@ -98,14 +91,13 @@ class PerformanceDataset:
         return perm[:train_size], perm[train_size:]
 
     def subset(self, indices: np.ndarray) -> PerformanceDataset:
-        """Dataset restricted to *indices* (configs carried along when present)."""
+        """Dataset restricted to *indices*."""
         indices = np.asarray(indices)
         return PerformanceDataset(
             name=self.name,
             X=self.X[indices],
             y=self.y[indices],
             feature_names=list(self.feature_names),
-            configs=[self.configs[i] for i in indices] if self.configs else [],
         )
 
     def describe(self) -> str:

@@ -29,8 +29,7 @@ def fmm_dataset_from_space(space: FmmConfigSpace, *, name: str,
     X = space.to_feature_matrix(configs)
     y = simulator.times(configs)
     return PerformanceDataset(name=name, X=X, y=y,
-                              feature_names=list(space.feature_names),
-                              configs=configs)
+                              feature_names=list(space.feature_names))
 
 
 def fmm_dataset(*, simulator=None, max_configs: int | None = None,

@@ -50,8 +50,7 @@ def stencil_dataset_from_space(space: StencilConfigSpace, *, name: str,
     X = space.to_feature_matrix(configs)
     y = simulator.times(configs)
     return PerformanceDataset(name=name, X=X, y=y,
-                              feature_names=list(space.feature_names),
-                              configs=configs)
+                              feature_names=list(space.feature_names))
 
 
 def blocked_small_grid_dataset(*, simulator=None, max_configs: int | None = None,

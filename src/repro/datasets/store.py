@@ -34,7 +34,7 @@ invalidates every stored artifact at once when the layout changes.
 
 Key layout (identical on every backend)::
 
-    datasets/<name>-<fingerprint>.npz    X, y, feature_names, JSON-encoded configs
+    datasets/<name>-<fingerprint>.npz    name, X, y, feature_names
     caches/<model_key>-<fingerprint>.npz warmed analytical-prediction caches
     models/<series>-<plan_fp>.npz        published fitted models (serving tier)
 
@@ -46,24 +46,28 @@ arenas + scaler/analytical state, no pickle) is owned by
 what gives the serving tier checksum sidecars and local/memory/HTTP
 backend independence for free.
 
-Configuration objects are serialized as JSON field dictionaries plus a
-*whitelisted* class name (never pickle), so loading a store can rebuild
-configs but cannot execute arbitrary code.
-
 The store also persists warmed
 :class:`~repro.analytical.cache.AnalyticalPredictionCache` contents keyed
 by ``(analytical model key, dataset fingerprint)``, so the analytical
 warm-up — one vectorized evaluation of the full dataset — happens once
 ever rather than once per experiment or per worker process.
+
+Every artifact is named by its backend key and nothing else: the key is
+what :meth:`DatasetStore.prune` returns, and it reads the same on every
+backend.  Stored bytes are checked before they are used: a blob that
+fails its checksum *or* does not decode is counted in
+``integrity_failures``, deleted and regenerated (datasets) or re-warmed
+(caches), never handed to an experiment.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import io
 import json
 import logging
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 
@@ -86,7 +90,15 @@ logger = logging.getLogger(__name__)
 
 #: Bump to invalidate every stored dataset/cache when the layout changes.
 #: Version 2 added the simulator-version token to the fingerprint recipe.
-_FORMAT_VERSION = 2
+#: Version 3 dropped the configuration objects from dataset blobs, which
+#: now hold exactly ``name``, ``X``, ``y`` and ``feature_names``.
+_FORMAT_VERSION = 3
+
+#: What decoding a blob that passed its checksum can raise when the bytes
+#: are not what this build wrote: not an archive, a truncated archive, a
+#: missing member, arrays of the wrong shape or feature layout.
+_UNDECODABLE = (ValueError, KeyError, TypeError, IndexError, EOFError,
+                OSError, zipfile.BadZipFile, zlib.error)
 
 
 def _simulator_versions() -> str:
@@ -193,9 +205,9 @@ class DatasetStore:
                 ("cache_hits", "Analytical-cache reads served from the backend"),
                 ("cache_misses", "Analytical-cache reads that had to re-warm"),
                 ("integrity_failures",
-                 "Blobs rejected by checksum verification (each one is "
-                 "deleted and regenerated/refetched instead of "
-                 "deserializing garbage)"),
+                 "Blobs rejected because they failed checksum "
+                 "verification or did not decode (each one is deleted "
+                 "and regenerated instead of deserializing garbage)"),
             )
         }
 
@@ -221,13 +233,8 @@ class DatasetStore:
 
     @property
     def integrity_failures(self) -> int:
-        """Blobs rejected by checksum verification."""
+        """Blobs rejected because they failed their checksum or did not decode."""
         return int(self._counters["integrity_failures"].value)
-
-    @property
-    def root(self) -> Path | None:
-        """The store directory for local backends, ``None`` otherwise."""
-        return self.backend.root if isinstance(self.backend, LocalBackend) else None
 
     @property
     def locator(self) -> str | None:
@@ -237,12 +244,6 @@ class DatasetStore:
         """
         return self.backend.locator
 
-    def _artifact_path(self, key: str):
-        """Path-like identity of *key*: a real :class:`Path` on local backends."""
-        if isinstance(self.backend, LocalBackend):
-            return self.backend.path(key)
-        return PurePosixPath(key)
-
     # ------------------------------------------------------------------ #
     # Datasets
     # ------------------------------------------------------------------ #
@@ -250,10 +251,6 @@ class DatasetStore:
     def dataset_key(spec: DatasetSpec) -> str:
         """Backend key the dataset of *spec* is (or would be) stored under."""
         return f"datasets/{spec.name}-{spec.fingerprint}.npz"
-
-    def dataset_path(self, spec: DatasetSpec):
-        """Path-like identity of the dataset of *spec* (a file on local stores)."""
-        return self._artifact_path(self.dataset_key(spec))
 
     def has_dataset(self, spec: DatasetSpec) -> bool:
         """Whether the dataset of *spec* is stored (no counter update)."""
@@ -265,25 +262,43 @@ class DatasetStore:
         Read-first (no exists/read pair): one backend round trip on the
         warm path, and no window for a concurrent prune to turn an
         observed hit into a crash.  A blob that fails checksum
-        verification is rejected — deleted and regenerated like a miss —
-        instead of deserializing garbage into an experiment.
+        verification or does not decode is rejected — deleted and
+        regenerated like a miss — instead of deserializing garbage into
+        an experiment.
         """
         key = self.dataset_key(spec)
-        try:
-            data = self.backend.read(key)
-        except IntegrityError as exc:
-            self._counters["integrity_failures"].inc()
-            logger.warning("rejecting corrupt dataset blob: %s; regenerating", exc)
-            self._discard(key)
-        except KeyError:
-            pass
-        else:
+        dataset = self._read(key, "dataset", self._decode_dataset)
+        if dataset is not None:
             self._counters["hits"].inc()
-            return self._load_dataset(io.BytesIO(data))
+            return dataset
         self._counters["misses"].inc()
         dataset = spec.build()
         self.backend.write(key, self.encode_dataset(dataset))
         return dataset
+
+    def _read(self, key: str, kind: str, decode):
+        """``decode`` of the bytes stored under *key*; ``None`` on a miss.
+
+        An absent key is a plain miss.  A blob that fails its checksum,
+        or whose verified bytes *decode* cannot read, is a miss too, but
+        first it is counted in ``integrity_failures`` and deleted: either
+        way the bytes are not what this build writes under that key.
+        """
+        try:
+            data = self.backend.read(key)
+        except IntegrityError as exc:
+            reason = str(exc)
+        except KeyError:
+            return None
+        else:
+            try:
+                return decode(data)
+            except _UNDECODABLE as exc:
+                reason = f"{key} does not decode ({type(exc).__name__}: {exc})"
+        self._counters["integrity_failures"].inc()
+        logger.warning("rejecting corrupt %s blob: %s", kind, reason)
+        self._discard(key)
+        return None
 
     def _discard(self, key: str) -> None:
         """Best-effort removal of a corrupt blob (and its sidecar)."""
@@ -293,48 +308,18 @@ class DatasetStore:
             pass
 
     @staticmethod
-    def _config_classes() -> dict:
-        """Whitelist of configuration classes the store may rebuild on load."""
-        from repro.fmm.config import FmmConfig
-        from repro.stencil.config import StencilConfig
-
-        return {"StencilConfig": StencilConfig, "FmmConfig": FmmConfig}
-
-    @classmethod
-    def _encode_configs(cls, configs: list) -> str:
-        if not configs:
-            return json.dumps(None)
-        class_name = type(configs[0]).__name__
-        if class_name not in cls._config_classes() or any(
-                type(c).__name__ != class_name for c in configs):
-            raise TypeError(
-                f"cannot persist configs of type {class_name!r}; storable types: "
-                f"{sorted(cls._config_classes())}")
-        return json.dumps({"class": class_name,
-                           "configs": [dataclasses.asdict(c) for c in configs]})
-
-    @classmethod
-    def _decode_configs(cls, encoded: str) -> list:
-        data = json.loads(encoded)
-        if data is None:
-            return []
-        config_cls = cls._config_classes()[data["class"]]
-        return [config_cls(**fields) for fields in data["configs"]]
-
-    @classmethod
-    def _load_dataset(cls, source) -> PerformanceDataset:
-        """Rebuild a dataset from stored ``.npz`` bytes (path or file object)."""
-        with np.load(source, allow_pickle=False) as data:
+    def _decode_dataset(data: bytes) -> PerformanceDataset:
+        """Rebuild a dataset from :meth:`encode_dataset` bytes."""
+        with np.load(io.BytesIO(data), allow_pickle=False) as members:
             return PerformanceDataset(
-                name=str(data["name"]),
-                X=data["X"],
-                y=data["y"],
-                feature_names=[str(n) for n in data["feature_names"]],
-                configs=cls._decode_configs(str(data["configs"])),
+                name=str(members["name"]),
+                X=members["X"],
+                y=members["y"],
+                feature_names=[str(n) for n in members["feature_names"]],
             )
 
-    @classmethod
-    def encode_dataset(cls, dataset: PerformanceDataset) -> bytes:
+    @staticmethod
+    def encode_dataset(dataset: PerformanceDataset) -> bytes:
         """The dataset as raw ``.npz`` bytes (the store's artifact format)."""
         buf = io.BytesIO()
         np.savez(
@@ -343,7 +328,6 @@ class DatasetStore:
             X=dataset.X,
             y=dataset.y,
             feature_names=np.array(list(dataset.feature_names)),
-            configs=np.array(cls._encode_configs(dataset.configs)),
         )
         return buf.getvalue()
 
@@ -355,35 +339,28 @@ class DatasetStore:
         """Backend key of the warmed cache for ``(model_key, spec)``."""
         return f"caches/{model_key}-{spec.fingerprint}.npz"
 
-    def cache_path(self, model_key: str, spec: DatasetSpec):
-        """Path-like identity of the ``(model_key, spec)`` cache."""
-        return self._artifact_path(self.cache_key(model_key, spec))
-
     def has_cache(self, model_key: str, spec: DatasetSpec) -> bool:
         """Whether the ``(model_key, spec)`` cache is stored (no counter update)."""
         return self.backend.exists(self.cache_key(model_key, spec))
 
     def load_analytical_cache(self, model_key: str, spec: DatasetSpec,
                               model, feature_names):
-        """Warmed cache for ``(model_key, spec)``, or ``None`` when not stored."""
+        """Warmed cache for ``(model_key, spec)``, or ``None`` to re-warm.
+
+        ``None`` when the cache is not stored, and when its blob fails
+        its checksum or does not load for *feature_names* (counted in
+        ``integrity_failures`` and deleted, as in :meth:`get`).
+        """
         from repro.analytical.cache import AnalyticalPredictionCache
 
-        key = self.cache_key(model_key, spec)
-        try:
-            data = self.backend.read(key)
-        except IntegrityError as exc:
-            self._counters["integrity_failures"].inc()
-            logger.warning("rejecting corrupt cache blob: %s; re-warming", exc)
-            self._discard(key)
-            self._counters["cache_misses"].inc()
-            return None
-        except KeyError:
-            self._counters["cache_misses"].inc()
-            return None
-        self._counters["cache_hits"].inc()
-        return AnalyticalPredictionCache.load(io.BytesIO(data), model, feature_names)
+        cache = self._read(
+            self.cache_key(model_key, spec), "cache",
+            lambda data: AnalyticalPredictionCache.load(
+                io.BytesIO(data), model, feature_names))
+        self._counters["cache_hits" if cache is not None else "cache_misses"].inc()
+        return cache
 
-    def save_analytical_cache(self, model_key: str, spec: DatasetSpec, cache):
+    def save_analytical_cache(self, model_key: str, spec: DatasetSpec, cache) -> None:
         """Persist the memoized rows of *cache* for ``(model_key, spec)``.
 
         The cache is serialized to memory first and handed to the
@@ -392,11 +369,9 @@ class DatasetStore:
         interrupted run must not leave a truncated cache that poisons
         later loads.
         """
-        key = self.cache_key(model_key, spec)
         buf = io.BytesIO()
         cache.save(buf)
-        self.backend.write(key, buf.getvalue())
-        return self._artifact_path(key)
+        self.backend.write(self.cache_key(model_key, spec), buf.getvalue())
 
     # ------------------------------------------------------------------ #
     # Published fitted models (the serving tier's artifacts)
@@ -414,10 +389,6 @@ class DatasetStore:
         if not series or "/" in series:
             raise ValueError(f"invalid series label {series!r}")
         return f"models/{series}-{plan_fingerprint}.npz"
-
-    def model_path(self, plan_fingerprint: str, series: str):
-        """Path-like identity of the ``(plan, series)`` model artifact."""
-        return self._artifact_path(self.model_key(plan_fingerprint, series))
 
     def has_model(self, plan_fingerprint: str, series: str) -> bool:
         """Whether the ``(plan, series)`` model is stored (no counter update)."""
@@ -442,11 +413,9 @@ class DatasetStore:
             self._discard(key)
             raise
 
-    def put_model_bytes(self, plan_fingerprint: str, series: str, data: bytes):
+    def put_model_bytes(self, plan_fingerprint: str, series: str, data: bytes) -> None:
         """Publish pre-encoded model bytes under ``(plan, series)``."""
-        key = self.model_key(plan_fingerprint, series)
-        self.backend.write(key, data)
-        return self._artifact_path(key)
+        self.backend.write(self.model_key(plan_fingerprint, series), data)
 
     def list_models(self, plan_fingerprint: str | None = None) -> list[tuple[str, str]]:
         """``(series, plan_fingerprint)`` pairs of every published model.
@@ -471,7 +440,7 @@ class DatasetStore:
     # ------------------------------------------------------------------ #
     # Garbage collection
     # ------------------------------------------------------------------ #
-    def prune(self, keep_fingerprints) -> list:
+    def prune(self, keep_fingerprints) -> list[str]:
         """Delete every stored artifact whose fingerprint is not kept.
 
         Long-lived stores accumulate entries for retired settings,
@@ -492,13 +461,13 @@ class DatasetStore:
         with their blob; a sidecar whose blob is gone (a crash between
         blob delete and sidecar delete, or a kill mid-write) is an
         orphan and is collected even when its fingerprint is kept.
-        Returns the removed blob paths (real :class:`Path` objects on
-        local backends; sidecars removed alongside a blob are not listed
-        separately, orphaned sidecars are).  Not safe against concurrent
-        writers of the entries being pruned.
+        Returns the removed keys, the same on every backend (sidecars
+        removed alongside a blob are not listed separately, orphaned
+        sidecars are).  Not safe against concurrent writers of the
+        entries being pruned.
         """
         keep = set(keep_fingerprints)
-        removed: list = []
+        removed: list[str] = []
         for prefix in ("datasets/", "caches/", "models/"):
             keys = self.backend.list(prefix)
             present = set(keys)
@@ -519,5 +488,5 @@ class DatasetStore:
                     self.backend.delete(key)
                 except KeyError:
                     continue  # pruned with its blob, or a concurrent prune
-                removed.append(self._artifact_path(key))
+                removed.append(key)
         return removed

@@ -33,12 +33,6 @@ budget.  Whichever copy lands first wins; the loser is
 counted as a duplicate and discarded.  This bounds plan latency by the
 healthy fleet, not by one degraded host.
 
-Elasticity hooks: :meth:`load` exposes queue depth for an autoscaler
-(:mod:`repro.distributed.autoscale`), :meth:`request_retire` marks
-workers for a polite Goodbye at their next between-plans poll, and
-setting :attr:`elastic` suppresses the all-local-workers-exited fail-fast
-(under an autoscaler an empty fleet is a transient, not a wreck).
-
 Plan state
 ----------
 :meth:`execute` takes the plan's :class:`~repro.experiments.pool.PlanState`
@@ -50,6 +44,7 @@ needs from one reply: it opens no store and never simulates.
 from __future__ import annotations
 
 import hmac
+import logging
 import os
 import socket
 import subprocess
@@ -85,6 +80,8 @@ from repro.obs.metrics import REGISTRY, MetricsRegistry, MetricsSnapshot
 from repro.obs.tracing import TRACER
 
 __all__ = ["Coordinator"]
+
+logger = logging.getLogger(__name__)
 
 #: Cells per lease.  Small leases bound both the requeue cost of a dead
 #: worker and fleet idle time at the tail of a plan.
@@ -200,9 +197,6 @@ class Coordinator:
         #: carry a valid challenge proof and every post-handshake frame
         #: is HMAC-signed under a per-connection session key.
         self.auth_key = auth_key
-        #: An autoscaler may still spawn workers: suppress the
-        #: all-local-workers-exited fail-fast while True.
-        self.elastic = False
         self.coordinator_id = uuid.uuid4().hex[:12]
         # Registry-backed counters (the old ``stats`` dict is now a
         # property view): results_received doubles as the fleet-facing
@@ -234,9 +228,6 @@ class Coordinator:
             "speculative_releases": (
                 "repro_fleet_speculative_releases_total",
                 "Straggler leases speculatively duplicated"),
-            "workers_retired": (
-                "repro_fleet_workers_retired_total",
-                "Workers politely retired between plans"),
         }
         self._counters = {key: self.metrics.counter(name, help)
                           for key, (name, help) in _counter_specs.items()}
@@ -256,7 +247,6 @@ class Coordinator:
         self._cond = threading.Condition(self._lock)
         self._workers: dict[str, _WorkerInfo] = {}
         self._job: _Job | None = None
-        self._retire_pending = 0
         self._closing = False
         self._procs: list[subprocess.Popen] = []
         self._threads: list[threading.Thread] = []
@@ -300,20 +290,24 @@ class Coordinator:
         snapshot twice: once labeled ``worker="<id>"`` (per-worker
         series) and once summed into ``worker="fleet"`` (the aggregate).
         Worker snapshots outlive their connections, so completed work
-        never vanishes from the aggregate when a worker retires.
+        never vanishes from the aggregate when a worker leaves.  Workers
+        merge in the order they first reported; a snapshot that does not
+        merge with those before it (a metric of another kind or
+        labelnames, a ``worker`` label of its own) is left out and
+        logged, so a newcomer can neither take ``/metrics`` down nor push
+        out the series of the workers already reporting.
         """
         with self._lock:
             worker_snaps = dict(self._worker_metrics)
             self._workers_gauge.set(len(self._workers))
         snap = self.metrics.snapshot()
-        aggregate: MetricsSnapshot | None = None
-        for worker_id in sorted(worker_snaps):
-            worker_snap = worker_snaps[worker_id]
-            snap = snap.merge(worker_snap.with_labels(worker=worker_id))
-            aggregate = (worker_snap if aggregate is None
-                         else aggregate.merge(worker_snap))
-        if aggregate is not None:
-            snap = snap.merge(aggregate.with_labels(worker="fleet"))
+        for worker_id, worker_snap in worker_snaps.items():
+            try:
+                snap = (snap.merge(worker_snap.with_labels(worker=worker_id))
+                        .merge(worker_snap.with_labels(worker="fleet")))
+            except ValueError as exc:
+                logger.warning("leaving worker %s out of the fleet metrics: %s",
+                               worker_id, exc)
         return snap
 
     def health(self) -> dict:
@@ -385,11 +379,12 @@ class Coordinator:
             ]
 
     def load(self) -> dict:
-        """A point-in-time load snapshot: the autoscaler's decision input.
+        """A point-in-time load snapshot (``/healthz`` reports it).
 
         ``queue_depth`` is cells waiting for a lease, ``leased`` cells out
         with workers, ``outstanding`` their sum (work not yet completed),
-        ``workers`` live connections.  All zeros between plans.
+        ``workers`` live connections.  All but ``workers`` are zero
+        between plans.
         """
         with self._lock:
             job = self._job
@@ -405,19 +400,7 @@ class Coordinator:
                 "leased": leased,
                 "outstanding": queue_depth + leased,
                 "workers": len(self._workers),
-                "retire_pending": self._retire_pending,
             }
-
-    def request_retire(self, n: int = 1) -> None:
-        """Mark *n* workers for a polite Goodbye at their next idle poll.
-
-        Retirement only happens between plans (on a :class:`GetPlan` with
-        no active work for the worker), so no lease is abandoned.
-        """
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        with self._lock:
-            self._retire_pending += n
 
     def execute(self, plan, cells: list, state) -> list[CellResult]:
         """Run every cell of *plan* on the fleet; results in plan order.
@@ -516,11 +499,9 @@ class Coordinator:
 
         An external fleet (workers we did not spawn) may legitimately have
         nobody connected yet, so the check only fires when every spawned
-        local worker has exited and no connection remains.  Under an
-        autoscaler (:attr:`elastic`) an empty fleet is a transient — the
-        next scaling tick will spawn replacements — so the check is off.
+        local worker has exited and no connection remains.
         """
-        if self.elastic or self._workers or not self._procs:
+        if self._workers or not self._procs:
             return
         if all(proc.poll() is not None for proc in self._procs):
             job.failure = ("all local fleet workers exited "
@@ -753,12 +734,6 @@ class Coordinator:
                     self._counters["datasets_served"].inc()
                     self._counters["caches_served"].inc(len(job.state.cache_values))
                     return PlanAssignment(job.plan_id, job.plan, job.state)
-                if self._retire_pending > 0:
-                    # Between plans is the safe retirement point: the
-                    # worker holds no lease and abandons nothing.
-                    self._retire_pending -= 1
-                    self._counters["workers_retired"].inc()
-                    return Goodbye("retired by autoscaler")
                 return NoPlan()
             if isinstance(message, GetBatch):
                 return self._lease_batch(info, job, message)

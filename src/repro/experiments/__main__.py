@@ -174,6 +174,15 @@ def main(argv: list[str] | None = None) -> int:
             executor = "serial" if args.jobs == 1 else "process"
     if executor != "remote" and (args.bind is not None or args.workers is not None):
         parser.error("--bind/--workers require --executor remote")
+    if args.jobs != -1 and args.jobs < 1:
+        parser.error(f"--jobs must be -1 or >= 1, got {args.jobs}")
+    if args.workers is not None and args.workers < 0:
+        parser.error(f"--workers must be >= 0, got {args.workers}")
+    if args.workers == 0 and args.bind is None:
+        # The default listener is an ephemeral loopback port nobody is
+        # told about: with no local workers the run would wait forever.
+        parser.error("--workers 0 requires --bind (external workers need "
+                     "an address to connect to)")
     fleet_knobs = {"heartbeat_timeout": args.heartbeat_timeout,
                    "max_retries": args.max_retries}
     fleet_knobs = {k: v for k, v in fleet_knobs.items() if v is not None}
@@ -209,45 +218,48 @@ def main(argv: list[str] | None = None) -> int:
 
         store = DatasetStore(args.store_dir)
 
-    fleet = None
-    status_server = None
     if executor == "remote":
-        from repro.distributed.coordinator import Coordinator
         from repro.distributed.protocol import parse_address
-        from repro.experiments.pool import _resolve_jobs
 
         bind = ("127.0.0.1", 0) if args.bind is None else parse_address(args.bind)
         check_bind_safety(parser, bind[0], auth=auth_key, insecure=args.insecure)
-        fleet = Coordinator(bind=bind, auth_key=auth_key, **fleet_knobs)
-        if args.bind is not None:
-            host, port = fleet.address
-            # A wildcard bind address is not connectable from other hosts;
-            # tell workers to use this machine's name instead.
-            connect_host = host
-            if host in ("0.0.0.0", "::"):
-                import socket as _socket
-
-                connect_host = _socket.gethostname()
-            print(f"fleet coordinator listening on {host}:{port} "
-                  f"(connect workers with: python -m repro.experiments "
-                  f"fleet-worker --connect {connect_host}:{port})")
-        if args.status_port is not None:
-            status_server = fleet.serve_status(("127.0.0.1", args.status_port),
-                                               auth=auth_key)
-            print(f"fleet status at {status_server.url} "
-                  f"(/metrics and /healthz, read-only)")
-        n_local = args.workers
-        if n_local is None:
-            n_local = 0 if args.bind is not None else _resolve_jobs(args.jobs)
-        if n_local:
-            fleet.spawn_local_workers(n_local, auth_key_file=args.auth_key_file)
 
     from contextlib import nullcontext
 
     from repro.experiments.plan import experiment_plan
 
+    fleet = None
+    status_server = None
     collect = TRACER.collect() if args.trace is not None else nullcontext([])
     try:
+        if executor == "remote":
+            from repro.distributed.coordinator import Coordinator
+            from repro.experiments.pool import _resolve_jobs
+
+            fleet = Coordinator(bind=bind, auth_key=auth_key, **fleet_knobs)
+            if args.bind is not None:
+                host, port = fleet.address
+                # A wildcard bind address is not connectable from other
+                # hosts; tell workers to use this machine's name instead.
+                connect_host = host
+                if host in ("0.0.0.0", "::"):
+                    import socket as _socket
+
+                    connect_host = _socket.gethostname()
+                print(f"fleet coordinator listening on {host}:{port} "
+                      f"(connect workers with: python -m repro.experiments "
+                      f"fleet-worker --connect {connect_host}:{port})")
+            if args.status_port is not None:
+                status_server = fleet.serve_status(
+                    ("127.0.0.1", args.status_port), auth=auth_key)
+                print(f"fleet status at {status_server.url} "
+                      f"(/metrics and /healthz, read-only)")
+            n_local = args.workers
+            if n_local is None:
+                n_local = 0 if args.bind is not None else _resolve_jobs(args.jobs)
+            if n_local:
+                fleet.spawn_local_workers(n_local,
+                                          auth_key_file=args.auth_key_file)
         # One warm pool (or the fleet above) serves the whole sequence:
         # workers spawn once and keep their per-plan memos.
         with (open_workers(executor, args.jobs, fleet=fleet) as workers,

@@ -160,9 +160,10 @@ class PlanState:
 
     It is a registered wire struct, so the constructor checks every
     field's type and every buffer's length: a malformed state fails to
-    decode instead of reaching a worker.  Configuration objects are not
-    shipped: cell evaluation touches only ``X``/``y``/``feature_names``,
-    and every row it looks up in a cache is a row of ``X``.
+    decode instead of reaching a worker.  It carries the whole dataset:
+    a :class:`~repro.core.features.PerformanceDataset` is its name,
+    ``X``, ``y`` and feature names, and every row a cell looks up in a
+    cache is a row of ``X``.
     """
 
     dataset_name: str

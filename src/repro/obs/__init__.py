@@ -4,9 +4,9 @@ Three dependency-free pillars, threaded through every layer of the
 reproduction:
 
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry` of
-  labeled :class:`Counter` / :class:`Gauge` / :class:`Histogram`
-  instruments with mergeable point-in-time snapshots (workers ship
-  their registries to the parent inside ``Results``/``Heartbeat``
+  labeled :class:`Counter` / :class:`Gauge` instruments with mergeable,
+  shape-checked point-in-time snapshots (fleet workers ship their
+  registries to the coordinator inside ``Results``/``Heartbeat``
   frames) and a Prometheus text-format exposition writer.
 * :mod:`repro.obs.tracing` — lightweight :class:`Span` objects whose
   parent ids propagate from ``run_plan`` through batches to individual
@@ -28,7 +28,6 @@ from repro.obs.metrics import (
     REGISTRY,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     MetricsSnapshot,
     parse_prometheus,
@@ -48,7 +47,6 @@ __all__ = [
     "TRACER",
     "Counter",
     "Gauge",
-    "Histogram",
     "JsonFormatter",
     "MetricsRegistry",
     "MetricsSnapshot",

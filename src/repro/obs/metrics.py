@@ -3,16 +3,18 @@
 The design is a deliberately small subset of the Prometheus client
 model, built on two primitives:
 
-* an *instrument* (:class:`Counter`, :class:`Gauge`,
-  :class:`Histogram`) owned by a :class:`MetricsRegistry`, holding one
-  sample per label-value combination under the registry lock; and
+* an *instrument* (:class:`Counter`, :class:`Gauge`) owned by a
+  :class:`MetricsRegistry`, holding one sample per label-value
+  combination under the registry lock; and
 * a :class:`MetricsSnapshot` — a picklable, point-in-time copy of a
-  registry that **merges**: counters and histogram buckets sum, gauges
-  sum across disjoint processes.  Merge is associative and commutative
-  (property-tested), which is what lets pool workers and fleet workers
-  ship their registries to the parent inside ``Results`` / ``Heartbeat``
-  frames and lets the coordinator fold any number of worker snapshots
-  into one fleet-wide view in any order.
+  registry that **merges**: counters sum, and gauges sum across disjoint
+  processes.  Merge is associative and commutative (property-tested),
+  which is what lets fleet workers ship their registries to the
+  coordinator inside ``Results`` / ``Heartbeat`` frames and lets the
+  coordinator fold any number of worker snapshots into one fleet-wide
+  view in any order.  A snapshot checks its own shape when it is built,
+  so one decoded from a frame renders as Prometheus text or fails
+  decoding; it cannot break a later scrape.
 
 Registries compose the same way: a component creates its own private
 registry *attached* (by weak reference) to the process-wide
@@ -28,17 +30,16 @@ small closed sets only.
 
 from __future__ import annotations
 
-import bisect
+import math
+import re
 import threading
 import weakref
 from dataclasses import dataclass, field
 
 __all__ = [
-    "DEFAULT_BUCKETS",
     "REGISTRY",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "MetricsSnapshot",
     "get_registry",
@@ -46,18 +47,12 @@ __all__ = [
     "render_prometheus",
 ]
 
-#: Default histogram bucket upper bounds (seconds-flavoured, matching
-#: the Prometheus client defaults); a ``+Inf`` bucket is implicit.
-DEFAULT_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-                   1.0, 2.5, 5.0, 10.0)
-
 
 class _Instrument:
     """Shared machinery of one named metric family (samples per label set).
 
     Not constructed directly — ask a :class:`MetricsRegistry` for a
-    :meth:`~MetricsRegistry.counter`, :meth:`~MetricsRegistry.gauge` or
-    :meth:`~MetricsRegistry.histogram`.
+    :meth:`~MetricsRegistry.counter` or :meth:`~MetricsRegistry.gauge`.
     """
 
     kind = "untyped"
@@ -71,9 +66,8 @@ class _Instrument:
         self._samples: dict[tuple, object] = {}
         # Prometheus convention: an unlabeled counter/gauge exposes 0
         # from creation, so scrapers see the series before its first
-        # increment.  Labeled children (and histogram bucket dicts)
-        # still materialize on first use.
-        if not self.labelnames and self.kind in ("counter", "gauge"):
+        # increment.  Labeled children still materialize on first use.
+        if not self.labelnames:
             self._samples[()] = 0.0
 
     def labels(self, **labels):
@@ -193,74 +187,45 @@ class _GaugeChild:
             return self.parent._samples.get(self.key, 0.0)
 
 
-class Histogram(_Instrument):
-    """A distribution: per-bucket counts plus ``_sum`` and ``_count``.
-
-    Bucket semantics follow Prometheus: an observation ``v`` lands in
-    the first bucket whose upper bound satisfies ``v <= le`` (rendered
-    cumulatively, with an implicit ``+Inf`` bucket).
-    """
-
-    kind = "histogram"
-
-    def __init__(self, name, help, labelnames, lock,
-                 buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
-        super().__init__(name, help, labelnames, lock)
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ValueError(f"buckets must be sorted and non-empty: {buckets}")
-        self.buckets = tuple(float(b) for b in buckets)
-
-    def _child(self, key: tuple) -> _HistogramChild:
-        return _HistogramChild(self, key)
-
-    def observe(self, value: float) -> None:
-        """Record one observation on the (unlabeled) histogram."""
-        self._child(self._default_key()).observe(value)
-
-
-@dataclass(frozen=True)
-class _HistogramChild:
-    """One labeled sample of a :class:`Histogram`."""
-
-    parent: Histogram
-    key: tuple
-
-    def observe(self, value: float) -> None:
-        """Record one observation under the registry lock."""
-        value = float(value)
-        with self.parent._lock:
-            sample = self.parent._samples.get(self.key)
-            if sample is None:
-                sample = {"counts": [0] * (len(self.parent.buckets) + 1),
-                          "sum": 0.0, "count": 0}
-                self.parent._samples[self.key] = sample
-            # First bucket with value <= upper bound; past the last edge
-            # the observation lands in the implicit +Inf bucket.
-            sample["counts"][bisect.bisect_left(self.parent.buckets, value)] += 1
-            sample["sum"] += value
-            sample["count"] += 1
-
-
 # --------------------------------------------------------------------------- #
 # Snapshots
 # --------------------------------------------------------------------------- #
-def _merge_value(kind: str, a, b):
-    if kind == "histogram":
-        if tuple(a["buckets"]) != tuple(b["buckets"]):
-            raise ValueError(
-                f"cannot merge histograms with different bucket edges: "
-                f"{a['buckets']} vs {b['buckets']}")
-        return {
-            "buckets": tuple(a["buckets"]),
-            "counts": tuple(x + y for x, y in
-                            zip(a["counts"], b["counts"], strict=True)),
-            "sum": a["sum"] + b["sum"],
-            "count": a["count"] + b["count"],
-        }
-    # Counters and gauges both sum: the snapshots being merged come from
-    # disjoint processes/components, so a summed gauge reads as the
-    # fleet-wide total of a point-in-time quantity.
-    return a + b
+#: Prometheus metric and label name syntax.
+_METRIC_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
+_LABEL_NAME = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
+
+
+def _check_family(name, meta) -> None:
+    """Raise :class:`ValueError` unless ``name: meta`` is one well-formed family."""
+    if not (isinstance(name, str) and _METRIC_NAME.fullmatch(name)):
+        raise ValueError(f"invalid metric name {name!r}")
+    if not (isinstance(meta, dict)
+            and meta.keys() == {"kind", "help", "labelnames", "samples"}):
+        raise ValueError(f"metric {name!r} is not a kind/help/labelnames/"
+                         "samples mapping")
+    kind, labelnames, samples = meta["kind"], meta["labelnames"], meta["samples"]
+    if kind not in ("counter", "gauge") or not isinstance(meta["help"], str):
+        raise ValueError(f"metric {name!r} has kind {kind!r} or a non-str help")
+    if not (isinstance(labelnames, tuple) and all(
+            isinstance(label, str) and _LABEL_NAME.fullmatch(label)
+            for label in labelnames)
+            and len(set(labelnames)) == len(labelnames)):
+        raise ValueError(f"metric {name!r} has invalid labelnames {labelnames!r}")
+    if not isinstance(samples, dict):
+        raise ValueError(f"metric {name!r} samples are not a mapping")
+    for key, value in samples.items():
+        if not (isinstance(key, tuple) and len(key) == len(labelnames)
+                and all(isinstance(v, str) for v in key)):
+            raise ValueError(f"metric {name!r} has a sample key {key!r} that "
+                             f"does not match labelnames {labelnames!r}")
+        if isinstance(value, bool) or not isinstance(value, int | float):
+            raise ValueError(f"metric {name!r} has a non-numeric sample {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond float range
+            finite = False
+        if not finite:
+            raise ValueError(f"metric {name!r} has a non-finite sample")
 
 
 @dataclass(frozen=True)
@@ -269,13 +234,24 @@ class MetricsSnapshot:
 
     ``data`` maps metric name to ``{"kind", "help", "labelnames",
     "samples"}`` where ``samples`` maps label-value tuples to plain
-    numbers (counter/gauge) or bucket dicts (histogram).  Snapshots are
-    plain data — safe to ship inside protocol frames — and **merge**
-    associatively, so any tree of per-worker snapshots folds to the
-    same fleet-wide view.
+    numbers.  Snapshots are plain data — safe to ship inside protocol
+    frames — and **merge** associatively, so any tree of per-worker
+    snapshots folds to the same fleet-wide view.
+
+    The constructor checks the shape (names are Prometheus identifiers,
+    kind is ``counter`` or ``gauge``, help is a ``str``, each sample key
+    is a tuple of ``str`` as long as ``labelnames``, each value a finite
+    ``int`` or ``float``), so a malformed snapshot in a wire frame fails
+    decoding instead of failing every later ``/metrics`` render.
     """
 
     data: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.data, dict):
+            raise ValueError("snapshot data must be a mapping")
+        for name, meta in self.data.items():
+            _check_family(name, meta)
 
     def merge(self, other: MetricsSnapshot) -> MetricsSnapshot:
         """The element-wise sum of two snapshots (associative, commutative)."""
@@ -298,12 +274,11 @@ class MetricsSnapshot:
                 raise ValueError(
                     f"metric {name!r} has conflicting labelnames: "
                     f"{mine['labelnames']} vs {meta['labelnames']}")
+            # Counters and gauges both sum: the snapshots being merged
+            # come from disjoint processes/components, so a summed gauge
+            # reads as the fleet-wide total of a point-in-time quantity.
             for key, value in meta["samples"].items():
-                if key in mine["samples"]:
-                    mine["samples"][key] = _merge_value(
-                        meta["kind"], mine["samples"][key], value)
-                else:
-                    mine["samples"][key] = value
+                mine["samples"][key] = mine["samples"].get(key, 0) + value
         return MetricsSnapshot(merged)
 
     def with_labels(self, **extra: str) -> MetricsSnapshot:
@@ -334,10 +309,7 @@ class MetricsSnapshot:
         if meta is None:
             return 0.0
         key = tuple(str(labels[n]) for n in meta["labelnames"])
-        value = meta["samples"].get(key, 0.0)
-        if meta["kind"] == "histogram" and isinstance(value, dict):
-            return value["count"]
-        return value
+        return meta["samples"].get(key, 0.0)
 
 
 class MetricsRegistry:
@@ -385,13 +357,6 @@ class MetricsRegistry:
         """Get or create the :class:`Gauge` called *name*."""
         return self._instrument(Gauge, name, help, labelnames)
 
-    def histogram(self, name: str, help: str = "",
-                  labelnames: tuple[str, ...] = (),
-                  buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> Histogram:
-        """Get or create the :class:`Histogram` called *name*."""
-        return self._instrument(Histogram, name, help, labelnames,
-                                buckets=buckets)
-
     # ------------------------------------------------------------------ #
     def attach(self, registry: MetricsRegistry) -> None:
         """Include *registry* (weakly) in this registry's snapshots."""
@@ -403,18 +368,9 @@ class MetricsRegistry:
         with self._lock:
             data: dict = {}
             for name, inst in self._instruments.items():
-                samples = {}
-                for key, value in inst._samples.items():
-                    if isinstance(value, dict):  # histogram
-                        samples[key] = {"buckets": inst.buckets,
-                                        "counts": tuple(value["counts"]),
-                                        "sum": value["sum"],
-                                        "count": value["count"]}
-                    else:
-                        samples[key] = value
                 data[name] = {"kind": inst.kind, "help": inst.help,
                               "labelnames": inst.labelnames,
-                              "samples": samples}
+                              "samples": dict(inst._samples)}
             attached = [ref() for ref in self._attached]
             self._attached[:] = [ref for ref, live in
                                  zip(self._attached, attached, strict=True)
@@ -449,18 +405,14 @@ def _escape_label(text: str) -> str:
 
 
 def _format_number(value: float) -> str:
-    if value == float("inf"):
-        return "+Inf"
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return repr(value)
 
 
-def _label_str(labelnames: tuple, key: tuple, extra: str = "") -> str:
+def _label_str(labelnames: tuple, key: tuple) -> str:
     parts = [f'{n}="{_escape_label(v)}"'
              for n, v in zip(labelnames, key, strict=True)]
-    if extra:
-        parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
@@ -474,24 +426,8 @@ def render_prometheus(snapshot: MetricsSnapshot) -> str:
             lines.append(f"# HELP {name} {_escape_help(meta['help'])}")
         lines.append(f"# TYPE {name} {kind}")
         for key in sorted(meta["samples"]):
-            value = meta["samples"][key]
-            if kind == "histogram":
-                cumulative = 0
-                for edge, count in zip(
-                        tuple(value["buckets"]) + (float("inf"),),
-                        value["counts"], strict=True):
-                    cumulative += count
-                    le = f'le="{_format_number(edge)}"'
-                    lines.append(f"{name}_bucket"
-                                 f"{_label_str(labelnames, key, le)} "
-                                 f"{cumulative}")
-                lines.append(f"{name}_sum{_label_str(labelnames, key)} "
-                             f"{_format_number(value['sum'])}")
-                lines.append(f"{name}_count{_label_str(labelnames, key)} "
-                             f"{value['count']}")
-            else:
-                lines.append(f"{name}{_label_str(labelnames, key)} "
-                             f"{_format_number(value)}")
+            lines.append(f"{name}{_label_str(labelnames, key)} "
+                         f"{_format_number(meta['samples'][key])}")
     return "\n".join(lines) + "\n"
 
 
@@ -505,7 +441,9 @@ def parse_prometheus(text: str) -> dict[tuple[str, tuple], float]:
     scraped payload *is* Prometheus text, not just non-empty.
     """
     samples: dict[tuple[str, tuple], float] = {}
-    for raw in text.splitlines():
+    # Lines end at "\n" only: a label value or help text may hold any
+    # other line-breaking character (str.splitlines would split on it).
+    for raw in text.split("\n"):
         line = raw.strip()
         if not line or line.startswith("#"):
             if line.startswith("#") and not line.startswith(("# HELP", "# TYPE")):
@@ -513,7 +451,7 @@ def parse_prometheus(text: str) -> dict[tuple[str, tuple], float]:
             continue
         try:
             series, value_str = line.rsplit(" ", 1)
-            value = float(value_str.replace("+Inf", "inf"))
+            value = float(value_str)
         except ValueError as exc:
             raise ValueError(f"malformed sample line: {raw!r}") from exc
         if "{" in series:
@@ -524,15 +462,19 @@ def parse_prometheus(text: str) -> dict[tuple[str, tuple], float]:
                 label, _, quoted = part.partition("=")
                 if not (quoted.startswith('"') and quoted.endswith('"')):
                     raise ValueError(f"malformed label in line: {raw!r}")
-                labels.append((label, quoted[1:-1]
-                               .replace(r"\"", '"')
-                               .replace(r"\n", "\n")
-                               .replace(r"\\", "\\")))
+                labels.append((label, _UNESCAPE.sub(
+                    lambda m: _UNESCAPED[m.group(1)], quoted[1:-1])))
             key = (name, tuple(sorted(labels)))
         else:
             key = (series, ())
         samples[key] = value
     return samples
+
+
+#: The escapes :func:`_escape_label` writes, undone in one left-to-right
+#: pass (sequential replaces would read ``\\n`` as a newline).
+_UNESCAPE = re.compile(r'\\(["n\\])')
+_UNESCAPED = {'"': '"', "n": "\n", "\\": "\\"}
 
 
 def _split_labels(body: str) -> list[str]:

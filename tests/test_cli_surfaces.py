@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
+import threading
 
 import pytest
 
@@ -71,6 +73,28 @@ class TestSharedSurface:
             with pytest.raises(SystemExit) as excinfo:
                 main(["figure6", "--quick", flag, value])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--jobs", "0"],
+        ["--executor", "remote", "--jobs", "-3"],
+        ["--executor", "remote", "--workers", "-1"],
+        ["--executor", "remote", "--workers", "0"],
+    ], ids=["jobs-0", "remote-jobs-negative", "remote-workers-negative",
+            "remote-workers-0-without-bind"])
+    def test_bad_worker_counts_are_usage_errors(self, argv):
+        """A worker count no pool or fleet can have is refused by argparse
+        (exit 2) before any store, pool or coordinator opens, so no
+        listener or accept thread is left behind."""
+        from repro.experiments.__main__ import main
+
+        before = set(threading.enumerate())
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["figure5", "--quick", *argv])
+        assert excinfo.value.code == 2
+        assert re.search(r"error: --(jobs|workers) ", stderr.getvalue())
+        assert not [thread for thread in set(threading.enumerate()) - before
+                    if thread.name == "fleet-accept"]
 
     def test_store_flags_are_mutually_exclusive(self):
         parser = __import__("argparse").ArgumentParser(

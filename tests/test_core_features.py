@@ -1,5 +1,7 @@
 """Tests for repro.core.features (PerformanceDataset)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -20,17 +22,22 @@ class TestConstruction:
         assert data.n_features == 3
         assert "toy" in data.describe()
 
-    def test_configs_carried(self):
-        data = PerformanceDataset(name="x", X=np.ones((2, 1)), y=np.ones(2),
-                                  feature_names=["a"], configs=["c0", "c1"])
+    def test_subset_carries_every_field(self):
+        """A dataset is its name, X, y and feature names; a subset keeps
+        all four."""
+        assert [f.name for f in fields(PerformanceDataset)] == [
+            "name", "X", "y", "feature_names"]
+        data = PerformanceDataset(name="x", X=[[1.0], [2.0]], y=[3.0, 4.0],
+                                  feature_names=["a"])
         sub = data.subset(np.array([1]))
-        assert sub.configs == ["c1"]
+        assert (sub.name, sub.feature_names) == ("x", ["a"])
+        assert sub.X.tolist() == [[2.0]] and sub.y.tolist() == [4.0]
 
     @pytest.mark.parametrize("kwargs", [
         dict(X=np.ones(5), y=np.ones(5), feature_names=["a"]),
         dict(X=np.ones((5, 2)), y=np.ones(4), feature_names=["a", "b"]),
         dict(X=np.ones((5, 2)), y=np.ones(5), feature_names=["a"]),
-        dict(X=np.ones((5, 2)), y=np.ones(5), feature_names=["a", "b"], configs=["c"]),
+        dict(X=np.ones((5, 2)), y=np.ones((5, 1)), feature_names=["a", "b"]),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -57,7 +57,7 @@ class TestStencilDatasets:
         assert data.feature_names == ["I", "J", "K", "bi", "bj", "bk"]
         assert data.n_samples == 300
         assert np.all(data.y > 0)
-        assert len(data.configs) == data.n_samples
+        assert data.X.shape == (300, 6)
 
     def test_grid_only_dataset(self):
         data = grid_only_dataset(max_configs=50)

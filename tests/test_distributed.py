@@ -16,6 +16,9 @@ The guarantees under test:
   store, warms no cache and builds no dataset, and a malformed state
   fails decoding without killing the worker thread;
 * the worker's plan-state memo is bounded by the pool's limit;
+* a worker's metrics snapshot is wire input too: a malformed one severs
+  its connection, and one that does not merge with the rest is left out
+  of ``/metrics``, which keeps answering 200;
 * a cell that exhausts its requeue budget fails the plan with a hard
   error rather than hanging the coordinator.
 """
@@ -30,6 +33,7 @@ import socket
 import struct
 import threading
 import time
+import urllib.request
 import zlib
 
 import pytest
@@ -54,6 +58,7 @@ from repro.experiments.scheduler import (
     _resolve_data,
     run_plan,
 )
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, parse_prometheus
 
 TINY = ExperimentSettings(n_estimators=4, n_repeats=2, max_configs=120, random_state=0)
 
@@ -650,7 +655,6 @@ class TestStoreBootstrap:
         np.testing.assert_array_equal(loaded.X, dataset.X)
         np.testing.assert_array_equal(loaded.y, dataset.y)
         assert loaded.feature_names == dataset.feature_names
-        assert loaded.configs == dataset.configs
 
     def test_memo_keeps_the_pool_limit(self):
         """Serving one more distinct state than the limit evicts the
@@ -907,7 +911,7 @@ class TestObjectStoreBootstrap:
         store.get(live)
         store.get(stale)
         removed = store.prune(keep_fingerprints={live.fingerprint})
-        assert [p.name for p in removed] == [store.dataset_path(stale).name]
+        assert removed == [store.dataset_key(stale)]
         fresh = DatasetStore(object_store.url)
         fresh.get(live)
         assert (fresh.misses, fresh.hits) == (0, 1)
@@ -1015,61 +1019,67 @@ class TestSpeculation:
         assert _rows(box["result"]) == _rows(serial)
 
 
-class TestElasticFleet:
-    def test_desired_workers_sizing_rule(self):
-        from repro.distributed.autoscale import desired_workers
+def _scrape(status) -> dict:
+    with urllib.request.urlopen(status.url + "/metrics", timeout=10.0) as response:
+        assert response.status == 200
+        return parse_prometheus(response.read().decode("utf-8"))
 
-        def load(n):
-            return {"outstanding": n}
 
-        assert desired_workers(load(0), min_workers=0, max_workers=4) == 0
-        assert desired_workers(load(1), min_workers=0, max_workers=4) == 1
-        assert desired_workers(load(9), min_workers=0, max_workers=4,
-                               cells_per_worker=4) == 3
-        assert desired_workers(load(10**6), min_workers=0, max_workers=4) == 4
-        assert desired_workers(load(0), min_workers=2, max_workers=4) == 2
-        with pytest.raises(ValueError, match="min_workers"):
-            desired_workers(load(0), min_workers=3, max_workers=2)
-        with pytest.raises(ValueError, match="cells_per_worker"):
-            desired_workers(load(0), min_workers=0, max_workers=1,
-                            cells_per_worker=0)
-
-    def test_autoscaler_spawns_for_queue_and_retires_idle(self):
-        """Ticks are driven by hand for determinism: a queued plan scales
-        the fleet up to target, a drained queue retires it to zero — via
-        polite Goodbyes, never an abandoned lease."""
-        from repro.distributed.autoscale import LocalAutoscaler
-
-        plan = experiment_plan("figure6", TINY)
-        serial = run_plan(plan)
-        total = len(expand_cells(plan))
+class TestWorkerMetricsSnapshots:
+    def test_malformed_heartbeat_snapshot_severs_the_worker(self):
+        """A snapshot that would break every render fails decoding: its
+        connection is severed, nothing is stored, ``/metrics`` stays 200."""
+        forged = object.__new__(MetricsSnapshot)
+        object.__setattr__(forged, "data", {"x_total": "junk"})
         with Coordinator() as coordinator:
-            scaler = LocalAutoscaler(coordinator, min_workers=0, max_workers=2,
-                                     cells_per_worker=max(1, total // 2),
-                                     idle_ticks=2)
-            assert coordinator.elastic  # empty fleet is a transient now
-            thread, box = _run_plan_async(plan, coordinator)
-            deadline = time.monotonic() + 60.0
-            while (coordinator.load()["outstanding"] == 0
-                   and time.monotonic() < deadline):
-                time.sleep(0.02)
-            scaler.tick()
-            assert scaler.stats["spawned"] == 2
-            thread.join(timeout=120.0)
-            assert not thread.is_alive()
-            assert "error" not in box, box.get("error")
-            # The queue has drained: idle ticks retire the whole fleet.
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                scaler.tick()
-                if (not coordinator.worker_snapshot()
-                        and coordinator.stats["workers_retired"] >= 2):
-                    break
-                time.sleep(0.1)
-            assert scaler.stats["retired"] >= 2
-            assert coordinator.stats["workers_retired"] >= 2
-            assert not coordinator.worker_snapshot()
-        assert _rows(box["result"]) == _rows(serial)
+            status = coordinator.serve_status()
+            try:
+                sock, reply = _raw_handshake(coordinator.address)
+                assert isinstance(reply, protocol.Welcome)
+                sock.settimeout(5.0)
+                protocol.send_message(
+                    sock, protocol.Heartbeat("raw-client", metrics=forged))
+                with pytest.raises(protocol.ConnectionClosed):
+                    protocol.recv_message(sock)
+                sock.close()
+                scraped = _scrape(status)
+            finally:
+                status.stop()
+        assert ("repro_cells_completed_total", ()) in scraped
+        assert not any(name == "x_total" for name, _ in scraped)
+
+    def test_conflicting_snapshot_is_left_out_of_metrics(self):
+        """A well-formed snapshot that declares a worker counter a gauge
+        does not merge with the others: it is left out, and the other
+        worker's series and the coordinator's own are still served."""
+        good, bad = MetricsRegistry(), MetricsRegistry()
+        good.counter("repro_worker_cells_evaluated_total").inc(3)
+        bad.gauge("repro_worker_cells_evaluated_total").set(1)
+        socks = []
+        with Coordinator() as coordinator:
+            status = coordinator.serve_status()
+            try:
+                for worker_id, registry in (("good", good), ("bad", bad)):
+                    sock, _ = _raw_handshake(coordinator.address,
+                                             worker_id=worker_id)
+                    socks.append(sock)
+                    protocol.send_message(sock, protocol.Heartbeat(
+                        worker_id, metrics=registry.snapshot()))
+                    # The reply to a later request means the heartbeat
+                    # before it was handled.
+                    protocol.send_message(sock, protocol.GetPlan(worker_id))
+                    assert isinstance(protocol.recv_message(sock),
+                                      protocol.NoPlan)
+                scraped = _scrape(status)
+            finally:
+                for sock in socks:
+                    sock.close()
+                status.stop()
+        evaluated = "repro_worker_cells_evaluated_total"
+        assert scraped[(evaluated, (("worker", "good"),))] == 3
+        assert scraped[(evaluated, (("worker", "fleet"),))] == 3
+        assert (evaluated, (("worker", "bad"),)) not in scraped
+        assert ("repro_cells_completed_total", ()) in scraped
 
 
 class TestFleetKnobCli:

@@ -12,6 +12,7 @@ store still produces rows bit-identical to serial.
 from __future__ import annotations
 
 import http.client
+import io
 import socket
 import threading
 import urllib.error
@@ -285,6 +286,52 @@ class TestStoreChaos:
         reloaded = store.load_analytical_cache(
             "stencil", SPEC, model, dataset.feature_names)
         assert reloaded is None              # corrupt entry was discarded
+
+
+def _npz(**members) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **members)
+    return buf.getvalue()
+
+
+class TestUndecodableBlobs:
+    """A blob whose sidecar verifies but whose bytes do not decode (a
+    format skew, or a foreign writer on a shared object store) is
+    rejected like a corrupt one: counted, deleted and rebuilt."""
+
+    @pytest.mark.parametrize("blob", [
+        "dataset-not-an-archive", "dataset-missing-member",
+        "cache-other-feature-layout"])
+    def test_rejected_then_rebuilt_then_hit(self, tmp_path, blob):
+        from repro.experiments import ExperimentSettings
+        from repro.experiments.plan import experiment_plan
+        from repro.experiments.scheduler import run_plan
+
+        plan = experiment_plan("figure6", ExperimentSettings(
+            n_estimators=4, n_repeats=2, max_configs=120))
+        cold = run_plan(plan, store=DatasetStore(tmp_path / "cold"))
+        store = DatasetStore(tmp_path / "store")
+        dataset = plan.dataset.build()
+        names = np.array(dataset.feature_names)
+        if blob == "dataset-not-an-archive":
+            key, data = store.dataset_key(plan.dataset), b"not an npz archive"
+        elif blob == "dataset-missing-member":
+            key = store.dataset_key(plan.dataset)
+            data = _npz(X=dataset.X, y=dataset.y, feature_names=names)
+        else:
+            store.backend.write(store.dataset_key(plan.dataset),
+                                DatasetStore.encode_dataset(dataset))
+            key = store.cache_key("stencil", plan.dataset)
+            data = _npz(rows=dataset.X[:, ::-1], values=dataset.y,
+                        feature_names=names[::-1])
+        store.backend.write(key, data)  # with a sidecar that verifies
+
+        assert run_plan(plan, store=store).rows() == cold.rows()
+        assert store.integrity_failures == 1
+        again = DatasetStore(tmp_path / "store")
+        run_plan(plan, store=again)
+        assert (again.misses, again.cache_misses) == (0, 0)
+        assert again.integrity_failures == 0
 
 
 class TestChaosFleet:

@@ -4,13 +4,14 @@ The guarantees under test:
 
 * the metrics registry is safe to snapshot while other threads
   increment (the regression for the formerly unlocked ``stats`` dicts
-  on the autoscaler and worker pool);
+  on the worker pool);
 * snapshot ``merge`` is associative and commutative — any tree of
   per-worker snapshots folds to the same fleet-wide view — and refuses
-  kind/labelname/bucket-edge conflicts instead of silently mixing;
+  kind/labelname conflicts instead of silently mixing;
 * Prometheus text exposition matches the 0.0.4 format exactly (golden
-  test) and round-trips through :func:`parse_prometheus`;
-* histogram bucket edges follow Prometheus semantics (``v <= le``);
+  test) and round-trips through :func:`parse_prometheus`, and every
+  snapshot that decodes from a wire frame renders to text the parser
+  accepts;
 * a plan run under **each of the three executors** produces a span per
   cell with intact parent links (cell → batch → plan → experiment) and
   bit-identical result rows; the remote run additionally exposes a
@@ -183,20 +184,6 @@ class TestSnapshotMerge:
         assert left.value("y") == 7
         assert left.value("z") == 3
 
-    def test_merge_histograms(self):
-        def one(values):
-            reg = MetricsRegistry()
-            hist = reg.histogram("h", buckets=(1.0, 2.0))
-            for value in values:
-                hist.observe(value)
-            return reg.snapshot()
-
-        merged = one([0.5, 1.5]).merge(one([3.0]))
-        assert merged.value("h") == 3  # histogram value() is its count
-        sample = merged.data["h"]["samples"][()]
-        assert sample["counts"] == (1, 1, 1)
-        assert sample["sum"] == 5.0
-
     def test_merge_conflicts_raise(self):
         counter_reg, gauge_reg = MetricsRegistry(), MetricsRegistry()
         counter_reg.counter("m")
@@ -209,12 +196,6 @@ class TestSnapshotMerge:
         labeled.counter("n", labelnames=("op",)).labels(op="x").inc()
         with pytest.raises(ValueError, match="conflicting labelnames"):
             plain.snapshot().merge(labeled.snapshot())
-
-        narrow, wide = MetricsRegistry(), MetricsRegistry()
-        narrow.histogram("h", buckets=(1.0,)).observe(0.5)
-        wide.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        with pytest.raises(ValueError, match="bucket edges"):
-            narrow.snapshot().merge(wide.snapshot())
 
     def test_with_labels(self):
         relabeled = _snap(jobs_total=4).with_labels(worker="w1")
@@ -238,16 +219,7 @@ class TestPrometheusExposition:
         ops = reg.counter("repro_ops_total", "", labelnames=("op",))
         ops.labels(op="read").inc(2)
         reg.gauge("repro_workers", "Connected workers.").set(1.5)
-        reg.histogram("repro_latency_seconds", "Latency.",
-                      buckets=(0.1, 1.0)).observe(0.05)
         assert render_prometheus(reg.snapshot()) == (
-            "# HELP repro_latency_seconds Latency.\n"
-            "# TYPE repro_latency_seconds histogram\n"
-            'repro_latency_seconds_bucket{le="0.1"} 1\n'
-            'repro_latency_seconds_bucket{le="1"} 1\n'
-            'repro_latency_seconds_bucket{le="+Inf"} 1\n'
-            "repro_latency_seconds_sum 0.05\n"
-            "repro_latency_seconds_count 1\n"
             "# TYPE repro_ops_total counter\n"
             'repro_ops_total{op="read"} 2\n'
             "# HELP repro_rows_total Rows processed.\n"
@@ -282,25 +254,90 @@ class TestPrometheusExposition:
         assert CONTENT_TYPE.startswith("text/plain")
 
 
-class TestHistogramBuckets:
-    def test_edge_semantics(self):
-        """An observation exactly on an edge lands in that bucket
-        (Prometheus ``v <= le``); past the last edge it lands in +Inf."""
-        reg = MetricsRegistry()
-        hist = reg.histogram("h", buckets=(1.0, 2.0))
-        for value in (0.5, 1.0, 1.5, 2.0, 99.0):
-            hist.observe(value)
-        sample = reg.snapshot().data["h"]["samples"][()]
-        assert sample["counts"] == (2, 2, 1)  # per-bucket, not cumulative
-        assert sample["count"] == 5
-        text = render_prometheus(reg.snapshot())
-        assert 'h_bucket{le="1"} 2' in text  # cumulative in exposition
-        assert 'h_bucket{le="2"} 4' in text
-        assert 'h_bucket{le="+Inf"} 5' in text
+#: Names that pass the snapshot check, and anything else.
+_FORGED_NAMES = st.one_of(st.from_regex(r"[a-zA-Z_:][a-zA-Z0-9_:]{0,5}",
+                                        fullmatch=True),
+                          st.text(max_size=4))
+_FORGED_VALUES = st.one_of(st.integers(), st.floats(), st.booleans(),
+                           st.text(max_size=3), st.none())
 
-    def test_unsorted_buckets_rejected(self):
-        with pytest.raises(ValueError, match="sorted"):
-            MetricsRegistry().histogram("h", buckets=(2.0, 1.0))
+
+@st.composite
+def _forged_family(draw):
+    """One metric family's ``{"kind", "help", "labelnames", "samples"}``,
+    as a hostile worker may ship it: any field may be off."""
+    labelnames = draw(st.lists(_FORGED_NAMES, max_size=2))
+    if draw(st.booleans()):
+        labelnames = tuple(labelnames)
+    width = len(labelnames)
+    keys = st.one_of(st.tuples(*[st.text(max_size=4)] * width),
+                     st.lists(st.text(max_size=3), max_size=3).map(tuple),
+                     st.integers())
+    family = {"kind": draw(st.sampled_from(["counter", "gauge", "summary", 1])),
+              "help": draw(st.one_of(st.text(max_size=8), st.integers())),
+              "labelnames": labelnames,
+              "samples": draw(st.dictionaries(keys, _FORGED_VALUES, max_size=3))}
+    if draw(st.booleans()):
+        family.pop(draw(st.sampled_from(sorted(family))))
+    return family
+
+
+def _forged_snapshot(data) -> MetricsSnapshot:
+    """A ``MetricsSnapshot`` built around its own checks, as a hostile
+    worker sends it."""
+    snapshot = object.__new__(MetricsSnapshot)
+    object.__setattr__(snapshot, "data", data)
+    return snapshot
+
+
+class TestSnapshotShape:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.one_of(st.dictionaries(_FORGED_NAMES, _forged_family(),
+                                          max_size=3),
+                          _FORGED_VALUES))
+    def test_every_decodable_snapshot_renders(self, data):
+        """Whatever a peer ships, the decoder either refuses it with
+        ``CodecError`` or yields a snapshot whose text exposition
+        ``parse_prometheus`` reads back sample for sample."""
+        from repro.distributed import codec
+
+        payload = codec.encode_value(_forged_snapshot(data))
+        try:
+            snapshot = codec.decode_value(payload)
+        except codec.CodecError:
+            return
+        samples = parse_prometheus(render_prometheus(snapshot))
+        expected = {
+            (name, tuple(sorted(zip(meta["labelnames"], key, strict=True)))):
+                float(value)
+            for name, meta in snapshot.data.items()
+            for key, value in meta["samples"].items()}
+        assert samples == expected
+
+    @pytest.mark.parametrize("data", [
+        {"x_total": "junk"},
+        {"x_total": {"kind": "summary", "help": "", "labelnames": (),
+                     "samples": {}}},
+        {"bad name": {"kind": "counter", "help": "", "labelnames": (),
+                      "samples": {}}},
+        {"x_total": {"kind": "counter", "help": "", "labelnames": ("op",),
+                     "samples": {(): 1}}},
+        {"x_total": {"kind": "counter", "help": "", "labelnames": (),
+                     "samples": {(): True}}},
+        {"x_total": {"kind": "counter", "help": "", "labelnames": (),
+                     "samples": {(): float("nan")}}},
+        {"x_total": {"kind": "counter", "help": "", "labelnames": ("a", "a"),
+                     "samples": {}}},
+    ], ids=["not-a-family", "summary-kind", "bad-name", "short-key", "bool",
+            "nan", "duplicate-labels"])
+    def test_malformed_snapshot_fails_decoding(self, data):
+        from repro.distributed import codec
+
+        with pytest.raises(ValueError):
+            MetricsSnapshot(data)
+        with pytest.raises(codec.CodecError):
+            codec.decode_value(codec.encode_value(_forged_snapshot(data)))
 
 
 class TestTracing:

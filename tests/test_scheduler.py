@@ -149,7 +149,6 @@ class TestDatasetStore:
         np.testing.assert_array_equal(generated.y, loaded.y)
         assert generated.feature_names == loaded.feature_names
         assert generated.name == loaded.name
-        assert loaded.configs == generated.configs
 
     def test_fingerprint_distinguishes_specs(self):
         base = DatasetSpec("fmm", max_configs=100, random_state=0)
@@ -214,7 +213,7 @@ class TestDatasetStore:
         store = DatasetStore(tmp_path)
         store.get(spec)
         old_fingerprint = spec.fingerprint
-        assert store_mod._FORMAT_VERSION == 2  # v2 added the simulator token
+        assert store_mod._FORMAT_VERSION == 3  # v2 added the simulator token, v3 dropped configs
         monkeypatch.setattr(stencil_sim, "SIMULATOR_VERSION",
                             stencil_sim.SIMULATOR_VERSION + 1)
         assert spec.fingerprint != old_fingerprint
@@ -244,9 +243,9 @@ class TestDatasetStore:
             store.save_analytical_cache("stencil", spec, cache)
 
         removed = store.prune(keep_fingerprints={live.fingerprint})
-        assert sorted(p.name for p in removed) == sorted([
-            store.dataset_path(stale).name, store.cache_path("stencil", stale).name])
-        assert not store.dataset_path(stale).exists()
+        assert sorted(removed) == sorted([
+            store.dataset_key(stale), store.cache_key("stencil", stale)])
+        assert not (tmp_path / store.dataset_key(stale)).exists()
 
         warm = DatasetStore(tmp_path)
         dataset = warm.get(live)

@@ -154,7 +154,8 @@ class TestDatasetStoreOnBackends:
         loaded = store.get(SPEC)
         assert (store.misses, store.hits) == (1, 1)
         np.testing.assert_array_equal(generated.X, loaded.X)
-        assert loaded.configs == generated.configs
+        np.testing.assert_array_equal(generated.y, loaded.y)
+        assert loaded.feature_names == generated.feature_names
 
     def test_http_store_round_trip_and_locator(self, object_server):
         store = DatasetStore(object_server.url)
@@ -189,7 +190,7 @@ class TestDatasetStoreOnBackends:
         store.get(SPEC)
         store.get(OTHER)
         removed = store.prune(keep_fingerprints={SPEC.fingerprint})
-        assert [p.name for p in removed] == [store.dataset_path(OTHER).name]
+        assert removed == [store.dataset_key(OTHER)]
         assert store.has_dataset(SPEC)
         assert not store.has_dataset(OTHER)
 
@@ -249,7 +250,7 @@ class TestAtomicWriteRegressions:
                   f"{SPEC.name}-{SPEC.fingerprint}.npz.12345.tmp.npz")
         orphan.write_bytes(b"half-written")
         removed = store.prune(keep_fingerprints={SPEC.fingerprint})
-        assert removed == [orphan]
+        assert removed == [f"datasets/{orphan.name}"]
         assert not orphan.exists()
         assert store.has_dataset(SPEC)
 
@@ -270,15 +271,14 @@ class TestAtomicWriteRegressions:
         backend._delete(blob_key)
         assert backend.exists(sidecar)
         removed = store.prune(keep_fingerprints={SPEC.fingerprint})
-        assert [p.name for p in removed] == [f"{blob_key.rsplit('/')[-1]}.sha256"]
+        assert removed == [sidecar]
         assert not backend.exists(sidecar)
         # Live blob + sidecar pairs are pruned (and kept) together; the
         # sidecar riding with its blob is not listed separately.
         store.get(SPEC)
         store.get(OTHER)
         removed = store.prune(keep_fingerprints={SPEC.fingerprint})
-        assert [p.name for p in removed] == [
-            f"{OTHER.name}-{OTHER.fingerprint}.npz"]
+        assert removed == [f"datasets/{OTHER.name}-{OTHER.fingerprint}.npz"]
         other_key = DatasetStore.dataset_key(OTHER)
         assert not backend.exists(other_key)
         assert not backend.exists(checksum_key(other_key))
@@ -294,8 +294,7 @@ class TestAtomicWriteRegressions:
         store.put_model_bytes("feedc0de12345678", "hybrid", b"live-model")
         store.put_model_bytes("0dd0dd0dd0dd0dd0", "hybrid", b"stale-model")
         removed = store.prune(keep_fingerprints={"feedc0de12345678"})
-        assert sorted(p.name for p in removed) == [
-            "hybrid-0dd0dd0dd0dd0dd0.npz"]
+        assert removed == ["models/hybrid-0dd0dd0dd0dd0dd0.npz"]
         assert store.has_model("feedc0de12345678", "hybrid")
         assert not store.has_model("0dd0dd0dd0dd0dd0", "hybrid")
         stale_key = DatasetStore.model_key("0dd0dd0dd0dd0dd0", "hybrid")
