@@ -21,6 +21,11 @@ from repro.analytical.base import AnalyticalModel
 __all__ = ["AnalyticalPredictionCache"]
 
 
+def _row_keys(X: np.ndarray) -> list[bytes]:
+    """Each row of a C-contiguous float64 matrix as its raw bytes, in one C loop."""
+    return X.view(np.dtype((np.void, 8 * X.shape[1]))).ravel().tolist()
+
+
 class AnalyticalPredictionCache:
     """Row-level memo of one analytical model's predictions.
 
@@ -41,6 +46,9 @@ class AnalyticalPredictionCache:
             )
         self.model = model
         self.feature_names = list(feature_names)
+        if not self.feature_names:
+            # Rows of zero columns would all share one empty key.
+            raise ValueError("a cache needs at least one feature name")
         self._store: dict[bytes, float] = {}
         self.hits = 0
         self.misses = 0
@@ -61,16 +69,19 @@ class AnalyticalPredictionCache:
                 f"X has {X.shape[1]} columns but the cache is bound to "
                 f"{len(self.feature_names)} feature names"
             )
-        keys = [row.tobytes() for row in X]
+        keys = _row_keys(X)
         store = self._store
-        missing = [i for i, key in enumerate(keys) if key not in store]
-        if missing:
-            values = self.model.predict(X[missing], self.feature_names)
-            for i, value in zip(missing, values, strict=True):
-                store[keys[i]] = float(value)
+        values = list(map(store.get, keys))
+        missing = []
+        if None in values:
+            missing = [i for i, value in enumerate(values) if value is None]
+            predicted = self.model.predict(X[missing], self.feature_names)
+            store.update(zip([keys[i] for i in missing], map(float, predicted),
+                             strict=True))
+            values = list(map(store.get, keys))
         self.misses += len(missing)
         self.hits += len(keys) - len(missing)
-        return np.array([store[key] for key in keys], dtype=np.float64)
+        return np.array(values, dtype=np.float64)
 
     def clear(self) -> None:
         """Drop all memoized rows and reset the hit/miss counters."""
@@ -108,8 +119,7 @@ class AnalyticalPredictionCache:
             raise ValueError(
                 f"rows have {rows.shape[1]} columns but the cache is bound to "
                 f"{len(self.feature_names)} feature names")
-        for row, value in zip(rows, values, strict=True):
-            self._store[row.tobytes()] = float(value)
+        self._store.update(zip(_row_keys(rows), values.tolist(), strict=True))
         return self
 
     def save(self, path) -> None:

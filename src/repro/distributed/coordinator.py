@@ -103,6 +103,10 @@ HELLO_TIMEOUT_S = 5.0
 #: Most connections that may be waiting to complete HELLO at once.  Each
 #: holds a thread; a connection accepted over the cap is closed at once.
 MAX_PENDING_HELLOS = 32
+#: ``worker`` label of the fleet-wide aggregate in :meth:`Coordinator.fleet_snapshot`.
+#: A worker may not take it as its id: its series would be summed into
+#: the aggregate's twice.
+FLEET_LABEL = "fleet"
 
 
 def _sever_socket(sock: socket.socket) -> None:
@@ -288,7 +292,8 @@ class Coordinator:
 
         The coordinator's own registry, plus every worker's last shipped
         snapshot twice: once labeled ``worker="<id>"`` (per-worker
-        series) and once summed into ``worker="fleet"`` (the aggregate).
+        series) and once summed into ``worker="fleet"`` (the aggregate,
+        :data:`FLEET_LABEL`, an id no worker may take).
         Worker snapshots outlive their connections, so completed work
         never vanishes from the aggregate when a worker leaves.  Workers
         merge in the order they first reported; a snapshot that does not
@@ -304,7 +309,7 @@ class Coordinator:
         for worker_id, worker_snap in worker_snaps.items():
             try:
                 snap = (snap.merge(worker_snap.with_labels(worker=worker_id))
-                        .merge(worker_snap.with_labels(worker="fleet")))
+                        .merge(worker_snap.with_labels(worker=FLEET_LABEL)))
             except ValueError as exc:
                 logger.warning("leaving worker %s out of the fleet metrics: %s",
                                worker_id, exc)
@@ -672,6 +677,9 @@ class Coordinator:
             reason = (f"simulator version mismatch: worker has "
                       f"{hello.simulator_versions!r}, coordinator "
                       f"{_simulator_versions()!r} — fingerprints would not agree")
+        elif hello.worker_id == FLEET_LABEL:
+            reason = (f"worker id {FLEET_LABEL!r} is reserved: it labels the "
+                      "fleet-wide aggregate of the workers' metrics")
         elif self.auth_key is not None:
             # Keyed coordinator: the HELLO must prove knowledge of the
             # shared key over the worker's own challenge nonce.  The

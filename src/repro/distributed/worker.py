@@ -38,6 +38,7 @@ import uuid
 from repro.cli import add_auth_args, add_logging_parent, load_auth_key
 from repro.datasets.store import _FORMAT_VERSION, _simulator_versions
 from repro.distributed import protocol
+from repro.distributed.coordinator import FLEET_LABEL
 from repro.distributed.protocol import (
     PROTOCOL_VERSION,
     Batch,
@@ -347,7 +348,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="coordinator address")
     parser.add_argument("--worker-id", default=None,
-                        help="stable identity (default: host-pid-random)")
+                        help="stable identity (default: host-pid-random; "
+                             f"{FLEET_LABEL!r} is reserved)")
     parser.add_argument("--connect-timeout", type=float, default=20.0, metavar="S",
                         help="seconds to retry the initial connection (default 20)")
     parser.add_argument("--heartbeat-interval", type=float, default=1.0, metavar="S",
@@ -365,6 +367,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.reconnect_attempts < 0:
         parser.error(
             f"--reconnect-attempts must be >= 0, got {args.reconnect_attempts}")
+    if args.worker_id == FLEET_LABEL:
+        parser.error(f"--worker-id {FLEET_LABEL} is reserved for the fleet-wide "
+                     "metrics aggregate")
     worker = FleetWorker(
         parse_address(args.connect),
         worker_id=args.worker_id, connect_timeout=args.connect_timeout,

@@ -99,8 +99,8 @@ class BaggingRegressor(BaseEstimator, RegressorMixin):
         self.estimators_features_ = feature_sets
         return self
 
-    def predict(self, X) -> np.ndarray:
-        """Average the replicas' predictions."""
+    def _check_X(self, X) -> np.ndarray:
+        """*X* as a validated array of the width the ensemble was fitted on."""
         check_is_fitted(self, "estimators_")
         X = check_array(X)
         if X.shape[1] != self.n_features_in_:
@@ -108,6 +108,11 @@ class BaggingRegressor(BaseEstimator, RegressorMixin):
                 f"X has {X.shape[1]} features, but the ensemble was fitted with "
                 f"{self.n_features_in_}"
             )
+        return X
+
+    def predict(self, X) -> np.ndarray:
+        """Average the replicas' predictions."""
+        X = self._check_X(X)
         preds = np.zeros(X.shape[0], dtype=np.float64)
         for est, feats in zip(self.estimators_, self.estimators_features_,
                               strict=True):
@@ -116,8 +121,7 @@ class BaggingRegressor(BaseEstimator, RegressorMixin):
 
     def predict_std(self, X) -> np.ndarray:
         """Per-sample standard deviation across replicas."""
-        check_is_fitted(self, "estimators_")
-        X = check_array(X)
+        X = self._check_X(X)
         all_preds = np.stack([
             est.predict(X[:, feats])
             for est, feats in zip(self.estimators_, self.estimators_features_,

@@ -132,8 +132,8 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
             max_bins=self.max_bins,
         )
 
-    def predict(self, X) -> np.ndarray:
-        """Average the predictions of all trees."""
+    def _check_X(self, X) -> np.ndarray:
+        """*X* as a validated array of the width the forest was fitted on."""
         check_is_fitted(self, "estimators_")
         X = check_array(X)
         if X.shape[1] != self.n_features_in_:
@@ -141,12 +141,16 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
                 f"X has {X.shape[1]} features, but the forest was fitted with "
                 f"{self.n_features_in_}"
             )
+        return X
+
+    def predict(self, X) -> np.ndarray:
+        """Average the predictions of all trees."""
+        X = self._check_X(X)
         return self.packed_.predict(X)
 
     def predict_std(self, X) -> np.ndarray:
         """Per-sample standard deviation across trees (ensemble uncertainty)."""
-        check_is_fitted(self, "estimators_")
-        X = check_array(X)
+        X = self._check_X(X)
         return self.packed_.predict_std(X)
 
     @property

@@ -18,8 +18,8 @@ default), which scores every distinct threshold with cumulative sums over
 presorted targets, and its histogram-binned sibling
 (:mod:`repro.ml._hist`, ``tree_method="hist"``).  A single tree is grown
 as a one-tree forest by the same builders the forest estimators use (see
-:func:`_grow_trees`), and prediction descends all query rows through the
-flat node arrays simultaneously.
+:func:`_grow_trees`), and predicts as a one-tree forest too: through the
+one descent of :mod:`repro.ml._packed`, all query rows at once.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ _TREE_METHODS = (None, "exact", "hist")
 @dataclass
 class Tree:
     """Flat array representation of a fitted regression tree.
+
+    Node 0 is the root and every child follows its parent.
+    :meth:`apply` and :meth:`predict` descend as a one-tree
+    :class:`~repro.ml._packed.PackedForest`, the descent every forest
+    uses, whose node ids are this tree's.
 
     Attributes
     ----------
@@ -103,35 +108,10 @@ class Tree:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Return the index of the leaf each row of *X* falls into."""
-        n = X.shape[0]
-        nodes = np.zeros(n, dtype=np.int64)
-        active = self.feature[nodes] != _NO_CHILD
-        while np.any(active):
-            idx = np.nonzero(active)[0]
-            cur = nodes[idx]
-            feat = self.feature[cur]
-            thr = self.threshold[cur]
-            go_left = X[idx, feat] <= thr
-            nodes[idx] = np.where(go_left, self.left[cur], self.right[cur])
-            active[idx] = self.feature[nodes[idx]] != _NO_CHILD
-        return nodes
+        # _packed imports Tree from this module, hence the local import.
+        from repro.ml._packed import PackedForest
 
-    def decision_path_lengths(self, X: np.ndarray) -> np.ndarray:
-        """Return the depth of the leaf reached by every row of *X*."""
-        n = X.shape[0]
-        nodes = np.zeros(n, dtype=np.int64)
-        depths = np.zeros(n, dtype=np.int64)
-        active = self.feature[nodes] != _NO_CHILD
-        while np.any(active):
-            idx = np.nonzero(active)[0]
-            cur = nodes[idx]
-            feat = self.feature[cur]
-            thr = self.threshold[cur]
-            go_left = X[idx, feat] <= thr
-            nodes[idx] = np.where(go_left, self.left[cur], self.right[cur])
-            depths[idx] += 1
-            active[idx] = self.feature[nodes[idx]] != _NO_CHILD
-        return depths
+        return PackedForest([self])._leaves(X)
 
 
 def _grow_trees(X: np.ndarray, y: np.ndarray, *, tree_method: str | None,
@@ -239,8 +219,8 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         )[0]
         return self
 
-    def predict(self, X) -> np.ndarray:
-        """Predict the target for every row of *X*."""
+    def _check_X(self, X) -> np.ndarray:
+        """*X* as a validated array of the width the tree was fitted on."""
         check_is_fitted(self, "tree_")
         X = check_array(X)
         if X.shape[1] != self.n_features_in_:
@@ -248,12 +228,16 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
                 f"X has {X.shape[1]} features, but the tree was fitted with "
                 f"{self.n_features_in_}"
             )
+        return X
+
+    def predict(self, X) -> np.ndarray:
+        """Predict the target for every row of *X*."""
+        X = self._check_X(X)
         return self.tree_.predict(X)
 
     def apply(self, X) -> np.ndarray:
         """Return the leaf index each row of *X* lands in."""
-        check_is_fitted(self, "tree_")
-        X = check_array(X)
+        X = self._check_X(X)
         return self.tree_.apply(X)
 
     def get_depth(self) -> int:

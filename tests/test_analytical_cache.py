@@ -126,6 +126,37 @@ class TestAnalyticalPredictionCache:
         with pytest.raises(TypeError):
             AnalyticalPredictionCache(object(), ["a"])
 
+    def test_requires_a_feature_name(self):
+        with pytest.raises(ValueError, match="feature name"):
+            AnalyticalPredictionCache(FmmAnalyticalModel(), [])
+
+    def test_signed_zeros_are_distinct_keys_and_state_round_trips(self):
+        class SignModel(AnalyticalModel):
+            """Predicts each row's sign-aware sum, so -0.0 and 0.0 differ."""
+
+            def config_from_features(self, row, feature_names):
+                return row
+
+            def predict_config(self, config):
+                return float(np.copysign(1.0, config).sum())
+
+        cache = AnalyticalPredictionCache(SignModel(), ["a", "b"])
+        X = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(cache.predict(X), [2.0, 0.0, 0.0, 2.0])
+        assert len(cache) == 3
+        assert (cache.misses, cache.hits) == (4, 0)
+        np.testing.assert_array_equal(cache.predict(X[::-1]), [2.0, 0.0, 0.0, 2.0])
+        assert (cache.misses, cache.hits) == (4, 4)
+        rows, values = cache.state()
+        assert rows.tobytes() == X[:3].tobytes()
+        np.testing.assert_array_equal(values, [2.0, 0.0, 0.0])
+        rebuilt = AnalyticalPredictionCache(SignModel(), ["a", "b"]).load_rows(rows, values)
+        restored_rows, restored_values = rebuilt.state()
+        assert restored_rows.tobytes() == rows.tobytes()
+        np.testing.assert_array_equal(restored_values, values)
+        np.testing.assert_array_equal(rebuilt.predict(X), cache.predict(X))
+        assert rebuilt.misses == 0
+
 
 class TestHybridCacheIntegration:
     def test_hybrid_uses_cache_and_matches_uncached(self, small_stencil_dataset):

@@ -47,7 +47,7 @@ from repro.datasets.store import (
     _simulator_versions,
 )
 from repro.distributed import codec, protocol
-from repro.distributed.coordinator import Coordinator
+from repro.distributed.coordinator import FLEET_LABEL, Coordinator
 from repro.distributed.protocol import PROTOCOL_VERSION, parse_address
 from repro.distributed.worker import FleetWorker
 from repro.experiments import EXECUTORS, ExperimentSettings, run_all, run_experiment
@@ -191,6 +191,15 @@ class TestHandshake:
         sock.close()
         assert isinstance(reply, protocol.Reject)
         assert "simulator version" in reply.reason
+
+    def test_fleet_label_worker_id_rejected(self, coordinator):
+        """The aggregate's label is no worker's id: that worker's series
+        would land twice on the aggregate's key."""
+        sock, reply = _raw_handshake(coordinator.address, worker_id=FLEET_LABEL)
+        sock.close()
+        assert isinstance(reply, protocol.Reject)
+        assert "reserved" in reply.reason
+        assert coordinator.stats["rejected_handshakes"] == 1
 
     def test_matching_versions_welcomed(self, coordinator):
         sock, reply = _raw_handshake(coordinator.address)
@@ -1082,6 +1091,33 @@ class TestWorkerMetricsSnapshots:
         assert ("repro_cells_completed_total", ()) in scraped
 
 
+    def test_fleet_series_is_the_sum_of_the_workers(self):
+        evaluated = "repro_worker_cells_evaluated_total"
+        socks = []
+        with Coordinator() as coordinator:
+            status = coordinator.serve_status()
+            try:
+                for worker_id, cells in (("a", 5), ("b", 7)):
+                    registry = MetricsRegistry()
+                    registry.counter(evaluated).inc(cells)
+                    sock, _ = _raw_handshake(coordinator.address,
+                                             worker_id=worker_id)
+                    socks.append(sock)
+                    protocol.send_message(sock, protocol.Heartbeat(
+                        worker_id, metrics=registry.snapshot()))
+                    protocol.send_message(sock, protocol.GetPlan(worker_id))
+                    assert isinstance(protocol.recv_message(sock),
+                                      protocol.NoPlan)
+                scraped = _scrape(status)
+            finally:
+                for sock in socks:
+                    sock.close()
+                status.stop()
+        assert scraped[(evaluated, (("worker", "a"),))] == 5
+        assert scraped[(evaluated, (("worker", "b"),))] == 7
+        assert scraped[(evaluated, (("worker", FLEET_LABEL),))] == 5 + 7
+
+
 class TestFleetKnobCli:
     def test_knobs_require_remote_executor(self):
         from repro.experiments.__main__ import main
@@ -1122,3 +1158,10 @@ class TestFleetKnobCli:
             main(["--connect", "127.0.0.1:1", "--max-retries", "3"])
         with pytest.raises(SystemExit):
             main(["--connect", "127.0.0.1:1", "--reconnect-attempts", "-1"])
+
+    def test_worker_cli_rejects_the_fleet_label_as_id(self):
+        from repro.distributed.worker import main
+
+        with pytest.raises(SystemExit) as exc:  # before it tries to connect
+            main(["--connect", "127.0.0.1:1", "--worker-id", FLEET_LABEL])
+        assert exc.value.code == 2

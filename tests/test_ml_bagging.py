@@ -84,3 +84,13 @@ class TestBaggingRegressor:
         model = BaggingRegressor(n_estimators=3, random_state=0).fit(Xtr, ytr)
         with pytest.raises(ValueError):
             model.predict(Xtr[:, :1])
+
+    def test_predict_and_predict_std_check_the_width(self, data):
+        Xtr, ytr, _, _ = data
+        model = BaggingRegressor(n_estimators=3, max_features=0.5,
+                                 random_state=0).fit(Xtr, ytr)
+        wider = np.hstack([Xtr, Xtr[:, :1]])
+        for X in (wider, Xtr[:, :-1]):
+            for method in (model.predict, model.predict_std):
+                with pytest.raises(ValueError, match="features"):
+                    method(X)

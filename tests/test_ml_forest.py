@@ -66,6 +66,15 @@ class TestForests:
         with pytest.raises(ValueError):
             model.predict(Xtr[:, :2])
 
+    def test_predict_and_predict_std_check_the_width(self, data, cls):
+        Xtr, ytr, _, _ = data
+        model = cls(n_estimators=3, random_state=0).fit(Xtr, ytr)
+        wider = np.hstack([Xtr, Xtr[:, :1]])
+        for X in (wider, Xtr[:, :-1]):
+            for method in (model.predict, model.predict_std):
+                with pytest.raises(ValueError, match="features"):
+                    method(X)
+
     def test_invalid_n_estimators(self, data, cls):
         Xtr, ytr, _, _ = data
         with pytest.raises(ValueError):

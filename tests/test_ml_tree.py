@@ -115,18 +115,20 @@ class TestTreeStructure:
         tree = model.tree_
         assert np.all(tree.feature[leaves] == -1)
 
+    def test_apply_checks_the_width_as_predict_does(self, simple_data):
+        X, y = simple_data
+        model = DecisionTreeRegressor(max_depth=4, random_state=0).fit(X, y)
+        for wrong in (np.hstack([X, X[:, :1]]), X[:, :-1]):
+            for method in (model.predict, model.apply):
+                with pytest.raises(ValueError, match="features"):
+                    method(wrong)
+
     def test_node_count_consistency(self, simple_data):
         X, y = simple_data
         model = DecisionTreeRegressor(max_depth=5, random_state=0).fit(X, y)
         tree = model.tree_
         internal = np.sum(tree.feature >= 0)
         assert tree.node_count == internal + tree.n_leaves
-
-    def test_decision_path_lengths_bounded_by_depth(self, simple_data):
-        X, y = simple_data
-        model = DecisionTreeRegressor(max_depth=4, random_state=0).fit(X, y)
-        depths = model.tree_.decision_path_lengths(X)
-        assert depths.max() <= 4
 
 
 class TestValidation:
