@@ -11,10 +11,14 @@ Two benchmarks are tracked:
   quick multi-experiment sweep serially vs. through a *warm*
   :class:`~repro.experiments.pool.WorkerPool` with ``--jobs 4`` (both
   against a pre-warmed dataset store, so only the scheduling changes).
-  The pooled sweep is timed on its *second* consecutive invocation of
-  the same pool — the steady-state an experiment sequence sees: workers
-  already spawned and per-plan memos warm.  The cold first invocation and a phase breakdown (spawn,
-  dispatch, compute, batches) are recorded alongside.  The speedup is
+  Pooled sweeps are timed after a first, cold invocation of the same
+  pool — the steady-state an experiment sequence sees: workers already
+  spawned and per-plan memos warm.  One sweep takes a few tenths of a
+  second, so one pair of them says little: ``SCHEDULER_SAMPLES``
+  alternating serial/warm pairs are timed and the speedup is the ratio
+  of their medians, recorded with each side's IQR.  The cold first
+  invocation and a phase breakdown (spawn, dispatch, compute, batches)
+  are recorded alongside.  The speedup is
   recorded here and enforced by ``bench_gate.py`` (it tracks the host's
   core count, so the floor is conditional on ``cpus``); the rows are
   asserted bit-identical in-test, which *is* hardware-independent.
@@ -41,6 +45,7 @@ import dataclasses
 import json
 import os
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -72,12 +77,24 @@ HIST_DATASET = "stencil-blocked"  # full registry dataset, n = 3364 >= 2000
 #: datasets, so the store amortizes generation across them).
 SCHEDULER_SWEEP = ("figure3_stencil", "figure5", "figure6", "figure7")
 SCHEDULER_JOBS = 4
+#: Alternating serial / warm-pool sweep pairs the scheduler speedup is the
+#: ratio of medians of.  The first warm sweeps on a fresh pool are at times
+#: much slower than the rest (five of nine read 0.21-0.27 s against
+#: 0.15-0.18 s in one run on a 2-cpu host), so the median needs many more
+#: than five pairs to land on a steady one.
+SCHEDULER_SAMPLES = 15
 
 
 def _time(func) -> tuple[float, object]:
     start = time.perf_counter()
     result = func()
     return time.perf_counter() - start, result
+
+
+def _iqr(values: list[float]) -> float:
+    """Interquartile range of *values*."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
 
 
 def _best_of(func, reps: int = 2) -> float:
@@ -264,10 +281,10 @@ def test_scheduler_speedup(tmp_path):
 
     # Pre-warm the store so dataset generation and analytical warm-up are
     # shared, identical costs for both executors.
-    run_all(settings, SCHEDULER_SWEEP, store=DatasetStore(store_dir))
+    serial = run_all(settings, SCHEDULER_SWEEP, store=DatasetStore(store_dir))
 
-    t_serial, serial = _time(
-        lambda: run_all(settings, SCHEDULER_SWEEP, store=DatasetStore(store_dir)))
+    def serial_sweep():
+        return run_all(settings, SCHEDULER_SWEEP, store=DatasetStore(store_dir))
 
     with WorkerPool(SCHEDULER_JOBS) as pool:
         def pooled_sweep():
@@ -275,12 +292,24 @@ def test_scheduler_speedup(tmp_path):
                            store=DatasetStore(store_dir),
                            executor="process", jobs=SCHEDULER_JOBS, pool=pool)
 
-        # Cold: workers freshly spawned, per-plan memos empty.  Warm: the
-        # second consecutive sweep on the same pool — the steady state an
-        # experiment sequence sees, and the timed quantity.
+        # Cold: workers freshly spawned, per-plan memos empty.  Warm: every
+        # later sweep on the same pool — the steady state an experiment
+        # sequence sees, and the timed quantity.  Serial and warm sweeps
+        # alternate, so a drift in host speed hits both sides alike.
         t_cold, cold = _time(pooled_sweep)
         stats_cold = dict(pool.stats)
-        t_warm, warm = _time(pooled_sweep)
+        serial_times: list[float] = []
+        warm_times: list[float] = []
+        sampled = []
+        for _ in range(SCHEDULER_SAMPLES):
+            for times, sweep in ((serial_times, serial_sweep),
+                                 (warm_times, pooled_sweep)):
+                elapsed, result = _time(sweep)
+                times.append(elapsed)
+                sampled.append(result)
+        stats_warm = dict(pool.stats)
+        t_serial = statistics.median(serial_times)
+        t_warm = statistics.median(warm_times)
 
         # Observability overhead, informational: the same warm sweep
         # with a trace collection active (a span per cell shipped back
@@ -290,26 +319,25 @@ def test_scheduler_speedup(tmp_path):
 
         with TRACER.collect() as trace_spans:
             t_traced, traced = _time(pooled_sweep)
+
+        def per_warm_sweep(key):
+            return (stats_warm[key] - stats_cold[key]) / SCHEDULER_SAMPLES
+
         phases = {
             "pool_spawn_seconds": round(pool.stats["spawn_seconds"], 4),
-            "dispatch_seconds": round(
-                pool.stats["dispatch_seconds"] - stats_cold["dispatch_seconds"], 4),
-            "compute_seconds": round(
-                pool.stats["compute_seconds"] - stats_cold["compute_seconds"], 4),
-            "batches": pool.stats["batches"] - stats_cold["batches"],
+            "dispatch_seconds": round(per_warm_sweep("dispatch_seconds"), 4),
+            "compute_seconds": round(per_warm_sweep("compute_seconds"), 4),
+            "batches": round(per_warm_sweep("batches")),
         }
         spawn_count = pool.spawn_count
 
     for name in SCHEDULER_SWEEP:
-        assert cold[name].rows() == serial[name].rows(), (
-            f"cold pooled rows differ from serial for {name}")
-        assert warm[name].rows() == serial[name].rows(), (
-            f"warm pooled rows differ from serial for {name}")
-        assert traced[name].rows() == serial[name].rows(), (
-            f"traced pooled rows differ from serial for {name}")
+        for result in (cold, traced, *sampled):
+            assert result[name].rows() == serial[name].rows(), (
+                f"pooled or re-run serial rows differ from serial for {name}")
     assert spawn_count == SCHEDULER_JOBS, (
         f"warm pool respawned workers: {spawn_count} spawns for "
-        f"{SCHEDULER_JOBS} jobs across three sweeps")
+        f"{SCHEDULER_JOBS} jobs across {SCHEDULER_SAMPLES + 2} sweeps")
 
     # The overhead guard: tracing *off* must be free.  A disabled span
     # site costs one attribute check; as many disabled entries as the
@@ -335,11 +363,15 @@ def test_scheduler_speedup(tmp_path):
         "workloads": {
             "run_all_quick_sweep": {
                 "description": f"run_all({', '.join(SCHEDULER_SWEEP)}; quick, warm store) "
-                               f"serial vs warm WorkerPool --jobs {SCHEDULER_JOBS} "
-                               f"(second consecutive sweep on one pool)",
+                               f"serial vs warm WorkerPool --jobs {SCHEDULER_JOBS}: "
+                               f"medians of {SCHEDULER_SAMPLES} alternating pairs "
+                               f"after one cold pooled sweep; phases per warm sweep",
                 "serial_seconds": round(t_serial, 4),
                 "process_cold_seconds": round(t_cold, 4),
                 "process_seconds": round(t_warm, 4),
+                "samples": SCHEDULER_SAMPLES,
+                "serial_iqr_seconds": round(_iqr(serial_times), 4),
+                "process_iqr_seconds": round(_iqr(warm_times), 4),
                 "jobs": SCHEDULER_JOBS,
                 "speedup": round(speedup, 2),
                 "phases": phases,

@@ -33,6 +33,16 @@ budget.  Whichever copy lands first wins; the loser is
 counted as a duplicate and discarded.  This bounds plan latency by the
 healthy fleet, not by one degraded host.
 
+Long polls
+----------
+A ``GetPlan`` or ``GetBatch`` the coordinator cannot answer yet is held
+on its condition variable instead of being told to come back later: it
+is answered the moment :meth:`execute` installs a plan, a lease is
+requeued or speculated, the plan finishes or fails, or :meth:`close`
+begins.  Only a hold that lasts :data:`LONG_POLL_S` is answered with
+:class:`NoPlan` or :class:`Idle`, and the worker asks again at once, so
+an idle worker sends no more than a few requests a second.
+
 Plan state
 ----------
 :meth:`execute` takes the plan's :class:`~repro.experiments.pool.PlanState`
@@ -93,9 +103,14 @@ LEASE_CELLS = 4
 SPECULATION_FACTOR = 3.0
 SPECULATION_PERCENTILE = 0.75
 SPECULATION_MIN_DELAY_S = 2.0
-#: Longest close() waits for registered workers to take the Goodbye their
-#: next GetPlan poll gets: about one poll interval, plus slack.
-GOODBYE_WAIT_S = 2 * NoPlan.delay
+#: Longest a ``GetPlan``/``GetBatch`` with no answer yet is held before
+#: it is answered ``NoPlan``/``Idle``.  A held connection reads no
+#: heartbeats, so a hold also stops at half of ``heartbeat_timeout``.
+LONG_POLL_S = 0.2
+#: Longest close() waits for registered workers to take their Goodbye and
+#: hang up.  A worker holding a GetPlan takes it at once; the wait is
+#: for one that is still returning a batch of a plan that already ended.
+GOODBYE_WAIT_S = 0.4
 #: Read timeout, in seconds, on a connection that has not completed
 #: HELLO.  Workers send HELLO as soon as they connect; a peer that stays
 #: silent this long is severed.
@@ -444,12 +459,13 @@ class Coordinator:
         return [job.completed[cell.key] for cell in cells]
 
     def close(self, *, timeout: float = 10.0) -> None:
-        """Shut the fleet down: Goodbye to polling workers, reap local ones.
+        """Shut the fleet down: Goodbye to idle workers, reap local ones.
 
-        Spawned workers get up to *timeout* seconds to take their
-        Goodbye and exit; registered in-process or external workers get
-        about one poll interval (:data:`GOODBYE_WAIT_S`).  Every
-        connection still open after that is severed.
+        A worker holding a ``GetPlan`` gets its Goodbye the moment this
+        begins.  Spawned workers get up to *timeout* seconds to take it
+        and exit; registered in-process or external workers get
+        :data:`GOODBYE_WAIT_S`.  Every connection still open after that
+        is severed.
         """
         with self._cond:
             if self._closing:
@@ -458,8 +474,9 @@ class Coordinator:
             self._cond.notify_all()
             procs = list(self._procs)
         deadline = time.monotonic() + timeout
-        # Local workers poll GetPlan between plans and receive Goodbye on
-        # the next poll; give them the grace window, then escalate.
+        # Local workers hold a GetPlan between plans and receive Goodbye
+        # as soon as _closing is set; give them the grace window, then
+        # escalate.
         for proc in procs:
             try:
                 proc.wait(timeout=max(0.0, deadline - time.monotonic()))
@@ -475,8 +492,8 @@ class Coordinator:
         # can be added behind the sever below.
         _sever_socket(self._listener)
         self._accept_thread.join(timeout=2.0)
-        # Registered workers take their Goodbye at their next GetPlan poll
-        # too, instead of reconnecting to a closed listener.
+        # Registered workers take their Goodbye from their GetPlan too,
+        # instead of reconnecting to a closed listener.
         wait = min(GOODBYE_WAIT_S, deadline - time.monotonic())
         with self._cond:
             self._cond.wait_for(lambda: not self._workers, timeout=max(0.0, wait))
@@ -732,26 +749,48 @@ class Coordinator:
         return info
 
     def _reply(self, info: _WorkerInfo, message):
-        """Compute the reply to one worker request (takes the lock itself)."""
-        with self._cond:
-            job = self._job
-            if isinstance(message, GetPlan):
-                if self._closing:
-                    return Goodbye()
-                if job is not None and job.failure is None and not job.finished:
-                    self._counters["datasets_served"].inc()
-                    self._counters["caches_served"].inc(len(job.state.cache_values))
-                    return PlanAssignment(job.plan_id, job.plan, job.state)
-                return NoPlan()
-            if isinstance(message, GetBatch):
-                return self._lease_batch(info, job, message)
-            if isinstance(message, Results):
-                self._record_results(info, job, message)
-                return Ack()
-        raise protocol.ProtocolError(
-            f"unexpected message {type(message).__name__} from {info.worker_id}")
+        """Compute the reply to one worker request (takes the lock itself).
 
-    def _lease_batch(self, info: _WorkerInfo, job: _Job | None, message: GetBatch):
+        A ``GetPlan`` or ``GetBatch`` with no answer yet is held and asked
+        again on every ``notify_all``, for at most :data:`LONG_POLL_S`
+        (and half of ``heartbeat_timeout``); a hold that times out is
+        answered :class:`NoPlan` or :class:`Idle`.
+        """
+        if isinstance(message, GetPlan):
+            answer, timed_out = self._assign_plan, NoPlan
+        elif isinstance(message, GetBatch):
+            answer, timed_out = lambda: self._lease_batch(info, message), Idle
+        elif isinstance(message, Results):
+            with self._cond:
+                self._record_results(info, self._job, message)
+            return Ack()
+        else:
+            raise protocol.ProtocolError(
+                f"unexpected message {type(message).__name__} from {info.worker_id}")
+        hold_until = time.monotonic() + min(LONG_POLL_S, self.heartbeat_timeout / 2)
+        with self._cond:
+            while (reply := answer()) is None:
+                remaining = hold_until - time.monotonic()
+                if remaining <= 0:
+                    return timed_out()
+                self._cond.wait(remaining)
+            return reply
+
+    def _assign_plan(self):
+        """The reply to a ``GetPlan``; ``None`` while there is none (lock held)."""
+        if self._closing:
+            return Goodbye()
+        job = self._job
+        if job is None or job.failure is not None or job.finished:
+            return None
+        self._counters["datasets_served"].inc()
+        self._counters["caches_served"].inc(len(job.state.cache_values))
+        return PlanAssignment(job.plan_id, job.plan, job.state)
+
+    def _lease_batch(self, info: _WorkerInfo, message: GetBatch):
+        """The reply to a ``GetBatch``; ``None`` while every cell left is
+        leased to another worker (lock held)."""
+        job = self._job
         if job is None or job.plan_id != message.plan_id or job.failure is not None:
             return PlanDone(message.plan_id)
         lease: list = []
@@ -770,7 +809,7 @@ class Coordinator:
             return Batch(job.plan_id, tuple(lease), trace=job.trace)
         if job.finished:
             return PlanDone(job.plan_id)
-        return Idle()
+        return None
 
     def _record_results(self, info: _WorkerInfo, job: _Job | None,
                         message: Results) -> None:

@@ -1,6 +1,6 @@
 """Versioned wire protocol of the distributed worker fleet.
 
-Framing (v5, unchanged in v7)
+Framing (v5, unchanged in v8)
 -----------------------------
 Every message is one *frame*: a 13-byte big-endian header — payload
 length, the CRC32 of the payload, and a flags byte — followed by that
@@ -50,13 +50,21 @@ direction and get no reply).
    dataclass of primitives with an explicit codec schema, plus the
    plan's :class:`~repro.experiments.pool.PlanState`: the resolved
    dataset and warmed analytical caches as float64 bytes), :class:`NoPlan`
-   (poll again later) or :class:`Goodbye` (fleet shutting down).  The
-   state is all a worker needs: it opens no store and never simulates;
+   or :class:`Goodbye` (fleet shutting down).  The state is all a worker
+   needs: it opens no store and never simulates;
 3. work loop — :class:`GetBatch` answered by :class:`Batch`,
-   :class:`Idle` (cells in flight elsewhere, poll again) or
-   :class:`PlanDone`; :class:`Results` answered by :class:`Ack`;
+   :class:`Idle` or :class:`PlanDone`; :class:`Results` answered by
+   :class:`Ack`;
 4. liveness — :class:`Heartbeat`, sent on an interval by a worker-side
    daemon thread even while cells compute.
+
+``GetPlan`` and ``GetBatch`` are *long polls*: a request the coordinator
+cannot answer yet is held until a plan starts, cells are requeued or
+speculated, the plan ends or the fleet closes, for at most
+:data:`~repro.distributed.coordinator.LONG_POLL_S`.  Only a hold that
+times out is answered with the field-less :class:`NoPlan` or
+:class:`Idle`, and the worker asks again at once: no reply tells a
+worker to sleep.
 
 Trust model
 -----------
@@ -125,7 +133,10 @@ __all__ = [
 #: store-bypass flag and the four dataset/cache relay frames.
 #: Version 7 dropped two unused fields from every ``EvalCell`` a
 #: ``Batch`` carries: the cost hint and the dataset fingerprint.
-PROTOCOL_VERSION = 7
+#: Version 8 made ``GetPlan``/``GetBatch`` long polls and deleted
+#: ``NoPlan.delay`` and ``Idle.delay``: the coordinator holds a request
+#: it cannot answer yet, so no reply tells a worker how long to sleep.
+PROTOCOL_VERSION = 8
 
 #: Upper bound on a single frame (a defensive cap, far above any real
 #: plan state; a corrupt or foreign length prefix fails fast instead of
@@ -450,9 +461,7 @@ class PlanAssignment:
 
 @dataclass(frozen=True)
 class NoPlan:
-    """No plan is active; poll again after *delay* seconds."""
-
-    delay: float = 0.2
+    """No plan started while the coordinator held the ``GetPlan``; ask again."""
 
 
 @dataclass(frozen=True)
@@ -491,9 +500,7 @@ class Batch:
 
 @dataclass(frozen=True)
 class Idle:
-    """Queue empty but results still outstanding; poll again after *delay*."""
-
-    delay: float = 0.05
+    """Cells stayed in flight elsewhere while the ``GetBatch`` was held; ask again."""
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ from repro.distributed.protocol import (
     Heartbeat,
     Hello,
     Idle,
-    NoPlan,
     PlanAssignment,
     PlanDone,
     Reject,
@@ -204,13 +203,12 @@ class FleetWorker:
                     target=self._heartbeat_loop, args=(sock, stop_heartbeat),
                     name="fleet-heartbeat", daemon=True)
                 heartbeat.start()
+                # GetPlan is a long poll: the coordinator holds it until a
+                # plan starts or it closes, and a NoPlan means ask again.
                 while True:
                     reply = self._request(sock, GetPlan(self.worker_id))
                     if isinstance(reply, Goodbye):
                         return 0
-                    if isinstance(reply, NoPlan):
-                        time.sleep(reply.delay)
-                        continue
                     if isinstance(reply, PlanAssignment):
                         self._serve_plan(sock, reply)
             except HandshakeRejected as exc:
@@ -308,8 +306,7 @@ class FleetWorker:
             reply = self._request(sock, GetBatch(plan_id, self.worker_id))
             if isinstance(reply, PlanDone):
                 return
-            if isinstance(reply, Idle):
-                time.sleep(reply.delay)
+            if isinstance(reply, Idle):  # a held GetBatch timed out: ask again
                 continue
             if not isinstance(reply, Batch):
                 raise protocol.ProtocolError(

@@ -111,8 +111,12 @@ class FmmConfigSpace:
         return sum(1 for _ in self)
 
     def configs(self) -> list[FmmConfig]:
-        """Materialize the full configuration list."""
-        return list(self)
+        """Materialize the full configuration list in one pass.
+
+        ``list(self)`` would first ask ``__len__`` for a size hint, and
+        that walks the whole space once more.
+        """
+        return list(iter(self))
 
     def to_feature_matrix(self, configs=None) -> np.ndarray:
         """Convert configurations to a numeric feature matrix (column order = feature_names)."""

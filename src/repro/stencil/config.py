@@ -202,8 +202,12 @@ class StencilConfigSpace:
         return sum(1 for _ in self)
 
     def configs(self) -> list[StencilConfig]:
-        """Materialize the full configuration list."""
-        return list(self)
+        """Materialize the full configuration list in one pass.
+
+        ``list(self)`` would first ask ``__len__`` for a size hint, and
+        that walks the whole space once more.
+        """
+        return list(iter(self))
 
     def to_feature_matrix(self, configs: Iterable[StencilConfig] | None = None) -> np.ndarray:
         """Convert configurations to a numeric feature matrix.

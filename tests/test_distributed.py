@@ -20,7 +20,13 @@ The guarantees under test:
   its connection, and one that does not merge with the rest is left out
   of ``/metrics``, which keeps answering 200;
 * a cell that exhausts its requeue budget fails the plan with a hard
-  error rather than hanging the coordinator.
+  error rather than hanging the coordinator;
+* ``GetPlan`` and ``GetBatch`` are long polls: a request with no answer
+  yet is held until a plan starts, a lease is requeued or the fleet
+  closes, ``NoPlan``/``Idle`` come only after a full ``LONG_POLL_S``
+  hold, and a hold never passes for heartbeat silence;
+* no reply tells a worker to sleep: a ``NoPlan``/``Idle`` that carries a
+  ``delay`` fails decoding, and the worker takes its protocol-error path.
 """
 
 from __future__ import annotations
@@ -47,7 +53,13 @@ from repro.datasets.store import (
     _simulator_versions,
 )
 from repro.distributed import codec, protocol
-from repro.distributed.coordinator import FLEET_LABEL, Coordinator
+from repro.distributed.coordinator import (
+    FLEET_LABEL,
+    GOODBYE_WAIT_S,
+    LEASE_CELLS,
+    LONG_POLL_S,
+    Coordinator,
+)
 from repro.distributed.protocol import PROTOCOL_VERSION, parse_address
 from repro.distributed.worker import FleetWorker
 from repro.experiments import EXECUTORS, ExperimentSettings, run_all, run_experiment
@@ -82,30 +94,35 @@ def _raw_handshake(address, *, protocol_version=PROTOCOL_VERSION,
 
 
 def _await_plan(sock, worker_id="raw-client", timeout=30.0):
-    """Poll GetPlan on a raw client until a PlanAssignment arrives."""
+    """Ask GetPlan on a raw client until a PlanAssignment arrives (each
+    request is held up to ``LONG_POLL_S``)."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         protocol.send_message(sock, protocol.GetPlan(worker_id))
         reply = protocol.recv_message(sock)
         if isinstance(reply, protocol.PlanAssignment):
             return reply
-        time.sleep(0.05)
     raise AssertionError("no plan became active in time")
 
 
-def _run_plan_async(plan, coordinator, **kwargs):
-    """run_plan(workers=coordinator) in a thread; returns (thread, outcome box)."""
+def _in_thread(fn):
+    """``fn()`` in a thread; returns (thread, outcome box)."""
     box: dict = {}
 
     def _target():
         try:
-            box["result"] = run_plan(plan, workers=coordinator, **kwargs)
+            box["result"] = fn()
         except BaseException as exc:  # noqa: BLE001 - surfaced via the box
             box["error"] = exc
 
     thread = threading.Thread(target=_target, daemon=True)
     thread.start()
     return thread, box
+
+
+def _run_plan_async(plan, coordinator, **kwargs):
+    """run_plan(workers=coordinator) in a thread; returns (thread, outcome box)."""
+    return _in_thread(lambda: run_plan(plan, workers=coordinator, **kwargs))
 
 
 def _assignment():
@@ -153,6 +170,15 @@ class TestProtocol:
         finally:
             left.close()
             right.close()
+
+    @pytest.mark.parametrize("delay", [0.2, -1.0, float("nan"), "x", 1e300])
+    @pytest.mark.parametrize("tag", ["NoPlan", "Idle"])
+    def test_a_sleep_order_fails_decoding(self, tag, delay):
+        """NoPlan and Idle have no fields since v8: one that carries a
+        ``delay``, sane or not, is outside the schema."""
+        assert dataclasses.fields(getattr(protocol, tag)) == ()
+        with pytest.raises(codec.CodecError, match="no field 'delay'"):
+            codec.decode_value(_forged_struct(tag, delay=delay))
 
     def test_parse_address(self):
         assert parse_address("10.0.0.1:9001") == ("10.0.0.1", 9001)
@@ -247,6 +273,19 @@ def _wait_for(condition, what: str, timeout: float = 10.0) -> None:
 def _frame(payload: bytes) -> bytes:
     """*payload* behind a valid, unsigned frame header."""
     return protocol._HEADER.pack(len(payload), zlib.crc32(payload), 0) + payload
+
+
+def _text(value: str) -> bytes:
+    raw = value.encode("utf-8")
+    return struct.pack(">I", len(raw)) + raw
+
+
+def _forged_struct(tag: str, **fields) -> bytes:
+    """The encoded wire struct *tag* with *fields*, whatever its class
+    declares: what an older or hostile peer sends."""
+    return (b"S" + _text(tag) + struct.pack(">I", len(fields))
+            + b"".join(_text(name) + codec.encode_value(value)
+                       for name, value in fields.items()))
 
 
 def _mistyped_hello(**fields):
@@ -397,6 +436,202 @@ class TestClose:
         assert "connection lost" not in caplog.text
 
 
+def _lease_all(coordinator, worker_id="owner"):
+    """Run one lease's worth of figure 6 cells and lease them all to a raw
+    client; returns (execute thread, outcome box, client socket, Batch)."""
+    plan = experiment_plan("figure6", TINY)
+    state = PlanState.pack(*_resolve_data(plan, None))
+    cells = expand_cells(plan)[:LEASE_CELLS]
+    thread, box = _in_thread(lambda: coordinator.execute(plan, cells, state))
+    sock, _ = _raw_handshake(coordinator.address, worker_id=worker_id)
+    assignment = _await_plan(sock, worker_id)
+    protocol.send_message(sock, protocol.GetBatch(assignment.plan_id, worker_id))
+    lease = protocol.recv_message(sock)
+    assert isinstance(lease, protocol.Batch) and len(lease.cells) == LEASE_CELLS
+    return thread, box, sock, lease
+
+
+def _finish_with_a_worker(coordinator, thread, box):
+    """Let an honest worker run what is left of the plan; join the plan."""
+    honest = FleetWorker(coordinator.address)
+    threading.Thread(target=honest.run, daemon=True).start()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive()
+    assert "error" not in box, box.get("error")
+
+
+class TestLongPoll:
+    """A GetPlan or GetBatch with no answer yet is held, not told to sleep."""
+
+    def test_held_get_plan_is_answered_with_the_plan(self, monkeypatch):
+        """A GetPlan sent while no plan runs gets the PlanAssignment once
+        run_plan starts; it used to get an immediate NoPlan."""
+        monkeypatch.setattr("repro.distributed.coordinator.LONG_POLL_S", 30.0)
+        plan = experiment_plan("figure6", TINY)
+        serial = run_plan(plan)
+        with Coordinator(heartbeat_timeout=120.0) as coordinator:
+            sock, _ = _raw_handshake(coordinator.address)
+            with sock:
+                protocol.send_message(sock, protocol.GetPlan("raw-client"))
+                thread, box = _run_plan_async(plan, coordinator)
+                reply = protocol.recv_message(sock)
+            _finish_with_a_worker(coordinator, thread, box)
+        assert isinstance(reply, protocol.PlanAssignment)
+        assert reply.plan_id.startswith(plan.fingerprint)
+        assert _rows(box["result"]) == _rows(serial)
+
+    def test_no_plan_comes_only_after_a_full_hold(self):
+        """With no plan coming, NoPlan arrives after LONG_POLL_S, not at
+        once, so a worker that asks again at once cannot busy-loop."""
+        with Coordinator() as coordinator:
+            sock, _ = _raw_handshake(coordinator.address)
+            with sock:
+                start = time.monotonic()
+                protocol.send_message(sock, protocol.GetPlan("raw-client"))
+                reply = protocol.recv_message(sock)
+                elapsed = time.monotonic() - start
+        assert isinstance(reply, protocol.NoPlan)
+        assert 0.9 * LONG_POLL_S <= elapsed < LONG_POLL_S + 1.0, elapsed
+
+    def test_idle_worker_asks_about_once_per_hold(self, monkeypatch):
+        """An idle FleetWorker sends no more GetPlans than one per hold."""
+        asked: list = []
+        request = FleetWorker._request
+
+        def counting(self, sock, message):
+            if isinstance(message, protocol.GetPlan):
+                asked.append(time.monotonic())
+            return request(self, sock, message)
+
+        monkeypatch.setattr(FleetWorker, "_request", counting)
+        with Coordinator() as coordinator:
+            worker = FleetWorker(coordinator.address)
+            thread = threading.Thread(target=worker.run, daemon=True)
+            thread.start()
+            _wait_for(lambda: asked, "the worker's first GetPlan")
+            time.sleep(1.0)
+            span = time.monotonic() - asked[0]
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert len(asked) <= span / LONG_POLL_S + 2, (len(asked), span)
+
+    def test_held_get_batch_takes_a_dead_workers_lease(self, monkeypatch):
+        """A GetBatch held while another worker owns the last lease gets
+        those cells as soon as that worker's socket closes."""
+        monkeypatch.setattr("repro.distributed.coordinator.LONG_POLL_S", 30.0)
+        with Coordinator(heartbeat_timeout=120.0) as coordinator:
+            thread, box, owner, lease = _lease_all(coordinator)
+            waiter, _ = _raw_handshake(coordinator.address, worker_id="waiter")
+            with waiter:
+                _await_plan(waiter, "waiter")
+                protocol.send_message(
+                    waiter, protocol.GetBatch(lease.plan_id, "waiter"))
+                time.sleep(0.1)  # held: every cell is leased to the owner
+                start = time.monotonic()
+                owner.close()
+                reply = protocol.recv_message(waiter)
+                elapsed = time.monotonic() - start
+            _finish_with_a_worker(coordinator, thread, box)
+        assert isinstance(reply, protocol.Batch)
+        assert reply.cells == lease.cells
+        assert elapsed < 1.0, f"the requeued lease came {elapsed:.3f} s late"
+
+    def test_close_answers_a_held_get_plan_with_goodbye(self, monkeypatch):
+        """close() wakes a held GetPlan with Goodbye at once."""
+        monkeypatch.setattr("repro.distributed.coordinator.LONG_POLL_S", 30.0)
+        coordinator = Coordinator(heartbeat_timeout=120.0)
+        closer = threading.Thread(target=coordinator.close, daemon=True)
+        try:
+            sock, _ = _raw_handshake(coordinator.address)
+            with sock:
+                protocol.send_message(sock, protocol.GetPlan("raw-client"))
+                time.sleep(0.1)  # held: no plan runs
+                start = time.monotonic()
+                closer.start()
+                reply = protocol.recv_message(sock)
+                elapsed = time.monotonic() - start
+            closer.join(timeout=10.0)
+            assert not closer.is_alive()
+        finally:
+            coordinator.close()
+        assert isinstance(reply, protocol.Goodbye)
+        assert elapsed < GOODBYE_WAIT_S / 2, f"Goodbye came after {elapsed:.3f} s"
+
+    def test_holding_requests_is_not_heartbeat_silence(self):
+        """A client that does nothing but hold GetBatch requests for 2 s
+        under a 0.6 s heartbeat timeout is never expired: each request
+        is read, so it refreshes the client's liveness, and no hold
+        outlasts the timeout."""
+        with Coordinator(heartbeat_timeout=0.6) as coordinator:
+            thread, box, owner, lease = _lease_all(coordinator)
+            stop = threading.Event()
+
+            def _beat():  # the owner computes for ever, but stays alive
+                while not stop.wait(0.1):
+                    protocol.send_message(owner, protocol.Heartbeat("owner"))
+
+            beats = threading.Thread(target=_beat, daemon=True)
+            beats.start()
+            holder, _ = _raw_handshake(coordinator.address, worker_id="holder")
+            with holder:
+                _await_plan(holder, "holder")
+                replies = []
+                deadline = time.monotonic() + 2.0
+                while time.monotonic() < deadline:
+                    protocol.send_message(
+                        holder, protocol.GetBatch(lease.plan_id, "holder"))
+                    replies.append(protocol.recv_message(holder))
+                registered = {w["worker_id"] for w in coordinator.worker_snapshot()}
+                failed = coordinator.stats["workers_failed"]
+            stop.set()
+            beats.join(timeout=10.0)
+            assert not beats.is_alive()
+            owner.close()
+            _finish_with_a_worker(coordinator, thread, box)
+        assert all(isinstance(reply, protocol.Idle) for reply in replies)
+        assert 1 <= len(replies) <= 2.0 / LONG_POLL_S + 2, len(replies)
+        assert {"owner", "holder"} <= registered
+        assert failed == 0
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan"), "x", 1e300])
+    @pytest.mark.parametrize("tag", ["NoPlan", "Idle"])
+    def test_a_sleep_order_is_a_protocol_error(self, tag, delay, monkeypatch):
+        """A coordinator that still tells a worker to sleep speaks another
+        protocol: the worker drops the connection, reconnects, and exits 0
+        when that fails, without a traceback.  Such a delay used to reach
+        time.sleep, which raised out of the worker (negative, NaN, a str)
+        or hung it (1e300)."""
+        errors: list = []
+        monkeypatch.setattr(threading, "excepthook",
+                            lambda args: errors.append(args.exc_value))
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(10.0)
+            worker = FleetWorker(listener.getsockname()[:2], connect_timeout=5.0,
+                                 heartbeat_interval=60.0, reconnect_attempts=1,
+                                 reconnect_timeout=5.0)
+            outcome: dict = {}
+            thread = threading.Thread(
+                target=lambda: outcome.update(code=worker.run()), daemon=True)
+            thread.start()
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10.0)
+                assert isinstance(protocol.recv_message(conn), protocol.Hello)
+                protocol.send_message(conn, protocol.Welcome("fake"))
+                assert isinstance(protocol.recv_message(conn), protocol.GetPlan)
+                if tag == "Idle":
+                    protocol.send_message(conn, _assignment())
+                    assert isinstance(protocol.recv_message(conn),
+                                      protocol.GetBatch)
+                conn.sendall(_frame(_forged_struct(tag, delay=delay)))
+                again, _ = listener.accept()  # the worker reconnects ...
+            again.close()  # ... to a coordinator that is gone
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert outcome == {"code": 0}
+        assert errors == []
+
+
 class TestRemoteExecutor:
     def test_remote_is_a_registered_executor(self):
         assert "remote" in EXECUTORS
@@ -408,7 +643,7 @@ class TestRemoteExecutor:
         serial8 = run_experiment("figure8", TINY)
         with Coordinator() as coordinator:
             # Slow cells keep one worker from draining a plan before the
-            # others wake from their 0.2 s between-plans poll.
+            # others have rebuilt the plan's state.
             workers = [FleetWorker(coordinator.address, cell_delay=0.05)
                        for _ in range(3)]
             threads = [threading.Thread(target=w.run, daemon=True) for w in workers]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fmm import config as fmm_config
 from repro.fmm.config import FmmConfig, FmmConfigSpace
 
 
@@ -55,6 +56,21 @@ class TestFmmConfigSpace:
         assert X.shape == (len(space.configs()), 4)
         assert list(space.feature_names) == ["threads", "n_particles",
                                              "particles_per_leaf", "order"]
+
+    def test_configs_constructs_each_configuration_once(self, monkeypatch):
+        """``configs()`` walks the space once; ``list(self)`` used to walk
+        it twice, the first time for ``__len__``'s size hint."""
+        made = []
+
+        def counting(**fields):
+            made.append(FmmConfig(**fields))
+            return made[-1]
+
+        monkeypatch.setattr(fmm_config, "FmmConfig", counting)
+        space = FmmConfigSpace.paper_space()
+        configs = space.configs()
+        assert len(made) == len(configs) == 16 * 3 * 7 * 11
+        assert len(space) == len(configs)
 
     def test_invalid_space(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.stencil import config as stencil_config
 from repro.stencil.config import StencilConfig, StencilConfigSpace, divisors
 
 
@@ -97,6 +98,21 @@ class TestStencilConfigSpace:
                                    max_block_candidates=4)
         # at most 4 candidates per dimension -> at most 4*4*1 blockings
         assert len(space) <= 16
+
+    def test_configs_constructs_each_configuration_once(self, monkeypatch):
+        """``configs()`` walks the space once; ``list(self)`` used to walk
+        it twice, the first time for ``__len__``'s size hint."""
+        made = []
+
+        def counting(**fields):
+            made.append(StencilConfig(**fields))
+            return made[-1]
+
+        monkeypatch.setattr(stencil_config, "StencilConfig", counting)
+        space = StencilConfigSpace.small_grids_with_blocking()
+        configs = space.configs()
+        assert len(made) == len(configs) == 3364
+        assert len(space) == len(configs)
 
     def test_invalid_spaces(self):
         with pytest.raises(ValueError):
