@@ -118,11 +118,13 @@ class FmmAnalyticalModel(AnalyticalModel):
         matches the per-row path bit for bit without rebuilding an
         :class:`FmmConfig` per sample.
         """
-        names = list(feature_names)
+        # A repeated column counts by its last occurrence, as in the
+        # per-row path's name -> value dict.
+        index = {name: j for j, name in enumerate(feature_names)}
 
         def col(name: str, default: float) -> np.ndarray:
-            if name in names:
-                values = np.rint(X[:, names.index(name)])
+            if name in index:
+                values = np.rint(X[:, index[name]])
             else:
                 values = np.full(X.shape[0], float(default))
             # Same bound FmmConfig.__post_init__ enforces on the scalar path.

@@ -22,6 +22,7 @@ Figure 7 experiment.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,58 @@ from repro.stencil.blocking import block_counts
 from repro.stencil.config import StencilConfig
 
 __all__ = ["StencilAnalyticalModel"]
+
+#: The modeling-vector columns a feature row may carry, in the order
+#: :class:`StencilConfig` validates them, with the value each takes when
+#: its column is absent and the range each must round into.
+_COLUMNS = ("I", "J", "K", "bi", "bj", "bk", "unroll", "threads")
+_DEFAULTS = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+_LOWEST = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0])[:, None]
+_HIGHEST = np.array([np.inf] * 6 + [8.0, np.inf])[:, None]
+
+
+def _stencil_columns(X: np.ndarray, feature_names) -> np.ndarray:
+    """The ``(8, n)`` block of :data:`_COLUMNS`, rounded and range-checked.
+
+    Rounds as ``config_from_features`` does (``np.rint`` is Python's
+    half-to-even ``round``), fills an absent column with its default and
+    raises :class:`StencilConfig`'s ``ValueError`` for the first column,
+    in validation order, that holds a value out of range.
+    """
+    index = {name: i for i, name in enumerate(feature_names)}
+    present = [k for k, name in enumerate(_COLUMNS) if name in index]
+    V = np.repeat(_DEFAULTS[:, None], X.shape[0], axis=1)
+    V[present] = np.rint(X[:, [index[_COLUMNS[k]] for k in present]].T)
+    bad = ~((V >= _LOWEST) & (V <= _HIGHEST))
+    if bad.any():
+        k = int(np.argmax(bad.any(axis=1)))
+        name, value = _COLUMNS[k], V[k][bad[k]][0]
+        if name == "unroll":
+            raise ValueError(f"unroll must be in [0, 8], got {value:g}")
+        raise ValueError(f"{name} must be >= {_LOWEST[k, 0]:g}, got {value:g}")
+    return V
+
+
+@dataclass(frozen=True)
+class _Levels:
+    """Per-level constants of one machine, as ``(L, 1)`` columns."""
+
+    line: int                  # W, elements per cache line
+    capacity: np.ndarray       # cache elements / W, per level
+    t_line: np.ndarray         # seconds to move one line from each level
+    t_line_mem: float          # seconds to move one line from main memory
+
+
+@functools.lru_cache(maxsize=16)
+def _levels(machine: MachineSpec) -> _Levels:
+    """:class:`_Levels` of a (frozen, hence hashable) machine, built once."""
+    W = machine.line_elements
+    word = machine.word_bytes
+    capacity = np.array([[lvl.size_elements(word) / W] for lvl in machine.hierarchy.levels])
+    t_line = np.array([[W * lvl.beta(word)] for lvl in machine.hierarchy.levels])
+    capacity.setflags(write=False)
+    t_line.setflags(write=False)
+    return _Levels(W, capacity, t_line, W * machine.beta_mem)
 
 
 @dataclass
@@ -112,74 +165,71 @@ class StencilAnalyticalModel(AnalyticalModel):
     def predict_rows(self, X: np.ndarray, feature_names) -> np.ndarray:
         """Vectorized :meth:`predict_config` over a whole feature matrix.
 
-        Mirrors the scalar path expression by expression (same rounding,
-        same range validation, same blocking re-map, same R1–R4
-        interpolation) on float64 column arrays, so a dataset is predicted
-        in a handful of array operations instead of one config rebuild per
-        row.
+        Bit-identical to ``predict_config(config_from_features(row))``
+        for every row, and raises the same ``ValueError`` for a row
+        :class:`StencilConfig` rejects (``I``, ``J``, ``K`` below 1,
+        negative blocking, ``unroll`` outside [0, 8], ``threads`` below
+        1).  It runs a fixed number of whole-array passes whatever the
+        batch size: the modeling-vector columns as one ``(8, n)`` block,
+        the blocking re-map on ``(3, n)`` blocks, every cache level as
+        one ``(L, n)`` broadcast against the machine's per-level
+        constants, the three R1–R4 interpolations stacked, and
+        :meth:`_nplanes`'s case split as nested ``np.where``.  Each
+        expression keeps the scalar path's operand order, so every
+        intermediate rounds as it does there.
         """
-        names = list(feature_names)
-
-        def col(name: str, default: float, minimum: float) -> np.ndarray:
-            if name in names:
-                values = np.rint(X[:, names.index(name)])
-            else:
-                values = np.full(X.shape[0], float(default))
-            # Same bound StencilConfig.__post_init__ enforces per row.
-            if np.any(~(values >= minimum)):
-                bad = values[~(values >= minimum)][0]
-                raise ValueError(f"{name} must be >= {minimum:g}, got {bad:g}")
-            return values
-
-        I = col("I", 1, 1)  # noqa: E741 — paper notation
-        J = col("J", 1, 1)
-        K = col("K", 1, 1)
-        bi = col("bi", 0, 0)
-        bj = col("bj", 0, 0)
-        bk = col("bk", 0, 0)
-        col("threads", 1, 1)
-
+        V = _stencil_columns(X, feature_names)
+        levels = _levels(self.machine)
+        W = levels.line
         l = 1.0  # StencilConfig default order
-        W = self.machine.line_elements
+        pread = 2 * l + 1
+        rcol = pread / (2.0 * pread - 1.0)
 
-        # Effective tile sizes: 0 means un-blocked (full extent).
-        ti = np.minimum(np.where(bi > 0, bi, I), I)
-        tj = np.minimum(np.where(bj > 0, bj, J), J)
-        tk = np.minimum(np.where(bk > 0, bk, K), K)
-
+        # Blocking re-map of Section VII-A on (3, n) blocks: 0 means
+        # un-blocked (full extent).
+        shape = V[:3]
+        tiles = np.minimum(np.where(V[3:6] > 0, V[3:6], shape), shape)
+        nb = np.prod(np.ceil(shape / tiles), axis=0)
+        ti, tj, tk = tiles
         I_eff = np.ceil(ti / W) * W
         II = np.ceil((ti + 2 * l) / W) * W
-        J_eff = tj
         JJ = tj + 2 * l
         KK = tk + 2 * l
-        nb = np.ceil(I / ti) * np.ceil(J / tj) * np.ceil(K / tk)
 
-        pread = 2 * l + 1
         sread = II * JJ
-        swrite = I_eff * J_eff
+        stotal = pread * sread
         if self.write_allocate:
-            stotal = pread * sread + 1 * swrite          # Eq. 3
-        else:
-            stotal = pread * sread                        # Eq. 4
+            stotal = stotal + I_eff * tj                   # Eq. 3 (else Eq. 4)
+        base = np.ceil(II / W) * JJ * KK                   # lines per plane * JJ * KK
+        accesses = base * (2 * pread - 1) * nb
 
-        lines_per_plane = np.ceil(II / W)
-        accesses = lines_per_plane * JJ * KK * (2 * pread - 1) * nb
-        misses_prev = accesses
-        total_time = np.zeros(X.shape[0])
-        for level in self.machine.hierarchy.levels:
-            nplanes = self._nplanes_rows(
-                level.size_elements(self.machine.word_bytes), W, pread,
-                sread, stotal, II)
-            misses = lines_per_plane * JJ * KK * nplanes * nb
-            hits = np.maximum(0.0, misses_prev - misses)
-            t_data = W * level.beta(self.machine.word_bytes)
-            total_time = total_time + t_data * hits
-            misses_prev = misses
+        # R1-R4 for every (level, row), then the three interpolations of
+        # _nplanes stacked as (3, L, n): upper -> 0, lower -> 1.
+        cap = levels.capacity
+        cap_rcol = cap * rcol
+        r1 = cap_rcol >= stotal
+        r2 = cap > stotal
+        r3 = cap_rcol > sread
+        r4 = cap_rcol < pread * II
+        value = np.stack((cap_rcol, cap, cap_rcol))
+        upper = np.stack((stotal, stotal, sread))[:, None]
+        lower = np.stack((stotal * rcol, sread / rcol, pread * II))[:, None]
+        span = np.where(upper > lower, upper - lower, 1.0)
+        frac = np.where(upper <= lower, 1.0, np.clip((upper - value) / span, 0.0, 1.0))
+        offsets = np.array([1.0, pread - 1.0, pread])[:, None, None]
+        slopes = np.array([pread - 2.0, 1.0, pread - 1.0])[:, None, None]
+        v2, v3, v4 = offsets + slopes * frac
+        nplanes = np.where(r1, 1.0, np.where(r2, v2, np.where(
+            r3, v3, np.where(r4, 2.0 * pread - 1.0, v4))))
 
-        t_data_mem = W * self.machine.beta_mem
-        total_time = total_time + t_data_mem * misses_prev
-
-        return np.asarray(total_time * self.timesteps, dtype=np.float64)
+        # Misses per level (Eq. 7 x Eq. 15); each level's hits are the
+        # previous level's misses minus its own, the registers' being
+        # all accesses; main memory services the last level's misses.
+        misses = base * nplanes * nb
+        hits = np.maximum(0.0, np.concatenate((accesses[None], misses[:-1])) - misses)
+        total = np.add.reduce(levels.t_line * hits, axis=0, initial=0.0)
+        total = total + levels.t_line_mem * misses[-1]
+        return total * self.timesteps
 
     def config_from_features(self, row: np.ndarray, feature_names) -> StencilConfig:
         """Build a :class:`StencilConfig` from a numeric feature row."""
@@ -232,36 +282,9 @@ class StencilAnalyticalModel(AnalyticalModel):
             return pread + (pread - 1.0) * frac
         return 2.0 * pread - 1.0
 
-    def _nplanes_rows(self, cache_elements: int, W: int, pread: float,
-                      sread: np.ndarray, stotal: np.ndarray,
-                      II: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_nplanes` (same R1–R4 cases and interpolation)."""
-        rcol = pread / (2.0 * pread - 1.0)
-        cap = cache_elements / W
-
-        r1 = cap * rcol >= stotal
-        r2 = cap > stotal
-        r3 = cap * rcol > sread
-        r4 = cap * rcol < pread * II
-
-        v2 = 1.0 + (pread - 2.0) * self._fraction_rows(cap * rcol, stotal, stotal * rcol)
-        v3 = (pread - 1.0) + 1.0 * self._fraction_rows(cap, stotal, sread / rcol)
-        v4 = pread + (pread - 1.0) * self._fraction_rows(cap * rcol, sread, pread * II)
-        return np.select([r1, r2, r3, ~r4], [1.0, v2, v3, v4],
-                         default=2.0 * pread - 1.0)
-
     @staticmethod
     def _fraction(value: float, upper: float, lower: float) -> float:
         """Linear position of *value* between *upper* (-> 0) and *lower* (-> 1)."""
         if upper <= lower:
             return 1.0
         return float(np.clip((upper - value) / (upper - lower), 0.0, 1.0))
-
-    @staticmethod
-    def _fraction_rows(value, upper, lower) -> np.ndarray:
-        """Vectorized :meth:`_fraction` (elementwise on row arrays)."""
-        upper = np.asarray(upper, dtype=np.float64)
-        lower = np.asarray(lower, dtype=np.float64)
-        span = np.where(upper > lower, upper - lower, 1.0)
-        return np.where(upper <= lower, 1.0,
-                        np.clip((upper - value) / span, 0.0, 1.0))

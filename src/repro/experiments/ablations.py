@@ -28,14 +28,13 @@ import zlib
 
 import numpy as np
 
-from repro.analytical import AnalyticalPredictionCache, StencilAnalyticalModel
 from repro.core.evaluation import LearningCurve, LearningCurvePoint
 from repro.core.features import PerformanceDataset
 from repro.core.hybrid import HybridPerformanceModel
-from repro.datasets import blocked_small_grid_dataset
 from repro.datasets.sampling import latin_hypercube_indices, uniform_sample_indices
-from repro.experiments.runner import ExperimentResult, ExperimentSettings
-from repro.experiments.scheduler import run_named_plan
+from repro.datasets.store import DatasetSpec
+from repro.experiments.runner import ExperimentResult, ExperimentSettings, _resolve_store
+from repro.experiments.scheduler import run_named_plan, warmed_cache
 from repro.ml import ExtraTreesRegressor
 from repro.ml.metrics import mean_absolute_percentage_error
 from repro.utils.rng import spawn_seeds
@@ -98,13 +97,23 @@ def ablation_tree_method(settings: ExperimentSettings | None = None,
 
 
 def ablation_sampling_strategy(settings: ExperimentSettings | None = None,
-                               dataset: PerformanceDataset | None = None) -> ExperimentResult:
-    """Uniform random vs stratified training-set selection at small fractions."""
+                               dataset: PerformanceDataset | None = None,
+                               store=None) -> ExperimentResult:
+    """Uniform random vs stratified training-set selection at small fractions.
+
+    With a *store* (and no *dataset* override, which bypasses it) the
+    blocked-stencil dataset and its warmed ``stencil`` cache are read
+    through the store, as a plan reads them.
+    """
     settings = settings or ExperimentSettings()
-    dataset = dataset if dataset is not None else blocked_small_grid_dataset(
-        max_configs=settings.max_configs)
-    analytical = StencilAnalyticalModel()
-    cache = AnalyticalPredictionCache(analytical, dataset.feature_names).warm(dataset.X)
+    spec = DatasetSpec("stencil-blocked", max_configs=settings.max_configs, random_state=0)
+    if dataset is not None:
+        store = None
+    else:
+        store = _resolve_store(store)
+        dataset = store.get(spec) if store is not None else spec.build()
+    cache = warmed_cache("stencil", spec, dataset, store)
+    analytical = cache.model
     extra: dict = {}
 
     curves: dict[str, LearningCurve] = {}

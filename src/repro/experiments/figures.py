@@ -15,16 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analytical import FmmAnalyticalModel, StencilAnalyticalModel
 from repro.core.features import PerformanceDataset
-from repro.datasets import (
-    blocked_small_grid_dataset,
-    fmm_dataset,
-    grid_only_dataset,
-    threaded_dataset,
-)
-from repro.experiments.runner import ExperimentResult, ExperimentSettings
-from repro.experiments.scheduler import run_named_plan
+from repro.datasets.store import DatasetSpec
+from repro.experiments.plan import build_analytical
+from repro.experiments.runner import ExperimentResult, ExperimentSettings, _resolve_store
+from repro.experiments.scheduler import run_named_plan, warmed_cache
 from repro.ml.metrics import mean_absolute_percentage_error
 
 __all__ = [
@@ -100,20 +95,35 @@ def figure8(settings: ExperimentSettings | None = None,
 # --------------------------------------------------------------------------- #
 # In-text analytical-model accuracy numbers (no learning curves — no plan)
 # --------------------------------------------------------------------------- #
-def analytical_accuracy(settings: ExperimentSettings | None = None) -> ExperimentResult:
-    """Standalone analytical-model MAPE on every dataset (paper: 42% and 84.5%)."""
+#: Registry dataset -> the analytical model (registry key) it is scored with.
+_ACCURACY_MODELS = {
+    "stencil-grid-only": "stencil",
+    "stencil-blocked": "stencil",
+    "stencil-threaded": "stencil",
+    "fmm": "fmm",
+}
+
+
+def analytical_accuracy(settings: ExperimentSettings | None = None,
+                        store=None) -> ExperimentResult:
+    """Standalone analytical-model MAPE on every dataset (paper: 42% and 84.5%).
+
+    With a *store* (a :class:`~repro.datasets.store.DatasetStore` or a
+    directory path) each dataset and its model's warmed cache are read
+    through it, as a plan reads them; without one the datasets are built
+    and predicted here.  The numbers are the same either way.
+    """
     settings = settings or ExperimentSettings()
-    stencil_am = StencilAnalyticalModel()
-    fmm_am = FmmAnalyticalModel()
-    datasets = {
-        "stencil-grid-only": (grid_only_dataset(max_configs=settings.max_configs), stencil_am),
-        "stencil-blocked": (blocked_small_grid_dataset(max_configs=settings.max_configs), stencil_am),
-        "stencil-threaded": (threaded_dataset(max_configs=settings.max_configs), stencil_am),
-        "fmm": (fmm_dataset(max_configs=settings.max_configs), fmm_am),
-    }
+    store = _resolve_store(store)
     extra = {}
-    for name, (dataset, model) in datasets.items():
-        predictions = model.predict(dataset.X, dataset.feature_names)
+    for name, key in _ACCURACY_MODELS.items():
+        spec = DatasetSpec(name, max_configs=settings.max_configs, random_state=0)
+        if store is None:
+            dataset = spec.build()
+            predictions = build_analytical(key).predict(dataset.X, dataset.feature_names)
+        else:
+            dataset = store.get(spec)
+            predictions = warmed_cache(key, spec, dataset, store).predict(dataset.X)
         extra[name] = {
             "mape": mean_absolute_percentage_error(dataset.y, predictions),
             "log_correlation": float(np.corrcoef(np.log(dataset.y), np.log(predictions))[0, 1]),

@@ -24,6 +24,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analytical import (
     AnalyticalPredictionCache,
     FmmAnalyticalModel,
@@ -91,13 +93,38 @@ class BlockingBlindStencilModel(AnalyticalModel):
         self.base = base
 
     def predict_config(self, config) -> float:
+        """The base model's prediction for *config* with its blocking zeroed."""
         from repro.stencil.config import StencilConfig
 
         stripped = StencilConfig(I=config.I, J=config.J, K=config.K,
                                  unroll=config.unroll, threads=config.threads)
         return self.base.predict_config(stripped)
 
+    def predict_rows(self, X: np.ndarray, feature_names) -> np.ndarray:
+        """Vectorized :meth:`predict_config`: the base's ``predict_rows`` un-blocked.
+
+        Checks the ``bi``/``bj``/``bk`` columns as :class:`StencilConfig`
+        does (each must round to >= 0), zeroes them in a copy of *X* and
+        hands it to the base model, which checks every other column.  Bit
+        for bit the per-row ``predict_config(config_from_features(row))``,
+        which reads a repeated column's last occurrence.
+        """
+        names = list(feature_names)
+        index = {name: j for j, name in enumerate(names)}
+        blocking = [index[name] for name in ("bi", "bj", "bk") if name in index]
+        if blocking:
+            values = np.rint(X[:, blocking])
+            bad = ~(values >= 0)
+            if bad.any():
+                k = int(np.argmax(bad.any(axis=0)))
+                raise ValueError(f"{names[blocking[k]]} must be >= 0, got "
+                                 f"{values[:, k][bad[:, k]][0]:g}")
+            X = X.copy()
+            X[:, blocking] = 0.0
+        return self.base.predict_rows(X, names)
+
     def config_from_features(self, row, feature_names):
+        """The base model's configuration for one feature row."""
         return self.base.config_from_features(row, feature_names)
 
 
@@ -113,9 +140,21 @@ class ConstantAnalyticalModel(AnalyticalModel):
         self.value = value
 
     def predict_config(self, config) -> float:
+        """The constant, whatever *config* is."""
         return self.value
 
+    def predict_rows(self, X: np.ndarray, feature_names) -> np.ndarray:
+        """The constant for every row of *X*.
+
+        Rejects exactly the rows the base model rejects, as the per-row
+        path does when it rebuilds each row's configuration: the base's
+        ``predict_rows`` runs for its checks and its values are dropped.
+        """
+        self.base.predict_rows(X, feature_names)
+        return np.full(X.shape[0], float(self.value))
+
     def config_from_features(self, row, feature_names):
+        """The base model's configuration for one feature row."""
         return self.base.config_from_features(row, feature_names)
 
 

@@ -8,8 +8,8 @@ through :func:`~repro.experiments.scheduler.run_plan` on the workers
 the two irregular experiments (``analytical_accuracy``,
 ``ablation_sampling_strategy``) fall back to their plain functions.  A
 persistent :class:`~repro.datasets.store.DatasetStore` can be shared
-across the run so datasets are simulated and analytical caches warmed at
-most once per machine.
+across the run (plan-less experiments included) so datasets are
+simulated and analytical caches warmed at most once per machine.
 """
 
 from __future__ import annotations
@@ -222,11 +222,12 @@ def run_experiment(name: str, settings: ExperimentSettings | None = None, *,
         serving tier (see :mod:`repro.serving`); requires a store.
 
     The two plan-less experiments (``analytical_accuracy``,
-    ``ablation_sampling_strategy``) always run serially in-process and
-    build their datasets directly (the store is not consulted); executor
-    and jobs are still validated so invalid values fail uniformly.  They
-    have no plan fingerprint, hence nothing to publish: requesting
-    ``publish_models`` for them is an error.
+    ``ablation_sampling_strategy``) always run serially in-process, in a
+    ``planless`` span; with a *store* they read their datasets and
+    analytical caches through it as plans do.  Executor and jobs are
+    still validated so invalid values fail uniformly.  They have no plan
+    fingerprint, hence nothing to publish: requesting ``publish_models``
+    for them is an error.
     """
     registry = _experiment_registry()
     try:
@@ -239,8 +240,8 @@ def run_experiment(name: str, settings: ExperimentSettings | None = None, *,
     from repro.obs.tracing import TRACER
 
     # Under an active trace collection the whole experiment runs inside
-    # one span; the scheduler's plan span nests under it.  A no-op (one
-    # attribute check) when tracing is off.
+    # one span; the scheduler's spans, or the planless span, nest under
+    # it.  A no-op (one attribute check) when tracing is off.
     with TRACER.span("experiment", attrs={"experiment": name,
                                           "executor": executor}):
         plan = experiment_plan(name, settings)
@@ -249,7 +250,8 @@ def run_experiment(name: str, settings: ExperimentSettings | None = None, *,
                 raise ValueError(
                     f"experiment {name!r} has no plan, so it has no servable "
                     "models to publish")
-            return func(settings=settings)
+            with TRACER.span("planless"):
+                return func(settings=settings, store=_resolve_store(store))
         from repro.experiments.scheduler import run_plan
 
         with workers as opened:

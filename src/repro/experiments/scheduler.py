@@ -36,7 +36,7 @@ from contextlib import nullcontext
 from repro.analytical import AnalyticalPredictionCache
 from repro.core.evaluation import CellResult, evaluate_cell, merge_cell_results
 from repro.core.features import PerformanceDataset
-from repro.datasets.store import DatasetStore
+from repro.datasets.store import DatasetSpec, DatasetStore
 from repro.experiments.plan import (
     ExperimentPlan,
     build_analytical,
@@ -59,7 +59,26 @@ from repro.experiments.runner import (
 from repro.obs.tracing import TRACER, SpanContext, span_into
 
 __all__ = ["PlanMemo", "evaluate_cells", "run_plan", "run_named_plan",
-           "worker_state_stats"]
+           "warmed_cache", "worker_state_stats"]
+
+
+def warmed_cache(key: str, spec: DatasetSpec, dataset: PerformanceDataset,
+                 store: DatasetStore | None = None) -> AnalyticalPredictionCache:
+    """The cache of analytical model *key* over every row of *dataset*.
+
+    Read from *store* when it holds one for ``(key, spec)``; otherwise
+    warmed here, and saved into *store* when there is one.
+    """
+    cache = None
+    if store is not None:
+        cache = store.load_analytical_cache(key, spec, build_analytical(key),
+                                            dataset.feature_names)
+    if cache is None:
+        cache = AnalyticalPredictionCache(build_analytical(key), dataset.feature_names)
+        cache.warm(dataset.X)
+        if store is not None:
+            store.save_analytical_cache(key, spec, cache)
+    return cache
 
 
 def _resolve_data(plan: ExperimentPlan, store: DatasetStore | None,
@@ -73,24 +92,14 @@ def _resolve_data(plan: ExperimentPlan, store: DatasetStore | None,
     (used by tests and notebooks) bypasses the store entirely — its
     content has no registered fingerprint.
     """
-    use_store = store is not None and dataset is None
-    if dataset is None:
-        dataset = store.get(plan.dataset) if store is not None else plan.dataset.build()
-    caches: dict[str, AnalyticalPredictionCache] = {}
-    for key in plan.cache_keys():
-        cache = None
-        if use_store:
-            cache = store.load_analytical_cache(key, plan.dataset,
-                                                build_analytical(key),
-                                                dataset.feature_names)
-        if cache is None:
-            cache = AnalyticalPredictionCache(build_analytical(key),
-                                              dataset.feature_names)
-            cache.warm(dataset.X)
-            if use_store:
-                store.save_analytical_cache(key, plan.dataset, cache)
-        caches[key] = cache
-    return dataset, caches
+    if dataset is not None:
+        store = None
+    elif store is not None:
+        dataset = store.get(plan.dataset)
+    else:
+        dataset = plan.dataset.build()
+    return dataset, {key: warmed_cache(key, plan.dataset, dataset, store)
+                     for key in plan.cache_keys()}
 
 
 def _series_factories(plan: ExperimentPlan, dataset: PerformanceDataset,
@@ -298,12 +307,16 @@ def run_plan(plan: ExperimentPlan, *, workers=None,
                     results.extend(batch_results)
         curves = _merge_curves(plan, cells, results)
 
-    extra = compute_extras(plan, resolved, caches)
+    # The post-merge statistics and the publishing run here whatever the
+    # executor, each in its own span next to the dataset and plan spans.
+    with TRACER.span("extras"):
+        extra = compute_extras(plan, resolved, caches)
     if publish_models:
         from repro.serving.model_io import publish_plan_models
 
-        extra["published_models"] = publish_plan_models(
-            plan, resolved, caches, store)
+        with TRACER.span("publish"):
+            extra["published_models"] = publish_plan_models(
+                plan, resolved, caches, store)
 
     return ExperimentResult(
         experiment_id=plan.experiment_id,

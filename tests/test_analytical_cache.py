@@ -71,6 +71,13 @@ class TestVectorizedPredictRows:
         with pytest.raises(ValueError, match="bi must be >= 0"):
             stencil.predict(np.array([[16.0, 16.0, 16.0, -1.0, 0.0, 0.0]]),
                             ["I", "J", "K", "bi", "bj", "bk"])
+        # An unroll column is checked too (it used to be ignored).
+        row, names = np.array([[16.0, 16.0, 16.0, 4.0, 4.0, 4.0, 9.0]]), \
+            ["I", "J", "K", "bi", "bj", "bk", "unroll"]
+        with pytest.raises(ValueError, match=r"unroll must be in \[0, 8\], got 9"):
+            _per_row_reference(stencil, row, names)
+        with pytest.raises(ValueError, match=r"unroll must be in \[0, 8\], got 9"):
+            stencil.predict(row, names)
 
     def test_default_predict_rows_is_per_row_loop(self, small_fmm_dataset):
         data = small_fmm_dataset

@@ -5,9 +5,12 @@ verify wiring, result structure and basic orderings, not to reproduce the
 paper's numbers (that is what ``benchmarks/`` does).
 """
 
+import pickle
+
 import pytest
 
 from repro.datasets import blocked_small_grid_dataset, fmm_dataset, grid_only_dataset, threaded_dataset
+from repro.datasets.store import DatasetStore
 from repro.experiments import (
     EXPERIMENTS,
     ExperimentSettings,
@@ -27,6 +30,8 @@ from repro.experiments import (
     results_to_markdown,
     run_experiment,
 )
+from repro.experiments.plan import PLANNED_EXPERIMENTS, experiment_plan
+from repro.experiments.scheduler import warmed_cache
 
 TINY = ExperimentSettings(n_estimators=5, n_repeats=1, max_configs=150, random_state=0)
 
@@ -113,6 +118,44 @@ class TestAblations:
     def test_ml_backend(self, tiny_stencil_blocked):
         result = ablation_ml_backend(settings=TINY, dataset=tiny_stencil_blocked)
         assert len(result.curves) == 4
+
+
+class TestPlanlessExperimentsReadTheStore:
+    PLANLESS = ("analytical_accuracy", "ablation_sampling_strategy")
+
+    @pytest.mark.parametrize("name", PLANLESS)
+    def test_warm_store_adds_no_miss_and_matches_a_store_less_run(self, tmp_path, name):
+        reference = run_experiment(name, TINY)
+        store = DatasetStore(tmp_path)
+        cold = run_experiment(name, TINY, store=store)
+        assert store.misses > 0 and store.cache_misses > 0
+        misses = (store.misses, store.cache_misses, store.hits, store.cache_hits)
+        warm = run_experiment(name, TINY, store=store)
+        assert (store.misses, store.cache_misses) == misses[:2]
+        assert store.hits > misses[2] and store.cache_hits > misses[3]
+        for result in (cold, warm):
+            assert pickle.dumps(result.curves) == pickle.dumps(reference.curves)
+            assert result.extra == reference.extra
+
+    def test_a_store_warmed_by_the_plans_has_all_they_read(self, tmp_path):
+        store = DatasetStore(tmp_path)
+        for name in PLANNED_EXPERIMENTS:
+            plan = experiment_plan(name, TINY)
+            dataset = store.get(plan.dataset)
+            for key in plan.cache_keys():
+                warmed_cache(key, plan.dataset, dataset, store)
+        misses = (store.misses, store.cache_misses)
+        for name in self.PLANLESS:
+            run_experiment(name, TINY, store=store)
+        assert (store.misses, store.cache_misses) == misses
+
+    def test_a_dataset_override_bypasses_the_store(self, tmp_path, tiny_stencil_blocked):
+        store = DatasetStore(tmp_path)
+        result = ablation_sampling_strategy(settings=TINY, dataset=tiny_stencil_blocked,
+                                            store=store)
+        assert (store.hits, store.misses, store.cache_hits, store.cache_misses) == (0, 0, 0, 0)
+        assert pickle.dumps(result.curves) == pickle.dumps(ablation_sampling_strategy(
+            settings=TINY, dataset=tiny_stencil_blocked).curves)
 
 
 class TestRunnerAndReporting:

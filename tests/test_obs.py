@@ -26,6 +26,7 @@ The guarantees under test:
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import logging
@@ -384,9 +385,16 @@ class TestTracing:
             [s.as_dict() for s in sink]
 
 
+def _experiment_children(spans) -> list[str]:
+    """Names of the one experiment span's children, in start order."""
+    (experiment,) = [s for s in spans if s.name == "experiment"]
+    return [s.name for s in sorted(spans, key=lambda s: s.start)
+            if s.parent_id == experiment.span_id]
+
+
 def _span_tree_checks(spans, n_cells, executor):
     """Assert cell -> batch -> plan -> experiment linkage for one run,
-    with the dataset span a sibling of the plan span."""
+    with the dataset and extras spans siblings of the plan span."""
     by_id = {s.span_id: s for s in spans}
     by_name: dict[str, list] = {}
     for span in spans:
@@ -397,6 +405,7 @@ def _span_tree_checks(spans, n_cells, executor):
         f"{executor}: expected one dataset span")
     assert len(by_name["cell"]) == n_cells, (
         f"{executor}: expected a span per cell")
+    assert _experiment_children(spans) == ["dataset", "plan", "extras"], executor
     experiment, plan = by_name["experiment"][0], by_name["plan"][0]
     assert plan.parent_id == experiment.span_id
     dataset = by_name["dataset"][0]
@@ -494,6 +503,39 @@ class TestExecutorSpans:
         assert summarize_trace([]) == {"spans": 0, "wall_seconds": 0.0,
                                        "phases": {}, "slowest_cells": [],
                                        "workers": {}}
+
+
+class TestExperimentSpans:
+    """What runs in the parent outside the plan span has a span of its own."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process", "remote"])
+    def test_extras_and_publish_spans_on_every_executor(self, executor):
+        store = DatasetStore(MemoryBackend())
+        with contextlib.ExitStack() as stack:
+            fleet = None
+            if executor == "remote":
+                fleet = stack.enter_context(Coordinator())
+                for worker in (FleetWorker(fleet.address) for _ in range(2)):
+                    threading.Thread(target=worker.run, daemon=True).start()
+            with TRACER.collect() as spans:
+                result = run_experiment("figure5", TINY, executor=executor, jobs=2,
+                                        store=store, fleet=fleet, publish_models=True)
+        assert result.extra["published_models"]
+        assert _experiment_children(spans) == ["dataset", "plan", "extras", "publish"]
+        phases = summarize_trace(spans)["phases"]
+        assert phases["extras"]["count"] == phases["publish"]["count"] == 1
+
+    @pytest.mark.parametrize("name", ["analytical_accuracy", "ablation_sampling_strategy"])
+    def test_planless_experiments_run_in_a_planless_span(self, name):
+        with TRACER.collect() as spans:
+            run_experiment(name, TINY)
+        assert _experiment_children(spans) == ["planless"]
+        (experiment,) = [s for s in spans if s.name == "experiment"]
+        (planless,) = [s for s in spans if s.name == "planless"]
+        assert planless.duration <= experiment.duration
+        summary = summarize_trace(spans)
+        assert summary["phases"]["planless"]["count"] == 1
+        assert "planless" in format_trace_summary(summary)
 
 
 class TestStatusServer:
