@@ -13,9 +13,8 @@ machine, so they are largely hardware-independent and comparable across
 the heterogeneous machines that contribute history entries.  A workload
 counts as *tracked* when it records both a ``speedup`` and an acceptance
 ``threshold`` — ratios the benchmark suite itself asserts.  Purely
-informational ratios (the hist engine's extra-trees fit, which hovers
-around 1x and would flap a relative gate) are reported by the suite but
-not gated.
+informational ratios (the exact builder's extra-trees fit over the
+frozen reference) are reported by the suite but not gated.
 
 ``scheduler_speedup`` gets an *absolute* floor instead of the relative
 one: parallel-vs-serial tracks the host's core count, so comparing
@@ -46,7 +45,7 @@ TOLERANCE = 0.25
 #: request ratio divides out raw host speed the same way).
 #: ``scheduler_speedup`` tracks core count and gets an absolute
 #: cpus-conditional floor instead (see below).
-GATED_BENCHMARKS = ("hist_engine", "serving_latency")
+GATED_BENCHMARKS = ("exact_engine", "serving_latency")
 
 #: Absolute floors for the newest warm-pool ``scheduler_speedup`` entry:
 #: on a multi-core host the parallel sweep must beat serial outright; on
@@ -76,10 +75,10 @@ def _tracked(entry: dict) -> dict[str, dict]:
 def _baseline_for(entries: list[dict], name: str, scale) -> float | None:
     """Most recent prior speedup of workload *name* at the same scale.
 
-    Workload sizes are tunable per environment (``REPRO_BENCH_HIST_TREES``);
-    comparing a 30-tree ratio against a 100-tree ratio would gate noise,
-    so a baseline must record the same ``n_trees`` as the current entry
-    (both absent counts as a match).
+    Comparing a ratio against one measured at another forest size would
+    gate noise, so a baseline must record the same ``n_trees`` as the
+    current entry (both absent counts as a match): changing the engine
+    benchmark's tree count starts a new baseline.
     """
     for prev in reversed(entries):
         fields = _tracked(prev).get(name)

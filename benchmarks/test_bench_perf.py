@@ -22,26 +22,16 @@ Two benchmarks are tracked:
   recorded here and enforced by ``bench_gate.py`` (it tracks the host's
   core count, so the floor is conditional on ``cpus``); the rows are
   asserted bit-identical in-test, which *is* hardware-independent.
-* ``hist_engine`` — histogram-binned split search (``tree_method="hist"``)
-  against exact split search on a full registry dataset
-  (``stencil-blocked``, n=3364): RandomForest fit speedup (asserted
-  >= 2x), ExtraTrees fit speedup (recorded), and the quick Figure-5
-  quality check (held-out R^2 of the binned extra-trees model within
-  0.02 of the exact model's, plus both methods' learning-curve MAPEs).
-  Both hist ratios divide by the frozen exact builder of
-  :mod:`repro.testing.tree_reference`, the exact algorithm hist was
-  accepted against, so a faster exact builder does not move them.  The
-  same entry records the exact builder's own speedup over that reference
-  (RandomForest asserted >= 1.5x, ExtraTrees recorded).
-
-Scale the hist workload down with ``REPRO_BENCH_HIST_TREES`` if a
-constrained machine cannot afford the 100-tree fits.
+* ``exact_engine`` — the exact tree builder against the frozen builder
+  it replaced (:mod:`repro.testing.tree_reference`) on a full registry
+  dataset (``stencil-blocked``, n=3364): the RandomForest(100) fit
+  speedup is asserted >= 1.5x and gated, the ExtraTrees(100) fit
+  speedup is recorded.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import os
 import platform
@@ -55,23 +45,20 @@ import pytest
 import repro.ml._batched
 from repro.datasets import DatasetStore
 from repro.datasets.registry import load_dataset
-from repro.experiments import experiment_plan, figure5, run_all, run_plan
+from repro.experiments import run_all
 from repro.experiments.runner import ExperimentSettings
 from repro.ml import ExtraTreesRegressor, RandomForestRegressor
-from repro.ml.metrics import r2_score
-from repro.ml.model_selection import train_test_split
 from repro.testing.tree_reference import build_forest_batched as build_forest_reference
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 RESULT_PATH = REPO_ROOT / "BENCH_engine.json"
 
-#: Acceptance thresholds of the histogram-engine PR.
-MIN_HIST_FIT_SPEEDUP = 2.0
-MAX_HIST_R2_GAP = 0.02
 #: Acceptance threshold of the level-pass rewrite of the exact builder:
 #: its RandomForest fit against the frozen reference builder.
 MIN_EXACT_FIT_SPEEDUP = 1.5
-HIST_DATASET = "stencil-blocked"  # full registry dataset, n = 3364 >= 2000
+#: Full registry dataset (n = 3364) and forest size the engine benchmark fits.
+ENGINE_DATASET = "stencil-blocked"
+ENGINE_TREES = 100
 
 #: Experiments of the scheduler-speedup sweep (several figures sharing
 #: datasets, so the store amortizes generation across them).
@@ -128,132 +115,61 @@ def _platform_fields() -> dict:
 
 @contextlib.contextmanager
 def _reference_builder():
-    """Grow exact-method trees on the frozen reference builder in the block."""
+    """Grow every tree on the frozen reference builder in the block."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(repro.ml._batched, "build_forest_batched", build_forest_reference)
         yield
 
 
-def _with_tree_method(plan, tree_method: str):
-    """*plan* with every series' estimator set to *tree_method*."""
-    return dataclasses.replace(plan, series=tuple(
-        dataclasses.replace(series, factory=dataclasses.replace(
-            series.factory, estimator=dataclasses.replace(
-                series.factory.estimator, tree_method=tree_method)))
-        for series in plan.series))
-
-
 @pytest.mark.benchmark(group="engines")
-def test_hist_engine_speedup():
-    """Histogram-binned split search vs the exact builder.
+def test_exact_engine_speedup():
+    """The exact builder against the frozen builder it replaced.
 
-    The asserted workload is the acceptance criterion of the hist-engine
-    PR: a RandomForest fit on a full registry dataset (n >= 2000) at
-    least twice as fast as the exact builder it was accepted against
-    (kept frozen in :mod:`repro.testing.tree_reference`), with the binned
-    extra-trees model's held-out R^2 on the quick Figure-5 dataset
-    within 0.02 of the exact engine's.  Alongside, the exact builder's
-    RandomForest fit must stay at least 1.5x faster than that reference.
+    The asserted workload is the acceptance criterion of the exact
+    builder's level-pass rewrite: a RandomForest fit on a full registry
+    dataset (n >= 2000) at least 1.5x as fast as the builder it replaced
+    (kept frozen in :mod:`repro.testing.tree_reference`).  The ExtraTrees
+    fit, the paper's model, is recorded alongside.
     """
-    n_trees = int(os.environ.get("REPRO_BENCH_HIST_TREES", "100"))
-    dataset = load_dataset(HIST_DATASET)
+    dataset = load_dataset(ENGINE_DATASET)
     X, y = dataset.X, dataset.y
 
-    def fit_rf(tree_method):
-        return lambda: RandomForestRegressor(
-            n_estimators=n_trees, random_state=0, tree_method=tree_method,
-        ).fit(X, y)
+    def fit_rf():
+        return RandomForestRegressor(n_estimators=ENGINE_TREES, random_state=0).fit(X, y)
 
-    def fit_et(tree_method):
-        return lambda: ExtraTreesRegressor(
-            n_estimators=n_trees, random_state=0, tree_method=tree_method,
-        ).fit(X, y)
+    def fit_et():
+        return ExtraTreesRegressor(n_estimators=ENGINE_TREES, random_state=0).fit(X, y)
 
     with _reference_builder():
-        t_rf_reference = _best_of(fit_rf("exact"))
-        t_et_reference = _best_of(fit_et("exact"))
-    t_rf_exact = _best_of(fit_rf("exact"))
-    t_et_exact = _best_of(fit_et("exact"))
-    t_rf_hist = _best_of(fit_rf("hist"))
-    t_et_hist = _best_of(fit_et("hist"))
-    rf_speedup = t_rf_reference / t_rf_hist
-    et_speedup = t_et_reference / t_et_hist
-    rf_exact_speedup = t_rf_reference / t_rf_exact
-    et_exact_speedup = t_et_reference / t_et_exact
-
-    # Quick Figure-5 quality: the binned engine must reproduce the
-    # learning-curve experiment.  R^2 is compared at the curve's largest
-    # ML training fraction; both engines' MAPE curves are recorded.
-    settings = ExperimentSettings.quick()
-    fig5_exact = figure5(settings=settings)
-    fig5_hist = run_plan(_with_tree_method(experiment_plan("figure5", settings), "hist"))
-    curves = {
-        label: {
-            "exact": [round(p.mean, 3) for p in fig5_exact.curves[label].points],
-            "hist": [round(p.mean, 3) for p in fig5_hist.curves[label].points],
-        }
-        for label in fig5_exact.curves
-    }
-    fig5_ds = load_dataset("stencil-grid-only", max_configs=settings.max_configs,
-                           random_state=0)
-    Xtr, Xte, ytr, yte = train_test_split(fig5_ds.X, fig5_ds.y, test_size=0.25,
-                                          random_state=0)
-    r2_exact = r2_score(yte, ExtraTreesRegressor(
-        n_estimators=settings.n_estimators, random_state=0,
-        tree_method="exact").fit(Xtr, ytr).predict(Xte))
-    r2_hist = r2_score(yte, ExtraTreesRegressor(
-        n_estimators=settings.n_estimators, random_state=0,
-        tree_method="hist").fit(Xtr, ytr).predict(Xte))
+        t_rf_reference = _best_of(fit_rf)
+        t_et_reference = _best_of(fit_et)
+    t_rf_exact = _best_of(fit_rf)
+    t_et_exact = _best_of(fit_et)
+    rf_speedup = t_rf_reference / t_rf_exact
+    et_speedup = t_et_reference / t_et_exact
 
     entry = {
-        "benchmark": "hist_engine",
+        "benchmark": "exact_engine",
         **_platform_fields(),
         "workloads": {
-            "random_forest_fit": {
-                "description": f"RandomForestRegressor(n_estimators={n_trees}).fit "
-                               f"on {HIST_DATASET} (n={X.shape[0]}), hist vs the "
-                               f"frozen exact reference",
-                "n_trees": n_trees,
-                "reference_seconds": round(t_rf_reference, 4),
-                "hist_seconds": round(t_rf_hist, 4),
-                "speedup": round(rf_speedup, 2),
-                "threshold": MIN_HIST_FIT_SPEEDUP,
-            },
-            "extra_trees_fit": {
-                "description": f"ExtraTreesRegressor(n_estimators={n_trees}).fit "
-                               f"on {HIST_DATASET} (n={X.shape[0]}), hist vs the "
-                               f"frozen exact reference",
-                "n_trees": n_trees,
-                "reference_seconds": round(t_et_reference, 4),
-                "hist_seconds": round(t_et_hist, 4),
-                "speedup": round(et_speedup, 2),
-            },
             "exact_random_forest_fit": {
-                "description": f"RandomForestRegressor(n_estimators={n_trees}).fit "
-                               f"on {HIST_DATASET} (n={X.shape[0]}), exact builder "
+                "description": f"RandomForestRegressor(n_estimators={ENGINE_TREES}).fit "
+                               f"on {ENGINE_DATASET} (n={X.shape[0]}), exact builder "
                                f"vs the frozen exact reference",
-                "n_trees": n_trees,
+                "n_trees": ENGINE_TREES,
                 "reference_seconds": round(t_rf_reference, 4),
                 "exact_seconds": round(t_rf_exact, 4),
-                "speedup": round(rf_exact_speedup, 2),
+                "speedup": round(rf_speedup, 2),
                 "threshold": MIN_EXACT_FIT_SPEEDUP,
             },
             "exact_extra_trees_fit": {
-                "description": f"ExtraTreesRegressor(n_estimators={n_trees}).fit "
-                               f"on {HIST_DATASET} (n={X.shape[0]}), exact builder "
+                "description": f"ExtraTreesRegressor(n_estimators={ENGINE_TREES}).fit "
+                               f"on {ENGINE_DATASET} (n={X.shape[0]}), exact builder "
                                f"vs the frozen exact reference",
-                "n_trees": n_trees,
+                "n_trees": ENGINE_TREES,
                 "reference_seconds": round(t_et_reference, 4),
                 "exact_seconds": round(t_et_exact, 4),
-                "speedup": round(et_exact_speedup, 2),
-            },
-            "figure5_quick_quality": {
-                "description": "figure5(quick): hist vs exact engines",
-                "r2_exact": round(r2_exact, 4),
-                "r2_hist": round(r2_hist, 4),
-                "r2_gap": round(abs(r2_exact - r2_hist), 4),
-                "threshold": MAX_HIST_R2_GAP,
-                "mape_curves": curves,
+                "speedup": round(et_speedup, 2),
             },
         },
     }
@@ -261,15 +177,9 @@ def test_hist_engine_speedup():
     print()
     print(json.dumps(entry["workloads"], indent=2))
 
-    assert rf_speedup >= MIN_HIST_FIT_SPEEDUP, (
-        f"hist RandomForest fit speedup {rf_speedup:.2f}x below "
-        f"{MIN_HIST_FIT_SPEEDUP}x")
-    assert rf_exact_speedup >= MIN_EXACT_FIT_SPEEDUP, (
-        f"exact RandomForest fit speedup {rf_exact_speedup:.2f}x over the "
+    assert rf_speedup >= MIN_EXACT_FIT_SPEEDUP, (
+        f"exact RandomForest fit speedup {rf_speedup:.2f}x over the "
         f"reference builder below {MIN_EXACT_FIT_SPEEDUP}x")
-    assert abs(r2_exact - r2_hist) <= MAX_HIST_R2_GAP, (
-        f"hist R^2 {r2_hist:.4f} deviates from exact {r2_exact:.4f} by more "
-        f"than {MAX_HIST_R2_GAP}")
 
 
 @pytest.mark.benchmark(group="scheduler")

@@ -1,6 +1,6 @@
 """Versioned wire protocol of the distributed worker fleet.
 
-Framing (v5, unchanged in v8)
+Framing (v5, unchanged in v9)
 -----------------------------
 Every message is one *frame*: a 13-byte big-endian header — payload
 length, the CRC32 of the payload, and a flags byte — followed by that
@@ -136,7 +136,9 @@ __all__ = [
 #: Version 8 made ``GetPlan``/``GetBatch`` long polls and deleted
 #: ``NoPlan.delay`` and ``Idle.delay``: the coordinator holds a request
 #: it cannot answer yet, so no reply tells a worker how long to sleep.
-PROTOCOL_VERSION = 8
+#: Version 9 dropped ``EstimatorSpec``'s split-search method field with
+#: the histogram tree builder, so every ``PlanAssignment`` changes shape.
+PROTOCOL_VERSION = 9
 
 #: Upper bound on a single frame (a defensive cap, far above any real
 #: plan state; a corrupt or foreign length prefix fails fast instead of

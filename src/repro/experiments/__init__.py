@@ -23,7 +23,6 @@ from repro.experiments.ablations import (
     ablation_analytical_quality,
     ablation_ml_backend,
     ablation_sampling_strategy,
-    ablation_tree_method,
 )
 from repro.experiments.figures import (
     analytical_accuracy,
@@ -80,7 +79,6 @@ __all__ = [
     "ablation_analytical_quality",
     "ablation_sampling_strategy",
     "ablation_ml_backend",
-    "ablation_tree_method",
     "format_curves",
     "format_result",
     "results_to_markdown",

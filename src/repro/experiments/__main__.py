@@ -226,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from contextlib import nullcontext
 
-    from repro.experiments.plan import experiment_plan
+    from repro.experiments.plan import experiment_plan, planless_reads
 
     fleet = None
     status_server = None
@@ -295,13 +295,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.store_prune:
         # Datasets/caches are keyed by dataset fingerprint, published
         # models by plan fingerprint: keep both, or pruning right after
-        # --publish-models would delete the just-published models.
+        # --publish-models would delete the just-published models.  The
+        # plan-less experiments read datasets and caches too.
         keep = set()
         for name in args.names:
             plan = experiment_plan(name, settings)
             if plan is not None:
                 keep.add(plan.dataset.fingerprint)
                 keep.add(plan.fingerprint)
+            keep.update(spec.fingerprint for spec, _ in planless_reads(name, settings))
         removed = store.prune(keep)
         print(f"store prune: kept {len(keep)} fingerprint(s), "
               f"removed {len(removed)} file(s)")

@@ -11,9 +11,7 @@ of the hybrid model contributes:
 * **sampling strategy** — uniform random vs Latin-hypercube-style
   stratified training-set selection at small fractions;
 * **ML backend** — extra trees (the paper's choice) vs random forest,
-  bagged trees and k-NN as the stacked learner;
-* **tree method** — exact vs histogram-binned split search for the ML
-  and hybrid models.
+  bagged trees and k-NN as the stacked learner.
 
 All but the sampling-strategy ablation are regular learning-curve grids
 and are declared as plans in :mod:`repro.experiments.plan` (so they run
@@ -32,7 +30,7 @@ from repro.core.evaluation import LearningCurve, LearningCurvePoint
 from repro.core.features import PerformanceDataset
 from repro.core.hybrid import HybridPerformanceModel
 from repro.datasets.sampling import latin_hypercube_indices, uniform_sample_indices
-from repro.datasets.store import DatasetSpec
+from repro.experiments.plan import planless_reads
 from repro.experiments.runner import ExperimentResult, ExperimentSettings, _resolve_store
 from repro.experiments.scheduler import run_named_plan, warmed_cache
 from repro.ml import ExtraTreesRegressor
@@ -44,7 +42,6 @@ __all__ = [
     "ablation_analytical_quality",
     "ablation_sampling_strategy",
     "ablation_ml_backend",
-    "ablation_tree_method",
 ]
 
 _FRACTIONS = (0.01, 0.02, 0.04)
@@ -82,20 +79,6 @@ def ablation_ml_backend(settings: ExperimentSettings | None = None,
     return run_named_plan("ablation_ml_backend", settings, dataset, **scheduler_options)
 
 
-def ablation_tree_method(settings: ExperimentSettings | None = None,
-                         dataset: PerformanceDataset | None = None,
-                         **scheduler_options) -> ExperimentResult:
-    """Exact vs histogram-binned split search for the ML and hybrid models.
-
-    ``tree_method="hist"`` quantizes features to quantile bins at fit
-    time (see :mod:`repro.ml._hist`); this ablation verifies that the
-    learning curves it produces are statistically indistinguishable from
-    exact split search's on the blocked-stencil dataset.
-    """
-    return run_named_plan("ablation_tree_method", settings, dataset,
-                          **scheduler_options)
-
-
 def ablation_sampling_strategy(settings: ExperimentSettings | None = None,
                                dataset: PerformanceDataset | None = None,
                                store=None) -> ExperimentResult:
@@ -106,13 +89,13 @@ def ablation_sampling_strategy(settings: ExperimentSettings | None = None,
     through the store, as a plan reads them.
     """
     settings = settings or ExperimentSettings()
-    spec = DatasetSpec("stencil-blocked", max_configs=settings.max_configs, random_state=0)
+    ((spec, key),) = planless_reads("ablation_sampling_strategy", settings)
     if dataset is not None:
         store = None
     else:
         store = _resolve_store(store)
         dataset = store.get(spec) if store is not None else spec.build()
-    cache = warmed_cache("stencil", spec, dataset, store)
+    cache = warmed_cache(key, spec, dataset, store)
     analytical = cache.model
     extra: dict = {}
 

@@ -16,8 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.features import PerformanceDataset
-from repro.datasets.store import DatasetSpec
-from repro.experiments.plan import build_analytical
+from repro.experiments.plan import build_analytical, planless_reads
 from repro.experiments.runner import ExperimentResult, ExperimentSettings, _resolve_store
 from repro.experiments.scheduler import run_named_plan, warmed_cache
 from repro.ml.metrics import mean_absolute_percentage_error
@@ -95,20 +94,13 @@ def figure8(settings: ExperimentSettings | None = None,
 # --------------------------------------------------------------------------- #
 # In-text analytical-model accuracy numbers (no learning curves — no plan)
 # --------------------------------------------------------------------------- #
-#: Registry dataset -> the analytical model (registry key) it is scored with.
-_ACCURACY_MODELS = {
-    "stencil-grid-only": "stencil",
-    "stencil-blocked": "stencil",
-    "stencil-threaded": "stencil",
-    "fmm": "fmm",
-}
-
-
 def analytical_accuracy(settings: ExperimentSettings | None = None,
                         store=None) -> ExperimentResult:
     """Standalone analytical-model MAPE on every dataset (paper: 42% and 84.5%).
 
-    With a *store* (a :class:`~repro.datasets.store.DatasetStore` or a
+    Each registry dataset is scored with the analytical model
+    :func:`~repro.experiments.plan.planless_reads` pairs it with.  With a
+    *store* (a :class:`~repro.datasets.store.DatasetStore` or a
     directory path) each dataset and its model's warmed cache are read
     through it, as a plan reads them; without one the datasets are built
     and predicted here.  The numbers are the same either way.
@@ -116,15 +108,14 @@ def analytical_accuracy(settings: ExperimentSettings | None = None,
     settings = settings or ExperimentSettings()
     store = _resolve_store(store)
     extra = {}
-    for name, key in _ACCURACY_MODELS.items():
-        spec = DatasetSpec(name, max_configs=settings.max_configs, random_state=0)
+    for spec, key in planless_reads("analytical_accuracy", settings):
         if store is None:
             dataset = spec.build()
             predictions = build_analytical(key).predict(dataset.X, dataset.feature_names)
         else:
             dataset = store.get(spec)
             predictions = warmed_cache(key, spec, dataset, store).predict(dataset.X)
-        extra[name] = {
+        extra[spec.name] = {
             "mape": mean_absolute_percentage_error(dataset.y, predictions),
             "log_correlation": float(np.corrcoef(np.log(dataset.y), np.log(predictions))[0, 1]),
             "n_configs": dataset.n_samples,

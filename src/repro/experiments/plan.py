@@ -14,7 +14,8 @@ and fleets while guaranteeing results bit-identical to the serial run.
 Experiments that do not fit the learning-curve-grid shape
 (``analytical_accuracy``, ``ablation_sampling_strategy``) have no plan;
 :func:`experiment_plan` returns ``None`` and the runner falls back to
-calling their function directly.
+calling their function directly.  :func:`planless_reads` names the
+datasets and caches they read.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ __all__ = [
     "BlockingBlindStencilModel",
     "ConstantAnalyticalModel",
     "PLANNED_EXPERIMENTS",
+    "planless_reads",
 ]
 
 #: Training fractions used in the paper's figures.
@@ -186,15 +188,11 @@ class EstimatorSpec:
     """Recipe for one ML regressor (the per-seed randomness stays outside).
 
     ``n_estimators`` is ignored by estimators that have no ensemble size
-    (decision tree, k-NN).  ``tree_method`` selects the split-search
-    backend of tree-based estimators (``None`` and ``"exact"`` search
-    exact thresholds, ``"hist"`` bins features — see
-    :mod:`repro.ml._hist`); non-tree estimators ignore it.
+    (decision tree, k-NN).
     """
 
     name: str
     n_estimators: int = 0
-    tree_method: str | None = None
 
 
 @dataclass(frozen=True)
@@ -269,15 +267,13 @@ class ExperimentPlan:
 
 def _build_estimator(spec: EstimatorSpec, seed: int):
     if spec.name == "decision_tree":
-        return DecisionTreeRegressor(random_state=seed, tree_method=spec.tree_method)
+        return DecisionTreeRegressor(random_state=seed)
     if spec.name == "extra_trees":
-        return ExtraTreesRegressor(n_estimators=spec.n_estimators, random_state=seed,
-                                   tree_method=spec.tree_method)
+        return ExtraTreesRegressor(n_estimators=spec.n_estimators, random_state=seed)
     if spec.name == "random_forest":
-        return RandomForestRegressor(n_estimators=spec.n_estimators, random_state=seed,
-                                     tree_method=spec.tree_method)
+        return RandomForestRegressor(n_estimators=spec.n_estimators, random_state=seed)
     if spec.name == "bagged_tree":
-        return BaggingRegressor(estimator=DecisionTreeRegressor(tree_method=spec.tree_method),
+        return BaggingRegressor(estimator=DecisionTreeRegressor(),
                                 n_estimators=spec.n_estimators, random_state=seed)
     if spec.name == "knn":
         return KNeighborsRegressor(n_neighbors=5, weights="distance")
@@ -385,20 +381,46 @@ def _hybrid(analytical: str, settings: ExperimentSettings, *,
                        aggregate=aggregate)
 
 
+def _dataset_spec(name: str, settings: ExperimentSettings) -> DatasetSpec:
+    """The store recipe of registry dataset *name* under *settings*."""
+    return DatasetSpec(name, max_configs=settings.max_configs, random_state=0)
+
+
+#: Registry datasets each plan-less experiment reads, each with the
+#: analytical model (registry key) whose warmed cache it reads alongside.
+_PLANLESS_READS = {
+    "analytical_accuracy": (("stencil-grid-only", "stencil"),
+                            ("stencil-blocked", "stencil"),
+                            ("stencil-threaded", "stencil"),
+                            ("fmm", "fmm")),
+    "ablation_sampling_strategy": (("stencil-blocked", "stencil"),),
+}
+
+
+def planless_reads(name: str, settings: ExperimentSettings | None = None,
+                   ) -> tuple[tuple[DatasetSpec, str], ...]:
+    """``(dataset spec, analytical key)`` pairs plan-less experiment *name* reads.
+
+    The one list ``analytical_accuracy`` and ``ablation_sampling_strategy``
+    take their datasets and caches from, and that ``--store-prune`` keeps;
+    empty for every other experiment.
+    """
+    s = settings or ExperimentSettings()
+    return tuple((_dataset_spec(dataset, s), key)
+                 for dataset, key in _PLANLESS_READS.get(name, ()))
+
+
 def experiment_plan(name: str,
                     settings: ExperimentSettings | None = None) -> ExperimentPlan | None:
     """The :class:`ExperimentPlan` for *name*, or ``None`` for opaque experiments."""
     s = settings or ExperimentSettings()
-
-    def _spec(dataset_name: str) -> DatasetSpec:
-        return DatasetSpec(dataset_name, max_configs=s.max_configs, random_state=0)
 
     def _plan(experiment_id: str, description: str, dataset_name: str,
               series: tuple[SeriesSpec, ...], analytical: str | None = None,
               extras: tuple[str, ...] = ()) -> ExperimentPlan:
         return ExperimentPlan(
             name=name, experiment_id=experiment_id, description=description,
-            dataset=_spec(dataset_name), series=series,
+            dataset=_dataset_spec(dataset_name, s), series=series,
             n_repeats=s.n_repeats, random_state=s.random_state,
             analytical=analytical, extras=extras,
         )
@@ -478,28 +500,6 @@ def experiment_plan(name: str,
                         _hybrid("stencil_constant", s), ABLATION_FRACTIONS)),
             analytical="stencil", extras=("analytical_quality",),
         )
-    if name == "ablation_tree_method":
-        def _et(method: str | None) -> EstimatorSpec:
-            return EstimatorSpec("extra_trees", s.n_estimators, tree_method=method)
-
-        return _plan(
-            "ablation_tree_method",
-            "Exact vs histogram-binned split search for the ML and hybrid models",
-            "stencil-blocked",
-            (SeriesSpec("extra_trees_exact",
-                        FactorySpec(kind="ml_pipeline", estimator=_et("exact")),
-                        ABLATION_FRACTIONS),
-             SeriesSpec("extra_trees_hist",
-                        FactorySpec(kind="ml_pipeline", estimator=_et("hist")),
-                        ABLATION_FRACTIONS),
-             SeriesSpec("hybrid_exact",
-                        _hybrid("stencil", s, estimator=_et("exact")),
-                        ABLATION_FRACTIONS),
-             SeriesSpec("hybrid_hist",
-                        _hybrid("stencil", s, estimator=_et("hist")),
-                        ABLATION_FRACTIONS)),
-            analytical="stencil",
-        )
     if name == "ablation_ml_backend":
         return _plan(
             "ablation_ml_backend",
@@ -530,5 +530,5 @@ def experiment_plan(name: str,
 PLANNED_EXPERIMENTS = (
     "figure3_stencil", "figure3_fmm", "figure5", "figure6", "figure7",
     "figure8", "ablation_aggregation", "ablation_analytical_quality",
-    "ablation_ml_backend", "ablation_tree_method",
+    "ablation_ml_backend",
 )

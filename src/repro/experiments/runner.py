@@ -120,7 +120,6 @@ EXPERIMENTS = (
     "ablation_analytical_quality",
     "ablation_sampling_strategy",
     "ablation_ml_backend",
-    "ablation_tree_method",
 )
 
 
@@ -139,7 +138,6 @@ def _experiment_registry() -> dict:
         "ablation_analytical_quality": ablations.ablation_analytical_quality,
         "ablation_sampling_strategy": ablations.ablation_sampling_strategy,
         "ablation_ml_backend": ablations.ablation_ml_backend,
-        "ablation_tree_method": ablations.ablation_tree_method,
     }
     assert tuple(registry) == EXPERIMENTS
     return registry

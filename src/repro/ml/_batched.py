@@ -6,9 +6,9 @@ module grows **all trees of a forest together, one depth level at a
 time**: every frontier node of every tree is scored and partitioned in a
 handful of vectorized passes over contiguous segment-grouped arrays
 (``numpy.add.reduceat`` over CSR-style node segments), so the
-interpreter cost is per *level*, not per node.  It is the exact
-split-search builder of every tree estimator: forests, single decision
-trees (grown as one-tree forests) and gradient-boosting stages.
+interpreter cost is per *level*, not per node.  It is the one builder
+of every tree estimator: forests, single decision trees (grown as
+one-tree forests) and gradient-boosting stages.
 
 Per level, the builder gathers with ``take``/``compress`` from one
 feature-major copy of the training rows (``X`` transposed once per fit),
@@ -25,8 +25,7 @@ so every pass runs over one contiguous ``(slots,)`` array per feature:
 Children are laid out by :class:`_LevelSplit` (two ``compress`` calls
 per slot order plus one permutation every order of the level shares) and
 the level-major node arena is cut into per-tree :class:`Tree` objects by
-:class:`_Arena`; the histogram builder (:mod:`repro.ml._hist`) shares
-both, and :func:`_tree_groups`.
+:class:`_Arena`.
 
 Byte identity: the returned trees equal, array for array, those of the
 builder this loop replaced, which :mod:`repro.testing.tree_reference`
@@ -155,8 +154,6 @@ class _LevelSplit:
                  do_split: np.ndarray) -> None:
         left = np.add.reduceat(go_left, rstarts, dtype=np.int64)[do_split]
         right = rsizes[do_split] - left
-        self.left_sizes = left
-        self.right_sizes = right
         self.child_sizes = np.empty(2 * left.size, dtype=np.int64)
         self.child_sizes[0::2] = left
         self.child_sizes[1::2] = right

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.ml.base import BaseEstimator, RegressorMixin, clone
 from repro.ml.tree import DecisionTreeRegressor
-from repro.parallel.threadpool import parallel_map
 from repro.utils.rng import check_random_state, spawn_seeds
 from repro.utils.validation import check_array, check_is_fitted, check_X_y
 
@@ -49,7 +48,6 @@ class BaggingRegressor(BaseEstimator, RegressorMixin):
         max_samples: float | int = 1.0,
         max_features: float | int = 1.0,
         bootstrap: bool = True,
-        n_jobs: int = 1,
         random_state=None,
     ) -> None:
         self.estimator = estimator
@@ -57,7 +55,6 @@ class BaggingRegressor(BaseEstimator, RegressorMixin):
         self.max_samples = max_samples
         self.max_features = max_features
         self.bootstrap = bootstrap
-        self.n_jobs = n_jobs
         self.random_state = random_state
         self.estimators_: list[BaseEstimator] | None = None
         self.estimators_features_: list[np.ndarray] | None = None
@@ -87,15 +84,12 @@ class BaggingRegressor(BaseEstimator, RegressorMixin):
                 sample_sets.append(rng.permutation(n)[:n_samples])
             feature_sets.append(np.sort(rng.permutation(d)[:n_features]))
 
-        def _fit_one(i: int) -> BaseEstimator:
+        self.estimators_ = []
+        for seed, idx, feats in zip(seeds, sample_sets, feature_sets, strict=True):
             est = clone(base)
             if "random_state" in est.get_params(deep=False):
-                est.set_params(random_state=seeds[i])
-            idx, feats = sample_sets[i], feature_sets[i]
-            return est.fit(X[np.ix_(idx, feats)], y[idx])
-
-        self.estimators_ = parallel_map(_fit_one, range(self.n_estimators),
-                                        n_jobs=self.n_jobs, chunked=True)
+                est.set_params(random_state=seed)
+            self.estimators_.append(est.fit(X[np.ix_(idx, feats)], y[idx]))
         self.estimators_features_ = feature_sets
         return self
 

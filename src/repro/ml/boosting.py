@@ -5,10 +5,8 @@ a natural additional baseline for the ablation benchmarks: boosting builds
 an additive model of shallow trees, which behaves very differently from
 variance-reducing ensembles at tiny training sizes.
 
-Every stage is a one-tree forest grown by the same level-synchronous
-builders the forest estimators use: :mod:`repro.ml._batched` for exact
-split search, or :mod:`repro.ml._hist` with ``tree_method="hist"``, in
-which case the feature matrix is binned once for all stages.
+Every stage is a one-tree forest grown by the level-synchronous builder
+the forest estimators use (:mod:`repro.ml._batched`).
 
 Prediction packs the fitted stages into a single
 :class:`~repro.ml._packed.PackedForest` arena at the end of ``fit``, so
@@ -48,26 +46,17 @@ class GradientBoostingRegressor(BaseEstimator, RegressorMixin):
         Minimum samples per leaf of the base trees.
     random_state:
         Seed for the per-stage subsampling and tree randomness.
-    tree_method:
-        ``None`` or ``"exact"`` (exact split search) or ``"hist"`` —
-        forwarded to every stage's base tree (see
-        :class:`~repro.ml.tree.DecisionTreeRegressor`).
-    max_bins:
-        Quantile bins per feature for ``tree_method="hist"``.
     """
 
     def __init__(self, *, n_estimators: int = 100, learning_rate: float = 0.1,
                  max_depth: int = 3, subsample: float = 1.0,
-                 min_samples_leaf: int = 1, random_state=None,
-                 tree_method: str | None = None, max_bins: int = 256) -> None:
+                 min_samples_leaf: int = 1, random_state=None) -> None:
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
         self.subsample = subsample
         self.min_samples_leaf = min_samples_leaf
         self.random_state = random_state
-        self.tree_method = tree_method
-        self.max_bins = max_bins
         self.estimators_: list[DecisionTreeRegressor] | None = None
         self.packed_: PackedForest | None = None
         self.init_prediction_: float | None = None
@@ -93,15 +82,6 @@ class GradientBoostingRegressor(BaseEstimator, RegressorMixin):
         self.estimators_ = []
         self.train_score_ = []
         n_sub = max(1, int(round(self.subsample * n)))
-
-        # With histogram stage trees, quantize the feature matrix once up
-        # front instead of once per stage (residuals change, X does not).
-        binned = None
-        if self.tree_method == "hist":
-            from repro.ml._hist import bin_dataset
-
-            binned = bin_dataset(X, self.max_bins)
-
         for stage in range(self.n_estimators):
             residual = y - current
             rng = np.random.default_rng(seeds[stage])
@@ -110,11 +90,8 @@ class GradientBoostingRegressor(BaseEstimator, RegressorMixin):
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 random_state=seeds[stage],
-                tree_method=self.tree_method,
-                max_bins=self.max_bins,
             )
-            prebinned = (binned[0][idx], binned[1]) if binned is not None else None
-            tree.fit(X[idx], residual[idx], _hist_prebinned=prebinned)
+            tree.fit(X[idx], residual[idx])
             current = current + self.learning_rate * tree.tree_.predict(X)
             self.estimators_.append(tree)
             self.train_score_.append(float(np.mean((y - current) ** 2)))
@@ -129,12 +106,7 @@ class GradientBoostingRegressor(BaseEstimator, RegressorMixin):
             raise ValueError(
                 f"X has {X.shape[1]} features, expected {self.n_features_in_}"
             )
-        # getattr: instances unpickled from before packing existed restore
-        # their __dict__ without a packed_ attribute at all.
-        packed = getattr(self, "packed_", None)
-        if packed is not None:
-            return packed.predict_all(X)
-        return np.column_stack([tree.tree_.predict(X) for tree in self.estimators_])
+        return self.packed_.predict_all(X)
 
     def predict(self, X) -> np.ndarray:
         """Sum the shrunken stage predictions on top of the initial constant."""

@@ -14,21 +14,21 @@ Extra trees is the model the paper selects for its hybrid approach after
 the comparison in Figure 3.
 
 All trees of a forest grow together, one depth level at a time, on the
-same two builders a single tree uses (:func:`repro.ml.tree._grow_trees`):
-the exact builder (:mod:`repro.ml._batched`) by default, or its
-histogram-binned sibling (:mod:`repro.ml._hist`) with
-``tree_method="hist"``.  Prediction always goes through a
-:class:`PackedForest` (:mod:`repro.ml._packed`), descending every tree
-for every query row in a single vectorized traversal.
+builder a single tree uses
+(:func:`repro.ml._batched.build_forest_batched`).  Prediction always
+goes through a :class:`PackedForest` (:mod:`repro.ml._packed`),
+descending every tree for every query row in a single vectorized
+traversal.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.ml import _batched
 from repro.ml._packed import PackedForest
 from repro.ml.base import BaseEstimator, RegressorMixin
-from repro.ml.tree import DecisionTreeRegressor, _grow_trees
+from repro.ml.tree import DecisionTreeRegressor
 from repro.utils.rng import check_random_state, spawn_seeds
 from repro.utils.validation import check_array, check_is_fitted, check_X_y
 
@@ -53,8 +53,6 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
         bootstrap: bool | None = None,
         oob_score: bool = False,
         random_state=None,
-        tree_method: str | None = None,
-        max_bins: int = 256,
     ) -> None:
         self.n_estimators = n_estimators
         self.max_depth = max_depth
@@ -64,8 +62,6 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
         self.bootstrap = bootstrap
         self.oob_score = oob_score
         self.random_state = random_state
-        self.tree_method = tree_method
-        self.max_bins = max_bins
         self.estimators_: list[DecisionTreeRegressor] | None = None
         self.packed_: PackedForest | None = None
         self.n_features_in_: int | None = None
@@ -96,10 +92,10 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
                 sample_sets.append(np.arange(n))
 
         template = DecisionTreeRegressor(max_features=self.max_features)
-        trees = _grow_trees(
+        # Read off the module at call time, so a patched builder (the
+        # engine benchmark's frozen reference) takes effect here too.
+        trees = _batched.build_forest_batched(
             X, y,
-            tree_method=self.tree_method,
-            max_bins=self.max_bins,
             sample_sets=sample_sets,
             seeds=tree_seeds,
             splitter=self._splitter,
@@ -129,7 +125,6 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
             max_features=self.max_features,
             splitter=self._splitter,
             random_state=seed,
-            max_bins=self.max_bins,
         )
 
     def _check_X(self, X) -> np.ndarray:
@@ -215,8 +210,6 @@ class ExtraTreesRegressor(BaseForestRegressor):
         bootstrap: bool | None = None,
         oob_score: bool = False,
         random_state=None,
-        tree_method: str | None = None,
-        max_bins: int = 256,
     ) -> None:
         super().__init__(
             n_estimators=n_estimators,
@@ -227,6 +220,4 @@ class ExtraTreesRegressor(BaseForestRegressor):
             bootstrap=bootstrap,
             oob_score=oob_score,
             random_state=random_state,
-            tree_method=tree_method,
-            max_bins=max_bins,
         )

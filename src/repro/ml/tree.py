@@ -12,14 +12,12 @@ provided:
   :class:`repro.ml.forest.ExtraTreesRegressor`, the best performing model
   in the paper's Figure 3).
 
-Trees are grown by one of two level-synchronous builders, chosen by
-``tree_method``: the exact builder (:mod:`repro.ml._batched`, the
-default), which scores every distinct threshold with cumulative sums over
-presorted targets, and its histogram-binned sibling
-(:mod:`repro.ml._hist`, ``tree_method="hist"``).  A single tree is grown
-as a one-tree forest by the same builders the forest estimators use (see
-:func:`_grow_trees`), and predicts as a one-tree forest too: through the
-one descent of :mod:`repro.ml._packed`, all query rows at once.
+Trees are grown by one level-synchronous builder,
+:func:`repro.ml._batched.build_forest_batched`, which scores every
+distinct threshold with cumulative sums over presorted targets.  A
+single tree is grown as a one-tree forest by the builder the forest
+estimators use, and predicts as a one-tree forest too: through the one
+descent of :mod:`repro.ml._packed`, all query rows at once.
 """
 
 from __future__ import annotations
@@ -34,10 +32,6 @@ from repro.utils.validation import check_array, check_is_fitted, check_X_y
 __all__ = ["DecisionTreeRegressor", "Tree"]
 
 _NO_CHILD = -1
-
-#: Valid values of the estimators' ``tree_method`` parameter (``None``
-#: means exact).
-_TREE_METHODS = (None, "exact", "hist")
 
 
 @dataclass
@@ -114,29 +108,6 @@ class Tree:
         return PackedForest([self])._leaves(X)
 
 
-def _grow_trees(X: np.ndarray, y: np.ndarray, *, tree_method: str | None,
-                max_bins: int, prebinned=None, **params) -> list[Tree]:
-    """Grow one :class:`Tree` per ``params["sample_sets"]`` entry.
-
-    The single dispatch point of the tree, forest and boosting ``fit``
-    paths: ``tree_method="hist"`` selects
-    :func:`~repro.ml._hist.build_forest_hist` (with *max_bins* and the
-    optional *prebinned* codes), ``None`` and ``"exact"`` select
-    :func:`~repro.ml._batched.build_forest_batched`.  *params* are the
-    builders' shared keyword arguments.  The builders import
-    :class:`Tree` from this module, hence the local imports.
-    """
-    if tree_method not in _TREE_METHODS:
-        raise ValueError(f"tree_method must be one of {_TREE_METHODS}, got {tree_method!r}")
-    if tree_method == "hist":
-        from repro.ml._hist import build_forest_hist
-
-        return build_forest_hist(X, y, max_bins=max_bins, prebinned=prebinned, **params)
-    from repro.ml._batched import build_forest_batched
-
-    return build_forest_batched(X, y, **params)
-
-
 class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
     """CART regression tree.
 
@@ -158,12 +129,6 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         Minimum weighted variance reduction required to keep a split.
     random_state:
         Seed controlling feature subsets and random thresholds.
-    tree_method:
-        ``None`` or ``"exact"`` (exact threshold search) or ``"hist"``
-        (histogram-binned split search, see :mod:`repro.ml._hist`).
-    max_bins:
-        Quantile bins per feature for the ``"hist"`` method (ignored by
-        exact search).
     """
 
     def __init__(
@@ -176,8 +141,6 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         splitter: str = "best",
         min_impurity_decrease: float = 0.0,
         random_state=None,
-        tree_method: str | None = None,
-        max_bins: int = 256,
     ) -> None:
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -186,28 +149,22 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         self.splitter = splitter
         self.min_impurity_decrease = min_impurity_decrease
         self.random_state = random_state
-        self.tree_method = tree_method
-        self.max_bins = max_bins
         self.tree_: Tree | None = None
         self.n_features_in_: int | None = None
 
     # ------------------------------------------------------------------ #
-    def fit(self, X, y, _hist_prebinned=None) -> DecisionTreeRegressor:
-        """Grow the tree on the training data.
+    def fit(self, X, y) -> DecisionTreeRegressor:
+        """Grow the tree on the training data."""
+        # _batched imports Tree from this module, hence the local import;
+        # the builder is read off the module at call time, so a patched
+        # builder (the engine benchmark's frozen reference) takes effect.
+        from repro.ml import _batched
 
-        ``_hist_prebinned`` optionally carries ``(codes, edges_pad)``
-        from :func:`repro.ml._hist.bin_dataset` for the rows of *X*, so
-        callers fitting many hist trees on the same feature matrix
-        (gradient boosting) quantize it once instead of per tree.
-        """
         X, y = check_X_y(X, y)
         self._validate_hyperparameters()
         self.n_features_in_ = X.shape[1]
-        self.tree_ = _grow_trees(
+        self.tree_ = _batched.build_forest_batched(
             X, y,
-            tree_method=self.tree_method,
-            max_bins=self.max_bins,
-            prebinned=_hist_prebinned,
             sample_sets=[np.arange(X.shape[0])],
             seeds=[self.random_state],
             splitter=self.splitter,
@@ -289,8 +246,6 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
             raise ValueError(f"splitter must be 'best' or 'random', got {self.splitter!r}")
         if self.min_impurity_decrease < 0:
             raise ValueError("min_impurity_decrease must be >= 0")
-        if self.max_bins < 2:
-            raise ValueError(f"max_bins must be >= 2, got {self.max_bins}")
 
     def _resolve_max_features(self, n_features: int) -> int:
         mf = self.max_features

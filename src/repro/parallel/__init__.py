@@ -8,8 +8,8 @@ Fig. 7 explicitly exploits this).  This package provides:
   (Amdahl's law, bandwidth-saturation scaling, NUMA penalties) that the
   performance simulators use to turn a single-core time into a
   multi-threaded time,
-* :mod:`repro.parallel.threadpool` -- a simple chunked parallel map used by
-  the executable engines and the ensemble learners,
+* :mod:`repro.parallel.threadpool` -- a thread-pool map and index
+  chunking used by the executable FMM engines and the worker pool,
 * :mod:`repro.parallel.communicator` -- a tiny in-process "communicator"
   abstraction with the collective operations needed by the distributed-FMM
   partitioning example (an MPI stand-in that requires no processes).

@@ -1,4 +1,4 @@
-"""Chunked parallel map.
+"""Thread-pool map and index chunking.
 
 Python threads cannot speed up pure-Python loops (the GIL), but the
 executable engines in :mod:`repro.stencil` and :mod:`repro.fmm` spend their
@@ -70,8 +70,7 @@ def weighted_chunk_indices(weights: Sequence[float],
     return [sorted(chunk) for chunk in members if chunk]
 
 
-def parallel_map(func: Callable, items: Sequence, *, n_jobs: int = 1,
-                 chunked: bool = False) -> list:
+def parallel_map(func: Callable, items: Sequence, *, n_jobs: int = 1) -> list:
     """Apply *func* to every item, optionally with a thread pool.
 
     Parameters
@@ -83,10 +82,6 @@ def parallel_map(func: Callable, items: Sequence, *, n_jobs: int = 1,
     n_jobs:
         Number of worker threads.  ``1`` runs serially; ``-1`` uses as many
         workers as items (capped at 32).
-    chunked:
-        Submit one balanced contiguous chunk of items per worker instead of
-        one task per item, amortizing executor dispatch overhead over many
-        small work items (the default fitting mode of the tree ensembles).
 
     Returns
     -------
@@ -100,14 +95,5 @@ def parallel_map(func: Callable, items: Sequence, *, n_jobs: int = 1,
         n_jobs = min(32, max(1, len(items)))
     if n_jobs == 1 or len(items) <= 1:
         return [func(item) for item in items]
-    if chunked:
-        chunks = chunk_indices(len(items), n_jobs)
-
-        def _run_chunk(chunk: range) -> list:
-            return [func(items[i]) for i in chunk]
-
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            nested = list(pool.map(_run_chunk, chunks))
-        return [result for chunk_results in nested for result in chunk_results]
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
         return list(pool.map(func, items))

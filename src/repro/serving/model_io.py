@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import io
 import logging
+import tokenize
 import zipfile
 import zlib
 
@@ -279,9 +280,12 @@ def _decode_scaler(data, n_features: int) -> StandardScaler | None:
 
 #: What ``np.load`` and member reads raise on a structurally broken blob:
 #: a missing member, a plain ``.npy`` array where an archive belongs, a
-#: truncated or bit-flipped archive, no bytes at all.
+#: truncated or bit-flipped archive, no bytes at all.  An array header
+#: whose brackets a bit flip unbalanced fails numpy's fallback header
+#: parser with a ``SyntaxError`` or ``tokenize.TokenError``.
 _MALFORMED_BLOB_ERRORS = (KeyError, TypeError, IndexError, EOFError, OSError,
-                          zipfile.BadZipFile, zlib.error)
+                          SyntaxError, tokenize.TokenError, zipfile.BadZipFile,
+                          zlib.error)
 
 
 def decode_model(blob: bytes) -> ServedModel:

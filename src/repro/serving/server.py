@@ -73,11 +73,6 @@ from repro.serving.model_io import ServedModel, decode_model
 
 __all__ = ["ModelServer", "MicroBatcher", "main"]
 
-#: Backward-compatible alias: the status-carrying error moved to the
-#: shared HTTP base in :mod:`repro.obs.http`.
-_RequestError = RequestError
-
-
 #: How long a queued caller sleeps before it looks for itself whether its
 #: rows were served.  Every leader hands off when it releases, so the
 #: interval only bounds the wait behind a leader that died mid-pass.
@@ -331,7 +326,7 @@ class ModelServer(ReproHTTPServer):
     def load_model(self, plan_fingerprint: str, series: str) -> ServedModel:
         """The decoded model for ``(plan, series)``, fetching on first use.
 
-        Raises :class:`_RequestError` with the HTTP status the failure
+        Raises :class:`~repro.obs.http.RequestError` with the HTTP status the failure
         maps to: 404 for an unpublished model, 503 for a blob that fails
         checksum verification or decoding.
         """
@@ -343,20 +338,20 @@ class ModelServer(ReproHTTPServer):
         try:
             blob = self.store.model_bytes(plan_fingerprint, series)
         except KeyError:
-            raise _RequestError(
+            raise RequestError(
                 404, f"no published model for plan {plan_fingerprint!r} "
                      f"series {series!r}") from None
         except IntegrityError as exc:
             self.count("integrity_failures")
-            raise _RequestError(
+            raise RequestError(
                 503, f"model blob failed checksum verification and was "
                      f"discarded (republish to repair): {exc}") from None
         except ValueError as exc:
-            raise _RequestError(400, str(exc)) from None
+            raise RequestError(400, str(exc)) from None
         try:
             model = decode_model(blob)
         except ValueError as exc:
-            raise _RequestError(503, f"model blob cannot be decoded: {exc}") from None
+            raise RequestError(503, f"model blob cannot be decoded: {exc}") from None
         with self._models_lock:
             model = self._models.setdefault(key, model)
         self.count("model_loads")
@@ -372,22 +367,22 @@ class ModelServer(ReproHTTPServer):
             series = str(body["series"])
             rows = body["rows"]
         except KeyError as exc:
-            raise _RequestError(400, f"request body is missing field {exc}") from None
+            raise RequestError(400, f"request body is missing field {exc}") from None
         model = self.load_model(plan, series)
         try:
             array = np.asarray(rows, dtype=np.float64)
         except (TypeError, ValueError) as exc:
-            raise _RequestError(400, f"rows are not numeric: {exc}") from None
+            raise RequestError(400, f"rows are not numeric: {exc}") from None
         if array.ndim != 2 or array.shape[0] == 0:
-            raise _RequestError(
+            raise RequestError(
                 400, f"rows must be a non-empty list of feature rows, got "
                      f"shape {array.shape}")
         if array.shape[1] != model.n_features_in:
-            raise _RequestError(
+            raise RequestError(
                 400, f"rows have {array.shape[1]} features, but the model "
                      f"expects {model.n_features_in}")
         if not np.all(np.isfinite(array)):
-            raise _RequestError(400, "rows contain non-finite values")
+            raise RequestError(400, "rows contain non-finite values")
         return (plan, series), model, array
 
     def predict(self, body: dict) -> dict:
@@ -396,7 +391,7 @@ class ModelServer(ReproHTTPServer):
         try:
             predictions = self.batcher.predict(key, model, rows)
         except ValueError as exc:
-            raise _RequestError(400, str(exc)) from None
+            raise RequestError(400, str(exc)) from None
         self.count("predictions", len(predictions))
         return {"plan": key[0], "series": key[1],
                 "predictions": predictions.tolist()}
@@ -407,7 +402,7 @@ class ModelServer(ReproHTTPServer):
         try:
             predictions = self.batcher.predict(key, model, rows)
         except ValueError as exc:
-            raise _RequestError(400, str(exc)) from None
+            raise RequestError(400, str(exc)) from None
         self.count("recommendations")
         best = int(np.argmin(predictions))
         return {"plan": key[0], "series": key[1], "index": best,

@@ -7,7 +7,7 @@ verbatim as the reference the tests compare against: the rewritten
 builder must return the same seven :class:`~repro.ml.tree.Tree` arrays,
 byte for byte and dtype for dtype, for every input (see
 ``tests/test_ml_reference.py``), and ``benchmarks/test_bench_perf.py``
-times the histogram builder and the rewritten exact builder against it.
+times the rewritten builder against it.
 
 Nothing in :mod:`repro.ml` imports this module and no option selects
 it; it lives in the installed package, like :mod:`repro.testing.faults`,

@@ -90,14 +90,6 @@ class TestGradientBoosting:
             loop = loop + model.learning_rate * tree.tree_.predict(Xte)
             np.testing.assert_allclose(staged, loop, rtol=1e-12, atol=1e-12)
 
-    def test_unpacked_fallback_matches_packed(self, data):
-        """Instances without a packed arena (e.g. old pickles) still predict."""
-        Xtr, ytr, Xte, _ = data
-        model = GradientBoostingRegressor(n_estimators=15, random_state=3).fit(Xtr, ytr)
-        packed = model.predict(Xte)
-        model.packed_ = None
-        np.testing.assert_allclose(model.predict(Xte), packed, rtol=1e-12, atol=1e-12)
-
     def test_works_inside_hybrid_model(self, small_stencil_dataset):
         from repro.analytical import StencilAnalyticalModel
         from repro.core import HybridPerformanceModel

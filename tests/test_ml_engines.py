@@ -1,11 +1,10 @@
 """Tests for the tree builders and the packed predictor.
 
-Every tree estimator grows its trees on one of two level-synchronous
-builders: exact split search (:mod:`repro.ml._batched`) or
-histogram-binned search (:mod:`repro.ml._hist`).  The ``"best"``
-splitter must pick a CART-optimal split at every node (checked against
-brute force on random tied data), the builders must be deterministic and
-honour their constraints, and :class:`~repro.ml._packed.PackedForest`
+Every tree estimator grows its trees on one level-synchronous builder,
+exact split search (:mod:`repro.ml._batched`).  The ``"best"`` splitter
+must pick a CART-optimal split at every node (checked against brute
+force on random tied data), the builder must be deterministic and
+honour its constraints, and :class:`~repro.ml._packed.PackedForest`
 must reproduce the per-tree Python prediction loop.
 """
 
@@ -95,13 +94,12 @@ def assert_cart_optimal(tree, X, y, min_samples_leaf):
 class TestCartOptimality:
     """The ``"best"`` splitter over all features picks least-SSE splits."""
 
-    @pytest.mark.parametrize("tree_method", ["exact", "hist"])
     @settings(max_examples=20, deadline=None)
     @given(data=tied_regression_data())
-    def test_best_split_tree_is_cart_optimal(self, tree_method, data):
+    def test_best_split_tree_is_cart_optimal(self, data):
         X, y, min_samples_leaf = data
-        model = DecisionTreeRegressor(min_samples_leaf=min_samples_leaf, random_state=0,
-                                      tree_method=tree_method).fit(X, y)
+        model = DecisionTreeRegressor(min_samples_leaf=min_samples_leaf,
+                                      random_state=0).fit(X, y)
         assert_cart_optimal(model.tree_, X, y, min_samples_leaf)
 
 
@@ -206,10 +204,9 @@ class TestPackedForest:
 
 
 class TestVectorizedMaxDepth:
-    @pytest.mark.parametrize("tree_method", ["exact", "hist"])
-    def test_matches_per_node_reference(self, data, tree_method):
+    def test_matches_per_node_reference(self, data):
         X, y = data
-        tree = DecisionTreeRegressor(random_state=0, tree_method=tree_method).fit(X, y).tree_
+        tree = DecisionTreeRegressor(random_state=0).fit(X, y).tree_
         depth = np.zeros(tree.node_count, dtype=np.int64)
         for node in range(tree.node_count):
             for child in (tree.left[node], tree.right[node]):

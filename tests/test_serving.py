@@ -259,6 +259,26 @@ class TestModelBlobFormat:
         with pytest.raises(ValueError, match="format version 99"):
             decode_model(buf.getvalue())
 
+    def test_unbalanced_array_header_is_value_error(self, published):
+        """One flipped bit turns an array header's ``)`` into ``(``, which
+        numpy's header parser fails with ``tokenize.TokenError``; like
+        every malformed blob, it must decode to a ``ValueError``."""
+        plan, store, *_ = published
+        blob = store.model_bytes(plan.fingerprint, "extra_trees")
+        with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        name = next(name for name, member in members.items()
+                    if b",)" in member[:member.index(b"\n")])
+        header_end = members[name].index(b"\n")
+        members[name] = (members[name][:header_end].replace(b",)", b",(", 1)
+                         + members[name][header_end:])
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as archive:
+            for member_name, member in members.items():
+                archive.writestr(member_name, member)
+        with pytest.raises(ValueError, match="malformed model blob"):
+            decode_model(buf.getvalue())
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_damaged_published_blob_raises_or_predicts(self, published, data):

@@ -388,6 +388,21 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "figure6" in out and "store prune" in out
 
+    def test_store_prune_keeps_what_a_planless_experiment_reads(self, tmp_path, capsys):
+        """A plan-less experiment reads datasets and caches through the
+        store, so --store-prune must keep them: a second store on the
+        directory runs the experiment again without a single miss."""
+        from repro.experiments.__main__ import main
+        from repro.experiments.runner import ExperimentSettings, run_experiment
+
+        assert main(["analytical_accuracy", "--quick", "--store-dir", str(tmp_path),
+                     "--store-prune"]) == 0
+        assert "removed 0 file(s)" in capsys.readouterr().out
+        store = DatasetStore(tmp_path)
+        run_experiment("analytical_accuracy", ExperimentSettings.quick(), store=store)
+        assert (store.misses, store.cache_misses) == (0, 0)
+        assert (store.hits, store.cache_hits) == (4, 4)
+
     def test_store_url_flag_http(self, object_server, capsys):
         from repro.experiments.__main__ import main
 
