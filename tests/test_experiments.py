@@ -30,7 +30,7 @@ from repro.experiments import (
     results_to_markdown,
     run_experiment,
 )
-from repro.experiments.plan import PLANNED_EXPERIMENTS, experiment_plan
+from repro.experiments.plan import PLANNED_EXPERIMENTS, experiment_plan, planless_reads
 from repro.experiments.scheduler import warmed_cache
 
 TINY = ExperimentSettings(n_estimators=5, n_repeats=1, max_configs=150, random_state=0)
@@ -136,6 +136,21 @@ class TestPlanlessExperimentsReadTheStore:
         for result in (cold, warm):
             assert pickle.dumps(result.curves) == pickle.dumps(reference.curves)
             assert result.extra == reference.extra
+
+    @pytest.mark.parametrize("name", PLANLESS)
+    def test_a_cold_run_reads_exactly_its_planless_reads(self, tmp_path, name):
+        """``planless_reads`` names every dataset and cache the experiment
+        reads and nothing else, so ``--store-prune`` can keep them."""
+        reads = planless_reads(name, TINY)
+        store = DatasetStore(tmp_path)
+        run_experiment(name, TINY, store=store)
+        assert (store.misses, store.cache_misses) == (len(reads), len(reads))
+        for spec, key in reads:
+            assert store.has_dataset(spec) and store.has_cache(key, spec)
+
+    def test_only_the_planless_experiments_have_planless_reads(self):
+        assert {name for name in EXPERIMENTS if planless_reads(name, TINY)} == set(self.PLANLESS)
+        assert all(planless_reads(name, TINY) == () for name in PLANNED_EXPERIMENTS)
 
     def test_a_store_warmed_by_the_plans_has_all_they_read(self, tmp_path):
         store = DatasetStore(tmp_path)

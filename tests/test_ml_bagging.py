@@ -7,6 +7,7 @@ from repro.ml.bagging import BaggingRegressor
 from repro.ml.linear import Ridge
 from repro.ml.metrics import r2_score
 from repro.ml.tree import DecisionTreeRegressor
+from repro.utils.rng import check_random_state, spawn_seeds
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,26 @@ class TestBaggingRegressor:
         Xtr, ytr, Xte, _ = data
         model = BaggingRegressor(n_estimators=10, random_state=0).fit(Xtr, ytr)
         assert np.all(model.predict_std(Xte) >= 0)
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_replicas_are_trees_fitted_alone_in_seed_order(self, data, bootstrap):
+        """Replica *i* is the tree seeded with the *i*-th spawned seed and
+        fitted on the rows and features that seed draws, bit for bit."""
+        Xtr, ytr, Xte, _ = data
+        model = BaggingRegressor(n_estimators=5, max_samples=120, max_features=2,
+                                 bootstrap=bootstrap, random_state=6).fit(Xtr, ytr)
+        n, d = Xtr.shape
+        seeds = spawn_seeds(6, 5)
+        for seed, est, feats in zip(seeds, model.estimators_, model.estimators_features_,
+                                    strict=True):
+            rng = check_random_state(seed)
+            idx = rng.integers(0, n, size=120) if bootstrap else rng.permutation(n)[:120]
+            np.testing.assert_array_equal(feats, np.sort(rng.permutation(d)[:2]))
+            alone = DecisionTreeRegressor(random_state=seed).fit(Xtr[np.ix_(idx, feats)],
+                                                                 ytr[idx])
+            assert est.random_state == seed
+            assert est.predict(Xte[:, feats]).tobytes() == alone.predict(Xte[:, feats]).tobytes()
+            assert est.tree_.threshold.tobytes() == alone.tree_.threshold.tobytes()
 
     def test_determinism(self, data):
         Xtr, ytr, Xte, _ = data

@@ -1,12 +1,16 @@
-"""Tests for the tree builders and the packed predictor.
+"""Tests for the tree builder and the packed predictor.
 
 Every tree estimator grows its trees on one level-synchronous builder,
 exact split search (:mod:`repro.ml._batched`).  The ``"best"`` splitter
 must pick a CART-optimal split at every node (checked against brute
-force on random tied data), the builder must be deterministic and
-honour its constraints, and :class:`~repro.ml._packed.PackedForest`
-must reproduce the per-tree Python prediction loop.
+force on random tied data) and cut at the midpoint of the node's values
+on either side; the builder must be deterministic, honour its
+constraints and learn the registry datasets; fitted models must survive
+a pickle; and :class:`~repro.ml._packed.PackedForest` must reproduce the
+per-tree Python prediction loop.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -15,8 +19,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.ml._packed import PackedForest
+from repro.ml.bagging import BaggingRegressor
+from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.forest import ExtraTreesRegressor, RandomForestRegressor
 from repro.ml.metrics import r2_score
+from repro.ml.model_selection import train_test_split
 from repro.ml.tree import DecisionTreeRegressor
 
 
@@ -159,11 +166,110 @@ class TestBatchedEngine:
         assert model.get_n_leaves() == 1
         np.testing.assert_allclose(model.predict(X), 2.5)
 
+    @pytest.mark.parametrize("splitter", ["best", "random"])
+    def test_constant_features_yield_single_leaf(self, splitter):
+        """No feature varies, so no split exists whatever the targets."""
+        X = np.ones((40, 3))
+        y = np.random.default_rng(0).normal(size=40)
+        model = DecisionTreeRegressor(splitter=splitter, random_state=0).fit(X, y)
+        assert model.get_n_leaves() == 1
+        np.testing.assert_allclose(model.predict(X), y.mean(), rtol=1e-12)
+
     def test_bootstrap_oob_supported(self, data):
         X, y = data
         model = RandomForestRegressor(n_estimators=25, oob_score=True,
                                       random_state=0).fit(X, y)
         assert model.oob_score_ is not None and model.oob_score_ > 0.5
+
+
+def _node_samples(tree, X):
+    """Training-row indices of every node of *tree*, fitted on all of *X*."""
+    samples = {0: np.arange(X.shape[0])}
+    for node in range(tree.node_count):
+        f = tree.feature[node]
+        if f != -1:
+            idx = samples[node]
+            go_left = X[idx, f] <= tree.threshold[node]
+            samples[tree.left[node]] = idx[go_left]
+            samples[tree.right[node]] = idx[~go_left]
+    return samples
+
+
+class TestThresholds:
+    """Where the builder puts a threshold inside a node's value gap."""
+
+    def test_best_thresholds_are_node_local_midpoints(self, data):
+        """A ``"best"`` threshold is the midpoint of the node's values on
+        either side of the cut, not a global bin edge."""
+        X, y = data
+        tree = DecisionTreeRegressor(min_samples_leaf=3, random_state=0).fit(X, y).tree_
+        samples = _node_samples(tree, X)
+        internal = np.nonzero(tree.feature != -1)[0]
+        assert internal.size > 10
+        for node in internal:
+            values = X[samples[node], tree.feature[node]]
+            lo = values[values <= tree.threshold[node]].max()
+            hi = values[values > tree.threshold[node]].min()
+            assert tree.threshold[node] == 0.5 * (lo + hi)
+
+    def test_midpoint_that_rounds_up_falls_back_to_the_left_value(self):
+        """Between adjacent floats the midpoint rounds onto the right
+        value, which would send it left; the builder cuts at the left
+        value instead."""
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        assert 0.5 * (a + b) == b  # the sum's tie rounds to even, upwards
+        model = DecisionTreeRegressor().fit(np.array([[a], [b]]), np.array([0.0, 1.0]))
+        assert model.tree_.threshold[0] == a
+        np.testing.assert_array_equal(model.predict(np.array([[a], [b]])), [0.0, 1.0])
+
+    def test_random_thresholds_lie_in_the_node_range(self, data):
+        """A ``"random"`` threshold is drawn in ``[min, max)`` of the
+        node's values, so both children are non-empty."""
+        X, y = data
+        tree = DecisionTreeRegressor(splitter="random", random_state=4).fit(X, y).tree_
+        samples = _node_samples(tree, X)
+        internal = np.nonzero(tree.feature != -1)[0]
+        assert internal.size > 10
+        for node in internal:
+            values = X[samples[node], tree.feature[node]]
+            assert values.min() <= tree.threshold[node] < values.max()
+
+
+class TestRegistryDatasets:
+    """The one builder learns the paper's datasets from held-out rows."""
+
+    @pytest.mark.parametrize("cls", [ExtraTreesRegressor, RandomForestRegressor])
+    def test_stencil_dataset_r2(self, small_stencil_dataset, cls):
+        ds = small_stencil_dataset
+        Xtr, Xte, ytr, yte = train_test_split(ds.X, ds.y, test_size=0.3, random_state=1)
+        forest = cls(n_estimators=30, random_state=0).fit(Xtr, ytr)
+        assert r2_score(yte, forest.predict(Xte)) > 0.5
+
+    def test_fmm_dataset_r2(self, small_fmm_dataset):
+        ds = small_fmm_dataset
+        Xtr, Xte, ytr, yte = train_test_split(ds.X, ds.y, test_size=0.3, random_state=1)
+        forest = ExtraTreesRegressor(n_estimators=30, random_state=0).fit(Xtr, ytr)
+        assert r2_score(yte, forest.predict(Xte)) > 0.5
+
+
+class TestFittedModelsPickle:
+    """A fitted tree model, packed arena included, survives a pickle."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: DecisionTreeRegressor(random_state=0),
+        lambda: RandomForestRegressor(n_estimators=5, random_state=0),
+        lambda: ExtraTreesRegressor(n_estimators=5, random_state=0),
+        lambda: GradientBoostingRegressor(n_estimators=10, random_state=0),
+        lambda: BaggingRegressor(n_estimators=5, random_state=0),
+    ], ids=["decision_tree", "random_forest", "extra_trees", "boosting", "bagging"])
+    def test_round_trip_predicts_identically(self, data, make):
+        X, y = data
+        model = make().fit(X, y)
+        loaded = pickle.loads(pickle.dumps(model))
+        np.testing.assert_array_equal(loaded.predict(X), model.predict(X))
+        if hasattr(model, "predict_std"):
+            np.testing.assert_array_equal(loaded.predict_std(X), model.predict_std(X))
 
 
 class TestPackedForest:

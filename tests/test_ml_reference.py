@@ -12,9 +12,18 @@ between them.  No tree digest is pinned: the bits depend on the CPU.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ml import (
+    BaggingRegressor,
+    DecisionTreeRegressor,
+    ExtraTreesRegressor,
+    GradientBoostingRegressor,
+    RandomForestRegressor,
+    _batched,
+)
 from repro.ml._batched import build_forest_batched
 from repro.testing.tree_reference import build_forest_batched as build_forest_reference
 
@@ -119,3 +128,33 @@ class TestUniformIdentity:
         want = np.random.default_rng(seed).uniform(lo, hi)
         got = lo + (hi - lo) * np.random.default_rng(seed).random(shape)
         assert got.tobytes() == want.tobytes()
+
+
+class TestPatchedBuilder:
+    """Every tree fit reads the builder off :mod:`repro.ml._batched` when
+    it runs, so patching that attribute, as the engine benchmark does to
+    time the reference, reaches trees, forests, boosting stages and
+    bagged trees alike."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: DecisionTreeRegressor(random_state=0),
+        lambda: RandomForestRegressor(n_estimators=3, random_state=0),
+        lambda: ExtraTreesRegressor(n_estimators=3, random_state=0),
+        lambda: GradientBoostingRegressor(n_estimators=3, random_state=0),
+        lambda: BaggingRegressor(n_estimators=3, random_state=0),
+    ], ids=["decision_tree", "random_forest", "extra_trees", "boosting", "bagging"])
+    def test_patched_builder_grows_every_fit(self, monkeypatch, make):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0.0, 4.0, size=(80, 3))
+        y = np.sin(X[:, 0]) * 10.0 - X[:, 1] + rng.normal(size=80)
+        want = make().fit(X, y).predict(X)
+        calls = []
+
+        def reference(*args, **kwargs):
+            calls.append(len(kwargs["sample_sets"]))
+            return build_forest_reference(*args, **kwargs)
+
+        monkeypatch.setattr(_batched, "build_forest_batched", reference)
+        model = make().fit(X, y)
+        assert sum(calls) == len(getattr(model, "estimators_", [model]))
+        assert model.predict(X).tobytes() == want.tobytes()

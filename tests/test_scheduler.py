@@ -16,7 +16,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.evaluation import EvalCell
+from repro.core.evaluation import EvalCell, evaluate_cell, plan_learning_curve
 from repro.datasets import DatasetSpec, DatasetStore
 from repro.experiments import (
     EXECUTORS,
@@ -29,7 +29,14 @@ from repro.experiments import (
     run_all,
     run_experiment,
 )
-from repro.experiments.plan import build_analytical, build_factory
+from repro.experiments.plan import EstimatorSpec, FactorySpec, build_analytical, build_factory
+from repro.ml import (
+    BaggingRegressor,
+    DecisionTreeRegressor,
+    ExtraTreesRegressor,
+    KNeighborsRegressor,
+    RandomForestRegressor,
+)
 from repro.utils.rng import check_random_state, spawn_seeds
 
 TINY = ExperimentSettings(n_estimators=4, n_repeats=2, max_configs=120, random_state=0)
@@ -90,6 +97,28 @@ class TestPlans:
         bad = type(hybrid)(kind="nope", estimator=hybrid.estimator)
         with pytest.raises(KeyError):
             build_factory(bad, dataset)
+
+
+    @pytest.mark.parametrize("name, cls", [
+        ("decision_tree", DecisionTreeRegressor),
+        ("extra_trees", ExtraTreesRegressor),
+        ("random_forest", RandomForestRegressor),
+        ("bagged_tree", BaggingRegressor),
+        ("knn", KNeighborsRegressor),
+    ])
+    def test_every_estimator_spec_evaluates_a_cell(self, name, cls):
+        """Each registry estimator builds from its spec and scores a cell;
+        spec and result cross a pickle unchanged, as they do to a worker."""
+        plan = experiment_plan("figure6", TINY)
+        dataset = plan.dataset.build()
+        spec = FactorySpec(kind="ml_pipeline", estimator=EstimatorSpec(name, 4))
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        factory = build_factory(spec, dataset)
+        assert type(dict(factory(0).steps)["model"]) is cls
+        (cell,) = plan_learning_curve([0.2], 1, series=name, random_state=0)
+        result = evaluate_cell(cell, factory, dataset)
+        assert np.isfinite(result.mape) and result.mape > 0
+        assert pickle.loads(pickle.dumps(result)) == result
 
 
 class TestExecutorDeterminism:

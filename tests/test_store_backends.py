@@ -403,6 +403,20 @@ class TestCommandLine:
         assert (store.misses, store.cache_misses) == (0, 0)
         assert (store.hits, store.cache_hits) == (4, 4)
 
+    def test_store_prune_keeps_what_the_sampling_ablation_reads(self, tmp_path, capsys):
+        """The other plan-less experiment: its one dataset and cache
+        outlive the prune, and a rerun reads both without a miss."""
+        from repro.experiments.__main__ import main
+        from repro.experiments.runner import ExperimentSettings, run_experiment
+
+        assert main(["ablation_sampling_strategy", "--quick", "--store-dir",
+                     str(tmp_path), "--store-prune"]) == 0
+        assert "kept 1 fingerprint(s), removed 0 file(s)" in capsys.readouterr().out
+        store = DatasetStore(tmp_path)
+        run_experiment("ablation_sampling_strategy", ExperimentSettings.quick(), store=store)
+        assert (store.misses, store.cache_misses) == (0, 0)
+        assert (store.hits, store.cache_hits) == (1, 1)
+
     def test_store_url_flag_http(self, object_server, capsys):
         from repro.experiments.__main__ import main
 

@@ -38,7 +38,7 @@ from repro.distributed import codec, protocol
 from repro.distributed.coordinator import Coordinator
 from repro.distributed.worker import FleetWorker
 from repro.experiments import ExperimentSettings, run_experiment
-from repro.experiments.plan import experiment_plan
+from repro.experiments.plan import PLANNED_EXPERIMENTS, experiment_plan
 from repro.experiments.pool import PlanState
 from repro.experiments.scheduler import _resolve_data
 from repro.obs.http import AUTH_SCHEME, sign_request, verify_request
@@ -99,6 +99,16 @@ class TestCodec:
         ]
         for message in messages:
             assert codec.decode_value(codec.encode_value(message)) == message
+
+    @pytest.mark.parametrize("name", PLANNED_EXPERIMENTS)
+    def test_every_plan_round_trips_with_its_fingerprint(self, name):
+        """Every plan a fleet runs crosses the wire whole: the worker
+        decodes an equal plan with the same id, so its cells, published
+        model keys and stale-message checks agree with the coordinator's."""
+        plan = experiment_plan(name, TINY)
+        decoded = codec.decode_value(codec.encode_value(plan))
+        assert decoded == plan
+        assert decoded.fingerprint == plan.fingerprint
 
     def test_round_trips_primitives_and_containers(self):
         values = [None, True, False, 0, -1, 2**40, -(2**40), 1.5, float("inf"),
