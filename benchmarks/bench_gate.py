@@ -72,17 +72,24 @@ def _tracked(entry: dict) -> dict[str, dict]:
     }
 
 
-def _baseline_for(entries: list[dict], name: str, scale) -> float | None:
-    """Most recent prior speedup of workload *name* at the same scale.
+#: Fields that say how a tracked ratio was measured: the forest size and
+#: the number of timed pairs it is a ratio of medians of.
+_MEASURED_BY = ("n_trees", "samples")
 
-    Comparing a ratio against one measured at another forest size would
-    gate noise, so a baseline must record the same ``n_trees`` as the
-    current entry (both absent counts as a match): changing the engine
-    benchmark's tree count starts a new baseline.
+
+def _baseline_for(entries: list[dict], name: str, current: dict) -> float | None:
+    """Most recent prior speedup of workload *name* measured the same way.
+
+    Comparing a ratio against one measured at another forest size, or
+    from another number of timed samples, would gate noise, so a baseline
+    must record the same ``n_trees`` and ``samples`` as the *current*
+    fields (both absent counts as a match): changing either starts a new
+    baseline.
     """
     for prev in reversed(entries):
         fields = _tracked(prev).get(name)
-        if fields is not None and fields.get("n_trees") == scale:
+        if fields is not None and all(fields.get(key) == current.get(key)
+                                      for key in _MEASURED_BY):
             return float(fields["speedup"])
     return None
 
@@ -132,10 +139,10 @@ def check_history(history: list[dict]) -> list[str]:
         current = entries[-1]
         for name, fields in _tracked(current).items():
             speedup = float(fields["speedup"])
-            baseline = _baseline_for(entries[:-1], name, fields.get("n_trees"))
+            baseline = _baseline_for(entries[:-1], name, fields)
             if baseline is None:
                 print(f"[bench-gate] {benchmark}/{name}: {speedup:.2f}x, "
-                      f"no prior entry at this workload scale — skipped")
+                      f"no prior entry measured the same way — skipped")
                 continue
             floor = baseline * (1.0 - TOLERANCE)
             status = "OK" if speedup >= floor else "REGRESSED"

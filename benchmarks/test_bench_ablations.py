@@ -7,18 +7,13 @@ quality, sampling strategy, choice of stacked learner).
 
 import pytest
 
-from repro.experiments import (
-    ablation_aggregation,
-    ablation_analytical_quality,
-    ablation_ml_backend,
-    ablation_sampling_strategy,
-)
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_aggregation(benchmark, settings, report):
     result = benchmark.pedantic(
-        lambda: ablation_aggregation(settings=settings), rounds=1, iterations=1)
+        lambda: run_experiment("ablation_aggregation", settings), rounds=1, iterations=1)
     report(result)
     stacked = result.curves["hybrid_stacked_only"]
     aggregated = result.curves["hybrid_aggregated"]
@@ -31,7 +26,7 @@ def test_ablation_aggregation(benchmark, settings, report):
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_analytical_quality(benchmark, settings, report):
     result = benchmark.pedantic(
-        lambda: ablation_analytical_quality(settings=settings), rounds=1, iterations=1)
+        lambda: run_experiment("ablation_analytical_quality", settings), rounds=1, iterations=1)
     report(result)
     # A calibrated analytical model is never worse standalone than the
     # untuned one (the hybrid itself is invariant to that rescaling).
@@ -47,7 +42,7 @@ def test_ablation_analytical_quality(benchmark, settings, report):
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_sampling_strategy(benchmark, settings, report):
     result = benchmark.pedantic(
-        lambda: ablation_sampling_strategy(settings=settings), rounds=1, iterations=1)
+        lambda: run_experiment("ablation_sampling_strategy", settings), rounds=1, iterations=1)
     report(result)
     assert set(result.curves) == {"hybrid_uniform", "hybrid_stratified"}
 
@@ -55,7 +50,7 @@ def test_ablation_sampling_strategy(benchmark, settings, report):
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_ml_backend(benchmark, settings, report):
     result = benchmark.pedantic(
-        lambda: ablation_ml_backend(settings=settings), rounds=1, iterations=1)
+        lambda: run_experiment("ablation_ml_backend", settings), rounds=1, iterations=1)
     report(result)
     et = result.curves["hybrid_extra_trees"]
     knn = result.curves["hybrid_knn"]

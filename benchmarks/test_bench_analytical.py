@@ -8,13 +8,13 @@ the measurements) for every dataset in the evaluation.
 
 import pytest
 
-from repro.experiments import analytical_accuracy
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="analytical")
 def test_analytical_accuracy(benchmark, settings, report):
     result = benchmark.pedantic(
-        lambda: analytical_accuracy(settings=settings), rounds=1, iterations=1)
+        lambda: run_experiment("analytical_accuracy", settings), rounds=1, iterations=1)
     report(result)
 
     blocked = result.extra["stencil-blocked"]

@@ -8,13 +8,13 @@ improves (slowly) with the training fraction.
 
 import pytest
 
-from repro.experiments import figure3_fmm
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="figures")
 def test_figure3_fmm(benchmark, settings, report):
     result = benchmark.pedantic(
-        lambda: figure3_fmm(settings=settings), rounds=1, iterations=1)
+        lambda: run_experiment("figure3_fmm", settings), rounds=1, iterations=1)
     report(result)
 
     et = result.curves["extra_trees"]

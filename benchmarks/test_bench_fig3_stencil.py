@@ -7,13 +7,13 @@ are large (tens of percent), and extra trees is the best performer.
 
 import pytest
 
-from repro.experiments import figure3_stencil
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="figures")
 def test_figure3_stencil(benchmark, settings, report):
     result = benchmark.pedantic(
-        lambda: figure3_stencil(settings=settings), rounds=1, iterations=1)
+        lambda: run_experiment("figure3_stencil", settings), rounds=1, iterations=1)
     report(result)
 
     et = result.curves["extra_trees"]

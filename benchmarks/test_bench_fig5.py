@@ -7,12 +7,12 @@ reaches the accuracy the pure ML model needs 10-20% of the data for.
 
 import pytest
 
-from repro.experiments import figure5
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="figures")
 def test_figure5(benchmark, settings, report):
-    result = benchmark.pedantic(lambda: figure5(settings=settings), rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: run_experiment("figure5", settings), rounds=1, iterations=1)
     report(result)
 
     hybrid = result.curves["hybrid"]

@@ -7,12 +7,12 @@ pure-ML error even though the analytical model itself is ~40% off.
 
 import pytest
 
-from repro.experiments import figure6
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="figures")
 def test_figure6(benchmark, settings, report):
-    result = benchmark.pedantic(lambda: figure6(settings=settings), rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: run_experiment("figure6", settings), rounds=1, iterations=1)
     report(result)
 
     hybrid = result.curves["hybrid"]

@@ -11,12 +11,12 @@ simulated measurements.
 
 import pytest
 
-from repro.experiments import figure7
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="figures")
 def test_figure7(benchmark, settings, report):
-    result = benchmark.pedantic(lambda: figure7(settings=settings), rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: run_experiment("figure7", settings), rounds=1, iterations=1)
     report(result)
 
     hybrid = result.curves["hybrid"]

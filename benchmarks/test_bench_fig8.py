@@ -8,12 +8,12 @@ training, and the hybrid improves on both significantly.
 
 import pytest
 
-from repro.experiments import figure8
+from repro.experiments import run_experiment
 
 
 @pytest.mark.benchmark(group="figures")
 def test_figure8(benchmark, settings, report):
-    result = benchmark.pedantic(lambda: figure8(settings=settings), rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: run_experiment("figure8", settings), rounds=1, iterations=1)
     report(result)
 
     hybrid = result.curves["hybrid"]

@@ -25,8 +25,10 @@ Two benchmarks are tracked:
 * ``exact_engine`` — the exact tree builder against the frozen builder
   it replaced (:mod:`repro.testing.tree_reference`) on a full registry
   dataset (``stencil-blocked``, n=3364): the RandomForest(100) fit
-  speedup is asserted >= 1.5x and gated, the ExtraTrees(100) fit
-  speedup is recorded.
+  speedup, the ratio of medians of ``ENGINE_SAMPLES`` alternating
+  reference/exact fit pairs recorded with each side's IQR, is asserted
+  >= 1.5x and gated; the ExtraTrees(100) fit speedup (best of two fits
+  each) is recorded.
 """
 
 from __future__ import annotations
@@ -59,6 +61,11 @@ MIN_EXACT_FIT_SPEEDUP = 1.5
 #: Full registry dataset (n = 3364) and forest size the engine benchmark fits.
 ENGINE_DATASET = "stencil-blocked"
 ENGINE_TREES = 100
+#: Alternating reference / exact RandomForest fit pairs the gated engine
+#: speedup is the ratio of medians of.  As the best of two fits per side
+#: it read 1.80-2.52x across runs on one 2-cpu host, a spread wider than
+#: the gate's 25% tolerance; five pairs add 14-20 s to the benchmark there.
+ENGINE_SAMPLES = 5
 
 #: Experiments of the scheduler-speedup sweep (several figures sharing
 #: datasets, so the store amortizes generation across them).
@@ -140,11 +147,19 @@ def test_exact_engine_speedup():
     def fit_et():
         return ExtraTreesRegressor(n_estimators=ENGINE_TREES, random_state=0).fit(X, y)
 
+    # Reference and exact fits alternate, so a drift in host speed hits
+    # both sides alike.
+    rf_reference: list[float] = []
+    rf_exact: list[float] = []
+    for _ in range(ENGINE_SAMPLES):
+        with _reference_builder():
+            rf_reference.append(_time(fit_rf)[0])
+        rf_exact.append(_time(fit_rf)[0])
     with _reference_builder():
-        t_rf_reference = _best_of(fit_rf)
         t_et_reference = _best_of(fit_et)
-    t_rf_exact = _best_of(fit_rf)
     t_et_exact = _best_of(fit_et)
+    t_rf_reference = statistics.median(rf_reference)
+    t_rf_exact = statistics.median(rf_exact)
     rf_speedup = t_rf_reference / t_rf_exact
     et_speedup = t_et_reference / t_et_exact
 
@@ -155,17 +170,21 @@ def test_exact_engine_speedup():
             "exact_random_forest_fit": {
                 "description": f"RandomForestRegressor(n_estimators={ENGINE_TREES}).fit "
                                f"on {ENGINE_DATASET} (n={X.shape[0]}), exact builder "
-                               f"vs the frozen exact reference",
+                               f"vs the frozen exact reference: medians of "
+                               f"{ENGINE_SAMPLES} alternating pairs",
                 "n_trees": ENGINE_TREES,
                 "reference_seconds": round(t_rf_reference, 4),
                 "exact_seconds": round(t_rf_exact, 4),
+                "samples": ENGINE_SAMPLES,
+                "reference_iqr_seconds": round(_iqr(rf_reference), 4),
+                "exact_iqr_seconds": round(_iqr(rf_exact), 4),
                 "speedup": round(rf_speedup, 2),
                 "threshold": MIN_EXACT_FIT_SPEEDUP,
             },
             "exact_extra_trees_fit": {
                 "description": f"ExtraTreesRegressor(n_estimators={ENGINE_TREES}).fit "
                                f"on {ENGINE_DATASET} (n={X.shape[0]}), exact builder "
-                               f"vs the frozen exact reference",
+                               f"vs the frozen exact reference: best of 2 fits each",
                 "n_trees": ENGINE_TREES,
                 "reference_seconds": round(t_et_reference, 4),
                 "exact_seconds": round(t_et_exact, 4),
@@ -326,13 +345,13 @@ def test_serving_latency():
     import urllib.request
 
     from repro.experiments.plan import experiment_plan
-    from repro.experiments.scheduler import _resolve_data
+    from repro.experiments.scheduler import resolve_data
     from repro.serving import ModelServer, decode_model, publish_plan_models
 
     settings = ExperimentSettings.quick()
     plan = experiment_plan("figure5", settings)
     store = DatasetStore("memory://")
-    dataset, caches = _resolve_data(plan, store)
+    dataset, caches = resolve_data(plan.dataset, plan.cache_keys(), store)
     publish_plan_models(plan, dataset, caches, store)
     rows = dataset.X[:SERVING_BATCH_ROWS]
 

@@ -1,38 +1,26 @@
 """Experiment definitions reproducing every figure of the paper's evaluation.
 
-Each ``figureX`` function builds the figure's dataset, trains the models
-the figure compares with the paper's training fractions, and returns an
+Each experiment in :data:`EXPERIMENTS` is named once and run by name
+with :func:`~repro.experiments.runner.run_experiment` /
+:func:`~repro.experiments.runner.run_all` (or ``python -m
+repro.experiments``), which returns an
 :class:`~repro.experiments.runner.ExperimentResult` whose rows are the
 series the paper plots (MAPE versus training-set size).  The companion
-benchmarks in ``benchmarks/`` simply invoke these functions and print the
-resulting tables.
+benchmarks in ``benchmarks/`` run them this way and print the resulting
+tables.
 
-Use :func:`~repro.experiments.runner.run_experiment` /
-:func:`~repro.experiments.runner.run_all` (or
-``python -m repro.experiments``) to execute them directly.  Execution is
-plan-based: experiments expand into picklable ``(series, fraction,
-repeat)`` cells (:mod:`repro.experiments.plan`) that run in this
-process, on a worker pool or on a fleet
-(:mod:`repro.experiments.scheduler`) with bit-identical results, backed
-by an optional persistent dataset/cache store
-(:mod:`repro.datasets.store`).
+A figure or ablation is a plan (:func:`experiment_plan`): which dataset,
+which models, which training fractions.  It expands into picklable
+``(series, fraction, repeat)`` cells that :func:`run_plan` runs in this
+process, on a worker pool or on a fleet with bit-identical results,
+backed by an optional persistent dataset/cache store
+(:mod:`repro.datasets.store`).  The two experiments that are not
+learning-curve grids, ``analytical_accuracy`` and
+``ablation_sampling_strategy``, have no plan and run as functions.
 """
 
-from repro.experiments.ablations import (
-    ablation_aggregation,
-    ablation_analytical_quality,
-    ablation_ml_backend,
-    ablation_sampling_strategy,
-)
-from repro.experiments.figures import (
-    analytical_accuracy,
-    figure3_fmm,
-    figure3_stencil,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-)
+from repro.experiments.ablations import ablation_sampling_strategy
+from repro.experiments.figures import analytical_accuracy
 from repro.experiments.plan import (
     PLANNED_EXPERIMENTS,
     ExperimentPlan,
@@ -68,17 +56,8 @@ __all__ = [
     "EXECUTORS",
     "run_plan",
     "WorkerPool",
-    "figure3_stencil",
-    "figure3_fmm",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
     "analytical_accuracy",
-    "ablation_aggregation",
-    "ablation_analytical_quality",
     "ablation_sampling_strategy",
-    "ablation_ml_backend",
     "format_curves",
     "format_result",
     "results_to_markdown",

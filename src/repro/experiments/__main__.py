@@ -22,7 +22,8 @@ Options
                   simulated and analytical caches warmed at most once, then
                   reloaded by later invocations.  Only this process opens
                   it; pool and fleet workers receive each plan's state by
-                  value
+                  value.  Without a store flag one in-memory store serves
+                  the run, so each dataset is still simulated once per run
 ``--store-url``   the same store behind any registered backend locator:
                   ``file://DIR``, ``memory://`` (process-local scratch) or
                   ``http://HOST:PORT/`` — an S3-style object store (serve one
@@ -56,7 +57,9 @@ Options
 ``--log-format`` / ``--log-level``
                   structured logging: ``json`` emits one JSON object per
                   line (machine-ingestable), ``text`` the classic format
-``names``         experiment names (default: all; see ``EXPERIMENTS``)
+``names``         experiment names (default: all; see ``EXPERIMENTS``); an
+                  unknown name is a usage error, raised before anything
+                  opens
 
 Fleet workers
 -------------
@@ -156,6 +159,10 @@ def main(argv: list[str] | None = None) -> int:
                              "read-only /metrics (fleet-wide Prometheus text) "
                              "and /healthz (JSON) on this port (0 = ephemeral)")
     args = parser.parse_args(argv)
+    unknown = [name for name in args.names if name not in EXPERIMENTS]
+    if unknown:
+        parser.error(f"unknown experiment(s): {', '.join(unknown)} "
+                     f"(available: {', '.join(EXPERIMENTS)})")
     configure_logging(fmt=args.log_format, level=args.log_level)
     auth_key = load_auth_key(args.auth_key_file, parser=parser)
 
@@ -201,22 +208,24 @@ def main(argv: list[str] | None = None) -> int:
     if args.publish_models and args.store_url is None and args.store_dir is None:
         parser.error("--publish-models requires --store-dir or --store-url")
 
-    store = None
+    from repro.datasets.store import DatasetStore
+
     if args.store_url is not None:
         # Always resolved through the scheme registry, so a malformed URL
         # (missing scheme, typo'd http:/) is a usage error instead of
         # silently becoming a local directory named after the URL.
         from repro.datasets.backends import resolve_backend
-        from repro.datasets.store import DatasetStore
 
         try:
             store = DatasetStore(resolve_backend(args.store_url, auth=auth_key))
         except ValueError as exc:
             parser.error(str(exc))
     elif args.store_dir is not None:
-        from repro.datasets.store import DatasetStore
-
         store = DatasetStore(args.store_dir)
+    else:
+        # Without a store flag one anonymous in-memory store serves the
+        # sequence, so each dataset is simulated and each cache warmed once.
+        store = DatasetStore("memory://")
 
     if executor == "remote":
         from repro.distributed.protocol import parse_address

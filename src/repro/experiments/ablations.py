@@ -13,11 +13,12 @@ of the hybrid model contributes:
 * **ML backend** — extra trees (the paper's choice) vs random forest,
   bagged trees and k-NN as the stacked learner.
 
-All but the sampling-strategy ablation are regular learning-curve grids
-and are declared as plans in :mod:`repro.experiments.plan` (so they run
-through the same scheduler as the figures); the sampling-strategy
-ablation substitutes its own training-set selector for the evaluation
-protocol's uniform split and therefore runs opaquely.
+All but the sampling-strategy ablation are regular learning-curve grids,
+declared as plans in :func:`~repro.experiments.plan.experiment_plan` and
+run by name through :func:`~repro.experiments.runner.run_experiment`
+like the figures.  The sampling-strategy ablation substitutes its own
+training-set selector for the evaluation protocol's uniform split, so it
+has no plan; ``run_experiment`` calls it from here.
 """
 
 from __future__ import annotations
@@ -27,75 +28,33 @@ import zlib
 import numpy as np
 
 from repro.core.evaluation import LearningCurve, LearningCurvePoint
-from repro.core.features import PerformanceDataset
 from repro.core.hybrid import HybridPerformanceModel
 from repro.datasets.sampling import latin_hypercube_indices, uniform_sample_indices
 from repro.experiments.plan import planless_reads
-from repro.experiments.runner import ExperimentResult, ExperimentSettings, _resolve_store
-from repro.experiments.scheduler import run_named_plan, warmed_cache
+from repro.experiments.runner import ExperimentResult, ExperimentSettings
+from repro.experiments.scheduler import resolve_data
 from repro.ml import ExtraTreesRegressor
 from repro.ml.metrics import mean_absolute_percentage_error
 from repro.utils.rng import spawn_seeds
 
-__all__ = [
-    "ablation_aggregation",
-    "ablation_analytical_quality",
-    "ablation_sampling_strategy",
-    "ablation_ml_backend",
-]
+__all__ = ["ablation_sampling_strategy"]
 
 _FRACTIONS = (0.01, 0.02, 0.04)
 
 
-def ablation_aggregation(settings: ExperimentSettings | None = None,
-                         dataset: PerformanceDataset | None = None,
-                         **scheduler_options) -> ExperimentResult:
-    """Stacking-only vs aggregation vs analytical-only on the blocked stencil dataset."""
-    return run_named_plan("ablation_aggregation", settings, dataset, **scheduler_options)
-
-
-def ablation_analytical_quality(settings: ExperimentSettings | None = None,
-                                dataset: PerformanceDataset | None = None,
-                                **scheduler_options) -> ExperimentResult:
-    """Hybrid accuracy as the *information content* of the analytical model varies.
-
-    Three analytical models feed the same hybrid pipeline: the paper's full
-    (untuned) model, a blocking-blind variant that only knows the grid
-    size, and a constant model carrying no information.  Note that merely
-    *rescaling* the analytical model (calibration) cannot change the hybrid:
-    the log-feature plus standardization make the stacked model invariant
-    to any monotone power-law transformation of the analytical prediction —
-    the standalone MAPEs of the untuned and calibrated models are reported
-    to quantify how much calibration would matter on its own.
-    """
-    return run_named_plan("ablation_analytical_quality", settings, dataset,
-                         **scheduler_options)
-
-
-def ablation_ml_backend(settings: ExperimentSettings | None = None,
-                        dataset: PerformanceDataset | None = None,
-                        **scheduler_options) -> ExperimentResult:
-    """Different stacked learners inside the hybrid model."""
-    return run_named_plan("ablation_ml_backend", settings, dataset, **scheduler_options)
-
-
 def ablation_sampling_strategy(settings: ExperimentSettings | None = None,
-                               dataset: PerformanceDataset | None = None,
                                store=None) -> ExperimentResult:
     """Uniform random vs stratified training-set selection at small fractions.
 
-    With a *store* (and no *dataset* override, which bypasses it) the
-    blocked-stencil dataset and its warmed ``stencil`` cache are read
-    through the store, as a plan reads them.
+    The blocked-stencil dataset and its warmed ``stencil`` cache come from
+    :func:`~repro.experiments.scheduler.resolve_data`, through the
+    optional *store* (a :class:`~repro.datasets.store.DatasetStore`) as a
+    plan reads them.
     """
     settings = settings or ExperimentSettings()
     ((spec, key),) = planless_reads("ablation_sampling_strategy", settings)
-    if dataset is not None:
-        store = None
-    else:
-        store = _resolve_store(store)
-        dataset = store.get(spec) if store is not None else spec.build()
-    cache = warmed_cache(key, spec, dataset, store)
+    dataset, caches = resolve_data(spec, (key,), store)
+    cache = caches[key]
     analytical = cache.model
     extra: dict = {}
 

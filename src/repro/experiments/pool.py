@@ -148,7 +148,7 @@ class PlanState:
     """One plan's resolved dataset and warmed caches, shipped by value.
 
     The parent packs it from what it has already resolved (see
-    ``_resolve_data`` in :mod:`repro.experiments.scheduler`) and it is
+    :func:`~repro.experiments.scheduler.resolve_data`) and it is
     the only way any worker receives a plan's inputs: pickled in every
     pool batch's arguments, schema-encoded in the fleet's
     :class:`~repro.distributed.protocol.PlanAssignment`.  It holds ``X``,

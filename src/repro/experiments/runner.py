@@ -103,11 +103,11 @@ def _resolve_store(store):
     return DatasetStore(store)
 
 
-#: Names of all available experiments (figures first, then ablations).
-#: A literal — not derived from :func:`_experiment_registry` — so importing
-#: this module never pulls in the figure/ablation modules (they import the
-#: plan/scheduler stack, which imports this module: the registry must stay
-#: lazy for the package to be importable in any submodule order).
+#: Names of all available experiments (figures first, then ablations),
+#: the one list every other list of experiment names derives from.  Each
+#: has a plan in :func:`~repro.experiments.plan.experiment_plan` except the
+#: two plan-less ones, which are functions of the same name in
+#: :mod:`repro.experiments.figures` and :mod:`repro.experiments.ablations`.
 EXPERIMENTS = (
     "figure3_stencil",
     "figure3_fmm",
@@ -121,26 +121,6 @@ EXPERIMENTS = (
     "ablation_sampling_strategy",
     "ablation_ml_backend",
 )
-
-
-def _experiment_registry() -> dict:
-    from repro.experiments import ablations, figures
-
-    registry = {
-        "figure3_stencil": figures.figure3_stencil,
-        "figure3_fmm": figures.figure3_fmm,
-        "figure5": figures.figure5,
-        "figure6": figures.figure6,
-        "figure7": figures.figure7,
-        "figure8": figures.figure8,
-        "analytical_accuracy": figures.analytical_accuracy,
-        "ablation_aggregation": ablations.ablation_aggregation,
-        "ablation_analytical_quality": ablations.ablation_analytical_quality,
-        "ablation_sampling_strategy": ablations.ablation_sampling_strategy,
-        "ablation_ml_backend": ablations.ablation_ml_backend,
-    }
-    assert tuple(registry) == EXPERIMENTS
-    return registry
 
 
 def open_workers(executor: str = "serial", jobs: int = 1, pool=None, fleet=None):
@@ -227,11 +207,8 @@ def run_experiment(name: str, settings: ExperimentSettings | None = None, *,
     fingerprint, hence nothing to publish: requesting ``publish_models``
     for them is an error.
     """
-    registry = _experiment_registry()
-    try:
-        func = registry[name]
-    except KeyError:
-        raise KeyError(f"unknown experiment {name!r}; available: {sorted(registry)}") from None
+    if name not in EXPERIMENTS:
+        raise KeyError(f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}")
     workers = open_workers(executor, jobs, pool, fleet)
     settings = settings or ExperimentSettings()
     from repro.experiments.plan import experiment_plan
@@ -248,8 +225,14 @@ def run_experiment(name: str, settings: ExperimentSettings | None = None, *,
                 raise ValueError(
                     f"experiment {name!r} has no plan, so it has no servable "
                     "models to publish")
+            # Looked up on its module at call time, so a function rebound
+            # there (a profiler's wrapper, a test's stand-in) is the one run.
+            from repro.experiments import ablations, figures
+
+            module = figures if name == "analytical_accuracy" else ablations
             with TRACER.span("planless"):
-                return func(settings=settings, store=_resolve_store(store))
+                return getattr(module, name)(settings=settings,
+                                             store=_resolve_store(store))
         from repro.experiments.scheduler import run_plan
 
         with workers as opened:
@@ -264,12 +247,13 @@ def run_all(settings: ExperimentSettings | None = None,
             publish_models: bool = False) -> dict[str, ExperimentResult]:
     """Run several (default: all) experiments and return their results by name.
 
-    The optional *store* is shared across all experiments of the run, so
-    e.g. the blocked-stencil dataset is generated once for figure 3, 6
-    and the ablations instead of once each.  So are the workers
-    (:func:`open_workers` runs once): the caller's *pool* or *fleet*, or
-    one throwaway pool or fleet, serves every experiment, so workers
-    spawn once and keep their per-plan memos across experiments.
+    One store is shared across all experiments of the run, so e.g. the
+    blocked-stencil dataset is generated once for figure 3, 6 and the
+    ablations instead of once each: the caller's *store*, or else one
+    anonymous ``memory://`` store that lives for the call.  So are the
+    workers (:func:`open_workers` runs once): the caller's *pool* or
+    *fleet*, or one throwaway pool or fleet, serves every experiment, so
+    workers spawn once and keep their per-plan memos across experiments.
 
     With ``publish_models``, every plan-backed experiment additionally
     publishes its serving-tier models into the shared *store*; the two
@@ -281,6 +265,8 @@ def run_all(settings: ExperimentSettings | None = None,
     store = _resolve_store(store)
     if publish_models and store is None:
         raise ValueError("publish_models requires a store to publish into")
+    if store is None:
+        store = _resolve_store("memory://")
     results: dict[str, ExperimentResult] = {}
     with open_workers(executor, jobs, pool, fleet) as workers:
         for name in (names or EXPERIMENTS):

@@ -23,8 +23,9 @@ plan order, every choice of ``workers`` produces **bit-identical**
 shape; it only decides where cells run.
 
 The parent process always resolves the dataset and warms the analytical
-caches *before* dispatch — through the store, when one is supplied, so
-the expensive work happens at most once per machine.
+caches *before* dispatch (:func:`resolve_data`) — through the store,
+when one is supplied, so the expensive work happens at most once per
+machine.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from repro.experiments.plan import (
     build_factory,
     compute_extras,
     expand_cells,
-    experiment_plan,
 )
 from repro.experiments.pool import (
     BATCHES_PER_WORKER,
@@ -51,55 +51,35 @@ from repro.experiments.pool import (
     plan_costs,
     shape_batches,
 )
-from repro.experiments.runner import (
-    ExperimentResult,
-    ExperimentSettings,
-    _resolve_store,
-)
+from repro.experiments.runner import ExperimentResult
 from repro.obs.tracing import TRACER, SpanContext, span_into
 
-__all__ = ["PlanMemo", "evaluate_cells", "run_plan", "run_named_plan",
-           "warmed_cache", "worker_state_stats"]
+__all__ = ["PlanMemo", "evaluate_cells", "resolve_data", "run_plan",
+           "worker_state_stats"]
 
 
-def warmed_cache(key: str, spec: DatasetSpec, dataset: PerformanceDataset,
-                 store: DatasetStore | None = None) -> AnalyticalPredictionCache:
-    """The cache of analytical model *key* over every row of *dataset*.
+def resolve_data(spec: DatasetSpec, keys, store: DatasetStore | None = None,
+                 ) -> tuple[PerformanceDataset, dict[str, AnalyticalPredictionCache]]:
+    """The dataset of *spec* and, per analytical model key in *keys*, its warmed cache.
 
-    Read from *store* when it holds one for ``(key, spec)``; otherwise
-    warmed here, and saved into *store* when there is one.
+    With a *store* each is read from it, or built here and saved into
+    it, so the expensive work happens at most once per store; without
+    one both are built here.  :func:`run_plan` and the two plan-less
+    experiments read their inputs through it.
     """
-    cache = None
-    if store is not None:
-        cache = store.load_analytical_cache(key, spec, build_analytical(key),
-                                            dataset.feature_names)
-    if cache is None:
-        cache = AnalyticalPredictionCache(build_analytical(key), dataset.feature_names)
-        cache.warm(dataset.X)
-        if store is not None:
-            store.save_analytical_cache(key, spec, cache)
-    return cache
-
-
-def _resolve_data(plan: ExperimentPlan, store: DatasetStore | None,
-                  dataset: PerformanceDataset | None = None,
-                  ) -> tuple[PerformanceDataset, dict[str, AnalyticalPredictionCache]]:
-    """Dataset and warmed analytical caches for *plan*.
-
-    With a *store* (and no explicit dataset override) both the dataset and
-    the warmed caches are read from / written to disk, so the expensive
-    work happens at most once per machine.  An explicit *dataset* override
-    (used by tests and notebooks) bypasses the store entirely — its
-    content has no registered fingerprint.
-    """
-    if dataset is not None:
-        store = None
-    elif store is not None:
-        dataset = store.get(plan.dataset)
-    else:
-        dataset = plan.dataset.build()
-    return dataset, {key: warmed_cache(key, plan.dataset, dataset, store)
-                     for key in plan.cache_keys()}
+    dataset = store.get(spec) if store is not None else spec.build()
+    caches = {}
+    for key in keys:
+        model = build_analytical(key)
+        cache = (None if store is None else
+                 store.load_analytical_cache(key, spec, model, dataset.feature_names))
+        if cache is None:
+            cache = AnalyticalPredictionCache(model, dataset.feature_names)
+            cache.warm(dataset.X)
+            if store is not None:
+                store.save_analytical_cache(key, spec, cache)
+        caches[key] = cache
+    return dataset, caches
 
 
 def _series_factories(plan: ExperimentPlan, dataset: PerformanceDataset,
@@ -227,7 +207,6 @@ def _merge_curves(plan: ExperimentPlan, cells: list,
 # --------------------------------------------------------------------------- #
 def run_plan(plan: ExperimentPlan, *, workers=None,
              store: DatasetStore | None = None,
-             dataset: PerformanceDataset | None = None,
              publish_models: bool = False) -> ExperimentResult:
     """Execute *plan* and merge the cell results into an :class:`ExperimentResult`.
 
@@ -247,28 +226,21 @@ def run_plan(plan: ExperimentPlan, *, workers=None,
         process, shared across experiments and invocations.  Pool and
         fleet workers receive the resolved state by value and never open
         the store.
-    dataset:
-        Explicit dataset override (tests/notebooks); bypasses the store.
     publish_models:
         After a successful run, fit one canonical model per servable
         series on the **full** dataset and publish it into the *store*
         under ``models/<series>-<plan_fp>.npz`` for the serving tier
         (:mod:`repro.serving`); the publish outcome lands in
         ``result.extra["published_models"]``.  Requires a *store* (the
-        artifacts need somewhere to live) and no *dataset* override
-        (published models must be reproducible from the plan alone).
+        artifacts need somewhere to live).
     """
     if publish_models and store is None:
         raise ValueError("publish_models requires a store to publish into")
-    if publish_models and dataset is not None:
-        raise ValueError(
-            "publish_models is incompatible with a dataset override: published "
-            "models must be reproducible from the plan's registered dataset")
     # Dataset resolution (simulate or store read) and analytical warm-up
     # run before the plan span, as its sibling under the experiment.
     with TRACER.span("dataset", attrs={"dataset": plan.dataset.name}) as data_span:
         hits = store.hits if store is not None else None
-        resolved, caches = _resolve_data(plan, store, dataset)
+        resolved, caches = resolve_data(plan.dataset, plan.cache_keys(), store)
         if data_span is not None:
             data_span.attrs["store_hit"] = hits is not None and store.hits > hits
     cells = expand_cells(plan)
@@ -325,20 +297,3 @@ def run_plan(plan: ExperimentPlan, *, workers=None,
         curves=curves,
         extra=extra,
     )
-
-
-def run_named_plan(name: str, settings: ExperimentSettings | None = None,
-                   dataset: PerformanceDataset | None = None, *,
-                   workers=None, store=None,
-                   publish_models: bool = False) -> ExperimentResult:
-    """Resolve the plan of experiment *name* and execute it.
-
-    The shared backend of the per-figure / per-ablation functions
-    (``store`` may be a :class:`DatasetStore` or a directory path;
-    ``workers`` and ``publish_models`` are :func:`run_plan`'s).
-    """
-    plan = experiment_plan(name, settings or ExperimentSettings())
-    if plan is None:
-        raise KeyError(f"experiment {name!r} has no plan (runs opaquely)")
-    return run_plan(plan, workers=workers, store=_resolve_store(store),
-                    dataset=dataset, publish_models=publish_models)

@@ -96,6 +96,31 @@ class TestSharedSurface:
         assert not [thread for thread in set(threading.enumerate()) - before
                     if thread.name == "fleet-accept"]
 
+    @pytest.mark.parametrize("names", [["ablation_tree_method"], ["figure5", "figure99"]],
+                             ids=["deleted-name", "after-a-known-name"])
+    def test_unknown_experiment_names_are_usage_errors(self, monkeypatch, names):
+        """An experiment name outside ``EXPERIMENTS`` is refused by argparse
+        (exit 2) right after parsing: no experiment runs and, under
+        ``--executor remote``, no coordinator opens."""
+        import repro.experiments.__main__ as experiments_cli
+        from repro.distributed import coordinator
+
+        opened = []
+
+        def refuse(*args, **kwargs):
+            opened.append(args)
+            raise AssertionError("opened before the names were checked")
+
+        monkeypatch.setattr(coordinator, "Coordinator", refuse)
+        monkeypatch.setattr(experiments_cli, "run_experiment", refuse)
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            with pytest.raises(SystemExit) as excinfo:
+                experiments_cli.main([*names, "--quick", "--executor", "remote",
+                                      "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert f"unknown experiment(s): {names[-1]}" in stderr.getvalue()
+        assert opened == []
+
     def test_store_flags_are_mutually_exclusive(self):
         parser = __import__("argparse").ArgumentParser(
             parents=[cli.add_store_args()])

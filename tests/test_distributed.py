@@ -67,7 +67,7 @@ from repro.experiments.plan import expand_cells, experiment_plan
 from repro.experiments.pool import PlanState
 from repro.experiments.scheduler import (
     _WORKER_STATE_LIMIT,
-    _resolve_data,
+    resolve_data,
     run_plan,
 )
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, parse_prometheus
@@ -128,7 +128,7 @@ def _run_plan_async(plan, coordinator, **kwargs):
 def _assignment():
     """A real ``PlanAssignment``: figure 6's plan and its packed state."""
     plan = experiment_plan("figure6", TINY)
-    state = PlanState.pack(*_resolve_data(plan, None))
+    state = PlanState.pack(*resolve_data(plan.dataset, plan.cache_keys()))
     return protocol.PlanAssignment(f"{plan.fingerprint}-{state.digest[:16]}",
                                    plan, state)
 
@@ -440,7 +440,7 @@ def _lease_all(coordinator, worker_id="owner"):
     """Run one lease's worth of figure 6 cells and lease them all to a raw
     client; returns (execute thread, outcome box, client socket, Batch)."""
     plan = experiment_plan("figure6", TINY)
-    state = PlanState.pack(*_resolve_data(plan, None))
+    state = PlanState.pack(*resolve_data(plan.dataset, plan.cache_keys()))
     cells = expand_cells(plan)[:LEASE_CELLS]
     thread, box = _in_thread(lambda: coordinator.execute(plan, cells, state))
     sock, _ = _raw_handshake(coordinator.address, worker_id=worker_id)
@@ -848,27 +848,6 @@ class TestStoreBootstrap:
         assert coordinator.stats["datasets_served"] == 1
         assert coordinator.stats["caches_served"] == 1
 
-    def test_dataset_override_bypasses_warm_worker_store(self):
-        """An explicit dataset override is other content under the same
-        plan: a worker that already ran the plan on its registered
-        dataset (a warm memo) must rebuild from the override's state."""
-        plan = experiment_plan("figure6", TINY)
-        override = DatasetSpec("stencil-blocked", max_configs=100,
-                               random_state=0).build()
-        registered = run_plan(plan)
-        serial = run_plan(plan, dataset=override)
-        assert _rows(serial) != _rows(registered)
-        with Coordinator() as coordinator:
-            worker = FleetWorker(coordinator.address)
-            thread = threading.Thread(target=worker.run, daemon=True)
-            thread.start()
-            first = run_plan(plan, workers=coordinator)
-            remote = run_plan(plan, workers=coordinator, dataset=override)
-        thread.join(timeout=10.0)
-        assert _rows(first) == _rows(registered)
-        assert _rows(remote) == _rows(serial)
-        assert len(worker._memo) == 2  # one entry per content digest
-
     def test_storeless_worker_runs_from_memory(self):
         """A worker rebuilds the plan state in memory, nothing simulated."""
         plan = experiment_plan("figure5", TINY)
@@ -901,17 +880,15 @@ class TestStoreBootstrap:
         assert loaded.feature_names == dataset.feature_names
 
     def test_memo_keeps_the_pool_limit(self):
-        """Serving one more distinct state than the limit evicts the
+        """Serving one more distinct plan than the limit evicts the
         oldest: the fleet worker's memo is bounded like a pool worker's."""
-        plan = experiment_plan("figure7", TINY)
-        base = _resolve_data(plan, None)[0]
         with Coordinator() as coordinator:
             worker = FleetWorker(coordinator.address)
             thread = threading.Thread(target=worker.run, daemon=True)
             thread.start()
-            for i in range(_WORKER_STATE_LIMIT + 1):
-                variant = dataclasses.replace(base, y=base.y * (1.0 + i))
-                run_plan(plan, workers=coordinator, dataset=variant)
+            for seed in range(_WORKER_STATE_LIMIT + 1):
+                settings = dataclasses.replace(TINY, random_state=seed)
+                run_plan(experiment_plan("figure7", settings), workers=coordinator)
         thread.join(timeout=10.0)
         assert len(worker._memo) == _WORKER_STATE_LIMIT
         assert worker._memo.evictions == 1
@@ -951,7 +928,7 @@ class TestPlanStateWire:
         import pickle
 
         plan = experiment_plan("ablation_analytical_quality", TINY)
-        state = PlanState.pack(*_resolve_data(plan, None))
+        state = PlanState.pack(*resolve_data(plan.dataset, plan.cache_keys()))
         wire = codec.decode_value(codec.encode_value(state))
         pooled = pickle.loads(pickle.dumps(state))
         assert wire.digest == pooled.digest == state.digest

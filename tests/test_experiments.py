@@ -9,41 +9,27 @@ import pickle
 
 import pytest
 
-from repro.datasets import blocked_small_grid_dataset, fmm_dataset, grid_only_dataset, threaded_dataset
-from repro.datasets.store import DatasetStore
+from repro.datasets.store import DatasetSpec, DatasetStore
 from repro.experiments import (
     EXPERIMENTS,
     ExperimentSettings,
-    ablation_aggregation,
-    ablation_analytical_quality,
-    ablation_ml_backend,
-    ablation_sampling_strategy,
-    analytical_accuracy,
-    figure3_fmm,
-    figure3_stencil,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
+    ablations,
+    figures,
     format_curves,
     format_result,
     results_to_markdown,
+    run_all,
     run_experiment,
 )
 from repro.experiments.plan import PLANNED_EXPERIMENTS, experiment_plan, planless_reads
-from repro.experiments.scheduler import warmed_cache
+from repro.experiments.scheduler import resolve_data
 
 TINY = ExperimentSettings(n_estimators=5, n_repeats=1, max_configs=150, random_state=0)
 
 
 @pytest.fixture(scope="module")
-def tiny_stencil_blocked():
-    return blocked_small_grid_dataset(max_configs=150, random_state=0)
-
-
-@pytest.fixture(scope="module")
-def tiny_fmm():
-    return fmm_dataset(max_configs=150, random_state=0)
+def tiny_figure6():
+    return run_experiment("figure6", TINY)
 
 
 class TestSettings:
@@ -52,72 +38,130 @@ class TestSettings:
         assert ExperimentSettings.full().max_configs is None
 
 
-class TestFigureExperiments:
-    def test_figure3_stencil(self, tiny_stencil_blocked):
-        result = figure3_stencil(settings=TINY, dataset=tiny_stencil_blocked)
-        assert result.experiment_id == "figure3A"
-        assert set(result.curves) == {"decision_tree", "extra_trees", "random_forest"}
-        assert all(len(c.points) == 5 for c in result.curves.values())
-
-    def test_figure3_fmm(self, tiny_fmm):
-        result = figure3_fmm(settings=TINY, dataset=tiny_fmm)
-        assert result.experiment_id == "figure3B"
-        fractions = result.curves["extra_trees"].fractions
-        assert fractions == [0.10, 0.20, 0.40, 0.60, 0.80]
-
-    def test_figure5(self):
-        dataset = grid_only_dataset(max_configs=150, random_state=0)
-        result = figure5(settings=TINY, dataset=dataset)
-        assert set(result.curves) == {"extra_trees", "hybrid"}
-        assert result.curves["extra_trees"].fractions == [0.10, 0.15, 0.20]
-        assert result.curves["hybrid"].fractions == [0.01, 0.02, 0.04]
-        assert "analytical_mape" in result.extra
-
-    def test_figure6_hybrid_beats_pure_ml(self, tiny_stencil_blocked):
-        result = figure6(settings=TINY, dataset=tiny_stencil_blocked)
-        # The qualitative claim of the paper at the largest tested fraction.
-        assert result.curves["hybrid"].mape_at(0.04) < result.curves["extra_trees"].mape_at(0.04)
-
-    def test_figure7(self):
-        dataset = threaded_dataset()
-        result = figure7(settings=TINY, dataset=dataset)
-        assert set(result.curves) == {"extra_trees", "hybrid"}
-        assert result.extra["analytical_mape"] > 0
-
-    def test_figure8(self, tiny_fmm):
-        result = figure8(settings=TINY, dataset=tiny_fmm)
-        assert result.curves["hybrid"].fractions == [0.15, 0.20, 0.25]
-        assert result.extra["analytical_mape"] > 0
-        assert all(len(p.mapes) == TINY.n_repeats for p in result.curves["hybrid"].points)
-
-    def test_analytical_accuracy(self):
-        result = analytical_accuracy(settings=TINY)
-        assert set(result.extra) == {"stencil-grid-only", "stencil-blocked",
-                                     "stencil-threaded", "fmm"}
-        for info in result.extra.values():
-            assert info["mape"] > 0
-            assert -1.0 <= info["log_correlation"] <= 1.0
+def _figure3_stencil(result):
+    assert result.experiment_id == "figure3A"
+    assert set(result.curves) == {"decision_tree", "extra_trees", "random_forest"}
+    assert all(len(c.points) == 5 for c in result.curves.values())
 
 
-class TestAblations:
-    def test_aggregation(self, tiny_stencil_blocked):
-        result = ablation_aggregation(settings=TINY, dataset=tiny_stencil_blocked)
-        assert set(result.curves) == {"hybrid_stacked_only", "hybrid_aggregated"}
+def _figure3_fmm(result):
+    assert result.experiment_id == "figure3B"
+    assert result.curves["extra_trees"].fractions == [0.10, 0.20, 0.40, 0.60, 0.80]
 
-    def test_analytical_quality(self, tiny_stencil_blocked):
-        result = ablation_analytical_quality(settings=TINY, dataset=tiny_stencil_blocked)
-        assert result.extra["calibrated_am_mape"] <= result.extra["untuned_am_mape"]
-        assert result.extra["calibration_scale"] > 0
-        assert set(result.curves) == {"hybrid_full_am", "hybrid_blocking_blind_am",
-                                      "hybrid_constant_am"}
 
-    def test_sampling_strategy(self, tiny_stencil_blocked):
-        result = ablation_sampling_strategy(settings=TINY, dataset=tiny_stencil_blocked)
-        assert set(result.curves) == {"hybrid_uniform", "hybrid_stratified"}
+def _figure5(result):
+    assert set(result.curves) == {"extra_trees", "hybrid"}
+    assert result.curves["extra_trees"].fractions == [0.10, 0.15, 0.20]
+    assert result.curves["hybrid"].fractions == [0.01, 0.02, 0.04]
+    assert "analytical_mape" in result.extra
 
-    def test_ml_backend(self, tiny_stencil_blocked):
-        result = ablation_ml_backend(settings=TINY, dataset=tiny_stencil_blocked)
-        assert len(result.curves) == 4
+
+def _figure6(result):
+    # The qualitative claim of the paper at the largest tested fraction.
+    assert result.curves["hybrid"].mape_at(0.04) < result.curves["extra_trees"].mape_at(0.04)
+
+
+def _figure7(result):
+    assert set(result.curves) == {"extra_trees", "hybrid"}
+    assert result.extra["analytical_mape"] > 0
+
+
+def _figure8(result):
+    assert result.curves["hybrid"].fractions == [0.15, 0.20, 0.25]
+    assert result.extra["analytical_mape"] > 0
+    assert all(len(p.mapes) == TINY.n_repeats for p in result.curves["hybrid"].points)
+
+
+def _analytical_accuracy(result):
+    assert set(result.extra) == {"stencil-grid-only", "stencil-blocked",
+                                 "stencil-threaded", "fmm"}
+    for info in result.extra.values():
+        assert info["mape"] > 0
+        assert -1.0 <= info["log_correlation"] <= 1.0
+
+
+def _ablation_aggregation(result):
+    assert set(result.curves) == {"hybrid_stacked_only", "hybrid_aggregated"}
+
+
+def _ablation_analytical_quality(result):
+    assert result.extra["calibrated_am_mape"] <= result.extra["untuned_am_mape"]
+    assert result.extra["calibration_scale"] > 0
+    assert set(result.curves) == {"hybrid_full_am", "hybrid_blocking_blind_am",
+                                  "hybrid_constant_am"}
+
+
+def _ablation_sampling_strategy(result):
+    assert set(result.curves) == {"hybrid_uniform", "hybrid_stratified"}
+
+
+def _ablation_ml_backend(result):
+    assert len(result.curves) == 4
+
+
+#: What each experiment's result must show at ``TINY`` settings.
+CHECKS = {
+    "figure3_stencil": _figure3_stencil,
+    "figure3_fmm": _figure3_fmm,
+    "figure5": _figure5,
+    "figure6": _figure6,
+    "figure7": _figure7,
+    "figure8": _figure8,
+    "analytical_accuracy": _analytical_accuracy,
+    "ablation_aggregation": _ablation_aggregation,
+    "ablation_analytical_quality": _ablation_analytical_quality,
+    "ablation_sampling_strategy": _ablation_sampling_strategy,
+    "ablation_ml_backend": _ablation_ml_backend,
+}
+
+
+class TestEveryExperimentByName:
+    def test_every_experiment_has_checks(self):
+        assert tuple(CHECKS) == EXPERIMENTS
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_run_experiment(self, name):
+        CHECKS[name](run_experiment(name, TINY))
+
+    def test_planned_experiments_are_those_with_a_plan(self):
+        assert PLANNED_EXPERIMENTS == tuple(
+            name for name in EXPERIMENTS if experiment_plan(name, TINY) is not None)
+
+    @pytest.mark.parametrize("module, name", [
+        (figures, "analytical_accuracy"), (ablations, "ablation_sampling_strategy")])
+    def test_planless_function_is_looked_up_on_its_module(self, monkeypatch, module, name):
+        """``run_experiment`` calls whatever its module holds under the name
+        when it runs, so a wrapper installed there (as a profiler does)
+        sees every call."""
+        calls = []
+
+        def stand_in(settings, store):
+            calls.append((settings, store))
+            return "stand-in result"
+
+        monkeypatch.setattr(module, name, stand_in)
+        assert run_experiment(name, TINY) == "stand-in result"
+        assert calls == [(TINY, None)]
+
+    def test_a_store_less_run_all_builds_each_dataset_once(self, monkeypatch):
+        """Without a store, ``run_all`` shares one in-memory store across the
+        sequence: each distinct dataset is simulated once, and the rows are
+        those of store-less ``run_experiment`` calls, bit for bit."""
+        reference = {name: run_experiment(name, TINY) for name in EXPERIMENTS}
+        builds = []
+        build = DatasetSpec.build
+
+        def counting_build(spec):
+            builds.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(DatasetSpec, "build", counting_build)
+        results = run_all(TINY)
+        assert len(builds) == len(set(builds)) == 4
+        assert tuple(results) == EXPERIMENTS
+        for name, result in results.items():
+            assert pickle.dumps(result.curves) == pickle.dumps(reference[name].curves)
+            assert result.extra == reference[name].extra
 
 
 class TestPlanlessExperimentsReadTheStore:
@@ -156,21 +200,11 @@ class TestPlanlessExperimentsReadTheStore:
         store = DatasetStore(tmp_path)
         for name in PLANNED_EXPERIMENTS:
             plan = experiment_plan(name, TINY)
-            dataset = store.get(plan.dataset)
-            for key in plan.cache_keys():
-                warmed_cache(key, plan.dataset, dataset, store)
+            resolve_data(plan.dataset, plan.cache_keys(), store)
         misses = (store.misses, store.cache_misses)
         for name in self.PLANLESS:
             run_experiment(name, TINY, store=store)
         assert (store.misses, store.cache_misses) == misses
-
-    def test_a_dataset_override_bypasses_the_store(self, tmp_path, tiny_stencil_blocked):
-        store = DatasetStore(tmp_path)
-        result = ablation_sampling_strategy(settings=TINY, dataset=tiny_stencil_blocked,
-                                            store=store)
-        assert (store.hits, store.misses, store.cache_hits, store.cache_misses) == (0, 0, 0, 0)
-        assert pickle.dumps(result.curves) == pickle.dumps(ablation_sampling_strategy(
-            settings=TINY, dataset=tiny_stencil_blocked).curves)
 
 
 class TestRunnerAndReporting:
@@ -182,11 +216,11 @@ class TestRunnerAndReporting:
         with pytest.raises(KeyError):
             run_experiment("figure99")
 
-    def test_experiment_registry_names(self):
+    def test_experiment_names(self):
         assert "figure3_stencil" in EXPERIMENTS and "ablation_ml_backend" in EXPERIMENTS
 
-    def test_reporting_functions(self, tiny_stencil_blocked):
-        result = figure6(settings=TINY, dataset=tiny_stencil_blocked)
+    def test_reporting_functions(self, tiny_figure6):
+        result = tiny_figure6
         table = format_curves(result.curves)
         assert "extra_trees" in table and "MAPE" in table
         report = format_result(result)
@@ -197,6 +231,5 @@ class TestRunnerAndReporting:
         assert all({"series", "fraction", "mape_mean"} <= set(r) for r in rows)
         assert result.best_mape("hybrid") <= min(result.curves["hybrid"].means) + 1e-12
 
-    def test_summary_method(self, tiny_stencil_blocked):
-        result = figure6(settings=TINY, dataset=tiny_stencil_blocked)
-        assert "dataset" in result.summary()
+    def test_summary_method(self, tiny_figure6):
+        assert "dataset" in tiny_figure6.summary()

@@ -47,7 +47,7 @@ from repro.experiments.pool import (
 from repro.experiments.scheduler import (
     _evaluate_batch,
     _merge_curves,
-    _resolve_data,
+    resolve_data,
     run_plan,
     worker_state_stats,
 )
@@ -208,7 +208,7 @@ class TestShapeBatches:
 def _figure5():
     """Figure 5's plan, cells, packed state and serial result (computed once)."""
     plan = experiment_plan("figure5", TINY)
-    state = PlanState.pack(*_resolve_data(plan, None))
+    state = PlanState.pack(*resolve_data(plan.dataset, plan.cache_keys()))
     return plan, expand_cells(plan), state, run_plan(plan)
 
 
@@ -216,7 +216,8 @@ class TestPlanState:
     @pytest.fixture(scope="class")
     def resolved(self):
         # Three analytical caches, one of them a degraded model.
-        return _resolve_data(experiment_plan("ablation_analytical_quality", TINY), None)
+        plan = experiment_plan("ablation_analytical_quality", TINY)
+        return resolve_data(plan.dataset, plan.cache_keys())
 
     def test_round_trip_is_bit_identical(self, resolved):
         dataset, caches = resolved

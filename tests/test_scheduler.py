@@ -28,6 +28,7 @@ from repro.experiments import (
     experiment_plan,
     run_all,
     run_experiment,
+    run_plan,
 )
 from repro.experiments.plan import EstimatorSpec, FactorySpec, build_analytical, build_factory
 from repro.ml import (
@@ -154,16 +155,14 @@ class TestExecutorDeterminism:
             main(["figure6", "--quick", "--executor", "thread"])
         assert "invalid choice: 'thread'" in capsys.readouterr().err
 
-    def test_dataset_override_with_executors(self, serial_results):
-        """Explicit datasets (the test/notebook path) work on every executor."""
-        from repro.experiments.figures import figure6
-
+    def test_run_plan_on_a_pool_matches_serial(self, serial_results):
+        """``run_plan`` itself, handed a caller-owned pool, returns the
+        rows of its serial run."""
         plan = experiment_plan("figure6", TINY)
-        dataset = plan.dataset.build()
-        serial = figure6(TINY, dataset)
+        serial = run_plan(plan)
         assert serial.rows() == serial_results["figure6"].rows()
         with WorkerPool(2) as pool:
-            processed = figure6(TINY, dataset, workers=pool)
+            processed = run_plan(plan, workers=pool)
         assert processed.rows() == serial.rows()
 
 

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro.datasets import DatasetStore
 from repro.experiments.plan import build_factory, experiment_plan
 from repro.experiments.runner import ExperimentSettings
-from repro.experiments.scheduler import _resolve_data, run_plan
+from repro.experiments.scheduler import resolve_data, run_plan
 from repro.ml._packed import PackedForest
 from repro.ml.forest import ExtraTreesRegressor
 from repro.ml.pipeline import Pipeline
@@ -55,7 +55,7 @@ def published():
     """A quick figure5 plan published into a fresh in-memory store."""
     plan = experiment_plan("figure5", SETTINGS)
     store = DatasetStore("memory://")
-    dataset, caches = _resolve_data(plan, store)
+    dataset, caches = resolve_data(plan.dataset, plan.cache_keys(), store)
     outcome = publish_plan_models(plan, dataset, caches, store)
     return plan, store, dataset, caches, outcome
 
@@ -339,7 +339,7 @@ class TestPublishing:
         labels = [s.label for s in plan.series]
         assert "hybrid_knn" in labels and "hybrid_bagged_tree" in labels
         store = DatasetStore("memory://")
-        dataset, caches = _resolve_data(plan, store)
+        dataset, caches = resolve_data(plan.dataset, plan.cache_keys(), store)
         outcome = publish_plan_models(plan, dataset, caches, store)
         assert "hybrid_knn" in outcome["skipped"]
         assert "hybrid_bagged_tree" in outcome["skipped"]
@@ -360,11 +360,6 @@ class TestPublishing:
         plan = experiment_plan("figure5", SETTINGS)
         with pytest.raises(ValueError, match="store"):
             run_plan(plan, publish_models=True)
-
-    def test_run_plan_publish_models_rejects_dataset_override(self, published):
-        plan, store, dataset, *_ = published
-        with pytest.raises(ValueError, match="dataset override"):
-            run_plan(plan, store=store, dataset=dataset, publish_models=True)
 
 
 class TestModelServer:
@@ -443,7 +438,7 @@ class TestModelServer:
     def test_corrupt_blob_is_503_and_counted(self):
         plan = experiment_plan("figure5", SETTINGS)
         store = DatasetStore("memory://")
-        dataset, caches = _resolve_data(plan, store)
+        dataset, caches = resolve_data(plan.dataset, plan.cache_keys(), store)
         publish_plan_models(plan, dataset, caches, store)
         key = store.model_key(plan.fingerprint, "hybrid")
         raw = bytearray(store.backend._read(key))

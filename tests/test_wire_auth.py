@@ -40,7 +40,7 @@ from repro.distributed.worker import FleetWorker
 from repro.experiments import ExperimentSettings, run_experiment
 from repro.experiments.plan import PLANNED_EXPERIMENTS, experiment_plan
 from repro.experiments.pool import PlanState
-from repro.experiments.scheduler import _resolve_data
+from repro.experiments.scheduler import resolve_data
 from repro.obs.http import AUTH_SCHEME, sign_request, verify_request
 from repro.testing.faults import FaultySocket
 
@@ -93,7 +93,7 @@ class TestCodec:
             protocol.Reject("nope"),
             protocol.Heartbeat("w1"),
             protocol.PlanAssignment(
-                "abc", plan, PlanState.pack(*_resolve_data(plan, None))),
+                "abc", plan, PlanState.pack(*resolve_data(plan.dataset, plan.cache_keys()))),
             protocol.NoPlan(),
             protocol.Goodbye("done"),
         ]
