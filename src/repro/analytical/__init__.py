@@ -13,20 +13,17 @@ a predicted execution time using closed-form expressions:
   Section VII-A (Eq. 15),
 * :mod:`repro.analytical.fmm_model` — the FMM P2P and M2L computation and
   memory-access models of Section IV-B (Eq. 8–14),
-* :mod:`repro.analytical.calibration` — optional least-squares calibration
-  of the models' machine constants against a handful of measurements
-  (the paper deliberately does *not* tune the models for Figs. 6 and 8;
-  calibration is provided for the ablation studies).
+* :mod:`repro.analytical.cache` — per-row memoization of a model's
+  predictions over a dataset, shared by every fit of an experiment,
+* :mod:`repro.analytical.calibration` — the least-squares scale factor
+  that aligns a model's predictions with measurements (the paper
+  deliberately does *not* tune the models for Figs. 6 and 8; the
+  analytical-quality ablation reports how much rescaling would help).
 """
 
 from repro.analytical.base import AnalyticalModel, roofline_time
 from repro.analytical.cache import AnalyticalPredictionCache
-from repro.analytical.calibration import CalibratedModel, calibrate_scale
-from repro.analytical.communication import (
-    AlphaBetaNetwork,
-    fmm_communication_time,
-    stencil_halo_exchange_time,
-)
+from repro.analytical.calibration import calibrate_scale
 from repro.analytical.fmm_model import FmmAnalyticalModel
 from repro.analytical.stencil_model import StencilAnalyticalModel
 
@@ -37,8 +34,4 @@ __all__ = [
     "StencilAnalyticalModel",
     "FmmAnalyticalModel",
     "calibrate_scale",
-    "CalibratedModel",
-    "AlphaBetaNetwork",
-    "stencil_halo_exchange_time",
-    "fmm_communication_time",
 ]

@@ -1,23 +1,18 @@
-"""Optional calibration of analytical models against measurements.
+"""Least-squares calibration of analytical predictions against measurements.
 
 Section VII of the paper stresses that the analytical models are *not*
 tuned before being used in the hybrid framework ("we do not tune the
 analytical models as our goal here is to study the effect of using
-inaccurate analytical models").  Calibration is nevertheless useful for
-the ablation benchmarks — it quantifies how much of the hybrid model's
-advantage survives when the analytical model is made as accurate as a
-simple scaling allows.
+inaccurate analytical models").  The analytical-quality ablation still
+reports the MAPE of a rescaled model, to show how much of the analytical
+model's error a single scale factor removes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.analytical.base import AnalyticalModel
-
-__all__ = ["calibrate_scale", "CalibratedModel"]
+__all__ = ["calibrate_scale"]
 
 
 def calibrate_scale(predictions: np.ndarray, measurements: np.ndarray) -> float:
@@ -37,36 +32,3 @@ def calibrate_scale(predictions: np.ndarray, measurements: np.ndarray) -> float:
         raise ValueError("predictions are identically zero; cannot calibrate")
     return float(predictions @ measurements / denom)
 
-
-@dataclass
-class CalibratedModel(AnalyticalModel):
-    """An analytical model multiplied by a fitted scale factor.
-
-    Parameters
-    ----------
-    base:
-        The analytical model to wrap.
-    scale:
-        Multiplicative correction (from :func:`calibrate_scale`).
-    """
-
-    base: AnalyticalModel
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
-
-    def predict_config(self, config) -> float:
-        """Scaled prediction of the wrapped model."""
-        return self.scale * self.base.predict_config(config)
-
-    def config_from_features(self, row, feature_names):
-        """Delegate feature decoding to the wrapped model."""
-        return self.base.config_from_features(row, feature_names)
-
-    @classmethod
-    def fit(cls, base: AnalyticalModel, configs, measurements) -> CalibratedModel:
-        """Calibrate *base* on ``(configs, measurements)`` and return the wrapper."""
-        preds = base.predict_configs(configs)
-        return cls(base=base, scale=calibrate_scale(preds, np.asarray(measurements)))

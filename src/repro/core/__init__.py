@@ -10,36 +10,28 @@ optionally the analytical and stacked predictions are aggregated
 Public API
 ----------
 * :class:`~repro.core.features.PerformanceDataset` — a named
-  (configurations, features, execution times) bundle,
+  (features, execution times) bundle whose
+  :meth:`~repro.core.features.PerformanceDataset.train_test_indices` is
+  the paper's uniform random sampling of a training fraction,
 * :class:`~repro.core.hybrid.HybridPerformanceModel` — the hybrid
   estimator (scikit-learn style ``fit``/``predict``),
-* :func:`~repro.core.training.train_hybrid_model` — the paper's training
-  algorithm (uniform sampling of a training fraction + offline model
-  construction),
-* :func:`~repro.core.evaluation.evaluate_learning_curve` /
-  :func:`~repro.core.evaluation.compare_models` — the evaluation protocol
-  behind every figure (MAPE on the held-out remainder versus training
-  fraction, repeated over sampling seeds).
+* :func:`~repro.core.evaluation.evaluate_learning_curve` — the evaluation
+  protocol behind every figure (MAPE on the held-out remainder versus
+  training fraction, repeated over sampling seeds).
 """
 
 from repro.core.evaluation import (
     LearningCurve,
     LearningCurvePoint,
-    compare_models,
     evaluate_learning_curve,
 )
 from repro.core.features import PerformanceDataset
 from repro.core.hybrid import HybridPerformanceModel
-from repro.core.training import TrainedModel, train_hybrid_model, train_ml_model
 
 __all__ = [
     "PerformanceDataset",
     "HybridPerformanceModel",
-    "TrainedModel",
-    "train_hybrid_model",
-    "train_ml_model",
     "LearningCurvePoint",
     "LearningCurve",
     "evaluate_learning_curve",
-    "compare_models",
 ]

@@ -44,7 +44,6 @@ __all__ = [
     "evaluate_cell",
     "merge_cell_results",
     "evaluate_learning_curve",
-    "compare_models",
 ]
 
 
@@ -322,42 +321,3 @@ def evaluate_learning_curve(
     results = [evaluate_cell(cell, model_factory, dataset) for cell in plan]
     return merge_cell_results(plan, results, label=label)
 
-
-def compare_models(
-    factories: dict[str, Callable[[int], object]],
-    dataset: PerformanceDataset,
-    *,
-    fractions_by_model: dict[str, Sequence[float]] | None = None,
-    fractions: Sequence[float] | None = None,
-    n_repeats: int = 3,
-    min_train: int = 3,
-    random_state=0,
-    analytical_cache=None,
-) -> dict[str, LearningCurve]:
-    """Learning curves for several model families on the same dataset.
-
-    Either a common ``fractions`` list or a per-model
-    ``fractions_by_model`` mapping must be provided (the paper's hybrid
-    experiments use different fractions for the pure-ML and hybrid
-    models, e.g. 10/15/20% vs 1/2/4% in Figure 5).  An optional shared
-    ``analytical_cache`` is forwarded to every per-family evaluation, so
-    the analytical model is evaluated once per dataset row across the
-    whole comparison.
-    """
-    if fractions_by_model is None:
-        if fractions is None:
-            raise ValueError("provide fractions or fractions_by_model")
-        fractions_by_model = {name: fractions for name in factories}
-    curves: dict[str, LearningCurve] = {}
-    for name, factory in factories.items():
-        curves[name] = evaluate_learning_curve(
-            factory,
-            dataset,
-            fractions=fractions_by_model[name],
-            n_repeats=n_repeats,
-            min_train=min_train,
-            label=name,
-            random_state=random_state,
-            analytical_cache=analytical_cache,
-        )
-    return curves

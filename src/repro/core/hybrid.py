@@ -8,8 +8,9 @@ machine-learning regressor through two ensemble mechanisms:
   model predictions are regarded as additional features for the machine
   learning model").
 * **Bagging** — two distinct uses, both optional and both off by default:
-  (a) the stacked ML regressor itself can be bagged
-  (``bagging_estimators > 0``) to reduce its variance, and
+  (a) the stacked ML regressor itself can be bagged, by passing a
+  :class:`~repro.ml.bagging.BaggingRegressor` as ``ml_model``, to reduce
+  its variance, and
   (b) the final prediction can aggregate the analytical prediction with
   the stacked prediction (``aggregate_analytical=True``), the paper's
   "results aggregation" stage, which is described as supplementary and is
@@ -25,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analytical.base import AnalyticalModel
-from repro.ml.bagging import BaggingRegressor
 from repro.ml.base import BaseEstimator, RegressorMixin, clone
 from repro.ml.forest import ExtraTreesRegressor
 from repro.ml.preprocessing import StandardScaler
@@ -46,17 +46,14 @@ class HybridPerformanceModel(BaseEstimator, RegressorMixin):
         rebuild configuration objects.
     ml_model:
         The level-1 regressor stacked on top; defaults to the paper's best
-        performer, extra trees.
+        performer, extra trees.  Pass a
+        :class:`~repro.ml.bagging.BaggingRegressor` to bag the stacked model.
     aggregate_analytical:
         If True, the final prediction is the (bagging-style) average of the
         analytical prediction and the stacked prediction.
     analytical_weight:
         Weight of the analytical prediction in the aggregation (0.5 =
         plain average).
-    bagging_estimators:
-        If > 0, wrap the stacked regressor in a
-        :class:`~repro.ml.bagging.BaggingRegressor` with that many
-        bootstrap replicas.
     standardize:
         Standardize the stacked feature matrix (original features + the
         analytical prediction) before fitting the ML model.
@@ -73,7 +70,7 @@ class HybridPerformanceModel(BaseEstimator, RegressorMixin):
         protocol — evaluate each row only once.  The cache may be shared
         across many model instances (it holds no per-fit state).
     random_state:
-        Seed forwarded to the ML model (and the bagging wrapper).
+        Seed forwarded to the ML model.
     """
 
     def __init__(
@@ -84,7 +81,6 @@ class HybridPerformanceModel(BaseEstimator, RegressorMixin):
         ml_model: BaseEstimator | None = None,
         aggregate_analytical: bool = False,
         analytical_weight: float = 0.5,
-        bagging_estimators: int = 0,
         standardize: bool = True,
         log_analytical_feature: bool = True,
         analytical_cache=None,
@@ -95,7 +91,6 @@ class HybridPerformanceModel(BaseEstimator, RegressorMixin):
         self.ml_model = ml_model
         self.aggregate_analytical = aggregate_analytical
         self.analytical_weight = analytical_weight
-        self.bagging_estimators = bagging_estimators
         self.standardize = standardize
         self.log_analytical_feature = log_analytical_feature
         self.analytical_cache = analytical_cache
@@ -149,12 +144,6 @@ class HybridPerformanceModel(BaseEstimator, RegressorMixin):
         model = clone(base)
         if "random_state" in model.get_params(deep=False) and self.random_state is not None:
             model.set_params(random_state=self.random_state)
-        if self.bagging_estimators > 0:
-            model = BaggingRegressor(
-                estimator=model,
-                n_estimators=self.bagging_estimators,
-                random_state=self.random_state,
-            )
         model.fit(Z, y)
         self.stacked_model_ = model
         return self

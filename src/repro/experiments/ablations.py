@@ -6,8 +6,9 @@ of the hybrid model contributes:
 * **aggregation** — stacking only vs stacking + analytical/stacked
   aggregation (the paper's optional bagging stage) vs analytical only;
 * **analytical quality** — hybrid accuracy when the analytical model is
-  replaced by a calibrated version or by a deliberately degraded one
-  (structurally blinded to blocking, or constant);
+  replaced by a deliberately degraded one (structurally blinded to
+  blocking, or constant), beside the standalone MAPE of the untuned and
+  the rescaled (calibrated) model;
 * **sampling strategy** — uniform random vs Latin-hypercube-style
   stratified training-set selection at small fractions;
 * **ML backend** — extra trees (the paper's choice) vs random forest,

@@ -8,7 +8,7 @@ handful of vectorized passes over contiguous segment-grouped arrays
 (``numpy.add.reduceat`` over CSR-style node segments), so the
 interpreter cost is per *level*, not per node.  It is the one builder
 of every tree estimator: forests, single decision trees (grown as
-one-tree forests) and gradient-boosting stages.
+one-tree forests) and bagged trees.
 
 Per level, the builder gathers with ``take``/``compress`` from one
 feature-major copy of the training rows (``X`` transposed once per fit),

@@ -33,9 +33,9 @@ array passes over those pairs:
 
 :meth:`PackedForest.predict_all` returns its leaf values as a C-contiguous
 ``(n_samples, n_trees)`` array whatever order the pairs descend in: the
-means, standard deviations, boosting sums and stacking's column slices
-taken over it then reduce the same values in the same memory order, so
-every prediction rounds bit for bit as before.
+means and standard deviations taken over it then reduce the same values
+in the same memory order, so every prediction rounds bit for bit as
+before.
 
 The arenas double as the fitted-model *persistence* format of the
 serving tier (:mod:`repro.serving`): :meth:`PackedForest.state` exposes

@@ -120,10 +120,6 @@ def clone(estimator: BaseEstimator) -> BaseEstimator:
     for name, value in params.items():
         if isinstance(value, BaseEstimator):
             cloned_params[name] = clone(value)
-        elif isinstance(value, (list, tuple)) and value and all(
-            isinstance(v, BaseEstimator) for v in value
-        ):
-            cloned_params[name] = type(value)(clone(v) for v in value)
         else:
             cloned_params[name] = copy.deepcopy(value)
     return type(estimator)(**cloned_params)

@@ -51,7 +51,6 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
         min_samples_leaf: int = 1,
         max_features="sqrt",
         bootstrap: bool | None = None,
-        oob_score: bool = False,
         random_state=None,
     ) -> None:
         self.n_estimators = n_estimators
@@ -60,13 +59,10 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.bootstrap = bootstrap
-        self.oob_score = oob_score
         self.random_state = random_state
         self.estimators_: list[DecisionTreeRegressor] | None = None
         self.packed_: PackedForest | None = None
         self.n_features_in_: int | None = None
-        self.oob_prediction_: np.ndarray | None = None
-        self.oob_score_: float | None = None
 
     # ------------------------------------------------------------------ #
     def fit(self, X, y) -> BaseForestRegressor:
@@ -74,10 +70,12 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
         X, y = check_X_y(X, y)
         if self.n_estimators < 1:
             raise ValueError(f"n_estimators must be >= 1, got {self.n_estimators}")
+        # Every member is this tree with its own seed: the tree's checks
+        # are the forest's.
+        template = self._make_tree(None)
+        template._validate_hyperparameters()
         self.n_features_in_ = X.shape[1]
         bootstrap = self._default_bootstrap if self.bootstrap is None else self.bootstrap
-        if self.oob_score and not bootstrap:
-            raise ValueError("oob_score requires bootstrap=True")
         n = X.shape[0]
         seeds = spawn_seeds(self.random_state, 2 * self.n_estimators)
         tree_seeds = seeds[: self.n_estimators]
@@ -91,7 +89,6 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
             else:
                 sample_sets.append(np.arange(n))
 
-        template = DecisionTreeRegressor(max_features=self.max_features)
         # Read off the module at call time, so a patched builder (the
         # engine benchmark's frozen reference) takes effect here too.
         trees = _batched.build_forest_batched(
@@ -112,9 +109,6 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
             shell.n_features_in_ = X.shape[1]
             self.estimators_.append(shell)
         self.packed_ = PackedForest(trees)
-
-        if self.oob_score:
-            self._compute_oob(X, y, sample_sets)
         return self
 
     def _make_tree(self, seed) -> DecisionTreeRegressor:
@@ -159,28 +153,6 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
         total = importances.sum()
         return importances / total if total > 0 else importances
 
-    # ------------------------------------------------------------------ #
-    def _compute_oob(self, X: np.ndarray, y: np.ndarray,
-                     sample_sets: list[np.ndarray]) -> None:
-        from repro.ml.metrics import r2_score
-
-        n = X.shape[0]
-        oob_mask = np.ones((n, len(self.estimators_)), dtype=bool)
-        for i, idx in enumerate(sample_sets):
-            oob_mask[idx, i] = False
-        sums = np.where(oob_mask, self.packed_.predict_all(X), 0.0).sum(axis=1)
-        counts = oob_mask.sum(axis=1).astype(np.float64)
-        covered = counts > 0
-        oob = np.full(n, np.nan)
-        oob[covered] = sums[covered] / counts[covered]
-        self.oob_prediction_ = oob
-        if np.all(covered):
-            self.oob_score_ = r2_score(y, oob)
-        elif np.any(covered):
-            self.oob_score_ = r2_score(y[covered], oob[covered])
-        else:
-            self.oob_score_ = np.nan
-
 
 class RandomForestRegressor(BaseForestRegressor):
     """Breiman random forest: bootstrap + best-split trees on feature subsets."""
@@ -208,7 +180,6 @@ class ExtraTreesRegressor(BaseForestRegressor):
         min_samples_leaf: int = 1,
         max_features=1.0,
         bootstrap: bool | None = None,
-        oob_score: bool = False,
         random_state=None,
     ) -> None:
         super().__init__(
@@ -218,6 +189,5 @@ class ExtraTreesRegressor(BaseForestRegressor):
             min_samples_leaf=min_samples_leaf,
             max_features=max_features,
             bootstrap=bootstrap,
-            oob_score=oob_score,
             random_state=random_state,
         )

@@ -1,22 +1,14 @@
 """Regression metrics.
 
 Mean Absolute Percentage Error (MAPE) is the score the paper reports in
-every figure; the others are provided for completeness and used by the
-ablation benchmarks.
+every figure; R² backs the estimators' ``score`` method.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "mean_absolute_percentage_error",
-    "mean_absolute_error",
-    "mean_squared_error",
-    "root_mean_squared_error",
-    "r2_score",
-    "median_absolute_percentage_error",
-]
+__all__ = ["mean_absolute_percentage_error", "r2_score"]
 
 
 def _validate(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
@@ -46,32 +38,6 @@ def mean_absolute_percentage_error(y_true, y_pred, *, as_percent: bool = True) -
     ratio = np.abs(y_true - y_pred) / np.maximum(np.abs(y_true), eps)
     mape = float(np.mean(ratio))
     return 100.0 * mape if as_percent else mape
-
-
-def median_absolute_percentage_error(y_true, y_pred, *, as_percent: bool = True) -> float:
-    """Median Absolute Percentage Error (robust companion to MAPE)."""
-    y_true, y_pred = _validate(y_true, y_pred)
-    eps = np.finfo(np.float64).eps
-    ratio = np.abs(y_true - y_pred) / np.maximum(np.abs(y_true), eps)
-    mdape = float(np.median(ratio))
-    return 100.0 * mdape if as_percent else mdape
-
-
-def mean_absolute_error(y_true, y_pred) -> float:
-    """Mean Absolute Error."""
-    y_true, y_pred = _validate(y_true, y_pred)
-    return float(np.mean(np.abs(y_true - y_pred)))
-
-
-def mean_squared_error(y_true, y_pred) -> float:
-    """Mean Squared Error."""
-    y_true, y_pred = _validate(y_true, y_pred)
-    return float(np.mean((y_true - y_pred) ** 2))
-
-
-def root_mean_squared_error(y_true, y_pred) -> float:
-    """Root Mean Squared Error."""
-    return float(np.sqrt(mean_squared_error(y_true, y_pred)))
 
 
 def r2_score(y_true, y_pred) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 from repro.ml.base import BaseEstimator, RegressorMixin, clone
 from repro.utils.validation import check_is_fitted
 
-__all__ = ["Pipeline", "make_pipeline"]
+__all__ = ["Pipeline"]
 
 
 class Pipeline(BaseEstimator, RegressorMixin):
@@ -86,15 +86,3 @@ class Pipeline(BaseEstimator, RegressorMixin):
         if not hasattr(final, "predict") and not hasattr(final, "transform"):
             raise TypeError(f"final step {final_name!r} must implement predict or transform")
 
-
-def make_pipeline(*estimators: BaseEstimator) -> Pipeline:
-    """Build a :class:`Pipeline` with auto-generated step names."""
-    if not estimators:
-        raise ValueError("make_pipeline needs at least one estimator")
-    names = []
-    counts: dict[str, int] = {}
-    for est in estimators:
-        base = type(est).__name__.lower()
-        counts[base] = counts.get(base, 0) + 1
-        names.append(base if counts[base] == 1 else f"{base}-{counts[base]}")
-    return Pipeline(steps=list(zip(names, estimators, strict=True)))

@@ -1,9 +1,8 @@
-"""Feature preprocessing transformers.
+"""Feature standardization.
 
 Section V: "we apply preprocessing transformation to a standard Gaussian
 distribution with zero mean and unit variance" — that is
-:class:`StandardScaler`.  :class:`MinMaxScaler` is provided as an
-alternative used by the ablation benchmarks.
+:class:`StandardScaler`.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 from repro.ml.base import BaseEstimator, TransformerMixin
 from repro.utils.validation import check_array, check_is_fitted
 
-__all__ = ["StandardScaler", "MinMaxScaler"]
+__all__ = ["StandardScaler"]
 
 
 class StandardScaler(BaseEstimator, TransformerMixin):
@@ -23,9 +22,7 @@ class StandardScaler(BaseEstimator, TransformerMixin):
     transforming never divides by zero.
     """
 
-    def __init__(self, *, with_mean: bool = True, with_std: bool = True) -> None:
-        self.with_mean = with_mean
-        self.with_std = with_std
+    def __init__(self) -> None:
         self.mean_: np.ndarray | None = None
         self.scale_: np.ndarray | None = None
         self.n_features_in_: int | None = None
@@ -34,13 +31,10 @@ class StandardScaler(BaseEstimator, TransformerMixin):
         """Learn per-feature mean and standard deviation."""
         X = check_array(X)
         self.n_features_in_ = X.shape[1]
-        self.mean_ = X.mean(axis=0) if self.with_mean else np.zeros(X.shape[1])
-        if self.with_std:
-            std = X.std(axis=0)
-            std[std == 0.0] = 1.0
-            self.scale_ = std
-        else:
-            self.scale_ = np.ones(X.shape[1])
+        self.mean_ = X.mean(axis=0)
+        std = X.std(axis=0)
+        std[std == 0.0] = 1.0
+        self.scale_ = std
         return self
 
     def transform(self, X) -> np.ndarray:
@@ -64,51 +58,3 @@ class StandardScaler(BaseEstimator, TransformerMixin):
                 f"fitted with {self.n_features_in_}"
             )
 
-
-class MinMaxScaler(BaseEstimator, TransformerMixin):
-    """Scale features to a given range (default ``[0, 1]``).
-
-    Constant features map to the lower bound of the range.
-    """
-
-    def __init__(self, *, feature_range: tuple[float, float] = (0.0, 1.0)) -> None:
-        self.feature_range = feature_range
-        self.data_min_: np.ndarray | None = None
-        self.data_max_: np.ndarray | None = None
-        self.n_features_in_: int | None = None
-
-    def fit(self, X, y=None) -> MinMaxScaler:
-        """Learn per-feature min and max."""
-        lo, hi = self.feature_range
-        if lo >= hi:
-            raise ValueError(f"feature_range must be increasing, got {self.feature_range}")
-        X = check_array(X)
-        self.n_features_in_ = X.shape[1]
-        self.data_min_ = X.min(axis=0)
-        self.data_max_ = X.max(axis=0)
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        """Scale *X* into ``feature_range``."""
-        check_is_fitted(self, ["data_min_", "data_max_"])
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features, but {type(self).__name__} was "
-                f"fitted with {self.n_features_in_}"
-            )
-        lo, hi = self.feature_range
-        span = self.data_max_ - self.data_min_
-        span = np.where(span == 0.0, 1.0, span)
-        unit = (X - self.data_min_) / span
-        return unit * (hi - lo) + lo
-
-    def inverse_transform(self, X) -> np.ndarray:
-        """Map scaled data back to the original range."""
-        check_is_fitted(self, ["data_min_", "data_max_"])
-        X = check_array(X)
-        lo, hi = self.feature_range
-        span = self.data_max_ - self.data_min_
-        span = np.where(span == 0.0, 1.0, span)
-        unit = (X - lo) / (hi - lo)
-        return unit * span + self.data_min_

@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "amdahl_speedup",
-    "gustafson_speedup",
     "bandwidth_saturation_speedup",
     "ThreadScalingModel",
 ]
@@ -45,15 +44,6 @@ def amdahl_speedup(threads: int, serial_fraction: float) -> float:
     if not 0.0 <= serial_fraction <= 1.0:
         raise ValueError(f"serial_fraction must be in [0, 1], got {serial_fraction}")
     return 1.0 / (serial_fraction + (1.0 - serial_fraction) / threads)
-
-
-def gustafson_speedup(threads: int, serial_fraction: float) -> float:
-    """Gustafson's-law (scaled) speedup for *threads* threads."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if not 0.0 <= serial_fraction <= 1.0:
-        raise ValueError(f"serial_fraction must be in [0, 1], got {serial_fraction}")
-    return threads - serial_fraction * (threads - 1)
 
 
 def bandwidth_saturation_speedup(threads: int, saturation_threads: float) -> float:

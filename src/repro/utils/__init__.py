@@ -1,21 +1,11 @@
-"""Shared utilities: validation helpers, random-number handling, timing."""
+"""Shared utilities: input validation, random numbers, array helpers, retries, timing."""
 
 from repro.utils.rng import check_random_state
-from repro.utils.timing import Timer
-from repro.utils.validation import (
-    check_array,
-    check_in_range,
-    check_is_fitted,
-    check_positive,
-    check_X_y,
-)
+from repro.utils.validation import check_array, check_is_fitted, check_X_y
 
 __all__ = [
     "check_random_state",
-    "Timer",
     "check_array",
     "check_X_y",
-    "check_positive",
-    "check_in_range",
     "check_is_fitted",
 ]

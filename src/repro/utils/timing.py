@@ -1,43 +1,10 @@
-"""Lightweight wall-clock timing utilities used by the executable engines."""
+"""Wall-clock timing of the executable stencil engine."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
-__all__ = ["Timer", "timeit_median"]
-
-
-@dataclass
-class Timer:
-    """Context-manager stopwatch.
-
-    Examples
-    --------
-    >>> with Timer() as t:
-    ...     _ = sum(range(1000))
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    elapsed: float = 0.0
-    _start: float = field(default=0.0, repr=False)
-
-    def __enter__(self) -> Timer:
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._start
-
-    def start(self) -> None:
-        """Start (or restart) the stopwatch."""
-        self._start = time.perf_counter()
-
-    def stop(self) -> float:
-        """Stop the stopwatch and return the elapsed time in seconds."""
-        self.elapsed = time.perf_counter() - self._start
-        return self.elapsed
+__all__ = ["timeit_median"]
 
 
 def timeit_median(func, *, repeats: int = 3, **kwargs) -> float:

@@ -7,15 +7,11 @@ These mirror the checks performed by scikit-learn's ``check_array`` /
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 __all__ = [
     "check_array",
     "check_X_y",
-    "check_positive",
-    "check_in_range",
     "check_is_fitted",
     "NotFittedError",
 ]
@@ -65,28 +61,6 @@ def check_X_y(X, y) -> tuple[np.ndarray, np.ndarray]:
             f"X and y have inconsistent lengths: {X.shape[0]} != {y.shape[0]}"
         )
     return X, y
-
-
-def check_positive(value, name: str, *, strict: bool = True):
-    """Check that a scalar is positive (strictly, by default)."""
-    if not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    if strict and value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
-    if not strict and value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def check_in_range(value, name: str, low, high, *, inclusive: bool = True):
-    """Check that ``low <= value <= high`` (or strict inequalities)."""
-    ok = (low <= value <= high) if inclusive else (low < value < high)
-    if not ok:
-        bracket = "[]" if inclusive else "()"
-        raise ValueError(
-            f"{name} must be in {bracket[0]}{low}, {high}{bracket[1]}, got {value}"
-        )
-    return value
 
 
 def check_is_fitted(estimator, attributes) -> None:

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analytical.calibration import CalibratedModel, calibrate_scale
-from repro.analytical.stencil_model import StencilAnalyticalModel
-from repro.ml.metrics import mean_absolute_percentage_error
-from repro.stencil.config import StencilConfig
-from repro.stencil.perf_sim import StencilPerformanceSimulator
+from repro.analytical.calibration import calibrate_scale
 
 
 class TestCalibrateScale:
@@ -34,30 +30,3 @@ class TestCalibrateScale:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             calibrate_scale([], [])
-
-
-class TestCalibratedModel:
-    def test_scaled_prediction(self):
-        base = StencilAnalyticalModel()
-        wrapped = CalibratedModel(base=base, scale=2.0)
-        cfg = StencilConfig(I=32, J=32, K=32)
-        assert wrapped.predict_config(cfg) == pytest.approx(2.0 * base.predict_config(cfg))
-
-    def test_fit_reduces_mape_against_simulator(self):
-        sim = StencilPerformanceSimulator(noise=0.0)
-        base = StencilAnalyticalModel()
-        configs = [StencilConfig(I=s, J=s, K=s) for s in range(96, 257, 32)]
-        measured = sim.times(configs)
-        calibrated = CalibratedModel.fit(base, configs, measured)
-        raw_mape = mean_absolute_percentage_error(measured, base.predict_configs(configs))
-        cal_mape = mean_absolute_percentage_error(measured, calibrated.predict_configs(configs))
-        assert cal_mape < raw_mape
-
-    def test_config_from_features_delegates(self):
-        wrapped = CalibratedModel(base=StencilAnalyticalModel(), scale=1.5)
-        cfg = wrapped.config_from_features(np.array([16.0, 16.0, 16.0]), ["I", "J", "K"])
-        assert cfg.shape == (16, 16, 16)
-
-    def test_invalid_scale(self):
-        with pytest.raises(ValueError):
-            CalibratedModel(base=StencilAnalyticalModel(), scale=0.0)

@@ -8,13 +8,12 @@ import pytest
 from repro.core.evaluation import (
     LearningCurve,
     LearningCurvePoint,
-    compare_models,
     evaluate_cell,
     evaluate_learning_curve,
     merge_cell_results,
     plan_learning_curve,
 )
-from repro.ml import ExtraTreesRegressor, LinearRegression, Pipeline, StandardScaler
+from repro.ml import ExtraTreesRegressor, Pipeline, StandardScaler
 
 
 def _et_factory(seed):
@@ -135,24 +134,3 @@ class TestCellDecomposition:
             merge_cell_results(plan, results)
         with pytest.raises(ValueError):
             merge_cell_results([], [])
-
-
-class TestCompareModels:
-    def test_common_fractions(self, small_stencil_dataset):
-        curves = compare_models(
-            {"et": _et_factory, "linear": lambda seed: LinearRegression()},
-            small_stencil_dataset, fractions=[0.1], n_repeats=2, random_state=0)
-        assert set(curves) == {"et", "linear"}
-
-    def test_per_model_fractions(self, small_stencil_dataset):
-        curves = compare_models(
-            {"a": _et_factory, "b": _et_factory},
-            small_stencil_dataset,
-            fractions_by_model={"a": [0.05], "b": [0.1, 0.2]},
-            n_repeats=1, random_state=0)
-        assert len(curves["a"].points) == 1
-        assert len(curves["b"].points) == 2
-
-    def test_missing_fractions_raises(self, small_stencil_dataset):
-        with pytest.raises(ValueError):
-            compare_models({"a": _et_factory}, small_stencil_dataset)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analytical import FmmAnalyticalModel, StencilAnalyticalModel
 from repro.core.hybrid import HybridPerformanceModel
-from repro.ml import ExtraTreesRegressor, LinearRegression
+from repro.ml import BaggingRegressor, ExtraTreesRegressor, KNeighborsRegressor
 from repro.ml.metrics import mean_absolute_percentage_error
 from repro.utils.validation import NotFittedError
 
@@ -105,13 +105,16 @@ class TestOptions:
         np.testing.assert_allclose(parts["final"], parts["stacked"])
 
     def test_bagging_wrapper(self, stencil_setup):
-        from repro.ml.bagging import BaggingRegressor
-
+        """A bagged ``ml_model`` is cloned, seeded and stacked as given."""
         data, train, test = stencil_setup
-        model = _hybrid(data, bagging_estimators=4,
-                        ml_model=LinearRegression())
+        bag = BaggingRegressor(estimator=KNeighborsRegressor(n_neighbors=3),
+                               n_estimators=4)
+        model = _hybrid(data, ml_model=bag, random_state=7)
         model.fit(data.X[train], data.y[train])
         assert isinstance(model.stacked_model_, BaggingRegressor)
+        assert model.stacked_model_ is not bag and bag.estimators_ is None
+        assert model.stacked_model_.random_state == 7
+        assert len(model.stacked_model_.estimators_) == 4
         assert model.predict(data.X[test]).shape == (len(test),)
 
     def test_linear_analytical_feature_variant(self, stencil_setup):

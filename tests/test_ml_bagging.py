@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.ml.bagging import BaggingRegressor
-from repro.ml.linear import Ridge
 from repro.ml.metrics import r2_score
+from repro.ml.neighbors import KNeighborsRegressor
 from repro.ml.tree import DecisionTreeRegressor
 from repro.utils.rng import check_random_state, spawn_seeds
 
@@ -26,10 +26,14 @@ class TestBaggingRegressor:
         assert r2_score(yte, model.predict(Xte)) > 0.5
 
     def test_custom_base_estimator(self, data):
+        """A base without ``random_state`` (k-NN) is replicated unseeded."""
         Xtr, ytr, Xte, _ = data
-        model = BaggingRegressor(estimator=Ridge(alpha=0.1), n_estimators=5,
+        base = KNeighborsRegressor(n_neighbors=3)
+        model = BaggingRegressor(estimator=base, n_estimators=5,
                                  random_state=0).fit(Xtr, ytr)
-        assert all(isinstance(est, Ridge) for est in model.estimators_)
+        assert all(isinstance(est, KNeighborsRegressor) for est in model.estimators_)
+        assert all(est is not base and est.get_params() == base.get_params()
+                   for est in model.estimators_)
         assert model.predict(Xte).shape == (len(Xte),)
 
     def test_bagging_reduces_variance_vs_single_tree(self, data):

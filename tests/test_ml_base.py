@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.ml.bagging import BaggingRegressor
 from repro.ml.base import clone
-from repro.ml.forest import ExtraTreesRegressor
-from repro.ml.linear import Ridge
-from repro.ml.stacking import StackingRegressor
+from repro.ml.metrics import r2_score
 from repro.ml.tree import DecisionTreeRegressor
 
 
@@ -27,14 +26,11 @@ class TestGetSetParams:
             DecisionTreeRegressor().set_params(bogus=1)
 
     def test_nested_params(self):
-        stack = StackingRegressor(
-            estimators=[("tree", DecisionTreeRegressor())],
-            final_estimator=Ridge(alpha=1.0),
-        )
-        params = stack.get_params(deep=True)
-        assert params["final_estimator__alpha"] == 1.0
-        stack.set_params(final_estimator__alpha=0.5)
-        assert stack.final_estimator.alpha == 0.5
+        bag = BaggingRegressor(estimator=DecisionTreeRegressor(max_depth=3))
+        params = bag.get_params(deep=True)
+        assert params["estimator__max_depth"] == 3
+        bag.set_params(estimator__max_depth=5)
+        assert bag.estimator.max_depth == 5
 
     def test_repr_contains_class_and_params(self):
         text = repr(DecisionTreeRegressor(max_depth=2))
@@ -52,13 +48,10 @@ class TestClone:
         assert copy.tree_ is None  # unfitted
 
     def test_clone_nested_estimator(self):
-        stack = StackingRegressor(
-            estimators=[("et", ExtraTreesRegressor(n_estimators=3))],
-            final_estimator=Ridge(),
-        )
-        copy = clone(stack)
-        assert copy.estimators[0][1] is not stack.estimators[0][1]
-        assert copy.final_estimator is not stack.final_estimator
+        bag = BaggingRegressor(estimator=DecisionTreeRegressor(max_depth=3))
+        copy = clone(bag)
+        assert copy.estimator is not bag.estimator
+        assert copy.estimator.max_depth == 3
 
     def test_clone_rejects_non_estimator(self):
         with pytest.raises(TypeError):
@@ -70,5 +63,7 @@ class TestRegressorScore:
         rng = np.random.default_rng(1)
         X = rng.random((100, 2))
         y = 3 * X[:, 0] - X[:, 1]
-        model = Ridge(alpha=1e-8).fit(X, y)
-        assert model.score(X, y) == pytest.approx(1.0, abs=1e-6)
+        model = DecisionTreeRegressor(max_depth=3, random_state=0).fit(X, y)
+        assert model.score(X, y) == pytest.approx(r2_score(y, model.predict(X)))
+        # Fully grown on distinct rows, the tree fits its training set exactly.
+        assert DecisionTreeRegressor(random_state=0).fit(X, y).score(X, y) == 1.0

@@ -20,10 +20,8 @@ from hypothesis.extra import numpy as hnp
 
 from repro.ml._packed import PackedForest
 from repro.ml.bagging import BaggingRegressor
-from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.forest import ExtraTreesRegressor, RandomForestRegressor
 from repro.ml.metrics import r2_score
-from repro.ml.model_selection import train_test_split
 from repro.ml.tree import DecisionTreeRegressor
 
 
@@ -175,12 +173,6 @@ class TestBatchedEngine:
         assert model.get_n_leaves() == 1
         np.testing.assert_allclose(model.predict(X), y.mean(), rtol=1e-12)
 
-    def test_bootstrap_oob_supported(self, data):
-        X, y = data
-        model = RandomForestRegressor(n_estimators=25, oob_score=True,
-                                      random_state=0).fit(X, y)
-        assert model.oob_score_ is not None and model.oob_score_ > 0.5
-
 
 def _node_samples(tree, X):
     """Training-row indices of every node of *tree*, fitted on all of *X*."""
@@ -242,15 +234,16 @@ class TestRegistryDatasets:
     @pytest.mark.parametrize("cls", [ExtraTreesRegressor, RandomForestRegressor])
     def test_stencil_dataset_r2(self, small_stencil_dataset, cls):
         ds = small_stencil_dataset
-        Xtr, Xte, ytr, yte = train_test_split(ds.X, ds.y, test_size=0.3, random_state=1)
-        forest = cls(n_estimators=30, random_state=0).fit(Xtr, ytr)
-        assert r2_score(yte, forest.predict(Xte)) > 0.5
+        train, test = ds.train_test_indices(train_fraction=0.7, random_state=1)
+        forest = cls(n_estimators=30, random_state=0).fit(ds.X[train], ds.y[train])
+        assert r2_score(ds.y[test], forest.predict(ds.X[test])) > 0.5
 
     def test_fmm_dataset_r2(self, small_fmm_dataset):
         ds = small_fmm_dataset
-        Xtr, Xte, ytr, yte = train_test_split(ds.X, ds.y, test_size=0.3, random_state=1)
-        forest = ExtraTreesRegressor(n_estimators=30, random_state=0).fit(Xtr, ytr)
-        assert r2_score(yte, forest.predict(Xte)) > 0.5
+        train, test = ds.train_test_indices(train_fraction=0.7, random_state=1)
+        forest = ExtraTreesRegressor(n_estimators=30, random_state=0).fit(ds.X[train],
+                                                                          ds.y[train])
+        assert r2_score(ds.y[test], forest.predict(ds.X[test])) > 0.5
 
 
 class TestFittedModelsPickle:
@@ -260,9 +253,8 @@ class TestFittedModelsPickle:
         lambda: DecisionTreeRegressor(random_state=0),
         lambda: RandomForestRegressor(n_estimators=5, random_state=0),
         lambda: ExtraTreesRegressor(n_estimators=5, random_state=0),
-        lambda: GradientBoostingRegressor(n_estimators=10, random_state=0),
         lambda: BaggingRegressor(n_estimators=5, random_state=0),
-    ], ids=["decision_tree", "random_forest", "extra_trees", "boosting", "bagging"])
+    ], ids=["decision_tree", "random_forest", "extra_trees", "bagging"])
     def test_round_trip_predicts_identically(self, data, make):
         X, y = data
         model = make().fit(X, y)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ml.forest import ExtraTreesRegressor, RandomForestRegressor
 from repro.ml.metrics import r2_score
+from repro.ml.tree import DecisionTreeRegressor
 from repro.utils.validation import NotFittedError
 
 
@@ -80,11 +81,26 @@ class TestForests:
         with pytest.raises(ValueError):
             cls(n_estimators=0).fit(Xtr, ytr)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(max_depth=0),
+        dict(max_depth=-1),
+        dict(min_samples_split=0),
+        dict(min_samples_split=1),
+        dict(min_samples_leaf=0),
+        dict(min_samples_leaf=-3),
+    ], ids=lambda kw: "{}={}".format(*next(iter(kw.items()))))
+    def test_invalid_tree_hyperparameters(self, data, cls, kwargs):
+        """A forest rejects what its trees reject, with the tree's message."""
+        Xtr, ytr, _, _ = data
+        with pytest.raises(ValueError) as tree_error:
+            DecisionTreeRegressor(**kwargs).fit(Xtr, ytr)
+        with pytest.raises(ValueError) as forest_error:
+            cls(n_estimators=2, random_state=0, **kwargs).fit(Xtr, ytr)
+        assert str(forest_error.value) == str(tree_error.value)
+
 
 class TestEnsembleBehaviour:
     def test_ensemble_beats_single_tree_out_of_sample(self, data):
-        from repro.ml.tree import DecisionTreeRegressor
-
         Xtr, ytr, Xte, yte = data
         tree = DecisionTreeRegressor(random_state=0).fit(Xtr, ytr)
         forest = ExtraTreesRegressor(n_estimators=30, random_state=0).fit(Xtr, ytr)
@@ -96,16 +112,3 @@ class TestEnsembleBehaviour:
         rf = RandomForestRegressor(n_estimators=3, random_state=0)
         assert et._default_bootstrap is False
         assert rf._default_bootstrap is True
-
-    def test_oob_score_available_with_bootstrap(self, data):
-        Xtr, ytr, _, _ = data
-        model = RandomForestRegressor(n_estimators=25, oob_score=True, random_state=0)
-        model.fit(Xtr, ytr)
-        assert model.oob_prediction_ is not None
-        assert model.oob_score_ is not None
-        assert model.oob_score_ > 0.5
-
-    def test_oob_requires_bootstrap(self, data):
-        Xtr, ytr, _, _ = data
-        with pytest.raises(ValueError, match="bootstrap"):
-            ExtraTreesRegressor(n_estimators=3, oob_score=True, bootstrap=False).fit(Xtr, ytr)

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.metrics import (
-    mean_absolute_error,
-    mean_absolute_percentage_error,
-    mean_squared_error,
-    median_absolute_percentage_error,
-    r2_score,
-    root_mean_squared_error,
-)
+from repro.ml.metrics import mean_absolute_percentage_error, r2_score
 
 
 class TestMape:
@@ -29,11 +22,10 @@ class TestMape:
         y_pred = np.array([15.0])
         assert mean_absolute_percentage_error(y_true, y_pred, as_percent=False) == pytest.approx(0.5)
 
-    def test_median_variant_is_robust(self):
+    def test_one_outlier_dominates(self):
         y_true = np.array([1.0, 1.0, 1.0, 1.0])
         y_pred = np.array([1.0, 1.0, 1.0, 100.0])
-        assert median_absolute_percentage_error(y_true, y_pred) == 0.0
-        assert mean_absolute_percentage_error(y_true, y_pred) > 1000.0
+        assert mean_absolute_percentage_error(y_true, y_pred) == pytest.approx(2475.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -49,13 +41,6 @@ class TestMape:
 
 
 class TestOtherMetrics:
-    def test_mae_mse_rmse(self):
-        y_true = np.array([0.0, 2.0])
-        y_pred = np.array([1.0, 0.0])
-        assert mean_absolute_error(y_true, y_pred) == pytest.approx(1.5)
-        assert mean_squared_error(y_true, y_pred) == pytest.approx(2.5)
-        assert root_mean_squared_error(y_true, y_pred) == pytest.approx(np.sqrt(2.5))
-
     def test_r2_perfect(self):
         y = np.array([1.0, 2.0, 3.0])
         assert r2_score(y, y) == pytest.approx(1.0)

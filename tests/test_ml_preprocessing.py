@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.preprocessing import MinMaxScaler, StandardScaler
+from repro.ml.preprocessing import StandardScaler
 from repro.utils.validation import NotFittedError
 
 
@@ -27,11 +27,6 @@ class TestStandardScaler:
         assert np.all(np.isfinite(Z))
         np.testing.assert_allclose(Z[:, 0], 0.0)
 
-    def test_with_mean_false(self):
-        X = np.random.default_rng(2).random((20, 2)) + 5.0
-        Z = StandardScaler(with_mean=False).fit_transform(X)
-        assert Z.mean() > 0  # not centred
-
     def test_unfitted_raises(self):
         with pytest.raises(NotFittedError):
             StandardScaler().transform([[1.0]])
@@ -41,29 +36,3 @@ class TestStandardScaler:
         with pytest.raises(ValueError, match="features"):
             scaler.transform(np.ones((5, 2)))
 
-
-class TestMinMaxScaler:
-    def test_range_mapping(self):
-        X = np.array([[0.0], [5.0], [10.0]])
-        Z = MinMaxScaler().fit_transform(X)
-        np.testing.assert_allclose(Z.ravel(), [0.0, 0.5, 1.0])
-
-    def test_custom_range(self):
-        X = np.array([[0.0], [10.0]])
-        Z = MinMaxScaler(feature_range=(-1.0, 1.0)).fit_transform(X)
-        np.testing.assert_allclose(Z.ravel(), [-1.0, 1.0])
-
-    def test_inverse_roundtrip(self):
-        rng = np.random.default_rng(3)
-        X = rng.random((30, 4)) * 7 - 3
-        scaler = MinMaxScaler().fit(X)
-        np.testing.assert_allclose(scaler.inverse_transform(scaler.transform(X)), X)
-
-    def test_constant_feature(self):
-        X = np.full((5, 1), 3.0)
-        Z = MinMaxScaler().fit_transform(X)
-        assert np.all(np.isfinite(Z))
-
-    def test_invalid_range(self):
-        with pytest.raises(ValueError):
-            MinMaxScaler(feature_range=(1.0, 0.0)).fit(np.ones((3, 1)))

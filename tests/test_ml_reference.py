@@ -20,7 +20,6 @@ from repro.ml import (
     BaggingRegressor,
     DecisionTreeRegressor,
     ExtraTreesRegressor,
-    GradientBoostingRegressor,
     RandomForestRegressor,
     _batched,
 )
@@ -133,16 +132,14 @@ class TestUniformIdentity:
 class TestPatchedBuilder:
     """Every tree fit reads the builder off :mod:`repro.ml._batched` when
     it runs, so patching that attribute, as the engine benchmark does to
-    time the reference, reaches trees, forests, boosting stages and
-    bagged trees alike."""
+    time the reference, reaches trees, forests and bagged trees alike."""
 
     @pytest.mark.parametrize("make", [
         lambda: DecisionTreeRegressor(random_state=0),
         lambda: RandomForestRegressor(n_estimators=3, random_state=0),
         lambda: ExtraTreesRegressor(n_estimators=3, random_state=0),
-        lambda: GradientBoostingRegressor(n_estimators=3, random_state=0),
         lambda: BaggingRegressor(n_estimators=3, random_state=0),
-    ], ids=["decision_tree", "random_forest", "extra_trees", "boosting", "bagging"])
+    ], ids=["decision_tree", "random_forest", "extra_trees", "bagging"])
     def test_patched_builder_grows_every_fit(self, monkeypatch, make):
         rng = np.random.default_rng(5)
         X = rng.uniform(0.0, 4.0, size=(80, 3))

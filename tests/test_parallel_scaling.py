@@ -6,7 +6,6 @@ from repro.parallel.scaling import (
     ThreadScalingModel,
     amdahl_speedup,
     bandwidth_saturation_speedup,
-    gustafson_speedup,
 )
 
 
@@ -29,17 +28,6 @@ class TestAmdahl:
             amdahl_speedup(0, 0.1)
         with pytest.raises(ValueError):
             amdahl_speedup(4, 1.5)
-
-
-class TestGustafson:
-    def test_single_thread(self):
-        assert gustafson_speedup(1, 0.3) == pytest.approx(1.0)
-
-    def test_scales_linearly_when_parallel(self):
-        assert gustafson_speedup(8, 0.0) == pytest.approx(8.0)
-
-    def test_exceeds_amdahl(self):
-        assert gustafson_speedup(16, 0.2) > amdahl_speedup(16, 0.2)
 
 
 class TestBandwidthSaturation:

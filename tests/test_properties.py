@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.features import PerformanceDataset
 from repro.fmm.expansions import MultiIndexSet, taylor_coefficients
 from repro.fmm.octree import Octree
 from repro.fmm.particles import ParticleSet
 from repro.ml.metrics import mean_absolute_percentage_error, r2_score
-from repro.ml.model_selection import KFold, train_test_split
 from repro.ml.preprocessing import StandardScaler
 from repro.ml.tree import DecisionTreeRegressor
 from repro.parallel.scaling import ThreadScalingModel, amdahl_speedup
@@ -83,28 +83,20 @@ def test_thread_scaling_time_is_positive_and_bounded_below(threads, serial, comp
 # --------------------------------------------------------------------------- #
 @settings(**HYPOTHESIS_SETTINGS)
 @given(
-    n=st.integers(5, 60),
-    train_fraction=st.floats(0.1, 0.9),
+    n=st.integers(2, 60),
+    train_fraction=st.floats(0.01, 0.99),
+    min_train=st.integers(1, 10),
     seed=st.integers(0, 1000),
 )
-def test_train_test_split_partitions(n, train_fraction, seed):
-    X = np.arange(n).reshape(-1, 1)
-    Xtr, Xte = train_test_split(X, train_size=train_fraction, random_state=seed)
-    combined = np.sort(np.concatenate([Xtr, Xte]).ravel())
-    assert len(Xtr) + len(Xte) == n
-    np.testing.assert_array_equal(combined, np.arange(n))
-
-
-@settings(**HYPOTHESIS_SETTINGS)
-@given(n=st.integers(4, 100), k=st.integers(2, 6), seed=st.integers(0, 100))
-def test_kfold_partitions(n, k, seed):
-    if n < k:
-        return
-    folds = list(KFold(n_splits=k, shuffle=True, random_state=seed).split(n))
-    all_test = np.concatenate([t for _, t in folds])
-    assert sorted(all_test.tolist()) == list(range(n))
-    for train, test in folds:
-        assert set(train).isdisjoint(test)
+def test_train_test_indices_partition(n, train_fraction, min_train, seed):
+    """The split every learning-curve cell runs partitions ``range(n)``,
+    with ``round(f * n)`` training rows clipped to ``[min_train, n - 1]``."""
+    data = PerformanceDataset(name="rows", X=np.arange(n, dtype=float)[:, None],
+                              y=np.ones(n), feature_names=["i"])
+    train, test = data.train_test_indices(train_fraction=train_fraction,
+                                          min_train=min_train, random_state=seed)
+    np.testing.assert_array_equal(np.sort(np.concatenate([train, test])), np.arange(n))
+    assert len(train) == min(max(round(train_fraction * n), min_train), n - 1)
 
 
 @settings(**HYPOTHESIS_SETTINGS)

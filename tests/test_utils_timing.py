@@ -2,22 +2,7 @@
 
 import pytest
 
-from repro.utils.timing import Timer, timeit_median
-
-
-class TestTimer:
-    def test_context_manager_records_elapsed(self):
-        with Timer() as t:
-            sum(range(10000))
-        assert t.elapsed > 0.0
-
-    def test_start_stop(self):
-        t = Timer()
-        t.start()
-        sum(range(10000))
-        elapsed = t.stop()
-        assert elapsed > 0.0
-        assert t.elapsed == elapsed
+from repro.utils.timing import timeit_median
 
 
 class TestTimeitMedian:

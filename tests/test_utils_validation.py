@@ -6,9 +6,7 @@ import pytest
 from repro.utils.validation import (
     NotFittedError,
     check_array,
-    check_in_range,
     check_is_fitted,
-    check_positive,
     check_X_y,
 )
 
@@ -61,25 +59,6 @@ class TestCheckXy:
     def test_nan_target_rejected(self):
         with pytest.raises(ValueError):
             check_X_y([[1.0]], [np.nan])
-
-
-class TestScalarChecks:
-    def test_check_positive(self):
-        assert check_positive(1.5, "x") == 1.5
-        with pytest.raises(ValueError):
-            check_positive(0.0, "x")
-        check_positive(0.0, "x", strict=False)
-        with pytest.raises(ValueError):
-            check_positive(-1.0, "x", strict=False)
-        with pytest.raises(TypeError):
-            check_positive("a", "x")
-
-    def test_check_in_range(self):
-        assert check_in_range(0.5, "x", 0.0, 1.0) == 0.5
-        with pytest.raises(ValueError):
-            check_in_range(1.5, "x", 0.0, 1.0)
-        with pytest.raises(ValueError):
-            check_in_range(0.0, "x", 0.0, 1.0, inclusive=False)
 
 
 class TestCheckIsFitted:
