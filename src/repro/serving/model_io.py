@@ -187,7 +187,10 @@ def encode_model(model, *, analytical_key: str | None = None) -> bytes:
             scaler = step
         final = model.steps_[-1][1]
         forest = _pack_estimator(final)
-        n_features = getattr(final, "n_features_in_", None) or forest.feature.max() + 1
+        n_features = (final.n_features_in if isinstance(final, PackedRegressor)
+                      else getattr(final, "n_features_in_", None))
+        if n_features is None:
+            n_features = forest.feature.max() + 1
         arrays = {
             "kind": np.array("ml_pipeline"),
             "feature_names": np.array([], dtype=str),

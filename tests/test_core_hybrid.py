@@ -1,9 +1,12 @@
 """Tests for repro.core.hybrid (the paper's contribution)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.analytical import FmmAnalyticalModel, StencilAnalyticalModel
+from repro.analytical.base import AnalyticalModel
 from repro.core.hybrid import HybridPerformanceModel
 from repro.ml import BaggingRegressor, ExtraTreesRegressor, KNeighborsRegressor
 from repro.ml.metrics import mean_absolute_percentage_error
@@ -15,6 +18,23 @@ def stencil_setup(small_stencil_dataset):
     data = small_stencil_dataset
     train, test = data.train_test_indices(train_fraction=0.1, random_state=0)
     return data, train, test
+
+
+class _ConstantModel(AnalyticalModel):
+    """Predicts *value* for every configuration, *per_row* times per row."""
+
+    def __init__(self, value, per_row=1):
+        self.value = value
+        self.per_row = per_row
+
+    def config_from_features(self, row, feature_names):
+        return row
+
+    def predict_config(self, config):
+        return self.value
+
+    def predict_rows(self, X, feature_names):
+        return np.full(X.shape[0] * self.per_row, self.value)
 
 
 def _hybrid(data, **kwargs):
@@ -64,6 +84,14 @@ class TestFitPredict:
         p1 = _hybrid(data).fit(data.X[train], data.y[train]).predict(data.X[test])
         p2 = _hybrid(data).fit(data.X[train], data.y[train]).predict(data.X[test])
         np.testing.assert_array_equal(p1, p2)
+
+    def test_pickle_round_trip_predicts_identically(self, stencil_setup):
+        data, train, test = stencil_setup
+        model = _hybrid(data).fit(data.X[train], data.y[train])
+        loaded = pickle.loads(pickle.dumps(model))
+        expected = model.predict_components(data.X[test])
+        for name, values in loaded.predict_components(data.X[test]).items():
+            np.testing.assert_array_equal(values, expected[name])
 
     def test_default_ml_model_is_extra_trees(self, stencil_setup):
         data, train, _ = stencil_setup
@@ -153,6 +181,31 @@ class TestValidation:
         data, train, _ = stencil_setup
         model = _hybrid(data, aggregate_analytical=True, analytical_weight=1.5)
         with pytest.raises(ValueError):
+            model.fit(data.X[train], data.y[train])
+
+    def test_predict_rows_serves_lists_like_predict(self, stencil_setup):
+        data, train, test = stencil_setup
+        model = _hybrid(data).fit(data.X[train], data.y[train])
+        np.testing.assert_array_equal(model.predict_rows(data.X[test].tolist()),
+                                      model.predict(data.X[test]))
+
+    def test_predict_rows_rejects_a_flat_row(self, stencil_setup):
+        data, train, test = stencil_setup
+        model = _hybrid(data).fit(data.X[train], data.y[train])
+        with pytest.raises(ValueError, match="rows must be 2-D"):
+            model.predict_rows(data.X[test[0]])
+
+    def test_analytical_prediction_of_the_wrong_shape_rejected(self, stencil_setup):
+        data, train, _ = stencil_setup
+        model = _hybrid(data, analytical_model=_ConstantModel(1.0, per_row=2))
+        with pytest.raises(ValueError, match="analytical model returned shape"):
+            model.fit(data.X[train], data.y[train])
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_analytical_time_must_be_finite_and_positive(self, stencil_setup, value):
+        data, train, _ = stencil_setup
+        model = _hybrid(data, analytical_model=_ConstantModel(value))
+        with pytest.raises(ValueError, match="finite, positive times"):
             model.fit(data.X[train], data.y[train])
 
     def test_predict_feature_count_mismatch(self, stencil_setup):

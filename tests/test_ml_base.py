@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.bagging import BaggingRegressor
-from repro.ml.base import clone
+from repro.ml.base import BaseEstimator, clone
 from repro.ml.metrics import r2_score
 from repro.ml.tree import DecisionTreeRegressor
 
@@ -31,6 +31,31 @@ class TestGetSetParams:
         assert params["estimator__max_depth"] == 3
         bag.set_params(estimator__max_depth=5)
         assert bag.estimator.max_depth == 5
+
+    def test_set_params_without_arguments_changes_nothing(self):
+        tree = DecisionTreeRegressor(max_depth=3)
+        assert tree.set_params() is tree
+        assert tree.get_params() == DecisionTreeRegressor(max_depth=3).get_params()
+
+    def test_nested_key_with_unknown_outer_name_rejected(self):
+        bag = BaggingRegressor(estimator=DecisionTreeRegressor(max_depth=3))
+        with pytest.raises(ValueError, match="invalid parameter 'base'"):
+            bag.set_params(base__max_depth=5)
+        assert bag.estimator.max_depth == 3
+
+    def test_nested_key_on_a_plain_parameter_rejected(self):
+        with pytest.raises(ValueError, match="'max_depth' is not an estimator"):
+            DecisionTreeRegressor(max_depth=3).set_params(max_depth__value=5)
+
+    def test_estimator_without_init_has_no_params(self):
+        class Constant(BaseEstimator):
+            pass
+
+        model = Constant()
+        assert model.get_params() == {}
+        assert repr(model) == "Constant()"
+        copy = clone(model)
+        assert type(copy) is Constant and copy is not model
 
     def test_repr_contains_class_and_params(self):
         text = repr(DecisionTreeRegressor(max_depth=2))

@@ -22,6 +22,9 @@ from repro.ml._packed import PackedForest
 from repro.ml.bagging import BaggingRegressor
 from repro.ml.forest import ExtraTreesRegressor, RandomForestRegressor
 from repro.ml.metrics import r2_score
+from repro.ml.neighbors import KNeighborsRegressor
+from repro.ml.pipeline import Pipeline
+from repro.ml.preprocessing import StandardScaler
 from repro.ml.tree import DecisionTreeRegressor
 
 
@@ -247,14 +250,18 @@ class TestRegistryDatasets:
 
 
 class TestFittedModelsPickle:
-    """A fitted tree model, packed arena included, survives a pickle."""
+    """A fitted model, a tree model's packed arena included, survives a pickle."""
 
     @pytest.mark.parametrize("make", [
         lambda: DecisionTreeRegressor(random_state=0),
         lambda: RandomForestRegressor(n_estimators=5, random_state=0),
         lambda: ExtraTreesRegressor(n_estimators=5, random_state=0),
         lambda: BaggingRegressor(n_estimators=5, random_state=0),
-    ], ids=["decision_tree", "random_forest", "extra_trees", "bagging"])
+        lambda: KNeighborsRegressor(n_neighbors=3, weights="distance"),
+        lambda: Pipeline(steps=[("scale", StandardScaler()),
+                                ("model", ExtraTreesRegressor(n_estimators=5,
+                                                              random_state=0))]),
+    ], ids=["decision_tree", "random_forest", "extra_trees", "bagging", "knn", "pipeline"])
     def test_round_trip_predicts_identically(self, data, make):
         X, y = data
         model = make().fit(X, y)

@@ -70,3 +70,7 @@ class TestPipeline:
             Pipeline(steps=[("tree", DecisionTreeRegressor()),
                             ("knn", KNeighborsRegressor())]).fit([[1.0], [2.0]], [1.0, 2.0])
 
+    def test_final_step_must_predict_or_transform(self):
+        with pytest.raises(TypeError, match="final step 'last'"):
+            Pipeline(steps=[("scale", StandardScaler()),
+                            ("last", object())]).fit([[1.0], [2.0]], [1.0, 2.0])

@@ -123,6 +123,7 @@ class TestPackedForestState:
         pytest.param([0, 2, 1], [-1, -1, -1], [-1, -1, -1], [-1, -1, -1],
                      id="roots-not-increasing"),
         pytest.param([0], [-2, -1, -1], [1, -1, -1], [2, -1, -1], id="negative-feature"),
+        pytest.param([], [-1], [-1], [-1], id="no-trees"),
     ])
     def test_malformed_arena_is_rejected(self, roots, feature, left, right):
         n = len(feature)
@@ -245,6 +246,117 @@ class TestModelBlobFormat:
                                ("model", KNeighborsRegressor())]).fit(X, y)
         with pytest.raises(ModelNotServableError, match="packed-arena"):
             encode_model(pipe)
+
+    @pytest.fixture(scope="class")
+    def unsplit_column(self):
+        """Rows whose last column is constant, so no tree ever splits on it."""
+        rng = np.random.default_rng(5)
+        X = rng.uniform(size=(60, 3))
+        X[:, 2] = 1.0
+        return X, 2.0 * X[:, 0] + X[:, 1]
+
+    def test_single_tree_pipeline_round_trip_is_bit_identical(self, unsplit_column):
+        from repro.ml.tree import DecisionTreeRegressor
+
+        X, y = unsplit_column
+        pipe = Pipeline(steps=[("model", DecisionTreeRegressor(random_state=0))]).fit(X, y)
+        served = decode_model(encode_model(pipe))
+        assert served.kind == "ml_pipeline" and served.forest.n_trees == 1
+        assert served.n_features_in == 3
+        assert np.array_equal(served.predict_rows(X), pipe.predict(X))
+
+    def test_re_encoded_decoded_pipeline_keeps_its_width(self, unsplit_column):
+        X, y = unsplit_column
+        pipe = Pipeline(steps=[("scale", StandardScaler()),
+                               ("model", ExtraTreesRegressor(n_estimators=3,
+                                                             random_state=0))]).fit(X, y)
+        served = decode_model(encode_model(pipe))
+        assert served.forest.feature.max() < 2
+        again = decode_model(encode_model(served.model))
+        assert again.n_features_in == 3
+        assert np.array_equal(again.predict_rows(X), pipe.predict(X))
+
+    def test_transformer_other_than_a_scaler_is_not_servable(self, unsplit_column):
+        from repro.ml.base import BaseEstimator, TransformerMixin
+
+        class Doubler(BaseEstimator, TransformerMixin):
+            def fit(self, X, y=None):
+                return self
+
+            def transform(self, X):
+                return 2.0 * np.asarray(X, dtype=float)
+
+        X, y = unsplit_column
+        pipe = Pipeline(steps=[("double", Doubler()),
+                               ("model", ExtraTreesRegressor(n_estimators=2,
+                                                             random_state=0))]).fit(X, y)
+        with pytest.raises(ModelNotServableError, match="Doubler is not servable"):
+            encode_model(pipe)
+
+    def test_two_scaler_steps_are_not_servable(self, unsplit_column):
+        X, y = unsplit_column
+        pipe = Pipeline(steps=[("a", StandardScaler()), ("b", StandardScaler()),
+                               ("model", ExtraTreesRegressor(n_estimators=2,
+                                                             random_state=0))]).fit(X, y)
+        with pytest.raises(ModelNotServableError, match="multiple scaler steps"):
+            encode_model(pipe)
+
+    def test_bare_forest_is_not_a_servable_top_level_model(self, unsplit_column):
+        X, y = unsplit_column
+        forest = ExtraTreesRegressor(n_estimators=2, random_state=0).fit(X, y)
+        with pytest.raises(ModelNotServableError, match="cannot encode ExtraTreesRegressor"):
+            encode_model(forest)
+
+    @pytest.mark.parametrize("rows, message", [
+        (np.ones(3), "rows must be 2-D"),
+        (np.ones((2, 4)), "rows have 4 features, but the model expects 3"),
+    ], ids=["flat", "too-wide"])
+    def test_served_rows_are_checked(self, unsplit_column, rows, message):
+        X, y = unsplit_column
+        pipe = Pipeline(steps=[("model", ExtraTreesRegressor(n_estimators=2,
+                                                             random_state=0))]).fit(X, y)
+        with pytest.raises(ValueError, match=message):
+            decode_model(encode_model(pipe)).predict_rows(rows)
+
+    def test_packed_regressor_checks_the_width(self, unsplit_column):
+        X, y = unsplit_column
+        forest = ExtraTreesRegressor(n_estimators=3, random_state=0).fit(X, y)
+        regressor = PackedRegressor(forest=forest.packed_, n_features_in=3)
+        np.testing.assert_array_equal(regressor.predict_std(X), forest.predict_std(X))
+        for method in (regressor.predict, regressor.predict_std):
+            with pytest.raises(ValueError, match="published model expects 3"):
+                method(X[:, :2])
+
+    @staticmethod
+    def _rewritten(blob, **changes):
+        with np.load(io.BytesIO(blob)) as data:
+            arrays = dict(data)
+        arrays.update(changes)
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        return buf.getvalue()
+
+    def test_unknown_model_kind_is_rejected(self, published):
+        plan, store, *_ = published
+        blob = self._rewritten(store.model_bytes(plan.fingerprint, "extra_trees"),
+                               kind=np.array("boosted"))
+        with pytest.raises(ValueError, match="unknown model kind 'boosted'"):
+            decode_model(blob)
+
+    def test_hybrid_feature_names_must_match_the_width(self, published):
+        plan, store, dataset, *_ = published
+        blob = store.model_bytes(plan.fingerprint, "hybrid")
+        names = np.array([str(n) for n in dataset.feature_names[:-1]])
+        with pytest.raises(ValueError, match="hybrid blob names"):
+            decode_model(self._rewritten(blob, feature_names=names))
+
+    def test_scaler_state_must_match_the_width(self, published):
+        plan, store, *_ = published
+        blob = store.model_bytes(plan.fingerprint, "extra_trees")
+        with np.load(io.BytesIO(blob)) as data:
+            mean = data["scaler_mean"]
+        with pytest.raises(ValueError, match="scaler state has shape"):
+            decode_model(self._rewritten(blob, scaler_mean=mean[:-1]))
 
     def test_unknown_format_version_is_rejected(self, published):
         plan, store, *_ = published
