@@ -73,7 +73,7 @@ class PackedRegressor(BaseEstimator, RegressorMixin):
     """
 
     def __init__(self, *, forest: PackedForest | None = None,
-                 n_features_in: int | None = None) -> None:
+                 n_features_in: int) -> None:
         self.forest = forest
         self.n_features_in = n_features_in
 
@@ -86,7 +86,7 @@ class PackedRegressor(BaseEstimator, RegressorMixin):
     def _validate(self, X) -> np.ndarray:
         check_is_fitted(self, "forest")
         X = check_array(X)
-        if self.n_features_in is not None and X.shape[1] != self.n_features_in:
+        if X.shape[1] != self.n_features_in:
             raise ValueError(
                 f"X has {X.shape[1]} features, but the published model expects "
                 f"{self.n_features_in}")
@@ -188,9 +188,7 @@ def encode_model(model, *, analytical_key: str | None = None) -> bytes:
         final = model.steps_[-1][1]
         forest = _pack_estimator(final)
         n_features = (final.n_features_in if isinstance(final, PackedRegressor)
-                      else getattr(final, "n_features_in_", None))
-        if n_features is None:
-            n_features = forest.feature.max() + 1
+                      else final.n_features_in_)
         arrays = {
             "kind": np.array("ml_pipeline"),
             "feature_names": np.array([], dtype=str),

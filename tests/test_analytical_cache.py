@@ -129,27 +129,6 @@ class TestAnalyticalPredictionCache:
         with pytest.raises(ValueError, match="columns"):
             cache.predict(data.X[:, :2])
 
-    def test_empty_cache_state_has_the_feature_width(self, small_fmm_dataset):
-        data = small_fmm_dataset
-        rows, values = AnalyticalPredictionCache(FmmAnalyticalModel(),
-                                                 data.feature_names).state()
-        assert rows.shape == (0, len(data.feature_names)) and rows.dtype == np.float64
-        assert values.shape == (0,) and values.dtype == np.float64
-
-    def test_load_rows_needs_one_value_per_row(self, small_fmm_dataset):
-        data = small_fmm_dataset
-        cache = AnalyticalPredictionCache(FmmAnalyticalModel(), data.feature_names)
-        with pytest.raises(ValueError, match="3 rows for 2 values"):
-            cache.load_rows(data.X[:3], np.ones(2))
-        assert len(cache) == 0
-
-    def test_load_rows_needs_the_bound_feature_width(self, small_fmm_dataset):
-        data = small_fmm_dataset
-        cache = AnalyticalPredictionCache(FmmAnalyticalModel(), data.feature_names)
-        with pytest.raises(ValueError, match="rows have 2 columns"):
-            cache.load_rows(data.X[:3, :2], np.ones(3))
-        assert len(cache) == 0
-
     def test_requires_analytical_model(self):
         with pytest.raises(TypeError):
             AnalyticalPredictionCache(object(), ["a"])

@@ -79,6 +79,19 @@ class TestFitPredict:
             mapes_hy.append(mean_absolute_percentage_error(data.y[test], hy.predict(data.X[test])))
         assert np.mean(mapes_hy) < np.mean(mapes_ml)
 
+    def test_more_training_data_is_not_worse(self, small_stencil_dataset):
+        data = small_stencil_dataset
+        mapes = []
+        for fraction in (0.02, 0.3):
+            train, test = data.train_test_indices(train_fraction=fraction, random_state=1)
+            model = HybridPerformanceModel(analytical_model=StencilAnalyticalModel(),
+                                           feature_names=data.feature_names,
+                                           random_state=1).fit(data.X[train], data.y[train])
+            mapes.append(mean_absolute_percentage_error(data.y[test],
+                                                        model.predict(data.X[test])))
+        small, large = mapes
+        assert large < small * 1.5   # allow noise, but the trend must hold
+
     def test_deterministic_given_seed(self, stencil_setup):
         data, train, test = stencil_setup
         p1 = _hybrid(data).fit(data.X[train], data.y[train]).predict(data.X[test])
@@ -182,18 +195,6 @@ class TestValidation:
         model = _hybrid(data, aggregate_analytical=True, analytical_weight=1.5)
         with pytest.raises(ValueError):
             model.fit(data.X[train], data.y[train])
-
-    def test_predict_rows_serves_lists_like_predict(self, stencil_setup):
-        data, train, test = stencil_setup
-        model = _hybrid(data).fit(data.X[train], data.y[train])
-        np.testing.assert_array_equal(model.predict_rows(data.X[test].tolist()),
-                                      model.predict(data.X[test]))
-
-    def test_predict_rows_rejects_a_flat_row(self, stencil_setup):
-        data, train, test = stencil_setup
-        model = _hybrid(data).fit(data.X[train], data.y[train])
-        with pytest.raises(ValueError, match="rows must be 2-D"):
-            model.predict_rows(data.X[test[0]])
 
     def test_analytical_prediction_of_the_wrong_shape_rejected(self, stencil_setup):
         data, train, _ = stencil_setup

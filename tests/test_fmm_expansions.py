@@ -85,10 +85,6 @@ class TestTaylorCoefficients:
             single = taylor_coefficients(mset, R[j])[:, 0]
             np.testing.assert_allclose(batched[:, j], single, rtol=1e-12)
 
-    def test_centers_must_have_three_coordinates(self):
-        with pytest.raises(ValueError, match=r"R must have shape \(nbatch, 3\)"):
-            taylor_coefficients(MultiIndexSet(2), np.ones((4, 2)))
-
     def test_zero_separation_rejected(self):
         with pytest.raises(ValueError):
             taylor_coefficients(MultiIndexSet(2), np.zeros((1, 3)))

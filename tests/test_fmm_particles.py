@@ -64,11 +64,6 @@ class TestDistributions:
         assert np.median(radii) < 0.3
         assert p.n == 1000
 
-    @pytest.mark.parametrize("make", [random_sphere, plummer], ids=["sphere", "plummer"])
-    def test_clustered_distributions_need_a_particle(self, make):
-        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
-            make(0)
-
     def test_invalid_sizes_and_weights(self):
         with pytest.raises(ValueError):
             random_cube(0)

@@ -76,13 +76,6 @@ class TestFmmAccuracy:
         err_sampled = fmm.relative_error(small_particles, sample=100, random_state=0)
         assert err_sampled < 5e-2
 
-    def test_error_against_a_zero_reference_is_absolute(self, small_particles):
-        fmm = Fmm(order=2, max_per_leaf=32)
-        potentials = fmm.evaluate(small_particles).potentials
-        err = fmm.relative_error(small_particles, reference=np.zeros(small_particles.n))
-        assert err == pytest.approx(float(np.linalg.norm(potentials)), rel=1e-12)
-        assert err > 0.0
-
     def test_threaded_p2p_matches_serial(self, small_particles):
         serial = Fmm(order=3, max_per_leaf=32, n_jobs=1).evaluate(small_particles)
         threaded = Fmm(order=3, max_per_leaf=32, n_jobs=4).evaluate(small_particles)

@@ -17,15 +17,17 @@ from repro.ml.metrics import mean_absolute_percentage_error
 from repro.stencil import StencilConfig, StencilExecutor, StencilPerformanceSimulator
 
 
-def _hybrid_and_ml_mapes(data, analytical_model, train_fraction):
+def _hybrid_and_ml_mapes(data, analytical_model, train_fraction, random_state=0):
     """Held-out MAPEs of the hybrid model and the standardized pure-ML
     baseline (both on 30 extra trees), fitted on the same uniform split."""
     train, test = data.train_test_indices(train_fraction=train_fraction,
-                                          random_state=0)
+                                          random_state=random_state)
     hybrid = HybridPerformanceModel(analytical_model=analytical_model,
-                                    feature_names=data.feature_names, random_state=0)
+                                    feature_names=data.feature_names,
+                                    random_state=random_state)
     ml = Pipeline(steps=[("scale", StandardScaler()),
-                         ("model", ExtraTreesRegressor(n_estimators=30, random_state=0))])
+                         ("model", ExtraTreesRegressor(n_estimators=30,
+                                                       random_state=random_state))])
     return [mean_absolute_percentage_error(
                 data.y[test], model.fit(data.X[train], data.y[train]).predict(data.X[test]))
             for model in (hybrid, ml)]
@@ -40,6 +42,11 @@ class TestStencilWorkflow:
         # Paper's headline ordering: hybrid < pure ML and hybrid < analytical alone.
         assert hybrid_mape < ml_mape
         assert hybrid_mape < am_mape
+
+    def test_hybrid_beats_ml_at_a_tiny_fraction(self, small_stencil_dataset):
+        hybrid_mape, ml_mape = _hybrid_and_ml_mapes(
+            small_stencil_dataset, StencilAnalyticalModel(), 0.03, random_state=3)
+        assert hybrid_mape < ml_mape
 
     def test_hybrid_on_real_executor_measurements(self):
         # End-to-end with *real* measured times on laptop-scale grids.

@@ -51,10 +51,6 @@ class TestMemoryLevel:
         with pytest.raises(ValueError):
             MemoryLevel(size_bytes=2**30, bandwidth_bytes_per_s=0.0)
 
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError, match="DRAM latency_s must be >= 0"):
-            MemoryLevel(size_bytes=2**30, bandwidth_bytes_per_s=1e10, latency_s=-1e-9)
-
 
 class TestCacheHierarchy:
     def _hierarchy(self):

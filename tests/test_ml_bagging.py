@@ -8,6 +8,7 @@ from repro.ml.metrics import r2_score
 from repro.ml.neighbors import KNeighborsRegressor
 from repro.ml.tree import DecisionTreeRegressor
 from repro.utils.rng import check_random_state, spawn_seeds
+from repro.utils.validation import NotFittedError
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,10 @@ class TestBaggingRegressor:
         Xtr, ytr, _, _ = data
         with pytest.raises(ValueError):
             BaggingRegressor(**kwargs).fit(Xtr, ytr)
+
+    def test_predict_before_fit(self):
+        with pytest.raises(NotFittedError):
+            BaggingRegressor().predict([[1.0, 2.0]])
 
     def test_feature_count_checked_at_predict(self, data):
         Xtr, ytr, _, _ = data

@@ -25,7 +25,6 @@ from repro.ml import (
     StandardScaler,
     clone,
 )
-from repro.utils.validation import NotFittedError
 
 MAKERS = {
     "decision_tree": lambda names: DecisionTreeRegressor(random_state=0),
@@ -75,11 +74,6 @@ def test_fit_returns_self(make, split):
     assert model.fit(split["X"], split["y"]) is model
 
 
-def test_predict_before_fit_raises_not_fitted(make, split):
-    with pytest.raises(NotFittedError):
-        make().predict(split["X_test"])
-
-
 def test_predictions_are_one_finite_float_per_row(make, split):
     preds = _fitted(make, split).predict(split["X_test"])
     assert preds.dtype == np.float64
@@ -92,15 +86,6 @@ def test_set_params_with_get_params_is_a_no_op(make, split):
     before = repr(model)
     model.set_params(**model.get_params(deep=False))
     assert repr(model) == before
-
-
-def test_clone_of_a_fitted_model_is_unfitted_with_the_same_params(make, split):
-    model = _fitted(make, split)
-    copy = clone(model)
-    assert type(copy) is type(model)
-    assert repr(copy) == repr(model)
-    with pytest.raises(NotFittedError):
-        copy.predict(split["X_test"])
 
 
 def test_fitting_a_clone_leaves_the_original_untouched(make, split):

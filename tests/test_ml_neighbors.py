@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.neighbors import KNeighborsRegressor
+from repro.utils.validation import NotFittedError
 
 
 class TestKNeighborsRegressor:
@@ -53,6 +54,10 @@ class TestKNeighborsRegressor:
             KNeighborsRegressor(n_neighbors=0).fit([[0.0]], [1.0])
         with pytest.raises(ValueError):
             KNeighborsRegressor(weights="gaussian").fit([[0.0]], [1.0])
+
+    def test_predict_before_fit(self):
+        with pytest.raises(NotFittedError):
+            KNeighborsRegressor().predict([[1.0]])
 
     def test_feature_mismatch(self):
         model = KNeighborsRegressor().fit([[0.0, 1.0]], [1.0])

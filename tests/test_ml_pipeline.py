@@ -44,6 +44,11 @@ class TestPipeline:
         with pytest.raises(AttributeError):
             pipe2.transform(X)
 
+    def test_predict_before_fit_raises(self):
+        pipe = Pipeline(steps=[("scale", StandardScaler()), ("tree", DecisionTreeRegressor())])
+        with pytest.raises(NotFittedError):
+            pipe.predict([[1.0]])
+
     def test_named_steps_before_fit_raises(self):
         pipe = Pipeline(steps=[("tree", DecisionTreeRegressor())])
         with pytest.raises(NotFittedError):

@@ -87,14 +87,3 @@ class TestThreadScalingModel:
             ThreadScalingModel().time(-1.0, 2)
         with pytest.raises(ValueError):
             ThreadScalingModel().speedup(0)
-
-    @pytest.mark.parametrize("kwargs, message", [
-        (dict(compute_fraction=1.5), "compute_fraction must be in"),
-        (dict(compute_fraction=-0.1), "compute_fraction must be in"),
-        (dict(cores_per_socket=0), "cores_per_socket must be >= 1"),
-        (dict(overhead_s=-1e-6), "overhead_s must be >= 0"),
-    ], ids=["compute_fraction_above_1", "compute_fraction_below_0",
-            "cores_per_socket", "overhead_s"])
-    def test_each_invalid_field_is_named(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            ThreadScalingModel(**kwargs)

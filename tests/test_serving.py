@@ -322,10 +322,9 @@ class TestModelBlobFormat:
         X, y = unsplit_column
         forest = ExtraTreesRegressor(n_estimators=3, random_state=0).fit(X, y)
         regressor = PackedRegressor(forest=forest.packed_, n_features_in=3)
-        np.testing.assert_array_equal(regressor.predict_std(X), forest.predict_std(X))
-        for method in (regressor.predict, regressor.predict_std):
-            with pytest.raises(ValueError, match="published model expects 3"):
-                method(X[:, :2])
+        np.testing.assert_array_equal(regressor.predict(X), forest.predict(X))
+        with pytest.raises(ValueError, match="published model expects 3"):
+            regressor.predict(X[:, :2])
 
     @staticmethod
     def _rewritten(blob, **changes):

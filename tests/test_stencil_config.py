@@ -42,7 +42,6 @@ class TestStencilConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(I=0, J=1, K=1), dict(I=1, J=1, K=1, bi=-1), dict(I=1, J=1, K=1, unroll=9),
         dict(I=1, J=1, K=1, threads=0), dict(I=1, J=1, K=1, stencil_points=5),
-        dict(I=1, J=1, K=1, order=0),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

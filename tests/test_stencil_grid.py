@@ -57,10 +57,6 @@ class TestGrid3D:
         grid = Grid3D(shape=(2, 2, 2))
         assert grid.memory_bytes() == 4 * 4 * 4 * 8
 
-    def test_repr_names_shape_order_and_padding(self):
-        assert repr(Grid3D(shape=(4, 3, 2), order=2)) == (
-            "Grid3D(shape=(4, 3, 2), order=2, padded=(8, 7, 6))")
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             Grid3D(shape=(0, 2, 2))
